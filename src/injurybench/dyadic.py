@@ -21,8 +21,6 @@ __all__ = [
     "Dyadic",
     "ZERO",
     "ONE",
-    "add",
-    "cmp",
     "pow2",
 ]
 
@@ -151,16 +149,6 @@ class Dyadic:
 
 ZERO = Dyadic(0)
 ONE = Dyadic(1)
-
-
-def add(a: Dyadic, b: Dyadic) -> Dyadic:
-    """Exact sum in canonical form."""
-    return a + b
-
-
-def cmp(a: Dyadic, b: Dyadic) -> int:
-    """Exact trichotomy: -1, 0 or 1 as a < b, a == b or a > b."""
-    return a._cmp(b)
 
 
 def pow2(k: int) -> Dyadic:

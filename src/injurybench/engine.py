@@ -52,6 +52,8 @@ from .tracekit import (
     StageRecord,
     Trace,
     TraceCorruption,
+    covering_stages,
+    init_events,
     region_contains,
 )
 
@@ -65,8 +67,6 @@ __all__ = [
     "run_stage",
     "run_a",
     "run_b",
-    "is_threatened",
-    "is_expansionary",
     "u_map",
     "threat_stages",
     "cutoff_stages",
@@ -410,14 +410,6 @@ def run_b(registry: PhiRegistry, T: int, hooks=None) -> Trace:
     return run_engine(new_engine_b(registry), T, hooks)
 
 
-def is_threatened(state: EngineState, sigma: BinStr) -> bool:
-    return state.is_threatened(sigma)
-
-
-def is_expansionary(state: EngineState, sigma: BinStr) -> bool:
-    return state.is_expansionary(sigma)
-
-
 # ---------------------------------------------------------------------------
 # Jump attribution
 
@@ -464,15 +456,6 @@ def u_map(trace: Trace) -> dict[int, int]:
     return u
 
 
-def _last_covering_init(trace: Trace, sigma: BinStr, start: int = 0) -> int | None:
-    last = None
-    for rec in trace.stages[start:]:
-        for anchor, rel in rec.init_regions:
-            if region_contains(anchor, rel, sigma):
-                last = rec.t
-    return last
-
-
 def cutoff_stages(trace: Trace, sigma: BinStr) -> int | None:
     """Largest jump stage attributed to sigma's stability-respecting threat.
 
@@ -486,7 +469,8 @@ def cutoff_stages(trace: Trace, sigma: BinStr) -> int | None:
     if not candidates:
         return None
     t1 = candidates[-1]
-    if _last_covering_init(trace, sigma, start=t1) is not None:
+    inits = covering_stages(init_events(trace), sigma)
+    if inits and inits[-1] >= t1:
         return None
     u = u_map(trace)
     fiber = [t for t, origin in u.items() if origin == t1]

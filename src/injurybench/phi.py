@@ -332,16 +332,3 @@ def default_registry() -> PhiRegistry:
     """Fresh registry holding the documented default family."""
     return PhiRegistry(DEFAULT_CONFIG)
 
-
-def register_default_suite(registry: PhiRegistry) -> PhiRegistry:
-    """Install the documented default family into an existing registry.
-
-    Raises on index collisions with already-configured slots, and extends
-    the registry's recorded configuration so traces stay reproducible.
-    """
-    for entry in DEFAULT_CONFIG["slots"]:
-        registry.add_slot(int(entry["index"]), _build_slot(entry))
-    registry.config = {
-        "slots": list(registry.config.get("slots", [])) + list(DEFAULT_CONFIG["slots"])
-    }
-    return registry

@@ -27,10 +27,8 @@ __all__ = [
     "TOP_OUT",
     "THREAT_JUMP",
     "THREAT_SCHEDULE",
-    "EXPANSION_INCREMENT",
     "EXPANSION_JUMP",
     "EXPANSION_DELEGATE",
-    "DESCEND",
     "JUMP_KINDS",
     "TERMINAL_KINDS",
     "THREAT_KINDS",
@@ -46,23 +44,23 @@ __all__ = [
     "region_covers_right_of",
     "serialize",
     "deserialize",
+    "init_events",
+    "covering_stages",
     "replay_params",
     "param_changepoints",
+    "changepoints_from",
     "strategies_with_writes",
     "write_sequence_csv",
     "read_sequence_csv",
 ]
 
-# Stage-terminal actions.  EXPANSION_INCREMENT and DESCEND name the two
-# intra-stage moves; the engines never settle a stage on them, and their
-# appearance as a terminal action marks a corrupt trace.
+# Stage-terminal actions.  Any other kind (say, the name of an intra-stage
+# move such as "descend") as a terminal action marks a corrupt trace.
 TOP_OUT = "top_out"
 THREAT_JUMP = "threat_jump"
 THREAT_SCHEDULE = "threat_schedule"
-EXPANSION_INCREMENT = "expansion_increment"
 EXPANSION_JUMP = "expansion_jump"
 EXPANSION_DELEGATE = "expansion_delegate"
-DESCEND = "descend"
 
 JUMP_KINDS = frozenset({THREAT_JUMP, EXPANSION_JUMP})
 THREAT_KINDS = frozenset({THREAT_JUMP, THREAT_SCHEDULE})
@@ -292,14 +290,38 @@ def deserialize(data: bytes) -> Trace:
 _DEFAULTS = {"c": 0, "r": 0, "s": 0, "p": 0}
 
 
-def param_changepoints(trace: Trace, sigma: BinStr, fld: str) -> list[tuple[int, int]]:
-    """Changepoint timeline [(time, value), ...] of one parameter.
+def init_events(trace: Trace) -> list[tuple[int, BinStr, str]]:
+    """Every initialisation region of a trace as (stage, anchor, relation),
+    in stage order."""
+    return [(rec.t, anchor, rel) for rec in trace.stages
+            for anchor, rel in rec.init_regions]
 
-    Reconstructed from the default, the explicit writes, and the covering
-    initialisation regions; a write and a region effect from the same stage
-    cannot collide for engine-produced traces, but if a hand-mutated trace
-    makes them collide the region effect wins (matching engine commit
-    order).  The list starts at time 0 and is strictly increasing in time.
+
+def covering_stages(events: list[tuple[int, BinStr, str]], sigma: BinStr) -> list[int]:
+    """The stages, ascending and without repeats, whose initialisation region
+    contains sigma; ``events`` is laid out as :func:`init_events` returns it."""
+    out: list[int] = []
+    for t, anchor, rel in events:
+        if (not out or out[-1] != t) and region_contains(anchor, rel, sigma):
+            out.append(t)
+    return out
+
+
+def changepoints_from(
+    sigma: BinStr,
+    fld: str,
+    engine: str,
+    writes: list[tuple[int, int]],
+    inits: list[int],
+) -> list[tuple[int, int]]:
+    """Changepoint timeline of one parameter from its explicit writes
+    ((stage, value) in stage order) and the stages whose initialisation
+    region covers the strategy (see :func:`covering_stages`).
+
+    A write and a region effect from the same stage cannot collide for
+    engine-produced traces, but if a hand-mutated trace makes them collide
+    the region effect wins (matching engine commit order).  The list starts
+    at time 0 and is strictly increasing in time.
     """
     if fld == "w":
         default = nu(sigma)
@@ -307,23 +329,28 @@ def param_changepoints(trace: Trace, sigma: BinStr, fld: str) -> list[tuple[int,
         if fld not in _DEFAULTS:
             raise ValueError(f"unknown parameter field {fld!r}")
         default = _DEFAULTS[fld]
-    points = [(0, default)]
+    effects = dict(writes)  # the last write of a stage wins
     # initialisation resets counters and witnesses in both constructions,
     # the satisfaction flag only in the first; restraints and pause flags
     # are never touched by regions
-    init_affects = fld in ("c", "w") or (fld == "s" and trace.engine == "A")
-    for rec in trace.stages:
-        eff = None
-        for s, f, v in rec.param_writes:
-            if s == sigma and f == fld:
-                eff = v
-        if init_affects:
-            for anchor, rel in rec.init_regions:
-                if region_contains(anchor, rel, sigma):
-                    eff = nu(sigma) + rec.t + 2 if fld == "w" else 0
-        if eff is not None and eff != points[-1][1]:
-            points.append((rec.t + 1, eff))
+    if fld in ("c", "w") or (fld == "s" and engine == "A"):
+        for t in inits:
+            effects[t] = nu(sigma) + t + 2 if fld == "w" else 0
+    points = [(0, default)]
+    for t in sorted(effects):
+        if effects[t] != points[-1][1]:
+            points.append((t + 1, effects[t]))
     return points
+
+
+def param_changepoints(trace: Trace, sigma: BinStr, fld: str) -> list[tuple[int, int]]:
+    """Changepoint timeline [(time, value), ...] of one parameter,
+    reconstructed from the default, the explicit writes, and the covering
+    initialisation regions (see :func:`changepoints_from`)."""
+    writes = [(rec.t, v) for rec in trace.stages
+              for s, f, v in rec.param_writes if s == sigma and f == fld]
+    return changepoints_from(sigma, fld, trace.engine, writes,
+                             covering_stages(init_events(trace), sigma))
 
 
 def replay_params(trace: Trace, sigma: BinStr, t: int, fld: str) -> int:

@@ -16,14 +16,16 @@ initialisation seen in the trace and says so in the report's assumptions.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .dyadic import Dyadic, pow2
-from .engine import threat_stages, u_map
+from .engine import u_map
 from .phi import PhiRegistry, registry_from_config
-from .strings import BinStr, lex_less, true_path_estimate
+from .strings import BinStr, TruePathEstimate, lex_less, true_path_estimate
 from .tracekit import (
     EXPANSION_KINDS,
     THREAT_KINDS,
@@ -31,10 +33,9 @@ from .tracekit import (
     TOP_OUT,
     Trace,
     TraceCorruption,
-    param_changepoints,
-    region_contains,
+    changepoints_from,
+    covering_stages,
     region_covers_right_of,
-    strategies_with_writes,
 )
 
 __all__ = [
@@ -94,18 +95,114 @@ def _make_report(check: str, findings: list[tuple[str, dict]], assumptions=None)
     )
 
 
-class _ParamView:
-    """Cached changepoint timelines over one trace."""
+class _TraceIndex:
+    """What the checkers look up repeatedly, gathered in one pass over a trace.
+
+    The per-strategy lists -- the stages that apply a strategy, and the
+    stages whose initialisation region covers it -- are derived on first
+    use and only for the strategies a checker asks about: materialising
+    them for every prefix of every settlement would cost O(T * depth).
+    """
 
     def __init__(self, trace: Trace):
         self.trace = trace
+        self.settlements: list[BinStr] = []
+        self.threats: dict[BinStr, list[int]] = {}  # handled threats by strategy
+        self.jumps: dict[int, Dyadic] = {}  # positive jumps by stage
+        self.init_events: list[tuple[int, BinStr, str]] = []
+        self.writes: dict[tuple[BinStr, str], list[tuple[int, int]]] = {}
+        for rec in trace.stages:
+            t = rec.t
+            self.settlements.append(rec.settled)
+            if rec.action.kind in THREAT_KINDS:
+                self.threats.setdefault(rec.settled, []).append(t)
+            if rec.jump.sign() > 0:
+                self.jumps[t] = rec.jump
+            for anchor, rel in rec.init_regions:
+                self.init_events.append((t, anchor, rel))
+            for s, f, v in rec.param_writes:
+                self.writes.setdefault((s, f), []).append((t, v))
+        # strategies with an explicit write, in order of their first write
+        self.written = list(dict.fromkeys(s for s, _ in self.writes))
+        self.params = _ParamView(self)
+        self._inits: dict[BinStr, list[int]] = {}
+        self._apps: dict[BinStr, list[int]] = {}
+        self._fibers: dict[int, list[int]] | None = None
+        self._estimate: TruePathEstimate | None = None
+
+    def written_to(self, fld: str) -> list[BinStr]:
+        """Sorted strategies with an explicit write to one field."""
+        return sorted(s for s, f in self.writes if f == fld)
+
+    def initialisations(self, sigma: BinStr) -> list[int]:
+        """Stages whose initialisation region covers sigma, ascending."""
+        inits = self._inits.get(sigma)
+        if inits is None:
+            inits = self._inits[sigma] = covering_stages(self.init_events, sigma)
+        return inits
+
+    def first_initialisation_in(self, sigma: BinStr, lo: int, hi: int) -> int | None:
+        """First stage in [lo, hi) whose region covers sigma, else None."""
+        inits = self.initialisations(sigma)
+        i = bisect_left(inits, lo)
+        return inits[i] if i < len(inits) and inits[i] < hi else None
+
+    def applications(self, sigma: BinStr) -> list[int]:
+        """Stages whose settled strategy extends sigma, ascending."""
+        apps = self._apps.get(sigma)
+        if apps is None:
+            apps = self._apps[sigma] = [
+                t for t, settled in enumerate(self.settlements) if settled.startswith(sigma)
+            ]
+        return apps
+
+    def next_application(self, sigma: BinStr, after: int) -> int | None:
+        apps = self.applications(sigma)
+        i = bisect_right(apps, after)
+        return apps[i] if i < len(apps) else None
+
+    def fibers(self) -> dict[int, list[int]]:
+        """Jump stages grouped by the threat stage ``u_map`` attributes them
+        to, ascending; raises TraceCorruption as ``u_map`` does."""
+        if self._fibers is None:
+            fibers: dict[int, list[int]] = {}
+            for t, origin in u_map(self.trace).items():
+                fibers.setdefault(origin, []).append(t)
+            self._fibers = fibers
+        return self._fibers
+
+    def true_path(self) -> TruePathEstimate:
+        if self._estimate is None:
+            self._estimate = true_path_estimate(self.settlements)
+        return self._estimate
+
+
+# The index run_checks builds for its trace.  The checkers take only the
+# trace, so they find the shared index here; a checker called on its own, or
+# on another trace, builds a private one.
+_run_index: ContextVar[_TraceIndex | None] = ContextVar("_run_index", default=None)
+
+
+def _index_for(trace: Trace) -> _TraceIndex:
+    index = _run_index.get()
+    return index if index is not None and index.trace is trace else _TraceIndex(trace)
+
+
+class _ParamView:
+    """Cached changepoint timelines over one indexed trace."""
+
+    def __init__(self, index: _TraceIndex):
+        self.index = index
         self._cp: dict[tuple[BinStr, str], tuple[list[int], list[int]]] = {}
 
     def changepoints(self, sigma: BinStr, fld: str) -> tuple[list[int], list[int]]:
         key = (sigma, fld)
         cached = self._cp.get(key)
         if cached is None:
-            pts = param_changepoints(self.trace, sigma, fld)
+            index = self.index
+            pts = changepoints_from(sigma, fld, index.trace.engine,
+                                    index.writes.get(key, []),
+                                    index.initialisations(sigma))
             cached = self._cp[key] = ([t for t, _ in pts], [v for _, v in pts])
         return cached
 
@@ -117,12 +214,13 @@ class _ParamView:
 class _Offline:
     """Semantic re-evaluation of the stage predicates from a trace."""
 
-    def __init__(self, trace: Trace, registry: PhiRegistry):
-        self.trace = trace
+    def __init__(self, index: _TraceIndex, registry: PhiRegistry):
+        self.index = index
+        self.trace = index.trace
         self.registry = registry
-        self.params = _ParamView(trace)
-        self.flag = trace.flag_field
-        self.needs_flag = trace.engine == "A"
+        self.params = index.params
+        self.flag = self.trace.flag_field
+        self.needs_flag = self.trace.engine == "A"
 
     def _gap_below(self, e: int, t: int, exponent: int) -> bool:
         l = self.registry.ell(e, t)
@@ -149,34 +247,14 @@ class _Offline:
             return False
         return self._gap_below(e, t, self.params.value(sigma, "r", t))
 
+    def expansionary_stages(self, sigma: BinStr, t0: int) -> list[int]:
+        """Applications of sigma from stage t0 on at which it is expansionary."""
+        apps = self.index.applications(sigma)
+        return [t for t in apps[bisect_left(apps, t0):] if self.expansionary(sigma, t)]
+
 
 def _registry_for(trace: Trace, registry: PhiRegistry | None) -> PhiRegistry:
     return registry if registry is not None else registry_from_config(trace.config)
-
-
-def _next_application(trace: Trace, sigma: BinStr, after: int) -> int | None:
-    for t in range(after + 1, trace.T):
-        if trace.stages[t].settled.startswith(sigma):
-            return t
-    return None
-
-
-def _initialized_in(trace: Trace, sigma: BinStr, lo: int, hi: int) -> int | None:
-    """First stage in [lo, hi) whose region covers sigma, else None."""
-    for t in range(lo, hi):
-        for anchor, rel in trace.stages[t].init_regions:
-            if region_contains(anchor, rel, sigma):
-                return t
-    return None
-
-
-def _last_initialization(trace: Trace, sigma: BinStr) -> int | None:
-    last = None
-    for rec in trace.stages:
-        for anchor, rel in rec.init_regions:
-            if region_contains(anchor, rel, sigma):
-                last = rec.t
-    return last
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +264,10 @@ def _last_initialization(trace: Trace, sigma: BinStr) -> int | None:
 def check_monotonicity(trace: Trace) -> Report:
     """Restraint and witness laws: r <= t, r and w non-decreasing in t,
     and (first construction only) the witness monotone along prefixes."""
-    params = _ParamView(trace)
+    index = _index_for(trace)
+    params = index.params
     findings: list[tuple[str, dict]] = []
-    tracked = strategies_with_writes(trace)
+    tracked = list(index.written)
     if "" not in tracked:
         tracked.insert(0, "")
 
@@ -290,16 +369,12 @@ def check_jump_sums(trace: Trace, registry: PhiRegistry | None = None) -> Report
     by the horizon only need the one-sided bound.
     """
     findings: list[tuple[str, dict]] = []
+    index = _index_for(trace)
     try:
-        u = u_map(trace)
+        fibers = index.fibers()
     except TraceCorruption as exc:
         return _make_report("jump_sums", [("fail", {"error": str(exc)})])
-    jumps = {rec.t: rec.jump for rec in trace.stages if rec.jump.sign() > 0}
-    params = _ParamView(trace)
-    threats_by_sigma: dict[BinStr, list[int]] = {}
-    for rec in trace.stages:
-        if rec.action.kind in THREAT_KINDS:
-            threats_by_sigma.setdefault(rec.settled, []).append(rec.t)
+    params = index.params
 
     for rec in trace.stages:
         kind = rec.action.kind
@@ -311,23 +386,24 @@ def check_jump_sums(trace: Trace, registry: PhiRegistry | None = None) -> Report
         elif kind in EXPANSION_KINDS:
             sigma, t1 = rec.settled, rec.t
             alpha = rec.action.alpha
-            origins = [s for s in threats_by_sigma.get(alpha, ()) if s < t1]
-            if not origins:
+            threats = index.threats.get(alpha, [])
+            prior = bisect_left(threats, t1)
+            if not prior:
                 findings.append(("fail", {"episode": "counter", "t1": t1,
                                           "error": f"no prior threat of {alpha!r}"}))
                 continue
-            origin = origins[-1]
+            origin = threats[prior - 1]
             bound = pow2(-params.value(sigma, "r", t1))
             label = "counter"
         else:
             continue
-        t2 = _next_application(trace, sigma, t1)
+        t2 = index.next_application(sigma, t1)
         end = t2 if t2 is not None else trace.T
-        interrupted_at = _initialized_in(trace, sigma, t1, end)
+        interrupted_at = index.first_initialisation_in(sigma, t1, end)
+        fiber = fibers.get(origin, [])
         total = Dyadic(0)
-        for t in range(t1, end):
-            if u.get(t) == origin:
-                total = total + jumps[t]
+        for t in fiber[bisect_left(fiber, t1):bisect_left(fiber, end)]:
+            total = total + index.jumps[t]
         status, note = _classify_episode(total, bound, t2, interrupted_at)
         findings.append(
             (status, {"episode": label, "sigma": sigma, "t1": t1, "t2": t2,
@@ -350,25 +426,24 @@ def check_cutoffs(trace: Trace, registry: PhiRegistry | None = None) -> Report:
     if trace.engine != "A":
         raise ValueError("cut-off stages are defined for engine A traces only")
     findings: list[tuple[str, dict]] = []
+    index = _index_for(trace)
     try:
-        u = u_map(trace)
+        fibers = index.fibers()
     except TraceCorruption as exc:
         return _make_report("cutoffs", [("fail", {"error": str(exc)})])
-    jumps = {rec.t: rec.jump for rec in trace.stages if rec.jump.sign() > 0}
-    params = _ParamView(trace)
-    written = strategies_with_writes(trace)
+    params = index.params
 
     for rec in trace.stages:
         if rec.action.kind not in THREAT_KINDS:
             continue
         sigma, t1 = rec.settled, rec.t
-        if _initialized_in(trace, sigma, t1, trace.T) is not None:
+        if index.first_initialisation_in(sigma, t1, trace.T) is not None:
             continue  # threat invalidated within horizon; not a stable episode
         bound = pow2(-params.value(sigma, "w", t1))
-        fiber = sorted(t for t, origin in u.items() if origin == t1)
+        fiber = fibers.get(t1, [])
         total = Dyadic(0)
         for t in fiber:
-            total = total + jumps[t]
+            total = total + index.jumps[t]
         if total > bound:
             findings.append(("fail", {"sigma": sigma, "t1": t1,
                                       "error": "fiber sum exceeds scheduled amount"}))
@@ -386,7 +461,7 @@ def check_cutoffs(trace: Trace, registry: PhiRegistry | None = None) -> Report:
         ):
             problems.append("initialisation region does not cover extensions "
                             "and lex-right strategies")
-        for tau in written:
+        for tau in index.written:
             if params.value(tau, "c", t_cut + 1) > 0 and not lex_less(tau + "0", sigma):
                 problems.append(f"positive counter at {tau!r} not lex-left")
         if not (trace.x[trace.T] - trace.x[t_cut + 1]) <= pow2(-(t_cut + 1)):
@@ -487,10 +562,18 @@ def check_requirement_P(
     there, and checks every in-horizon difference x_{phi_e(i+1)} - x_{phi_e(i)}
     with i >= v(n) against 2**-n.  Realisable n report pass or fail; the
     first unrealisable n reports incomplete and stops the scan.
+
+    A stage meeting the condition for n also meets the weaker one for
+    n - 1, so t(n) never precedes t(n - 1) and one pointer sweep over the
+    expansionary stages finds every t(n), whether or not the restraint is
+    monotone.  The chain differences are computed once, and a suffix
+    maximum decides for each n whether any difference from v(n) on is too
+    large; only then is the first such i looked for.
     """
     registry = _registry_for(trace, registry)
     _require_declared_increasing(registry, e)
-    est = true_path_estimate([rec.settled for rec in trace.stages])
+    index = _index_for(trace)
+    est = index.true_path()
     if len(est.path) < e or est.stable_upto < e:
         return _make_report(
             f"requirement_p[{e}]",
@@ -499,15 +582,12 @@ def check_requirement_P(
                              "stable_upto": est.stable_upto})],
         )
     sigma = est.path[:e]
-    offline = _Offline(trace, registry)
-    params = offline.params
+    offline = _Offline(index, registry)
+    params = index.params
     assumptions = [f"true-path prefix {sigma or 'the root'!r} taken from the "
                    f"windowed estimate (stable_upto={est.stable_upto})"]
 
-    last_init = _last_initialization(trace, sigma)
-    t0 = 0 if last_init is None else last_init + 1
     if trace.engine == "B":
-        S = registry.total_increasing_indices()
         for length in range(e + 1):
             if registry.classification(length) is None:
                 return _make_report(
@@ -515,44 +595,36 @@ def check_requirement_P(
                     [("incomplete", {"e": e, "note": f"slot {length} lacks a "
                                      "declared classification; refusing"})],
                 )
-        for length in range(e + 1):
-            if length not in S:
-                tau = est.path[:length]
-                for t_thr in threat_stages(trace, tau):
-                    t0 = max(t0, t_thr + 1)
+    t0 = _stability_start(index, registry, est.path, e)
     assumptions.append(f"post-stability horizon approximated as t0={t0}")
 
-    exp_stages = [
-        t for t in range(t0, trace.T)
-        if trace.stages[t].settled.startswith(sigma)
-        and offline.expansionary(sigma, t)
-    ]
+    def meets(n: int, t: int) -> bool:
+        r_here = params.value(sigma, "r", t)
+        if trace.engine == "A":
+            return r_here >= n + 2
+        return (r_here >= n + 3
+                and _witness_sum(params, registry, est.path, e, t) <= pow2(-(n + 1)))
+
+    exp_stages = offline.expansionary_stages(sigma, t0)
     l_max = registry.ell(e, trace.T)
+    x = trace.x
     phi_vals = [registry.step(e, i, trace.T) for i in range(l_max + 1)]
+    diffs = [x[b] - x[a] for a, b in zip(phi_vals, phi_vals[1:])]
+    suffix_max = list(accumulate(reversed(diffs), max))[::-1]
     findings: list[tuple[str, dict]] = []
+    p = 0
     n = 0
     while True:
-        t_n = None
-        for t in exp_stages:
-            r_here = params.value(sigma, "r", t)
-            if trace.engine == "A":
-                if r_here >= n + 2:
-                    t_n = t
-                    break
-            else:
-                if r_here >= n + 3 and _witness_sum(params, registry, est.path, e, t) <= pow2(-(n + 1)):
-                    t_n = t
-                    break
-        if t_n is None:
+        while p < len(exp_stages) and not meets(n, exp_stages[p]):
+            p += 1
+        if p == len(exp_stages):
             findings.append(("incomplete", {"n": n, "note": "t(n) beyond horizon"}))
             break
+        t_n = exp_stages[p]
         v_n = registry.ell(e, t_n)
-        bad = None
-        for i in range(v_n, l_max):
-            if not (trace.x[phi_vals[i + 1]] - trace.x[phi_vals[i]]) < pow2(-n):
-                bad = i
-                break
-        if bad is not None:
+        bound = pow2(-n)
+        if v_n < l_max and not suffix_max[v_n] < bound:
+            bad = next(i for i in range(v_n, l_max) if not diffs[i] < bound)
             findings.append(("fail", {"n": n, "v_n": v_n, "i": bad,
                                       "difference_exceeds": f"2^-{n}"}))
         else:
@@ -560,6 +632,20 @@ def check_requirement_P(
                                       "checked_i_up_to": l_max - 1}))
         n += 1
     return _make_report(f"requirement_p[{e}]", findings, assumptions)
+
+
+def _stability_start(index: _TraceIndex, registry: PhiRegistry, path: BinStr, length: int) -> int:
+    """First stage after the last in-horizon initialisation of path[:length]
+    and, on engine B, after the last threat handled by any prefix whose slot
+    is not declared total and increasing."""
+    inits = index.initialisations(path[:length])
+    t0 = inits[-1] + 1 if inits else 0
+    if index.trace.engine == "B":
+        S = registry.total_increasing_indices()
+        for sub in range(length + 1):
+            if sub not in S and path[:sub] in index.threats:
+                t0 = max(t0, index.threats[path[:sub]][-1] + 1)
+    return t0
 
 
 def _witness_sum(params: _ParamView, registry: PhiRegistry, path: BinStr, e: int, t: int) -> Dyadic:
@@ -582,13 +668,12 @@ def check_settlement_facts(trace: Trace, registry: PhiRegistry | None = None) ->
     0-spine, threat episodes closed once complete, one threat per witness
     value, and (second construction) the pause-flag laws."""
     registry = _registry_for(trace, registry)
-    offline = _Offline(trace, registry)
-    params = offline.params
+    index = _index_for(trace)
+    offline = _Offline(index, registry)
+    params = index.params
     configured = registry.configured_indices()
     findings: list[tuple[str, dict]] = []
-    c_written = sorted(
-        {s for rec in trace.stages for s, f, _ in rec.param_writes if f == "c"}
-    )
+    c_written = index.written_to("c")
 
     def violation(**detail):
         findings.append(("fail", detail))
@@ -667,25 +752,21 @@ def check_settlement_facts(trace: Trace, registry: PhiRegistry | None = None) ->
     # fiber closure: once an episode's jumps reach the scheduled amount,
     # nothing further may be attributed to it
     try:
-        u = u_map(trace)
+        fibers = index.fibers()
     except TraceCorruption as exc:
         violation(law="jump attribution", error=str(exc))
-        u = {}
-    jumps = {rec.t: rec.jump for rec in trace.stages if rec.jump.sign() > 0}
-    fibers: dict[int, list[int]] = {}
-    for t, origin in u.items():
-        fibers.setdefault(origin, []).append(t)
+        fibers = {}
     for origin, members in fibers.items():
         sigma = trace.stages[origin].settled
         bound = pow2(-params.value(sigma, "w", origin))
         total = Dyadic(0)
         done_at = None
-        for t in sorted(members):
+        for t in members:
             if done_at is not None:
                 violation(law="fiber closed after completion", origin=origin,
                           late_jump=t)
                 break
-            total = total + jumps[t]
+            total = total + index.jumps[t]
             if total == bound:
                 done_at = t
             elif total > bound:
@@ -693,33 +774,30 @@ def check_settlement_facts(trace: Trace, registry: PhiRegistry | None = None) ->
                 break
 
     if trace.engine == "B":
-        _check_pause_facts(trace, params, findings)
+        _check_pause_facts(trace, index, findings)
 
     findings_wrapped = findings if findings else [("pass", {"stages": trace.T})]
     return _make_report("settlement", findings_wrapped)
 
 
-def _check_pause_facts(trace: Trace, params: _ParamView, findings) -> None:
+def _check_pause_facts(trace: Trace, index: _TraceIndex, findings) -> None:
     """Pause alternation, no consecutive threats, witness bump per threat."""
-    p_written = sorted({s for rec in trace.stages
-                        for s, f, _ in rec.param_writes if f == "p"})
-    threat_at: dict[tuple[BinStr, int], bool] = {}
+    params = index.params
     for rec in trace.stages:
         if rec.action.kind in THREAT_KINDS:
-            threat_at[(rec.settled, rec.t)] = True
             w_before = params.value(rec.settled, "w", rec.t)
             wanted = (rec.settled, "w", w_before + 1)
             if wanted not in rec.param_writes:
                 findings.append(("fail", {"law": "witness grows by one per threat",
                                           "sigma": rec.settled, "t": rec.t}))
-    for sigma in p_written:
-        apps = [t for t in range(trace.T)
-                if trace.stages[t].settled.startswith(sigma)]
+    for sigma in index.written_to("p"):
+        apps = index.applications(sigma)
+        threats = set(index.threats.get(sigma, ()))
         for t1, t2 in zip(apps, apps[1:]):
             if params.value(sigma, "p", t1) == 1 and params.value(sigma, "p", t2) == 1:
                 findings.append(("fail", {"law": "pause alternation",
                                           "sigma": sigma, "t1": t1, "t2": t2}))
-            if threat_at.get((sigma, t1)) and threat_at.get((sigma, t2)):
+            if t1 in threats and t2 in threats:
                 findings.append(("fail", {"law": "no consecutive threats",
                                           "sigma": sigma, "t1": t1, "t2": t2}))
 
@@ -735,10 +813,10 @@ def check_expansion_gap_bound(trace: Trace, registry: PhiRegistry | None = None)
     if trace.engine != "B":
         raise ValueError("the witness-sum gap bound applies to engine B traces")
     registry = _registry_for(trace, registry)
-    offline = _Offline(trace, registry)
-    params = offline.params
-    est = true_path_estimate([rec.settled for rec in trace.stages])
-    S = registry.total_increasing_indices()
+    index = _index_for(trace)
+    offline = _Offline(index, registry)
+    params = index.params
+    est = index.true_path()
     findings: list[tuple[str, dict]] = []
     assumptions = [f"true-path estimate stable to length {est.stable_upto}"]
 
@@ -749,17 +827,8 @@ def check_expansion_gap_bound(trace: Trace, registry: PhiRegistry | None = None)
                                             "note": "undeclared program slot in "
                                             "scope; refusing this prefix"}))
             continue
-        last_init = _last_initialization(trace, sigma)
-        t0 = 0 if last_init is None else last_init + 1
-        for sub in range(length + 1):
-            if sub not in S:
-                for t_thr in threat_stages(trace, est.path[:sub]):
-                    t0 = max(t0, t_thr + 1)
-        exp_stages = [
-            t for t in range(t0, trace.T)
-            if trace.stages[t].settled.startswith(sigma)
-            and offline.expansionary(sigma, t)
-        ]
+        t0 = _stability_start(index, registry, est.path, length)
+        exp_stages = offline.expansionary_stages(sigma, t0)
         pairs = 0
         for t1, t2 in zip(exp_stages, exp_stages[1:]):
             bound = pow2(-params.value(sigma, "r", t1) + 1) + _witness_sum(
@@ -795,36 +864,43 @@ def run_checks(
     registry: PhiRegistry | None = None,
     checks: list[str] | None = None,
 ) -> list[Report]:
-    """Run the selected checkers (default: all that apply to the engine)."""
+    """Run the selected checkers (default: all that apply to the engine).
+
+    The checkers share one index of the trace, built here.
+    """
     registry = _registry_for(trace, registry)
     selected = list(checks) if checks is not None else list(CHECK_NAMES)
     unknown = [c for c in selected if c not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    reports: list[Report] = []
-    for name in selected:
-        if name == "monotonicity":
-            reports.append(check_monotonicity(trace))
-        elif name == "convergence":
-            reports.append(check_convergence_bound(trace))
-        elif name == "jump_sums":
-            reports.append(check_jump_sums(trace, registry))
-        elif name == "cutoffs":
-            if trace.engine == "A":
-                reports.append(check_cutoffs(trace, registry))
-            elif checks is not None:
-                raise ValueError("cutoffs apply to engine A traces only")
-        elif name == "expansion_gap":
-            if trace.engine == "B":
-                reports.append(check_expansion_gap_bound(trace, registry))
-            elif checks is not None:
-                raise ValueError("expansion_gap applies to engine B traces only")
-        elif name == "settlement":
-            reports.append(check_settlement_facts(trace, registry))
-        elif name == "requirement_n":
-            for e in sorted(registry.total_increasing_indices()):
-                reports.append(check_requirement_N(trace, registry, e))
-        elif name == "requirement_p":
-            for e in sorted(registry.total_increasing_indices()):
-                reports.append(check_requirement_P(trace, registry, e))
-    return reports
+    token = _run_index.set(_TraceIndex(trace))
+    try:
+        reports: list[Report] = []
+        for name in selected:
+            if name == "monotonicity":
+                reports.append(check_monotonicity(trace))
+            elif name == "convergence":
+                reports.append(check_convergence_bound(trace))
+            elif name == "jump_sums":
+                reports.append(check_jump_sums(trace, registry))
+            elif name == "cutoffs":
+                if trace.engine == "A":
+                    reports.append(check_cutoffs(trace, registry))
+                elif checks is not None:
+                    raise ValueError("cutoffs apply to engine A traces only")
+            elif name == "expansion_gap":
+                if trace.engine == "B":
+                    reports.append(check_expansion_gap_bound(trace, registry))
+                elif checks is not None:
+                    raise ValueError("expansion_gap applies to engine B traces only")
+            elif name == "settlement":
+                reports.append(check_settlement_facts(trace, registry))
+            elif name == "requirement_n":
+                for e in sorted(registry.total_increasing_indices()):
+                    reports.append(check_requirement_N(trace, registry, e))
+            elif name == "requirement_p":
+                for e in sorted(registry.total_increasing_indices()):
+                    reports.append(check_requirement_P(trace, registry, e))
+        return reports
+    finally:
+        _run_index.reset(token)

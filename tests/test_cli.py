@@ -42,7 +42,11 @@ def test_run_is_deterministic(tmp_path, capsys):
 def test_run_deterministic_across_processes(tmp_path, capsys):
     import subprocess
     import sys
+    from pathlib import Path
 
+    import injurybench
+
+    src_dir = Path(injurybench.__file__).resolve().parent.parent
     config = fixture_dir() / "minimal_phi.json"
     out = tmp_path / "inproc"
     assert main(["run", "--engine", "A", "--stages", "40",
@@ -53,7 +57,8 @@ def test_run_deterministic_across_processes(tmp_path, capsys):
          "--stages", "40", "--phi-config", str(config),
          "--out", str(tmp_path / "subproc")],
         capture_output=True, text=True, check=True,
-        env={"PYTHONHASHSEED": "271828", "PATH": "/usr/bin:/bin"},
+        env={"PYTHONHASHSEED": "271828", "PATH": "/usr/bin:/bin",
+             "PYTHONPATH": str(src_dir)},
     )
     assert result.stdout.strip() == in_process
 

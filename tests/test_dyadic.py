@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from injurybench.dyadic import Dyadic, ZERO, ONE, add, cmp, pow2
+from injurybench.dyadic import Dyadic, ZERO, ONE, pow2
 
 
 dyadics = st.builds(
@@ -18,9 +18,9 @@ def as_fraction(d: Dyadic) -> Fraction:
 
 
 def test_add_examples():
-    assert add(ZERO, ZERO) == ZERO
-    assert add(Dyadic(1, 1), Dyadic(1, 2)) == Dyadic(3, 2)
-    total = add(Dyadic(3, 3), Dyadic(-1, 3))
+    assert ZERO + ZERO == ZERO
+    assert Dyadic(1, 1) + Dyadic(1, 2) == Dyadic(3, 2)
+    total = Dyadic(3, 3) + Dyadic(-1, 3)
     assert total == Dyadic(1, 2)
     assert (total.m, total.k) == (1, 2)
 
@@ -32,9 +32,10 @@ def test_pow2_examples():
 
 
 def test_cmp_examples():
-    assert cmp(Dyadic(1, 1), Dyadic(1, 1)) == 0
-    assert cmp(Dyadic(3, 3), Dyadic(1, 1)) < 0
-    assert cmp(Dyadic(7, 4), Dyadic(3, 3)) > 0
+    assert Dyadic(1, 1) == Dyadic(1, 1)
+    assert Dyadic(1, 1) <= Dyadic(1, 1) and Dyadic(1, 1) >= Dyadic(1, 1)
+    assert Dyadic(3, 3) < Dyadic(1, 1)
+    assert Dyadic(7, 4) > Dyadic(3, 3)
 
 
 def test_canonical_zero_and_negative():
@@ -89,4 +90,5 @@ def test_results_are_canonical(a, b):
 def test_cmp_agrees_with_cross_multiplication(a, b):
     lhs = a.m * (1 << b.k)
     rhs = b.m * (1 << a.k)
-    assert cmp(a, b) == (lhs > rhs) - (lhs < rhs)
+    assert (a < b, a == b, a > b) == (lhs < rhs, lhs == rhs, lhs > rhs)
+    assert (a <= b, a >= b) == (lhs <= rhs, lhs >= rhs)

@@ -3,7 +3,6 @@ import pytest
 from injurybench.phi import (
     DEFAULT_CONFIG,
     default_registry,
-    register_default_suite,
     registry_from_config,
 )
 
@@ -124,18 +123,3 @@ def test_digest_stable():
     assert default_registry().digest() == default_registry().digest()
     assert DEFAULT_CONFIG["slots"][0]["kind"] == "identity"
 
-
-def test_register_default_suite_into_empty():
-    reg = registry_from_config({"slots": []})
-    register_default_suite(reg)
-    assert reg.configured_indices() == default_registry().configured_indices()
-    for t in range(10):
-        assert reg.ell(0, t) == t
-        assert reg.ell(1, t) == t // 2
-    assert reg.digest() == default_registry().digest()
-
-
-def test_register_default_suite_collision():
-    reg = registry_from_config({"slots": [{"index": 1, "kind": "diverge"}]})
-    with pytest.raises(ValueError):
-        register_default_suite(reg)

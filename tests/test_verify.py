@@ -7,13 +7,16 @@ consistent wherever the mutation does not target that consistency.
 """
 
 import dataclasses
+import random
+from collections import Counter
 
 import pytest
 
-from injurybench.dyadic import Dyadic, ZERO
-from injurybench.engine import run_a, run_b
+from injurybench.dyadic import Dyadic, ZERO, pow2
+from injurybench.engine import run_a, run_b, threat_stages
 from injurybench.phi import registry_from_config
-from injurybench.tracekit import Trace
+from injurybench.strings import true_path_estimate
+from injurybench.tracekit import Trace, region_contains, replay_params
 from injurybench.verify import (
     check_convergence_bound,
     check_cutoffs,
@@ -26,6 +29,7 @@ from injurybench.verify import (
     run_checks,
 )
 from conftest import MINIMAL_CONFIG
+from test_randomized import random_config
 
 
 @pytest.fixture(scope="module")
@@ -262,3 +266,135 @@ def test_mutation_single_threat_per_witness(trace_b, minimal):
     # removing the witness bump makes the later threat reuse the value
     report = check_settlement_facts(mutated, minimal)
     assert report.status == "fail"
+
+
+def test_settlement_rejects_descend_as_terminal_kind(trace_a, minimal):
+    # an intra-stage move is never a stage-terminal action
+    rec = next(r for r in trace_a.stages if r.action.kind == "top_out" and r.t >= 5)
+    mutated = mutate_record(trace_a, rec.t,
+                            action=dataclasses.replace(rec.action, kind="descend"))
+    report = check_settlement_facts(mutated, minimal)
+    assert report.status == "fail"
+    assert {"status": "fail", "t": rec.t, "law": "terminal action kind",
+            "kind": "descend"} in report.witnesses
+
+
+# ---------------------------------------------------------------------------
+# The modulus sweep of requirement_p against the per-n rescan it replaced
+
+
+def rescan_requirement_p(trace: Trace, registry, e: int):
+    """Reference for check_requirement_P: for every n, rescan all
+    expansionary stages for t(n) and the whole chain for the first bad gap.
+
+    Built from the public replay primitives only.  Returns the report's
+    (counts, witnesses), or None where the checker refuses before the scan.
+    """
+    est = true_path_estimate([rec.settled for rec in trace.stages])
+    if len(est.path) < e or est.stable_upto < e:
+        return None
+    if trace.engine == "B" and any(
+        registry.classification(i) is None for i in range(e + 1)
+    ):
+        return None
+    sigma = est.path[:e]
+    S = registry.total_increasing_indices()
+    inits = [rec.t for rec in trace.stages for anchor, rel in rec.init_regions
+             if region_contains(anchor, rel, sigma)]
+    t0 = inits[-1] + 1 if inits else 0
+    if trace.engine == "B":
+        for length in range(e + 1):
+            if length not in S:
+                for t_thr in threat_stages(trace, est.path[:length]):
+                    t0 = max(t0, t_thr + 1)
+
+    def expansionary(t):
+        if trace.engine == "A" and replay_params(trace, sigma, t, "s") != 1:
+            return False
+        l = registry.ell(e, t)
+        if l < 0:
+            return False
+        gap = trace.x[t] - trace.x[registry.step(e, l, t)]
+        return gap < pow2(-replay_params(trace, sigma, t, "r"))
+
+    exp_stages = [t for t in range(t0, trace.T)
+                  if trace.stages[t].settled.startswith(sigma) and expansionary(t)]
+    r = {t: replay_params(trace, sigma, t, "r") for t in exp_stages}
+    witness_sum = {}
+    for t in exp_stages:
+        total = Dyadic(0)
+        for length in range(e + 1):
+            if length in S:
+                total = total + pow2(-replay_params(trace, est.path[:length], t, "w") + 1)
+        witness_sum[t] = total
+
+    def meets(n, t):
+        if trace.engine == "A":
+            return r[t] >= n + 2
+        return r[t] >= n + 3 and witness_sum[t] <= pow2(-(n + 1))
+
+    l_max = registry.ell(e, trace.T)
+    phi = [registry.step(e, i, trace.T) for i in range(l_max + 1)]
+    findings = []
+    n = 0
+    while True:
+        t_n = next((t for t in exp_stages if meets(n, t)), None)
+        if t_n is None:
+            findings.append(("incomplete", {"n": n, "note": "t(n) beyond horizon"}))
+            break
+        v_n = registry.ell(e, t_n)
+        bad = next((i for i in range(v_n, l_max)
+                    if not trace.x[phi[i + 1]] - trace.x[phi[i]] < pow2(-n)), None)
+        if bad is None:
+            findings.append(("pass", {}))
+        else:
+            findings.append(("fail", {"n": n, "v_n": v_n, "i": bad,
+                                      "difference_exceeds": f"2^-{n}"}))
+        n += 1
+    counts = dict(Counter(status for status, _ in findings))
+    witnesses = [{"status": status, **detail} for status, detail in findings
+                 if status != "pass"]
+    return counts, witnesses
+
+
+def assert_sweep_matches_rescan(trace, registry) -> int:
+    compared = 0
+    for e in sorted(registry.total_increasing_indices()):
+        expected = rescan_requirement_p(trace, registry, e)
+        if expected is None:
+            continue
+        report = check_requirement_P(trace, registry, e)
+        assert (report.counts, report.witnesses) == expected, (e, report.to_json())
+        compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("seed", [11, 23, 37, 59, 71, 97])
+@pytest.mark.parametrize("engine", ["A", "B"])
+def test_requirement_p_sweep_matches_rescan_on_random_registries(seed, engine):
+    registry = registry_from_config(random_config(random.Random(seed)))
+    trace = (run_a if engine == "A" else run_b)(registry, 150)
+    assert_sweep_matches_rescan(trace, registry)
+
+
+def test_requirement_p_sweep_matches_rescan_on_late_bad_gap(minimal):
+    # one inflated jump after v(n): the first bad i lies strictly past v(n)
+    mutated = mutate_record(run_a(minimal, 18), 12, jump=Dyadic(1, 3))
+    report = check_requirement_P(mutated, minimal, 0)
+    fails = [w for w in report.witnesses if w["status"] == "fail"]
+    assert fails and all(w["i"] == 12 and w["i"] > w["v_n"] for w in fails)
+    assert assert_sweep_matches_rescan(mutated, minimal) >= 1
+
+
+@pytest.mark.parametrize("engine", ["A", "B"])
+def test_requirement_p_sweep_matches_rescan_on_lowered_restraint(minimal, engine):
+    # raise one early restraint write of the root, so the next write lowers it
+    trace = (run_a if engine == "A" else run_b)(minimal, 60)
+    t, i, value = [(rec.t, i, v) for rec in trace.stages
+                   for i, (s, f, v) in enumerate(rec.param_writes)
+                   if s == "" and f == "r"][2]
+    mutated = mutate_write(trace, t, i, value + 20)
+    restraints = [replay_params(mutated, "", u, "r") for u in range(mutated.T)]
+    assert any(b < a for a, b in zip(restraints, restraints[1:]))
+    assert check_requirement_P(mutated, minimal, 0).status == "fail"
+    assert assert_sweep_matches_rescan(mutated, minimal) >= 1
