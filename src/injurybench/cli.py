@@ -30,9 +30,10 @@ from .strings import true_path_estimate
 from .tracekit import (
     Trace,
     TraceParseError,
+    covering_stages,
     deserialize,
+    init_events,
     read_sequence_csv,
-    region_contains,
     serialize,
     write_sequence_csv,
 )
@@ -208,12 +209,12 @@ def cmd_export(args) -> int:
         settle_counts[rec.settled] = settle_counts.get(rec.settled, 0) + 1
         for node in rec.applied:
             nodes.setdefault(node, None)
+    events = init_events(trace)
     last_init: dict[str, int] = {}
-    for rec in trace.stages:
-        for anchor, rel in rec.init_regions:
-            for node in nodes:
-                if region_contains(anchor, rel, node):
-                    last_init[node] = rec.t
+    for node in nodes:
+        covering = covering_stages(events, node)
+        if covering:
+            last_init[node] = covering[-1]
     lines = ["digraph strategies {", '  node [shape=box];']
     for node in nodes:
         label = _fmt_word(node)

@@ -185,7 +185,8 @@ class EngineState:
 
     def _stage_write(self, sigma: BinStr, fld: str, val: int) -> None:
         key = (sigma, fld)
-        assert key not in self._staged, f"double write {key} in stage {self.t}"
+        if key in self._staged:
+            raise TraceCorruption(f"double write {key} in stage {self.t}")
         self._staged[key] = val
         self._write_order.append((sigma, fld, val))
 
@@ -348,9 +349,10 @@ def run_stage(state: EngineState) -> StageRecord:
 
     anchor, rel = region
     for (s, fld), val in state._staged.items():
-        assert not region_contains(anchor, rel, s), (
-            f"stage {t} writes into its own initialisation region at {s!r}"
-        )
+        if region_contains(anchor, rel, s):
+            raise TraceCorruption(
+                f"stage {t} writes into its own initialisation region at {s!r}"
+            )
         p = state.params.get(s)
         if p is None:
             p = state.params[s] = _Params(0, 0, 0, state._lazy_w(s))

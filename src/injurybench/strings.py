@@ -6,6 +6,17 @@ strict "lexicographically smaller" order used throughout is the tree order:
 ``sigma <_L tau`` iff some common prefix continues with 0 in ``sigma`` and
 with 1 in ``tau``.  Two distinct words are incomparable under it exactly
 when one is a proper prefix of the other.
+
+Python's native ``str`` order agrees with the tree order on binary words,
+except that it also puts a proper prefix first.  So, for words over {0,1}
+only (callers must not pass other characters; the trace loader rejects
+them):
+
+* ``sigma <_L tau``  iff  ``sigma < tau and not tau.startswith(sigma)``;
+* ``sigma <_L tau`` or sigma is a proper prefix of tau  iff  ``sigma < tau``.
+
+The order and the initialisation regions built on it are therefore one or
+two C-level comparisons, not a loop over characters.
 """
 
 from __future__ import annotations
@@ -16,8 +27,6 @@ from math import isqrt
 __all__ = [
     "BinStr",
     "TruePathEstimate",
-    "is_prefix",
-    "is_proper_prefix",
     "lex_less",
     "nu",
     "nu_inv",
@@ -31,22 +40,12 @@ __all__ = [
 BinStr = str
 
 
-def is_prefix(sigma: BinStr, tau: BinStr) -> bool:
-    """True iff sigma is a (not necessarily proper) prefix of tau."""
-    return tau.startswith(sigma)
-
-
-def is_proper_prefix(sigma: BinStr, tau: BinStr) -> bool:
-    return len(sigma) < len(tau) and tau.startswith(sigma)
-
-
 def lex_less(sigma: BinStr, tau: BinStr) -> bool:
-    """The tree order: true iff some rho has rho0 a prefix of sigma and rho1 of tau."""
-    n = min(len(sigma), len(tau))
-    for i in range(n):
-        if sigma[i] != tau[i]:
-            return sigma[i] == "0"
-    return False
+    """The tree order: true iff some rho has rho0 a prefix of sigma and rho1 of tau.
+
+    Binary words only: native order minus the prefix case (module docstring).
+    """
+    return sigma < tau and not tau.startswith(sigma)
 
 
 def nu(sigma: BinStr) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .dyadic import ZERO, Dyadic
 from .phi import config_digest
-from .strings import BinStr, is_proper_prefix, lex_less, nu
+from .strings import BinStr, lex_less, nu
 
 __all__ = [
     "TOP_OUT",
@@ -88,17 +88,25 @@ class TraceParseError(Exception):
 
 
 def region_contains(anchor: BinStr, rel: str, sigma: BinStr) -> bool:
-    """Membership of sigma in a symbolic initialisation region."""
-    if lex_less(anchor, sigma):
-        return True
-    return rel == REL_LEX_OR_EXT and is_proper_prefix(anchor, sigma)
+    """Membership of sigma in a symbolic initialisation region.
+
+    ``lex_gt_or_ext`` holds every tau with anchor <_L tau or anchor a proper
+    prefix of tau, which on binary words is native ``anchor < tau``.
+    """
+    if rel == REL_LEX_OR_EXT:
+        return anchor < sigma
+    return lex_less(anchor, sigma)
 
 
 def region_covers_right_of(anchor: BinStr, rel: str, sigma: BinStr) -> bool:
     """True iff the region contains every tau with sigma <_L tau or sigma a
-    proper prefix of tau (the set a completed threat must wipe)."""
+    proper prefix of tau (the set a completed threat must wipe).
+
+    For ``lex_gt_or_ext`` that is anchor <_L sigma or anchor a prefix of
+    sigma, native ``anchor <= sigma`` on binary words.
+    """
     if rel == REL_LEX_OR_EXT:
-        return anchor == sigma or sigma.startswith(anchor) or lex_less(anchor, sigma)
+        return anchor <= sigma
     return lex_less(anchor, sigma)
 
 
@@ -241,6 +249,22 @@ def serialize(trace: Trace, created_at: str | None = None) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _check_words(rec: StageRecord, line: int) -> None:
+    """Reject any word that is not a string over {0,1} and any unknown region
+    relation: the native-order membership tests hold only on binary words."""
+    act = rec.action
+    words = [rec.settled, act.sigma]
+    words += [w for w in (act.gamma, act.alpha) if w is not None]
+    words += [anchor for anchor, _ in rec.init_regions]
+    words += [sigma for sigma, _, _ in rec.param_writes]
+    for word in words:
+        if not isinstance(word, str) or word.strip("01"):
+            raise TraceParseError(f"{word!r} is not a binary word", line=line)
+    for _, rel in rec.init_regions:
+        if rel not in (REL_LEX, REL_LEX_OR_EXT):
+            raise TraceParseError(f"unknown region relation {rel!r}", line=line)
+
+
 def deserialize(data: bytes) -> Trace:
     """Parse a trace file, rebuilding the x sequence from the jumps."""
     text = data.decode("utf-8")
@@ -261,6 +285,7 @@ def deserialize(data: bytes) -> Trace:
             rec = StageRecord.from_json(json.loads(ln))
         except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
             raise TraceParseError(f"bad stage record: {exc}", line=i) from None
+        _check_words(rec, i)
         if rec.t != len(stages):
             raise TraceParseError(f"stage {rec.t} out of order", line=i)
         if (rec.jump.sign() > 0) != (rec.action.kind in JUMP_KINDS):

@@ -117,6 +117,18 @@ def test_verify_mutated_trace_fails(run_dir, tmp_path):
     assert main(["verify", str(mutated), "--checks", "convergence"]) == 1
 
 
+def test_verify_non_binary_word_exits_two(run_dir, tmp_path, capsys):
+    lines = (run_dir / "trace.jsonl").read_bytes().decode().rstrip("\n").split("\n")
+    obj = json.loads(lines[3])
+    obj["settled"] = "01" + "2"
+    lines[3] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    bad = tmp_path / "bad_word.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: line 4:") and "\n" not in err
+
+
 def test_verify_unknown_check(run_dir):
     assert main(["verify", str(run_dir / "trace.jsonl"), "--checks", "bogus"]) == 2
 
@@ -194,3 +206,47 @@ def test_speed_precondition_surfaces(tmp_path):
                  "--limit", "1/2^0", "--rho", "1/2^1"]) == 2
     assert main(["speed", "certify", "--sequence", str(seq_csv),
                  "--limit", "1/2^0"]) == 2  # no modulus given
+
+
+def _dot_with_nested_region_scan(trace):
+    """The DOT export as it was first written, scanning every region against
+    every node; kept as an independent reference."""
+    from injurybench.tracekit import region_contains
+
+    settle_counts = {}
+    nodes = {}
+    for rec in trace.stages:
+        settle_counts[rec.settled] = settle_counts.get(rec.settled, 0) + 1
+        for node in rec.applied:
+            nodes.setdefault(node, None)
+    last_init = {}
+    for rec in trace.stages:
+        for anchor, rel in rec.init_regions:
+            for node in nodes:
+                if region_contains(anchor, rel, node):
+                    last_init[node] = rec.t
+    lines = ["digraph strategies {", '  node [shape=box];']
+    for node in nodes:
+        label = node if node else "λ"
+        notes = [f"settles={settle_counts.get(node, 0)}"]
+        if node in last_init:
+            notes.append(f"last_init={last_init[node]}")
+        lines.append(f'  "{label}" [label="{label}\\n{" ".join(notes)}"];')
+    for node in nodes:
+        if node:
+            parent = node[:-1] if node[:-1] else "λ"
+            lines.append(f'  "{parent}" -> "{node}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_export_dot_matches_nested_region_scan(tmp_path, capsys):
+    out = tmp_path / "a60"
+    assert main(["run", "--engine", "A", "--stages", "60", "--out", str(out)]) == 0
+    dot = tmp_path / "tree.dot"
+    assert main(["export", str(out / "trace.jsonl"),
+                 "--format", "dot", "--out", str(dot)]) == 0
+    text = dot.read_text(encoding="utf-8")
+    assert "last_init=" in text
+    trace = deserialize((out / "trace.jsonl").read_bytes())
+    assert text == _dot_with_nested_region_scan(trace)

@@ -28,6 +28,7 @@ from injurybench.tracekit import (
     THREAT_SCHEDULE,
     TOP_OUT,
     TERMINAL_KINDS,
+    TraceCorruption,
     replay_params,
 )
 from conftest import MINIMAL_CONFIG
@@ -221,3 +222,54 @@ def test_expansion_boundary_is_strict():
     run_stage(st_b)  # pause blocks the threat; boundary blocks the expansion
     assert not st_b.is_expansionary("")
     assert [r.settled for r in st_b.records] == ["", "", "11"]
+
+
+def test_double_write_raises_trace_corruption(minimal):
+    st = new_engine_a(minimal)
+    st._stage_write("", "r", 1)
+    with pytest.raises(TraceCorruption, match="double write"):
+        st._stage_write("", "r", 2)
+
+
+def test_write_into_own_region_raises_trace_corruption(minimal):
+    # a threatened strategy initialises its proper extensions on engine A;
+    # a stray write to one of them must stop the commit
+    st = new_engine_a(minimal)
+    threat_info = st._threat_info
+
+    def threat_info_with_stray_write(sigma, e):
+        info = threat_info(sigma, e)
+        if info[0]:
+            st._stage_write(sigma + "0", "r", 1)
+        return info
+
+    st._threat_info = threat_info_with_stray_write
+    with pytest.raises(TraceCorruption, match="own initialisation region"):
+        run_engine(st, 30)
+
+
+def test_double_write_guard_survives_optimisation(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import injurybench
+
+    src_dir = Path(injurybench.__file__).resolve().parent.parent
+    code = (
+        "from injurybench.engine import new_engine_a\n"
+        "from injurybench.phi import default_registry\n"
+        "from injurybench.tracekit import TraceCorruption\n"
+        "st = new_engine_a(default_registry())\n"
+        "st._stage_write('', 'r', 1)\n"
+        "try:\n"
+        "    st._stage_write('', 'r', 2)\n"
+        "except TraceCorruption as exc:\n"
+        "    print(__debug__, exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        check=True, cwd=tmp_path,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_dir)},
+    )
+    assert result.stdout.strip() == "False double write ('', 'r') in stage 0"

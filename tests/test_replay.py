@@ -1,11 +1,15 @@
 """Engine versus naive oracle: x values, settlements, and full read logs."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from injurybench.engine import new_engine_a, new_engine_b, run_engine
 from injurybench.phi import default_registry, registry_from_config
 from injurybench.replay import naive_ell, replay_run
 from conftest import MINIMAL_CONFIG
+from test_randomized import random_config
 
 
 def _compare(engine_tag, config, T):
@@ -41,10 +45,10 @@ def test_replay_covers_re_split_delegation():
         {"index": 2, "kind": "square"},
     ]}
     state = new_engine_a(registry_from_config(config), record_reads=True)
-    trace = run_engine(state, 220)
+    trace = run_engine(state, 1000)
     kinds = {rec.action.kind for rec in trace.stages}
     assert "expansion_delegate" in kinds and "threat_schedule" in kinds
-    oracle = replay_run(registry_from_config(config), "A", 220)
+    oracle = replay_run(registry_from_config(config), "A", 1000)
     assert oracle.x == trace.x
     assert oracle.reads == state.read_log
 
@@ -52,6 +56,14 @@ def test_replay_covers_re_split_delegation():
 
     for report in run_checks(trace, registry_from_config(config)):
         assert report.status in ("pass", "incomplete"), report.to_json()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_random_registry_replay(seed):
+    config = random_config(random.Random(seed))
+    for engine_tag in ("A", "B"):
+        _compare(engine_tag, config, 150)
 
 
 def test_naive_ell_matches_registry():

@@ -4,8 +4,6 @@ from hypothesis import given, strategies as st
 from injurybench.strings import (
     cantor_pair,
     cantor_unpair,
-    is_prefix,
-    is_proper_prefix,
     lex_less,
     nu,
     nu_inv,
@@ -17,16 +15,34 @@ from injurybench.strings import (
 words = st.text(alphabet="01", max_size=10)
 
 
-def test_is_prefix_examples():
-    assert is_prefix("", "01")
-    assert is_prefix("01", "01")
-    assert not is_prefix("10", "01")
+def _lex_less_reference(sigma, tau):
+    """The tree order as a loop over characters: an independent reference."""
+    n = min(len(sigma), len(tau))
+    for i in range(n):
+        if sigma[i] != tau[i]:
+            return sigma[i] == "0"
+    return False
+
+
+def _all_words(max_len):
+    return [format(i, f"0{n}b") if n else "" for n in range(max_len + 1)
+            for i in range(1 << n)]
 
 
 def test_lex_less_examples():
     assert lex_less("0", "1")
     assert not lex_less("", "1")  # prefix-comparable words are incomparable
     assert lex_less("01", "1")
+    assert not lex_less("0", "01")  # native order puts the prefix first
+    assert not lex_less("1", "10")
+
+
+def test_lex_less_matches_character_loop_exhaustively():
+    words = _all_words(8)
+    assert len(words) ** 2 == 261_121
+    for sigma in words:
+        for tau in words:
+            assert lex_less(sigma, tau) == _lex_less_reference(sigma, tau), (sigma, tau)
 
 
 def test_nu_examples():
@@ -67,8 +83,8 @@ def test_order_trichotomy(sigma, tau):
     relations = [
         lex_less(sigma, tau),
         lex_less(tau, sigma),
-        is_proper_prefix(sigma, tau),
-        is_proper_prefix(tau, sigma),
+        tau.startswith(sigma),  # proper, since sigma != tau
+        sigma.startswith(tau),
     ]
     assert sum(relations) == 1
 

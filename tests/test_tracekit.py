@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from injurybench.dyadic import ZERO
@@ -48,6 +50,27 @@ def test_region_coverage_of_right_set():
     assert region_covers_right_of("00", REL_LEX, "01")  # anchor strictly left
     assert not region_covers_right_of("0", REL_LEX, "0")  # misses extensions
     assert not region_covers_right_of("1", REL_LEX_OR_EXT, "0")  # anchor right
+
+
+def _tree_less(sigma, tau):
+    """Definition of sigma <_L tau: some rho with rho0 a prefix of sigma and
+    rho1 a prefix of tau."""
+    return any(sigma.startswith(sigma[:i] + "0") and tau.startswith(sigma[:i] + "1")
+               for i in range(min(len(sigma), len(tau))))
+
+
+def test_region_functions_match_definitions_exhaustively():
+    words = [format(i, f"0{n}b") if n else "" for n in range(8) for i in range(1 << n)]
+    for anchor in words:
+        for sigma in words:
+            left = _tree_less(anchor, sigma)
+            proper_ext = len(anchor) < len(sigma) and sigma.startswith(anchor)
+            case = (anchor, sigma)
+            assert region_contains(anchor, REL_LEX, sigma) == left, case
+            assert region_contains(anchor, REL_LEX_OR_EXT, sigma) == (left or proper_ext), case
+            assert region_covers_right_of(anchor, REL_LEX, sigma) == left, case
+            assert region_covers_right_of(anchor, REL_LEX_OR_EXT, sigma) == (
+                left or proper_ext or anchor == sigma), case
 
 
 def test_round_trip_tiny(trace_a):
@@ -139,3 +162,45 @@ def test_sequence_csv_round_trip(tmp_path, trace_a):
 def test_unknown_field_rejected(trace_a):
     with pytest.raises(ValueError):
         replay_params(trace_a, "", 3, "q")
+
+
+def _mutate_first(trace, has_field, mutate):
+    """Serialise the trace, apply ``mutate`` to the first stage record that
+    ``has_field`` accepts, and return (bytes, 1-based line number)."""
+    lines = serialize(trace).decode().rstrip("\n").split("\n")
+    for i, line in enumerate(lines[1:], start=1):
+        obj = json.loads(line)
+        if has_field(obj):
+            mutate(obj)
+            lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+            return ("\n".join(lines) + "\n").encode(), i + 1
+    raise AssertionError("no record carries the field")
+
+
+def _set(path, value):
+    def mutate(obj):
+        *head, last = path
+        for key in head:
+            obj = obj[key]
+        obj[last] = value
+    return mutate
+
+
+STRICT_WORD_MUTANTS = {
+    "settled": (lambda o: True, _set(["settled"], "0a")),
+    "action_sigma": (lambda o: True, _set(["action", "sigma"], 1)),
+    "action_gamma": (lambda o: "gamma" in o["action"], _set(["action", "gamma"], "2")),
+    "action_alpha": (lambda o: "alpha" in o["action"], _set(["action", "alpha"], "0 ")),
+    "region_anchor": (lambda o: o["init_regions"], _set(["init_regions", 0, 0], "01x")),
+    "write_strategy": (lambda o: o["param_writes"], _set(["param_writes", 0, 0], "λ")),
+    "region_relation": (lambda o: o["init_regions"], _set(["init_regions", 0, 1], "lex_ge")),
+}
+
+
+@pytest.mark.parametrize("field", sorted(STRICT_WORD_MUTANTS))
+def test_loader_rejects_non_binary_words_and_unknown_relations(trace_a, field):
+    has_field, mutate = STRICT_WORD_MUTANTS[field]
+    data, line = _mutate_first(trace_a, has_field, mutate)
+    with pytest.raises(TraceParseError) as err:
+        deserialize(data)
+    assert err.value.line == line
