@@ -34,7 +34,7 @@ from .tracekit import (
     deserialize,
     init_events,
     read_sequence_csv,
-    serialize,
+    serialize_stamped,
     write_sequence_csv,
 )
 from .verify import CHECK_NAMES, run_checks
@@ -102,9 +102,10 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     created = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    (out / "trace.jsonl").write_bytes(serialize(trace, created_at=created))
+    data, digest = serialize_stamped(trace, created)
+    (out / "trace.jsonl").write_bytes(data)
     write_sequence_csv(trace.x, str(out / "sequence.csv"))
-    print(trace.digest())
+    print(digest)
     return EXIT_PASS
 
 

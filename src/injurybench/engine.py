@@ -31,6 +31,18 @@ replay oracle so that read logs can be compared value for value:
      the restraint is read when the chain length is >= 0; then the gap test;
   5. when expansionary, the counter is read; a delegation reads the
      target's restraint next-slot.
+
+Below the deepest configured slot index and the deepest materialised
+strategy the walk is forced: once a stage reaches a depth e greater than
+both, it appends "1" up to depth t in one step and tops out.  This is
+exact.  Every strategy of length e or more lacks a materialised parameter
+block (blocks appear only at commit, so the bound holds for the whole
+stage), so its flag reads the default 0; and slot e is empty, so its chain
+length is -1.  The threat test then fails with no further read, a B strategy
+has no pause to lift, and the expansion test fails (A needs flag 1, B needs
+a chain), so the substage reads only the flag and appends "1".  The read log
+receives those flag reads of 0 in order, exactly as the substage loop would
+log them.
 """
 
 from __future__ import annotations
@@ -142,6 +154,7 @@ class EngineState:
         self._w_scan: dict[BinStr, list] = {}
         self._max_param_len = -1
         self._configured = registry.configured_indices()
+        self._max_index = max(self._configured, default=-1)
 
     # -- parameter access --------------------------------------------------
 
@@ -262,9 +275,18 @@ def run_stage(state: EngineState) -> StageRecord:
     action: Action | None = None
     jump_exp: int | None = None
     region: tuple[BinStr, str] | None = None
+    # from this depth on every substage is forced to append "1"
+    forced = max(state._max_param_len, state._max_index) + 1
 
     while True:
         e = len(sigma)
+        if forced <= e < t:
+            if state.read_log is not None:
+                state.read_log.extend(
+                    (t, sigma + "1" * k, rules.flag_field, "cur", 0) for k in range(t - e)
+                )
+            sigma += "1" * (t - e)
+            e = t
         if e == t:
             action = Action(TOP_OUT, sigma=sigma)
             region = (sigma, REL_LEX)

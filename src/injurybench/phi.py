@@ -30,8 +30,13 @@ __all__ = [
 
 
 def config_digest(config: dict) -> str:
-    """Stable hex digest of a registry configuration."""
-    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    """Stable hex digest of a registry configuration.
+
+    The digest is taken over the configuration's JSON form, so a config
+    built in Python with int keys (a ``partial`` graph ``{2: 3, 10: 11}``)
+    digests the same as the string-keyed config a trace file loads back.
+    """
+    canon = json.dumps(json.loads(json.dumps(config)), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 

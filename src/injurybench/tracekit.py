@@ -43,6 +43,7 @@ __all__ = [
     "region_contains",
     "region_covers_right_of",
     "serialize",
+    "serialize_stamped",
     "deserialize",
     "init_events",
     "covering_stages",
@@ -73,6 +74,10 @@ TERMINAL_KINDS = frozenset(
 # anchor, or additionally every proper extension of it.
 REL_LEX = "lex_gt"
 REL_LEX_OR_EXT = "lex_gt_or_ext"
+
+# The satisfaction (A) or pause (B) flag's parameter field, by engine.
+FLAG_FIELDS = {"A": "s", "B": "p"}
+TRACE_VERSION = 1
 
 
 class TraceCorruption(Exception):
@@ -202,7 +207,7 @@ class Trace:
     config: dict  # registry configuration the run used
     stages: list[StageRecord]
     x: list[Dyadic]  # length T + 1
-    version: int = 1
+    version: int = TRACE_VERSION
 
     @property
     def T(self) -> int:
@@ -210,7 +215,7 @@ class Trace:
 
     @property
     def flag_field(self) -> str:
-        return "s" if self.engine == "A" else "p"
+        return FLAG_FIELDS[self.engine]
 
     def config_digest(self) -> str:
         return config_digest(self.config)
@@ -228,12 +233,7 @@ class Trace:
 # Serialisation
 
 
-def serialize(trace: Trace, created_at: str | None = None) -> bytes:
-    """Lossless line-oriented encoding: header object, then one record per line.
-
-    ``created_at`` is a purely informational header field; the digest is
-    always computed over the form without it.
-    """
+def _header_line(trace: Trace, created_at: str | None) -> str:
     header = {
         "engine": trace.engine,
         "T": trace.T,
@@ -243,15 +243,56 @@ def serialize(trace: Trace, created_at: str | None = None) -> bytes:
     }
     if created_at is not None:
         header["created_at"] = created_at
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
+    return json.dumps(header, sort_keys=True, separators=(",", ":"))
+
+
+def serialize(trace: Trace) -> bytes:
+    """Lossless line-oriented encoding: header object, then one record per line.
+
+    This canonical form is what :meth:`Trace.digest` covers; a written trace
+    file adds the informational ``created_at`` header field
+    (:func:`serialize_stamped`).
+    """
+    lines = [_header_line(trace, None)]
     for rec in trace.stages:
         lines.append(json.dumps(rec.to_json(), sort_keys=True, separators=(",", ":")))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _check_words(rec: StageRecord, line: int) -> None:
-    """Reject any word that is not a string over {0,1} and any unknown region
-    relation: the native-order membership tests hold only on binary words."""
+def serialize_stamped(trace: Trace, created_at: str) -> tuple[bytes, str]:
+    """The trace file, whose header also holds ``created_at``, and
+    ``trace.digest()``, encoding the records once: the digest is taken over
+    :func:`serialize`'s bytes, and the stamped header line is spliced in
+    front of their records."""
+    data = serialize(trace)
+    records = data[data.index(b"\n"):]
+    stamped = _header_line(trace, created_at).encode("utf-8") + records
+    return stamped, hashlib.sha256(data).hexdigest()
+
+
+def _check_header(header: dict) -> None:
+    """Reject an unknown engine or version and a ``phi_config`` that does not
+    match its recorded digest: a trace is checked against the registry it
+    names, so a tampered registry must not reach the checkers."""
+    if not isinstance(header, dict):
+        raise TraceParseError("header is not an object", line=1)
+    for key in ("engine", "T", "version", "phi_config", "phi_config_digest"):
+        if key not in header:
+            raise TraceParseError(f"header missing {key!r}", line=1)
+    engine = header["engine"]
+    if not isinstance(engine, str) or engine not in FLAG_FIELDS:
+        raise TraceParseError(f"unknown engine {engine!r}", line=1)
+    version = header["version"]
+    if type(version) is not int or version != TRACE_VERSION:
+        raise TraceParseError(f"unsupported trace version {version!r}", line=1)
+    if config_digest(header["phi_config"]) != header["phi_config_digest"]:
+        raise TraceParseError("phi_config does not match phi_config_digest", line=1)
+
+
+def _check_record(rec: StageRecord, fields: tuple[str, ...], line: int) -> None:
+    """Reject any word that is not a string over {0,1}, any unknown region
+    relation and any parameter field outside ``fields``: the native-order
+    membership tests hold only on binary words."""
     act = rec.action
     words = [rec.settled, act.sigma]
     words += [w for w in (act.gamma, act.alpha) if w is not None]
@@ -263,6 +304,9 @@ def _check_words(rec: StageRecord, line: int) -> None:
     for _, rel in rec.init_regions:
         if rel not in (REL_LEX, REL_LEX_OR_EXT):
             raise TraceParseError(f"unknown region relation {rel!r}", line=line)
+    for _, fld, _ in rec.param_writes:
+        if fld not in fields:
+            raise TraceParseError(f"unknown parameter field {fld!r}", line=line)
 
 
 def deserialize(data: bytes) -> Trace:
@@ -275,9 +319,8 @@ def deserialize(data: bytes) -> Trace:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise TraceParseError(f"bad header: {exc}", line=1) from None
-    for key in ("engine", "T", "version", "phi_config"):
-        if key not in header:
-            raise TraceParseError(f"header missing {key!r}", line=1)
+    _check_header(header)
+    fields = ("c", "r", "w", FLAG_FIELDS[header["engine"]])
     stages: list[StageRecord] = []
     x = [ZERO]
     for i, ln in enumerate(lines[1:], start=2):
@@ -285,7 +328,7 @@ def deserialize(data: bytes) -> Trace:
             rec = StageRecord.from_json(json.loads(ln))
         except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
             raise TraceParseError(f"bad stage record: {exc}", line=i) from None
-        _check_words(rec, i)
+        _check_record(rec, fields, i)
         if rec.t != len(stages):
             raise TraceParseError(f"stage {rec.t} out of order", line=i)
         if (rec.jump.sign() > 0) != (rec.action.kind in JUMP_KINDS):

@@ -4,7 +4,7 @@ import pytest
 
 from injurybench.cli import main
 from injurybench.dyadic import Dyadic, pow2
-from injurybench.tracekit import deserialize, read_sequence_csv, write_sequence_csv
+from injurybench.tracekit import deserialize, read_sequence_csv, serialize_stamped, write_sequence_csv
 from conftest import fixture_dir
 
 
@@ -250,3 +250,55 @@ def test_export_dot_matches_nested_region_scan(tmp_path, capsys):
     assert "last_init=" in text
     trace = deserialize((out / "trace.jsonl").read_bytes())
     assert text == _dot_with_nested_region_scan(trace)
+
+
+@pytest.fixture(scope="module")
+def default_a60(tmp_path_factory):
+    out = tmp_path_factory.mktemp("a60")
+    assert main(["run", "--engine", "A", "--stages", "60", "--out", str(out)]) == 0
+    return (out / "trace.jsonl").read_bytes()
+
+
+def _tamper_config(header, records):
+    header["phi_config"]["slots"][0] = {"index": 0, "kind": "diverge"}
+
+
+def _unknown_param_field(header, records):
+    records[0]["param_writes"].append(["1", "q", 5])
+
+
+def _unknown_engine(header, records):
+    header["engine"] = "C"
+
+
+def _unknown_version(header, records):
+    header["version"] = 2
+
+
+@pytest.mark.parametrize("mutate", [
+    _tamper_config, _unknown_param_field, _unknown_engine, _unknown_version,
+], ids=lambda fn: fn.__name__.lstrip("_"))
+def test_verify_rejects_bad_header_or_field_with_exit_two(default_a60, tmp_path, capsys, mutate):
+    # each mutant verified with exit 1 or 3 before the loader checked it
+    head, *rest = default_a60.decode().rstrip("\n").split("\n")
+    header = json.loads(head)
+    records = [json.loads(line) for line in rest]
+    mutate(header, records)
+    lines = [json.dumps(obj, sort_keys=True, separators=(",", ":"))
+             for obj in [header, *records]]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: line ") and "\n" not in err
+
+
+def test_run_writes_digest_of_unstamped_trace(tmp_path, capsys):
+    out = tmp_path / "b40"
+    assert main(["run", "--engine", "B", "--stages", "40", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.strip()
+    data = (out / "trace.jsonl").read_bytes()
+    header = json.loads(data.split(b"\n", 1)[0])
+    trace = deserialize(data)
+    assert printed == trace.digest()
+    assert data == serialize_stamped(trace, header["created_at"])[0]

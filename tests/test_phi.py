@@ -1,7 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
 from injurybench.phi import (
     DEFAULT_CONFIG,
+    config_digest,
     default_registry,
     registry_from_config,
 )
@@ -123,3 +127,17 @@ def test_digest_stable():
     assert default_registry().digest() == default_registry().digest()
     assert DEFAULT_CONFIG["slots"][0]["kind"] == "identity"
 
+
+def test_config_digest_of_string_keyed_configs_unchanged():
+    # the digest over the JSON form equals the plain sorted dump for every
+    # config whose keys are already strings, so recorded digests stay valid
+    for config in (DEFAULT_CONFIG, {"slots": []},
+                   {"slots": [{"index": 5, "kind": "partial", "graph": {"10": 11, "2": 3}}]}):
+        plain = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        assert config_digest(config) == hashlib.sha256(plain.encode("utf-8")).hexdigest()
+
+
+def test_config_digest_ignores_key_type():
+    as_ints = {"slots": [{"index": 5, "kind": "partial", "graph": {2: 3, 10: 11}}]}
+    as_strs = {"slots": [{"index": 5, "kind": "partial", "graph": {"2": 3, "10": 11}}]}
+    assert config_digest(as_ints) == config_digest(as_strs)

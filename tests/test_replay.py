@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from injurybench.engine import new_engine_a, new_engine_b, run_engine
+from injurybench.engine import EngineState, new_engine_a, new_engine_b, run_engine
 from injurybench.phi import default_registry, registry_from_config
 from injurybench.replay import naive_ell, replay_run
 from conftest import MINIMAL_CONFIG
@@ -56,6 +56,48 @@ def test_replay_covers_re_split_delegation():
 
     for report in run_checks(trace, registry_from_config(config)):
         assert report.status in ("pass", "incomplete"), report.to_json()
+
+
+# Sparse registries whose deepest slot index lies far beyond their slot
+# count: the engine's forced all-ones tail may only start below the deepest
+# configured index (and the deepest materialised strategy), never below
+# depth len(slots).
+SPARSE_DEEP_CONFIGS = {
+    "identity0-double12": {"slots": [
+        {"index": 0, "kind": "identity"},
+        {"index": 12, "kind": "double"},
+    ]},
+    "identity3-const20": {"slots": [
+        {"index": 3, "kind": "identity"},
+        {"index": 20, "kind": "const", "value": 4},
+    ]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_DEEP_CONFIGS))
+@pytest.mark.parametrize("engine_tag", ["A", "B"])
+def test_sparse_deep_registry_replay(engine_tag, name):
+    _compare(engine_tag, SPARSE_DEEP_CONFIGS[name], 300)
+
+
+def test_forced_tail_is_fast_forwarded(monkeypatch):
+    # the threat test runs once per substage the engine walks; below the
+    # forced depth the walk must skip straight to top-out, so a stage costs
+    # at most max index + 2 threat tests instead of up to t
+    calls = 0
+    original = EngineState._threat_info
+
+    def counting(self, sigma, e):
+        nonlocal calls
+        calls += 1
+        return original(self, sigma, e)
+
+    monkeypatch.setattr(EngineState, "_threat_info", counting)
+    registry = default_registry()
+    T = 300
+    trace = run_engine(new_engine_a(registry), T)
+    assert sum(rec.action.kind == "top_out" for rec in trace.stages) > T // 2
+    assert calls <= T * (max(registry.configured_indices()) + 2)
 
 
 @settings(max_examples=25, deadline=None)

@@ -17,6 +17,7 @@ from injurybench.tracekit import (
     region_covers_right_of,
     replay_params,
     serialize,
+    serialize_stamped,
     strategies_with_writes,
     write_sequence_csv,
 )
@@ -89,9 +90,71 @@ def test_round_trip_field_by_field(trace_a, trace_b):
 
 
 def test_digest_ignores_timestamp(trace_a):
-    stamped = serialize(trace_a, created_at="2026-08-10T12:00:00+00:00")
+    stamped, digest = serialize_stamped(trace_a, "2026-08-10T12:00:00+00:00")
     assert stamped != serialize(trace_a)
-    assert deserialize(stamped).digest() == trace_a.digest()
+    assert deserialize(stamped).digest() == trace_a.digest() == digest
+
+
+# a Python-built graph with int keys: 2 < 10 as ints, "10" < "2" as strings
+INT_KEYED_CONFIG = {"slots": [
+    {"index": 0, "kind": "identity"},
+    {"index": 1, "kind": "partial", "graph": {2: 3, 10: 11}},
+]}
+
+
+@pytest.mark.parametrize("config", [MINIMAL_CONFIG, INT_KEYED_CONFIG],
+                         ids=["string_keys", "int_keys"])
+def test_serialize_stamped_adds_only_created_at(config):
+    trace = run_b(registry_from_config(config), 25)
+    stamp = "2026-08-10T12:00:00+00:00"
+    data, digest = serialize_stamped(trace, stamp)
+    plain = serialize(trace)
+    head, records = data.split(b"\n", 1)
+    plain_head, plain_records = plain.split(b"\n", 1)
+    assert records == plain_records
+    header = json.loads(head)
+    assert header.pop("created_at") == stamp
+    assert header == json.loads(plain_head)
+    assert list(header) == sorted(header)
+    assert digest == trace.digest()
+
+
+def test_int_keyed_config_digest_survives_round_trip():
+    trace = run_a(registry_from_config(INT_KEYED_CONFIG), 25)
+    clone = deserialize(serialize(trace))
+    assert clone.config == json.loads(json.dumps(INT_KEYED_CONFIG))
+    assert clone.config_digest() == trace.config_digest()
+
+
+def _with_header(trace, edit):
+    head, body = serialize(trace).split(b"\n", 1)
+    header = json.loads(head)
+    edit(header)
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.pop("phi_config_digest"),
+    lambda h: h.update(phi_config_digest="0" * 64),
+    lambda h: h.update(engine=["A"]),
+    lambda h: h.update(version=True),
+    lambda h: h.update(version=1.0),
+], ids=["no_digest", "wrong_digest", "engine_list", "version_true", "version_float"])
+def test_loader_rejects_bad_header(trace_a, edit):
+    with pytest.raises(TraceParseError) as err:
+        deserialize(_with_header(trace_a, edit))
+    assert err.value.line == 1
+
+
+@pytest.mark.parametrize("fld", ["p", ""])
+def test_loader_rejects_unknown_parameter_fields(trace_a, fld):
+    # "p" is engine B's pause flag, not a field of engine A
+    def mutate(obj):
+        obj["param_writes"].append(["1", fld, 5])
+    data, line = _mutate_first(trace_a, lambda o: True, mutate)
+    with pytest.raises(TraceParseError) as err:
+        deserialize(data)
+    assert err.value.line == line
 
 
 def test_parse_errors_carry_line_numbers(trace_a):
