@@ -9,9 +9,9 @@ for finite sequences.
 """
 
 from .dyadic import Dyadic, pow2
-from .engine import run_a, run_b, u_map, cutoff_stages
+from .engine import run_a, run_b
 from .phi import DEFAULT_CONFIG, PhiRegistry, default_registry, registry_from_config
-from .tracekit import Trace, deserialize, serialize
+from .tracekit import Trace, cutoff_stages, deserialize, serialize, u_map
 from .verify import run_checks
 
 __version__ = "0.1.0"

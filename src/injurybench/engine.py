@@ -51,12 +51,11 @@ from dataclasses import dataclass
 
 from .dyadic import ZERO, Dyadic, pow2
 from .phi import PhiRegistry
-from .strings import BinStr, nu, nu_inv, pair, cantor_unpair
+from .strings import REL_LEX, REL_LEX_OR_EXT, BinStr, nu, pair, region_contains, unpair
 from .tracekit import (
     EXPANSION_DELEGATE,
     EXPANSION_JUMP,
-    REL_LEX,
-    REL_LEX_OR_EXT,
+    FLAG_FIELDS,
     THREAT_JUMP,
     THREAT_SCHEDULE,
     TOP_OUT,
@@ -64,9 +63,6 @@ from .tracekit import (
     StageRecord,
     Trace,
     TraceCorruption,
-    covering_stages,
-    init_events,
-    region_contains,
 )
 
 __all__ = [
@@ -79,9 +75,6 @@ __all__ = [
     "run_stage",
     "run_a",
     "run_b",
-    "u_map",
-    "threat_stages",
-    "cutoff_stages",
 ]
 
 
@@ -90,7 +83,7 @@ class RuleSet:
     """The variant-specific deltas, one instance per construction."""
 
     tag: str
-    flag_field: str  # "s" (satisfaction) | "p" (pause)
+    flag_field: str  # FLAG_FIELDS[tag]: satisfaction (A) or pause (B) flag
     expansion_needs_flag: bool  # A: expansionary requires flag == 1
     unpause_when_unthreatened: bool  # B: write flag := 0 on a no-threat visit
     bump_witness_on_threat: bool  # B: w := w + 1 on every handled threat
@@ -101,7 +94,7 @@ class RuleSet:
 
 RULES_A = RuleSet(
     tag="A",
-    flag_field="s",
+    flag_field=FLAG_FIELDS["A"],
     expansion_needs_flag=True,
     unpause_when_unthreatened=False,
     bump_witness_on_threat=False,
@@ -112,7 +105,7 @@ RULES_A = RuleSet(
 
 RULES_B = RuleSet(
     tag="B",
-    flag_field="p",
+    flag_field=FLAG_FIELDS["B"],
     expansion_needs_flag=False,
     unpause_when_unthreatened=True,
     bump_witness_on_threat=True,
@@ -192,10 +185,6 @@ class EngineState:
             self.read_log.append((self.t, sigma, fld, "next" if nxt else "cur", val))
         return val
 
-    def peek_param(self, sigma: BinStr, fld: str) -> int:
-        """Committed value at the current time, without read logging."""
-        return self._current(sigma, fld)
-
     def _stage_write(self, sigma: BinStr, fld: str, val: int) -> None:
         key = (sigma, fld)
         if key in self._staged:
@@ -237,23 +226,6 @@ class EngineState:
             return False, None
         r = self._read(sigma, "r")
         return self._gap_below(e, l, r), r
-
-    def is_threatened(self, sigma: BinStr) -> bool:
-        """Threat predicate at the current stage start (no logging, no staging)."""
-        log, self.read_log = self.read_log, None
-        try:
-            return self._threat_info(sigma, len(sigma))[0]
-        finally:
-            self.read_log = log
-
-    def is_expansionary(self, sigma: BinStr) -> bool:
-        """Expansion predicate at the current stage start."""
-        log, self.read_log = self.read_log, None
-        try:
-            flag = self._current(sigma, self.rules.flag_field)
-            return self._expansion_info(sigma, len(sigma), flag)[0]
-        finally:
-            self.read_log = log
 
 
 def new_engine_a(registry: PhiRegistry, record_reads: bool = False) -> EngineState:
@@ -333,12 +305,11 @@ def run_stage(state: EngineState) -> StageRecord:
             continue
 
         # execute or delegate one scheduled jump
-        m_code, second = cantor_unpair(c)
+        alpha, second = unpair(c)
         if second == 0:
             raise TraceCorruption(
                 f"counter {c} of {sigma!r} decodes to a zero remaining count"
             )
-        alpha = nu_inv(m_code)
         k = second - 1
         j = sigma.rfind("0")
         if j < 0:
@@ -432,70 +403,3 @@ def run_a(registry: PhiRegistry, T: int, hooks=None) -> Trace:
 def run_b(registry: PhiRegistry, T: int, hooks=None) -> Trace:
     """Deterministic run of the second construction."""
     return run_engine(new_engine_b(registry), T, hooks)
-
-
-# ---------------------------------------------------------------------------
-# Jump attribution
-
-
-def threat_stages(trace: Trace, sigma: BinStr | None = None) -> list[int]:
-    """Stages whose terminal action handled a threat (optionally for one strategy)."""
-    out = []
-    for rec in trace.stages:
-        if rec.action.kind in (THREAT_JUMP, THREAT_SCHEDULE):
-            if sigma is None or rec.settled == sigma:
-                out.append(rec.t)
-    return out
-
-
-def u_map(trace: Trace) -> dict[int, int]:
-    """Map each jump stage back to the stage of the threat that caused it.
-
-    An immediate threat jump maps to itself; a scheduled jump executed while
-    handling a counter maps to the latest earlier stage at which the decoded
-    label was applied and threatened.  A jump matching neither case marks a
-    corrupt trace.
-    """
-    threats: dict[BinStr, list[int]] = {}
-    u: dict[int, int] = {}
-    for rec in trace.stages:
-        kind = rec.action.kind
-        if rec.jump.sign() > 0:
-            if kind == THREAT_JUMP:
-                u[rec.t] = rec.t
-            elif kind == EXPANSION_JUMP:
-                alpha = rec.action.alpha
-                origins = threats.get(alpha)
-                if not origins:
-                    raise TraceCorruption(
-                        f"jump at stage {rec.t} refers to {alpha!r}, never threatened"
-                    )
-                u[rec.t] = origins[-1]
-            else:
-                raise TraceCorruption(
-                    f"jump at stage {rec.t} with non-jump action {kind}"
-                )
-        if kind in (THREAT_JUMP, THREAT_SCHEDULE):
-            threats.setdefault(rec.settled, []).append(rec.t)
-    return u
-
-
-def cutoff_stages(trace: Trace, sigma: BinStr) -> int | None:
-    """Largest jump stage attributed to sigma's stability-respecting threat.
-
-    The originating threat stage is the last applied-and-threatened stage of
-    sigma that no later in-horizon initialisation of sigma invalidates;
-    returns None when there is no such stage or no jump has landed yet.
-    Whether the returned stage is the true cut-off (all split jumps
-    executed) is a separate completeness question the checkers decide.
-    """
-    candidates = threat_stages(trace, sigma)
-    if not candidates:
-        return None
-    t1 = candidates[-1]
-    inits = covering_stages(init_events(trace), sigma)
-    if inits and inits[-1] >= t1:
-        return None
-    u = u_map(trace)
-    fiber = [t for t, origin in u.items() if origin == t1]
-    return max(fiber) if fiber else None

@@ -26,6 +26,7 @@ __all__ = [
     "default_registry",
     "registry_from_config",
     "config_digest",
+    "validate_config",
 ]
 
 
@@ -116,24 +117,9 @@ class _ProgramSlot(_Slot):
 
     def __init__(self, code: list, total_increasing: bool | None):
         self._code = [tuple(instr) for instr in code]
-        self._validate()
         self.total_increasing = total_increasing
         # n -> [regs, pc, steps, halted, value]
         self._state: dict[int, list] = {}
-
-    def _validate(self):
-        for i, instr in enumerate(self._code):
-            op = instr[0]
-            if op == "inc":
-                ok = len(instr) == 3
-            elif op == "dec":
-                ok = len(instr) == 4
-            elif op == "halt":
-                ok = len(instr) == 1
-            else:
-                ok = False
-            if not ok:
-                raise ValueError(f"bad instruction {instr!r} at {i}")
 
     def raw(self, n: int, budget: int):
         st = self._state.get(n)
@@ -144,7 +130,7 @@ class _ProgramSlot(_Slot):
             return (steps, value) if steps <= budget else None
         code = self._code
         while steps < budget:
-            if pc < 0 or pc >= len(code):
+            if pc >= len(code):
                 halted, value = True, regs.get(0, 0)
                 break
             instr = code[pc]
@@ -174,25 +160,93 @@ _FORMULAS = {
 }
 
 
+# Operand count of each register-machine opcode (see _ProgramSlot).
+_OPERANDS = {"inc": 2, "dec": 3, "halt": 0}
+
+
+def _natural(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _natural_graph(graph) -> bool:
+    # JSON object keys are strings; a config built in Python may use ints
+    return isinstance(graph, dict) and all(
+        (_natural(k) or isinstance(k, str) and k.isascii() and k.isdigit()) and _natural(v)
+        for k, v in graph.items()
+    )
+
+
+def _instruction(instr) -> bool:
+    return (isinstance(instr, (list, tuple)) and len(instr) > 0
+            and isinstance(instr[0], str) and instr[0] in _OPERANDS
+            and len(instr) == _OPERANDS[instr[0]] + 1
+            and all(_natural(arg) for arg in instr[1:]))
+
+
+def _require(pos: int, entry: dict, key: str, ok, what: str) -> None:
+    if key not in entry:
+        raise ValueError(f"slot {pos} has no {key!r}")
+    if not ok(entry[key]):
+        raise ValueError(f"slot {pos}: {key!r} must be {what}, got {entry[key]!r}")
+
+
+def validate_config(config) -> None:
+    """Reject a registry configuration its slots cannot be built from.
+
+    Raises ValueError with a one-line message.  Every slot value and
+    register-machine operand must be a natural number: slot values index the
+    approximation sequence, and a negative one would silently read from its
+    end.
+    """
+    if not isinstance(config, dict):
+        raise ValueError("registry config must be an object")
+    slots = config.get("slots", [])
+    if not isinstance(slots, list):
+        raise ValueError("registry config 'slots' must be a list")
+    seen: set[int] = set()
+    for pos, entry in enumerate(slots):
+        if not isinstance(entry, dict):
+            raise ValueError(f"slot {pos} is not an object")
+        _require(pos, entry, "index", _natural, "a natural number")
+        if entry["index"] in seen:
+            raise ValueError(f"duplicate slot index {entry['index']}")
+        seen.add(entry["index"])
+        declared = entry.get("total_increasing")
+        if declared is not None and type(declared) is not bool:
+            raise ValueError(f"slot {pos}: 'total_increasing' must be true, false or null")
+        kind = entry.get("kind")
+        if kind == "affine":
+            _require(pos, entry, "shift", _natural, "a natural number")
+        elif kind == "const":
+            _require(pos, entry, "value", _natural, "a natural number")
+        elif kind == "partial":
+            _require(pos, entry, "graph", _natural_graph,
+                     "an object mapping natural numbers to natural numbers")
+        elif kind == "program":
+            _require(pos, entry, "code", lambda code: isinstance(code, list), "a list")
+            for i, instr in enumerate(entry["code"]):
+                if not _instruction(instr):
+                    raise ValueError(f"slot {pos}: bad instruction {instr!r} at {i}")
+        elif not (isinstance(kind, str) and (kind in _FORMULAS or kind == "diverge")):
+            raise ValueError(f"slot {pos}: unknown slot kind {kind!r}")
+
+
 def _build_slot(entry: dict) -> _Slot:
-    kind = entry.get("kind")
+    kind = entry["kind"]
     if kind in _FORMULAS:
         fn, ti = _FORMULAS[kind]
         return _FormulaSlot(kind, fn, ti)
     if kind == "affine":
-        shift = int(entry["shift"])
+        shift = entry["shift"]
         return _FormulaSlot("affine", lambda n, s=shift: n + s, True)
     if kind == "const":
-        value = int(entry["value"])
+        value = entry["value"]
         return _FormulaSlot("const", lambda n, v=value: v, False)
     if kind == "partial":
-        graph = {int(k): int(v) for k, v in entry["graph"].items()}
-        return _PartialSlot(graph)
+        return _PartialSlot({int(k): v for k, v in entry["graph"].items()})
     if kind == "diverge":
         return _DivergeSlot()
-    if kind == "program":
-        return _ProgramSlot(entry["code"], entry.get("total_increasing"))
-    raise ValueError(f"unknown slot kind {kind!r}")
+    return _ProgramSlot(entry["code"], entry.get("total_increasing"))
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +269,13 @@ class PhiRegistry:
 
     def __init__(self, config: dict | None = None):
         self.config = config if config is not None else {"slots": []}
-        self.slots: dict[int, _Slot] = {}
+        validate_config(self.config)
+        self.slots: dict[int, _Slot] = {
+            entry["index"]: _build_slot(entry) for entry in self.config.get("slots", [])
+        }
         self._chains: dict[int, _ChainState] = {}
-        for entry in self.config.get("slots", []):
-            self.add_slot(int(entry["index"]), _build_slot(entry))
 
     # -- configuration -----------------------------------------------------
-
-    def add_slot(self, index: int, slot: _Slot):
-        if index in self.slots:
-            raise ValueError(f"duplicate slot index {index}")
-        self.slots[index] = slot
 
     def configured_indices(self) -> frozenset[int]:
         return frozenset(self.slots)
@@ -240,9 +290,6 @@ class PhiRegistry:
         """Declared total-increasing status of slot e (False for empty slots)."""
         slot = self.slots.get(e)
         return False if slot is None else slot.total_increasing
-
-    def digest(self) -> str:
-        return config_digest(self.config)
 
     # -- queries -------------------------------------------------------------
 

@@ -11,6 +11,11 @@ settlements, and the complete parameter read logs value for value.
 
 The substage read protocol is the one documented in :mod:`injurybench.engine`;
 both implementations follow it so the logs line up positionally.
+
+To stay independent, this module imports only the primitives
+:mod:`~injurybench.strings`, :mod:`~injurybench.dyadic` and
+:mod:`~injurybench.phi`, never the engine or the trace model; it even spells
+the flag fields itself (a test pins this boundary).
 """
 
 from __future__ import annotations
@@ -19,8 +24,7 @@ from dataclasses import dataclass, field
 
 from .dyadic import ZERO, Dyadic, pow2
 from .phi import PhiRegistry
-from .strings import BinStr, nu, nu_inv, pair, cantor_unpair
-from .tracekit import REL_LEX, REL_LEX_OR_EXT, region_contains
+from .strings import REL_LEX, REL_LEX_OR_EXT, BinStr, nu, pair, region_contains, unpair
 
 __all__ = ["ReplayResult", "replay_run", "naive_ell"]
 
@@ -167,8 +171,7 @@ def replay_run(registry: PhiRegistry, engine: str, T: int) -> ReplayResult:
                 sigma += "0"
                 continue
 
-            m_code, second = cantor_unpair(c)
-            alpha = nu_inv(m_code)
+            alpha, second = unpair(c)
             k = second - 1
             j = sigma.rfind("0")
             if j < 0:

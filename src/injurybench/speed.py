@@ -95,10 +95,6 @@ class ModulusFn:
             raise ValueError("modulus table not non-decreasing")
         return cls(lambda n: vals[n], table_len=len(vals), name="table")
 
-    @classmethod
-    def derived(cls, fn, name: str) -> "ModulusFn":
-        return cls(fn, name=name)
-
     def __call__(self, n: int) -> int:
         if n < 0:
             raise ValueError("modulus argument must be a natural number")
@@ -204,7 +200,7 @@ def _derive_g(f: ModulusFn, search_limit: int) -> ModulusFn:
             raise IncompleteSearch("g evaluation", search_limit)
         return k
 
-    return ModulusFn.derived(g_eval, name="g")
+    return ModulusFn(g_eval, name="g")
 
 
 def speed_to_regain(f: ModulusFn, rho: Dyadic, search_limit: int = 100_000) -> SpeedToRegain:
@@ -224,7 +220,7 @@ def speed_to_regain(f: ModulusFn, rho: Dyadic, search_limit: int = 100_000) -> S
     while not pow2(k) * rho >= Dyadic(1):
         k += 1
 
-    h = ModulusFn.derived(lambda n: max(0, g(n) - k), name="h")
+    h = ModulusFn(lambda n: max(0, g(n) - k), name="h")
 
     m = None
     i = f(0)

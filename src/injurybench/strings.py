@@ -1,4 +1,5 @@
-"""Binary-word combinatorics: orders, numbering, pairing, true-path estimates.
+"""Binary-word combinatorics: orders, initialisation regions, numbering,
+pairing, true-path estimates.
 
 Words over {0,1} are plain Python strings of ``'0'``/``'1'`` characters; the
 empty word (written lambda in the human-readable output) is ``""``.  The
@@ -17,6 +18,11 @@ them):
 
 The order and the initialisation regions built on it are therefore one or
 two C-level comparisons, not a loop over characters.
+
+An initialisation region is the symbolic set of strategies a stage resets:
+an anchor word plus a relation, either everything strictly lex-right of the
+anchor (``lex_gt``) or that plus every proper extension of the anchor
+(``lex_gt_or_ext``).
 """
 
 from __future__ import annotations
@@ -26,8 +32,12 @@ from math import isqrt
 
 __all__ = [
     "BinStr",
+    "REL_LEX",
+    "REL_LEX_OR_EXT",
     "TruePathEstimate",
     "lex_less",
+    "region_contains",
+    "region_covers_right_of",
     "nu",
     "nu_inv",
     "cantor_pair",
@@ -46,6 +56,34 @@ def lex_less(sigma: BinStr, tau: BinStr) -> bool:
     Binary words only: native order minus the prefix case (module docstring).
     """
     return sigma < tau and not tau.startswith(sigma)
+
+
+# Initialisation region relations (module docstring).
+REL_LEX = "lex_gt"
+REL_LEX_OR_EXT = "lex_gt_or_ext"
+
+
+def region_contains(anchor: BinStr, rel: str, sigma: BinStr) -> bool:
+    """Membership of sigma in a symbolic initialisation region.
+
+    ``lex_gt_or_ext`` holds every tau with anchor <_L tau or anchor a proper
+    prefix of tau, which on binary words is native ``anchor < tau``.
+    """
+    if rel == REL_LEX_OR_EXT:
+        return anchor < sigma
+    return lex_less(anchor, sigma)
+
+
+def region_covers_right_of(anchor: BinStr, rel: str, sigma: BinStr) -> bool:
+    """True iff the region contains every tau with sigma <_L tau or sigma a
+    proper prefix of tau (the set a completed threat must wipe).
+
+    For ``lex_gt_or_ext`` that is anchor <_L sigma or anchor a prefix of
+    sigma, native ``anchor <= sigma`` on binary words.
+    """
+    if rel == REL_LEX_OR_EXT:
+        return anchor <= sigma
+    return lex_less(anchor, sigma)
 
 
 def nu(sigma: BinStr) -> int:

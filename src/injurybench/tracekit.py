@@ -1,4 +1,4 @@
-"""Trace data model, serialisation, and parameter replay.
+"""Trace data model, serialisation, parameter replay and jump attribution.
 
 A run of either engine produces one stage record per stage plus the exact
 approximation sequence.  The trace is the single substrate every checker
@@ -10,18 +10,23 @@ Initialisations touch infinitely many strategies, so records store them as
 symbolic regions (anchor word plus relation) rather than memberships, and
 the per-strategy parameter timelines are reconstructed on demand from the
 defaults, the regions, and the explicit writes.
+
+The analyses that are facts about a finished run live here too: which
+stages handled a threat of each strategy, the attribution of every jump to
+the threat that caused it (``u_map``), and the cut-off stages.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .dyadic import ZERO, Dyadic
 from .phi import config_digest
-from .strings import BinStr, lex_less, nu
+# perfbench/tracing.py also counts region membership as tracekit.region_contains
+from .strings import REL_LEX, REL_LEX_OR_EXT, BinStr, nu, region_contains
 
 __all__ = [
     "TOP_OUT",
@@ -33,15 +38,12 @@ __all__ = [
     "TERMINAL_KINDS",
     "THREAT_KINDS",
     "EXPANSION_KINDS",
-    "REL_LEX",
-    "REL_LEX_OR_EXT",
+    "FLAG_FIELDS",
     "Action",
     "StageRecord",
     "Trace",
     "TraceCorruption",
     "TraceParseError",
-    "region_contains",
-    "region_covers_right_of",
     "serialize",
     "serialize_stamped",
     "deserialize",
@@ -50,7 +52,11 @@ __all__ = [
     "replay_params",
     "param_changepoints",
     "changepoints_from",
-    "strategies_with_writes",
+    "add_threat",
+    "threat_stages",
+    "episode_origin",
+    "u_map",
+    "cutoff_stages",
     "write_sequence_csv",
     "read_sequence_csv",
 ]
@@ -70,11 +76,6 @@ TERMINAL_KINDS = frozenset(
     {TOP_OUT, THREAT_JUMP, THREAT_SCHEDULE, EXPANSION_JUMP, EXPANSION_DELEGATE}
 )
 
-# Initialisation region relations: everything strictly lex-right of the
-# anchor, or additionally every proper extension of it.
-REL_LEX = "lex_gt"
-REL_LEX_OR_EXT = "lex_gt_or_ext"
-
 # The satisfaction (A) or pause (B) flag's parameter field, by engine.
 FLAG_FIELDS = {"A": "s", "B": "p"}
 TRACE_VERSION = 1
@@ -90,29 +91,6 @@ class TraceParseError(Exception):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")
-
-
-def region_contains(anchor: BinStr, rel: str, sigma: BinStr) -> bool:
-    """Membership of sigma in a symbolic initialisation region.
-
-    ``lex_gt_or_ext`` holds every tau with anchor <_L tau or anchor a proper
-    prefix of tau, which on binary words is native ``anchor < tau``.
-    """
-    if rel == REL_LEX_OR_EXT:
-        return anchor < sigma
-    return lex_less(anchor, sigma)
-
-
-def region_covers_right_of(anchor: BinStr, rel: str, sigma: BinStr) -> bool:
-    """True iff the region contains every tau with sigma <_L tau or sigma a
-    proper prefix of tau (the set a completed threat must wipe).
-
-    For ``lex_gt_or_ext`` that is anchor <_L sigma or anchor a prefix of
-    sigma, native ``anchor <= sigma`` on binary words.
-    """
-    if rel == REL_LEX_OR_EXT:
-        return anchor <= sigma
-    return lex_less(anchor, sigma)
 
 
 @dataclass(frozen=True)
@@ -355,8 +333,6 @@ def deserialize(data: bytes) -> Trace:
 # ---------------------------------------------------------------------------
 # Parameter replay
 
-_DEFAULTS = {"c": 0, "r": 0, "s": 0, "p": 0}
-
 
 def init_events(trace: Trace) -> list[tuple[int, BinStr, str]]:
     """Every initialisation region of a trace as (stage, anchor, relation),
@@ -391,17 +367,14 @@ def changepoints_from(
     the region effect wins (matching engine commit order).  The list starts
     at time 0 and is strictly increasing in time.
     """
-    if fld == "w":
-        default = nu(sigma)
-    else:
-        if fld not in _DEFAULTS:
-            raise ValueError(f"unknown parameter field {fld!r}")
-        default = _DEFAULTS[fld]
+    if fld not in ("c", "r", "w", *FLAG_FIELDS.values()):
+        raise ValueError(f"unknown parameter field {fld!r}")
+    default = nu(sigma) if fld == "w" else 0
     effects = dict(writes)  # the last write of a stage wins
     # initialisation resets counters and witnesses in both constructions,
     # the satisfaction flag only in the first; restraints and pause flags
     # are never touched by regions
-    if fld in ("c", "w") or (fld == "s" and engine == "A"):
+    if fld in ("c", "w") or (engine == "A" and fld == FLAG_FIELDS["A"]):
         for t in inits:
             effects[t] = nu(sigma) + t + 2 if fld == "w" else 0
     points = [(0, default)]
@@ -428,13 +401,82 @@ def replay_params(trace: Trace, sigma: BinStr, t: int, fld: str) -> int:
     return points[bisect_right(times, t) - 1][1]
 
 
-def strategies_with_writes(trace: Trace) -> list[BinStr]:
-    """All strategies that ever received an explicit parameter write."""
-    seen: dict[BinStr, None] = {}
+# ---------------------------------------------------------------------------
+# Jump attribution and cut-off stages
+
+
+def add_threat(threats: dict[BinStr, list[int]], rec: StageRecord) -> None:
+    """Add one record to a threats-by-strategy grouping: if its terminal
+    action handled a threat, append its stage to the threatened strategy's
+    list.  Fed records in stage order, each list is ascending."""
+    if rec.action.kind in THREAT_KINDS:
+        threats.setdefault(rec.settled, []).append(rec.t)
+
+
+def threat_stages(trace: Trace) -> dict[BinStr, list[int]]:
+    """Stages whose terminal action handled a threat, grouped by the
+    threatened strategy (see :func:`add_threat`)."""
+    threats: dict[BinStr, list[int]] = {}
     for rec in trace.stages:
-        for s, _f, _v in rec.param_writes:
-            seen.setdefault(s, None)
-    return list(seen)
+        add_threat(threats, rec)
+    return threats
+
+
+def episode_origin(threats: dict[BinStr, list[int]], rec: StageRecord) -> int | None:
+    """The threat stage a counter episode belongs to: the latest stage
+    before ``rec.t`` at which the decoded label ``rec.action.alpha`` was
+    threatened, or None if there is none.  ``threats`` is the grouping
+    :func:`threat_stages` returns."""
+    origins = threats.get(rec.action.alpha, ())
+    i = bisect_left(origins, rec.t)
+    return origins[i - 1] if i else None
+
+
+def u_map(trace: Trace) -> dict[int, int]:
+    """Map each jump stage back to the stage of the threat that caused it.
+
+    An immediate threat jump maps to itself; a scheduled jump executed while
+    handling a counter maps to its :func:`episode_origin`.  A jump matching
+    neither case marks a corrupt trace.
+    """
+    threats = threat_stages(trace)
+    u: dict[int, int] = {}
+    for rec in trace.stages:
+        if rec.jump.sign() <= 0:
+            continue
+        kind = rec.action.kind
+        if kind == THREAT_JUMP:
+            u[rec.t] = rec.t
+        elif kind == EXPANSION_JUMP:
+            origin = episode_origin(threats, rec)
+            if origin is None:
+                raise TraceCorruption(
+                    f"jump at stage {rec.t} refers to {rec.action.alpha!r}, never threatened"
+                )
+            u[rec.t] = origin
+        else:
+            raise TraceCorruption(f"jump at stage {rec.t} with non-jump action {kind}")
+    return u
+
+
+def cutoff_stages(trace: Trace, sigma: BinStr) -> int | None:
+    """Largest jump stage attributed to sigma's stability-respecting threat.
+
+    The originating threat stage is the last applied-and-threatened stage of
+    sigma that no later in-horizon initialisation of sigma invalidates;
+    returns None when there is no such stage or no jump has landed yet.
+    Whether the returned stage is the true cut-off (all split jumps
+    executed) is a separate completeness question the checkers decide.
+    """
+    candidates = threat_stages(trace).get(sigma)
+    if not candidates:
+        return None
+    t1 = candidates[-1]
+    inits = covering_stages(init_events(trace), sigma)
+    if inits and inits[-1] >= t1:
+        return None
+    fiber = [t for t, origin in u_map(trace).items() if origin == t1]
+    return max(fiber) if fiber else None
 
 
 # ---------------------------------------------------------------------------

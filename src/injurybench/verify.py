@@ -23,9 +23,14 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .dyadic import Dyadic, pow2
-from .engine import u_map
 from .phi import PhiRegistry, registry_from_config
-from .strings import BinStr, TruePathEstimate, lex_less, true_path_estimate
+from .strings import (
+    BinStr,
+    TruePathEstimate,
+    lex_less,
+    region_covers_right_of,
+    true_path_estimate,
+)
 from .tracekit import (
     EXPANSION_KINDS,
     THREAT_KINDS,
@@ -33,9 +38,11 @@ from .tracekit import (
     TOP_OUT,
     Trace,
     TraceCorruption,
+    add_threat,
     changepoints_from,
     covering_stages,
-    region_covers_right_of,
+    episode_origin,
+    u_map,
 )
 
 __all__ = [
@@ -114,8 +121,7 @@ class _TraceIndex:
         for rec in trace.stages:
             t = rec.t
             self.settlements.append(rec.settled)
-            if rec.action.kind in THREAT_KINDS:
-                self.threats.setdefault(rec.settled, []).append(t)
+            add_threat(self.threats, rec)
             if rec.jump.sign() > 0:
                 self.jumps[t] = rec.jump
             for anchor, rel in rec.init_regions:
@@ -385,14 +391,11 @@ def check_jump_sums(trace: Trace, registry: PhiRegistry | None = None) -> Report
             label = "threat"
         elif kind in EXPANSION_KINDS:
             sigma, t1 = rec.settled, rec.t
-            alpha = rec.action.alpha
-            threats = index.threats.get(alpha, [])
-            prior = bisect_left(threats, t1)
-            if not prior:
+            origin = episode_origin(index.threats, rec)
+            if origin is None:
                 findings.append(("fail", {"episode": "counter", "t1": t1,
-                                          "error": f"no prior threat of {alpha!r}"}))
+                                          "error": f"no prior threat of {rec.action.alpha!r}"}))
                 continue
-            origin = threats[prior - 1]
             bound = pow2(-params.value(sigma, "r", t1))
             label = "counter"
         else:
@@ -495,7 +498,7 @@ def _require_declared_increasing(registry: PhiRegistry, e: int) -> None:
 
 
 def check_requirement_N(
-    trace: Trace, registry: PhiRegistry | None = None, e: int = 0, mode: str | None = None
+    trace: Trace, registry: PhiRegistry | None = None, e: int = 0
 ) -> Report:
     """One-sided certification of the negative requirement for slot e.
 
@@ -505,7 +508,6 @@ def check_requirement_N(
     """
     registry = _registry_for(trace, registry)
     _require_declared_increasing(registry, e)
-    mode = mode or trace.engine
     findings: list[tuple[str, dict]] = []
     x = trace.x
     for t in range(trace.T):
@@ -513,7 +515,7 @@ def check_requirement_N(
             findings.append(("fail", {"error": f"x decreases at stage {t}"}))
             return _make_report(f"requirement_n[{e}]", findings)
     l_max = registry.ell(e, trace.T)
-    if mode == "A":
+    if trace.engine == "A":
         for m in range(l_max + 1):
             v = registry.step(e, m, trace.T)
             if (x[trace.T] - x[v]) >= pow2(-m):
@@ -783,6 +785,7 @@ def check_settlement_facts(trace: Trace, registry: PhiRegistry | None = None) ->
 def _check_pause_facts(trace: Trace, index: _TraceIndex, findings) -> None:
     """Pause alternation, no consecutive threats, witness bump per threat."""
     params = index.params
+    pause = trace.flag_field
     for rec in trace.stages:
         if rec.action.kind in THREAT_KINDS:
             w_before = params.value(rec.settled, "w", rec.t)
@@ -790,11 +793,11 @@ def _check_pause_facts(trace: Trace, index: _TraceIndex, findings) -> None:
             if wanted not in rec.param_writes:
                 findings.append(("fail", {"law": "witness grows by one per threat",
                                           "sigma": rec.settled, "t": rec.t}))
-    for sigma in index.written_to("p"):
+    for sigma in index.written_to(pause):
         apps = index.applications(sigma)
         threats = set(index.threats.get(sigma, ()))
         for t1, t2 in zip(apps, apps[1:]):
-            if params.value(sigma, "p", t1) == 1 and params.value(sigma, "p", t2) == 1:
+            if params.value(sigma, pause, t1) == 1 and params.value(sigma, pause, t2) == 1:
                 findings.append(("fail", {"law": "pause alternation",
                                           "sigma": sigma, "t1": t1, "t2": t2}))
             if t1 in threats and t2 in threats:

@@ -1,4 +1,3 @@
-import os
 from pathlib import Path
 
 import pytest
@@ -15,9 +14,6 @@ MINIMAL_CONFIG = {
 
 
 def fixture_dir() -> Path:
-    override = os.environ.get("INJURYBENCH_SEED_DIR")
-    if override:
-        return Path(override)
     return Path(__file__).parent / "fixtures"
 
 

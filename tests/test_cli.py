@@ -211,7 +211,7 @@ def test_speed_precondition_surfaces(tmp_path):
 def _dot_with_nested_region_scan(trace):
     """The DOT export as it was first written, scanning every region against
     every node; kept as an independent reference."""
-    from injurybench.tracekit import region_contains
+    from injurybench.strings import region_contains
 
     settle_counts = {}
     nodes = {}
@@ -302,3 +302,42 @@ def test_run_writes_digest_of_unstamped_trace(tmp_path, capsys):
     trace = deserialize(data)
     assert printed == trace.digest()
     assert data == serialize_stamped(trace, header["created_at"])[0]
+
+
+def _partial_graph(value):
+    return {"slots": [{"index": 0, "kind": "partial", "graph": {"0": value}}]}
+
+
+@pytest.mark.parametrize("config", [
+    [1, 2],
+    {"slots": [{"kind": "identity"}]},
+    _partial_graph(-1),
+    {"slots": [{"index": 0, "kind": "program", "total_increasing": True,
+                "code": [["dec", 0, 1, 2], ["inc", "x", 1], ["halt"]]}]},
+    {"slots": [{"index": -2, "kind": "identity"}]},
+], ids=["top_level_list", "no_index", "negative_graph_value", "register_operand",
+        "negative_index"])
+def test_run_rejects_invalid_config_with_exit_two(tmp_path, capsys, config):
+    # before validation these exited 1 with a traceback, or ran and verified
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["run", "--engine", "A", "--stages", "20",
+                 "--phi-config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "\n" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_rejects_invalid_config_with_matching_digest(default_a60, tmp_path, capsys):
+    from injurybench.phi import config_digest
+
+    head, rest = default_a60.decode().split("\n", 1)
+    header = json.loads(head)
+    header["phi_config"] = _partial_graph(-1)
+    header["phi_config_digest"] = config_digest(header["phi_config"])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(header) + "\n" + rest, encoding="utf-8")
+    assert main(["verify", str(bad)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: slot 0: ") and "\n" not in err

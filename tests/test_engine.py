@@ -10,15 +10,12 @@ import pytest
 
 from injurybench.dyadic import Dyadic, ZERO, pow2
 from injurybench.engine import (
-    cutoff_stages,
     new_engine_a,
     new_engine_b,
     run_a,
     run_b,
     run_engine,
     run_stage,
-    threat_stages,
-    u_map,
 )
 from injurybench.phi import registry_from_config
 from injurybench.strings import nu, pair
@@ -29,7 +26,10 @@ from injurybench.tracekit import (
     TOP_OUT,
     TERMINAL_KINDS,
     TraceCorruption,
+    cutoff_stages,
     replay_params,
+    threat_stages,
+    u_map,
 )
 from conftest import MINIMAL_CONFIG
 
@@ -40,23 +40,51 @@ def minimal():
 
 
 def test_initial_parameter_defaults(minimal):
-    st = new_engine_a(minimal)
-    assert st.peek_param("", "w") == 0
-    assert st.peek_param("1", "w") == 2  # nu("1")
-    assert st.peek_param("0110", "w") == nu("0110")
-    assert st.peek_param("", "c") == 0
-    assert st.peek_param("101", "r") == 0
-    assert st.peek_param("11", "s") == 0
+    trace = run_a(minimal, 1)
+    assert replay_params(trace, "", 0, "w") == 0
+    assert replay_params(trace, "1", 0, "w") == 2  # nu("1")
+    assert replay_params(trace, "0110", 0, "w") == nu("0110")
+    assert replay_params(trace, "", 0, "c") == 0
+    assert replay_params(trace, "101", 0, "r") == 0
+    assert replay_params(trace, "11", 0, "s") == 0
+
+    # the engine reads the same defaults: stage 0's region (lex-right of the
+    # root) is empty, so stage 1 sees the root's flag and witness unchanged,
+    # and stage 2 its restraint and counter
+    st = new_engine_a(minimal, record_reads=True)
+    run_engine(st, 3)
+    assert st.read_log[:5] == [
+        (1, "", "s", "cur", 0), (1, "", "w", "cur", 0),
+        (2, "", "s", "cur", 1), (2, "", "r", "cur", 0), (2, "", "c", "cur", 0),
+    ]
+    # engine B's threat region misses "0", whose witness is still nu("0")
+    st_b = new_engine_b(minimal, record_reads=True)
+    run_engine(st_b, 3)
+    assert (2, "0", "w", "cur", nu("0")) in st_b.read_log
 
 
 def test_threat_predicate_examples(minimal):
-    st = new_engine_a(minimal)
+    st = new_engine_a(minimal, record_reads=True)
     run_stage(st)  # stage 0 tops out
-    assert st.is_threatened("")  # identity delivers, witness 0, gap 0 < 1
-    assert not st.is_threatened("11")  # empty slot: chain length -1
-    run_stage(st)  # stage 1 handles the threat, setting the flag
-    assert not st.is_threatened("")
-    assert st.is_expansionary("")
+    # identity delivers, witness 0, gap 0 < 1: the root is threatened
+    rec = run_stage(st)
+    assert (rec.settled, rec.action.kind) == ("", THREAT_JUMP)
+    assert st.read_log == [(1, "", "s", "cur", 0), (1, "", "w", "cur", 0)]
+    # stage 2: the flag set at stage 1 rules the threat out without further
+    # reads; the root is expansionary (restraint and counter read, bit 0)
+    rec = run_stage(st)
+    assert rec.settled == "01"
+    assert rec.param_writes == (("", "r", 1),)
+    assert st.read_log[2:] == [
+        (2, "", "s", "cur", 1), (2, "", "r", "cur", 0), (2, "", "c", "cur", 0),
+        (2, "0", "s", "cur", 0), (2, "0", "w", "cur", 4),
+    ]
+    # empty slots have chain length -1: a strategy of length 2 or more is
+    # neither threatened nor expansionary, so only its flag is read
+    run_engine(st, 8)
+    stage7 = [(sigma, fld) for t, sigma, fld, _, _ in st.read_log if t == 7]
+    assert stage7[-5:] == [(sigma, "s") for sigma in ("01", "011", "0111", "01111", "011111")]
+    assert st.records[7].settled == "0111111"
 
 
 def test_stage_zero(minimal):
@@ -169,7 +197,7 @@ def test_engine_b_golden(minimal):
     assert replay_params(trace, "0", 7, "p") == 0
 
     assert u_map(trace) == {1: 1, 3: 3, 4: 2, 5: 5, 7: 7}
-    assert threat_stages(trace, "") == [1, 3, 5, 7]
+    assert threat_stages(trace) == {"": [1, 3, 5, 7], "0": [2]}
 
 
 def test_terminal_kinds_only(minimal, registry):
@@ -207,20 +235,25 @@ def test_expansion_boundary_is_strict():
     # phi(0) = 1 fixes the compared index at x_1 = 0; after the unit jump
     # the gap is exactly 2**-r = 1, which must not count as expansionary
     reg = registry_from_config({"slots": [{"index": 0, "kind": "partial", "graph": {"0": 1}}]})
-    st = new_engine_a(reg)
+    st = new_engine_a(reg, record_reads=True)
     run_stage(st)  # top-out
     run_stage(st)  # threat on the root: jump to 1
     assert st.x[2] == Dyadic(1)
-    assert not st.is_threatened("")
-    assert not st.is_expansionary("")
     rec = run_stage(st)
+    # flag 1 rules out the threat; restraint 0 and the gap of exactly 1 rule
+    # out the expansion, so the counter is never read and the root takes bit 1
+    assert st.read_log[2:] == [
+        (2, "", "s", "cur", 1), (2, "", "r", "cur", 0), (2, "1", "s", "cur", 0),
+    ]
     assert rec.settled == "11"
 
-    st_b = new_engine_b(reg)
+    st_b = new_engine_b(reg, record_reads=True)
     run_stage(st_b)
     run_stage(st_b)
     run_stage(st_b)  # pause blocks the threat; boundary blocks the expansion
-    assert not st_b.is_expansionary("")
+    assert st_b.read_log[2:] == [
+        (2, "", "p", "cur", 1), (2, "", "r", "cur", 0), (2, "1", "p", "cur", 0),
+    ]
     assert [r.settled for r in st_b.records] == ["", "", "11"]
 
 

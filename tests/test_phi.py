@@ -8,6 +8,7 @@ from injurybench.phi import (
     config_digest,
     default_registry,
     registry_from_config,
+    validate_config,
 )
 
 
@@ -124,7 +125,7 @@ def test_classifications(registry):
 
 
 def test_digest_stable():
-    assert default_registry().digest() == default_registry().digest()
+    assert config_digest(default_registry().config) == config_digest(default_registry().config)
     assert DEFAULT_CONFIG["slots"][0]["kind"] == "identity"
 
 
@@ -141,3 +142,45 @@ def test_config_digest_ignores_key_type():
     as_ints = {"slots": [{"index": 5, "kind": "partial", "graph": {2: 3, 10: 11}}]}
     as_strs = {"slots": [{"index": 5, "kind": "partial", "graph": {"2": 3, "10": 11}}]}
     assert config_digest(as_ints) == config_digest(as_strs)
+
+
+def _slot(**fields):
+    return {"slots": [{"index": 0, "kind": "identity", **fields}]}
+
+
+@pytest.mark.parametrize("config, message", [
+    ([1, 2], "must be an object"),
+    ({"slots": {"index": 0}}, "'slots' must be a list"),
+    ({"slots": [3]}, "slot 0 is not an object"),
+    ({"slots": [{"kind": "identity"}]}, "has no 'index'"),
+    (_slot(index="0"), "'index' must be a natural number"),
+    (_slot(index=True), "'index' must be a natural number"),
+    (_slot(index=-2), "'index' must be a natural number"),
+    (_slot(kind="mystery"), "unknown slot kind"),
+    (_slot(kind=["identity"]), "unknown slot kind"),
+    (_slot(kind="affine"), "has no 'shift'"),
+    (_slot(kind="affine", shift=-3), "'shift' must be a natural number"),
+    (_slot(kind="const", value=-1), "'value' must be a natural number"),
+    (_slot(kind="const", value=2.0), "'value' must be a natural number"),
+    (_slot(kind="partial", graph={"0": -1}), "'graph' must be an object mapping"),
+    (_slot(kind="partial", graph={"-1": 3}), "'graph' must be an object mapping"),
+    (_slot(kind="partial", graph={"x": 3}), "'graph' must be an object mapping"),
+    (_slot(kind="partial", graph=[[0, 1]]), "'graph' must be an object mapping"),
+    (_slot(kind="program", code=[["halt"]], total_increasing=1), "'total_increasing'"),
+    (_slot(kind="program", code="halt"), "'code' must be a list"),
+    (_slot(kind="program", code=[["jmp", 0]]), "bad instruction"),
+    (_slot(kind="program", code=[["inc", "x", 1]]), "bad instruction"),
+    (_slot(kind="program", code=[["dec", 0, -1, 0]]), "bad instruction"),
+    (_slot(kind="program", code=[[]]), "bad instruction"),
+])
+def test_validate_config_rejects(config, message):
+    with pytest.raises(ValueError, match=message):
+        validate_config(config)
+    with pytest.raises(ValueError, match=message):
+        registry_from_config(config)
+
+
+def test_validate_config_accepts_natural_values():
+    validate_config(DEFAULT_CONFIG)
+    validate_config({"slots": [{"index": 3, "kind": "partial", "graph": {2: 3, "10": 0}},
+                               {"index": 0, "kind": "const", "value": 0}]})

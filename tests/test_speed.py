@@ -119,7 +119,7 @@ def test_speed_to_regain_sanity_inequality():
 
 
 def test_speed_to_regain_budget():
-    stuck = ModulusFn.derived(lambda n: 0, name="flat")
+    stuck = ModulusFn(lambda n: 0, name="flat")
     with pytest.raises(IncompleteSearch) as err:
         speed_to_regain(stuck, Dyadic(1, 2), search_limit=50)
     assert err.value.budget == 50
@@ -129,7 +129,7 @@ def test_certify_regaining_examples():
     seq = quarter_powers(10)
     ident = ModulusFn.affine(1, 0)
     assert certify_regaining(seq, ident) == list(range(10))
-    assert certify_regaining(seq, ModulusFn.derived(lambda n: 0, name="zero")) == list(range(10))
+    assert certify_regaining(seq, ModulusFn(lambda n: 0, name="zero")) == list(range(10))
     slow = geometric_sequence(10)
     assert certify_regaining(slow, ModulusFn.affine(1, 1)) == []
 
@@ -140,7 +140,7 @@ def test_modulus_to_gapbound():
     assert report.ok
     assert report.checked[0] == 1
     with pytest.raises(ValueError):
-        modulus_to_gapbound(ModulusFn.derived(lambda n: 0, name="zero"), seq)
+        modulus_to_gapbound(ModulusFn(lambda n: 0, name="zero"), seq)
 
 
 def test_modulus_to_gapbound_constant_sequence():

@@ -5,20 +5,21 @@ import pytest
 from injurybench.dyadic import ZERO
 from injurybench.engine import run_a, run_b
 from injurybench.phi import registry_from_config
-from injurybench.strings import nu
-from injurybench.tracekit import (
+from injurybench.strings import (
     REL_LEX,
     REL_LEX_OR_EXT,
+    nu,
+    region_contains,
+    region_covers_right_of,
+)
+from injurybench.tracekit import (
     TraceParseError,
     deserialize,
     param_changepoints,
     read_sequence_csv,
-    region_contains,
-    region_covers_right_of,
     replay_params,
     serialize,
     serialize_stamped,
-    strategies_with_writes,
     write_sequence_csv,
 )
 from conftest import MINIMAL_CONFIG
@@ -195,7 +196,7 @@ def test_replay_matches_engine_writes(trace_a):
             assert before != value
 
     # changepoint timelines are strictly increasing in time
-    for sigma in strategies_with_writes(trace_a):
+    for sigma in {s for rec in trace_a.stages for s, _, _ in rec.param_writes}:
         for fld in ("c", "r", "w", "s"):
             points = param_changepoints(trace_a, sigma, fld)
             times = [t for t, _ in points]

@@ -13,10 +13,10 @@ from collections import Counter
 import pytest
 
 from injurybench.dyadic import Dyadic, ZERO, pow2
-from injurybench.engine import run_a, run_b, threat_stages
+from injurybench.engine import run_a, run_b
 from injurybench.phi import registry_from_config
-from injurybench.strings import true_path_estimate
-from injurybench.tracekit import Trace, region_contains, replay_params
+from injurybench.strings import region_contains, true_path_estimate
+from injurybench.tracekit import Trace, cutoff_stages, replay_params, threat_stages
 from injurybench.verify import (
     check_convergence_bound,
     check_cutoffs,
@@ -136,8 +136,6 @@ def test_mutation_jump_sums(trace_a, minimal):
 
 def test_mutation_cutoffs_missing_region(trace_a, minimal):
     # documented mutation: drop the initialisation region at a cut-off stage
-    from injurybench.engine import cutoff_stages
-
     t_cut = cutoff_stages(trace_a, "0")
     assert t_cut is not None
     mutated = mutate_record(trace_a, t_cut, init_regions=())
@@ -305,7 +303,7 @@ def rescan_requirement_p(trace: Trace, registry, e: int):
     if trace.engine == "B":
         for length in range(e + 1):
             if length not in S:
-                for t_thr in threat_stages(trace, est.path[:length]):
+                for t_thr in threat_stages(trace).get(est.path[:length], []):
                     t0 = max(t0, t_thr + 1)
 
     def expansionary(t):
