@@ -170,6 +170,8 @@ def cmd_speed(args) -> int:
         print(json.dumps(summary))
         return EXIT_PASS
     if args.speed_cmd == "speed2regain":
+        if args.n_max < 0:
+            raise ValueError(f"--n-max must be a natural number, got {args.n_max}")
         f = _load_modulus(args)
         rho = Dyadic.from_text(args.rho)
         try:

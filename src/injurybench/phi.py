@@ -49,9 +49,10 @@ class _Slot:
     """One enumeration slot: deterministic raw semantics for each input n.
 
     ``raw(n, budget)`` returns (steps, value) if the raw computation halts
-    within ``budget`` steps, else None.  Results are memoised; repeated
-    queries agree.  ``total_increasing`` is the declared classification
-    (True / False / None for unknown).
+    within ``budget`` steps, else None.  Repeated queries agree: formula
+    slots memoise their values, and program slots keep each input's
+    simulation state so a larger budget resumes it.  ``total_increasing``
+    is the declared classification (True / False / None for unknown).
     """
 
     kind = "abstract"
@@ -111,6 +112,22 @@ class _ProgramSlot(_Slot):
     off the end of the program halts without an extra step.  Simulation
     state per input is saved so a larger budget resumes where the previous
     query stopped.
+
+    Transfer loops run in one step of the simulator, not one per
+    instruction.  A transfer loop is a ``dec r`` whose success branch runs
+    only ``inc``s of registers other than r and then returns to the same
+    ``dec`` (a ``dec r`` that jumps to itself has an empty body).  One
+    iteration costs 1 + (number of ``inc``s) steps, lowers R[r] by exactly
+    one and adds a fixed amount to each other register.  So from the loop
+    head, k <= R[r] iterations that fit in the remaining budget end back at
+    the head with R[r] - k, R[s] + a_s * k and k * cost more steps: the
+    state a plain run reaches.  The simulator takes the largest such k and
+    then steps the rest one instruction at a time, so results, saved
+    states and the convergence gate agree with plain stepping at every
+    budget.  Only loops whose body is ``inc``s are accelerated; a loop
+    whose body holds another ``dec``, such as the outer loop of
+    multiplication, is stepped (its inner transfer loop is still
+    accelerated).
     """
 
     kind = "program"
@@ -118,6 +135,24 @@ class _ProgramSlot(_Slot):
     def __init__(self, code: list, total_increasing: bool | None):
         self._code = [tuple(instr) for instr in code]
         self.total_increasing = total_increasing
+        # loop head pc -> (r, cost, ((s, a_s), ...)) for each transfer loop
+        self._loops: dict[int, tuple[int, int, tuple[tuple[int, int], ...]]] = {}
+        code = self._code
+        for head, instr in enumerate(code):
+            if instr[0] != "dec":
+                continue
+            r, pc = instr[1], instr[2]
+            adds: dict[int, int] = {}
+            incs = 0
+            # a body of len(code) incs has cycled without reaching the head
+            while pc != head and incs < len(code):
+                if pc >= len(code) or code[pc][0] != "inc" or code[pc][1] == r:
+                    break
+                s, pc = code[pc][1], code[pc][2]
+                adds[s] = adds.get(s, 0) + 1
+                incs += 1
+            if pc == head:
+                self._loops[head] = (r, 1 + incs, tuple(sorted(adds.items())))
         # n -> [regs, pc, steps, halted, value]
         self._state: dict[int, list] = {}
 
@@ -129,10 +164,21 @@ class _ProgramSlot(_Slot):
         if halted:
             return (steps, value) if steps <= budget else None
         code = self._code
+        loops = self._loops
         while steps < budget:
             if pc >= len(code):
                 halted, value = True, regs.get(0, 0)
                 break
+            loop = loops.get(pc)
+            if loop is not None:
+                r, cost, adds = loop
+                k = min(regs.get(r, 0), (budget - steps) // cost)
+                if k:
+                    regs[r] -= k
+                    for s, a in adds:
+                        regs[s] = regs.get(s, 0) + a * k
+                    steps += k * cost
+                    continue
             instr = code[pc]
             op = instr[0]
             steps += 1

@@ -268,10 +268,13 @@ def _check_header(header: dict) -> None:
 
 
 def _check_record(rec: StageRecord, fields: tuple[str, ...], line: int) -> None:
-    """Reject any word that is not a string over {0,1}, any unknown region
-    relation and any parameter field outside ``fields``: the native-order
-    membership tests hold only on binary words."""
+    """Reject a non-string action kind, any word that is not a string over
+    {0,1}, any unknown region relation and any parameter field outside
+    ``fields``: the native-order membership tests hold only on binary
+    words."""
     act = rec.action
+    if not isinstance(act.kind, str):
+        raise TraceParseError(f"action kind {act.kind!r} is not a string", line=line)
     words = [rec.settled, act.sigma]
     words += [w for w in (act.gamma, act.alpha) if w is not None]
     words += [anchor for anchor, _ in rec.init_regions]

@@ -20,6 +20,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 from .dyadic import Dyadic, pow2
@@ -181,6 +182,12 @@ class _TraceIndex:
         if self._estimate is None:
             self._estimate = true_path_estimate(self.settlements)
         return self._estimate
+
+    @cached_property
+    def first_decrease(self) -> int | None:
+        """First stage t with x[t + 1] < x[t], or None if x never decreases."""
+        x = self.trace.x
+        return next((t for t in range(self.trace.T) if x[t + 1] < x[t]), None)
 
 
 # The index run_checks builds for its trace.  The checkers take only the
@@ -510,10 +517,10 @@ def check_requirement_N(
     _require_declared_increasing(registry, e)
     findings: list[tuple[str, dict]] = []
     x = trace.x
-    for t in range(trace.T):
-        if x[t + 1] < x[t]:
-            findings.append(("fail", {"error": f"x decreases at stage {t}"}))
-            return _make_report(f"requirement_n[{e}]", findings)
+    decrease = _index_for(trace).first_decrease
+    if decrease is not None:
+        findings.append(("fail", {"error": f"x decreases at stage {decrease}"}))
+        return _make_report(f"requirement_n[{e}]", findings)
     l_max = registry.ell(e, trace.T)
     if trace.engine == "A":
         for m in range(l_max + 1):

@@ -40,6 +40,7 @@ def test_run_is_deterministic(tmp_path, capsys):
 
 
 def test_run_deterministic_across_processes(tmp_path, capsys):
+    import os
     import subprocess
     import sys
     from pathlib import Path
@@ -57,7 +58,7 @@ def test_run_deterministic_across_processes(tmp_path, capsys):
          "--stages", "40", "--phi-config", str(config),
          "--out", str(tmp_path / "subproc")],
         capture_output=True, text=True, check=True,
-        env={"PYTHONHASHSEED": "271828", "PATH": "/usr/bin:/bin",
+        env={**os.environ, "PYTHONHASHSEED": "271828", "PATH": "/usr/bin:/bin",
              "PYTHONPATH": str(src_dir)},
     )
     assert result.stdout.strip() == in_process
@@ -199,6 +200,16 @@ def test_speed_subcommands(tmp_path, capsys):
     assert out["indices"] == list(range(12))
 
 
+def test_speed2regain_rejects_negative_n_max(capsys):
+    # exited 0 with empty g and h lists before the check
+    assert main(["speed", "speed2regain", "--affine", "2", "0",
+                 "--rho", "1/2^2", "--n-max", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error: --n-max") and "\n" not in err
+
+
 def test_speed_precondition_surfaces(tmp_path):
     seq_csv = tmp_path / "flat.csv"
     write_sequence_csv([Dyadic(0), Dyadic(0)], str(seq_csv))
@@ -267,6 +278,10 @@ def _unknown_param_field(header, records):
     records[0]["param_writes"].append(["1", "q", 5])
 
 
+def _list_action_kind(header, records):
+    records[5]["action"]["kind"] = []
+
+
 def _unknown_engine(header, records):
     header["engine"] = "C"
 
@@ -276,7 +291,8 @@ def _unknown_version(header, records):
 
 
 @pytest.mark.parametrize("mutate", [
-    _tamper_config, _unknown_param_field, _unknown_engine, _unknown_version,
+    _tamper_config, _unknown_param_field, _list_action_kind, _unknown_engine,
+    _unknown_version,
 ], ids=lambda fn: fn.__name__.lstrip("_"))
 def test_verify_rejects_bad_header_or_field_with_exit_two(default_a60, tmp_path, capsys, mutate):
     # each mutant verified with exit 1 or 3 before the loader checked it

@@ -282,6 +282,7 @@ def test_write_into_own_region_raises_trace_corruption(minimal):
 
 
 def test_double_write_guard_survives_optimisation(tmp_path):
+    import os
     import subprocess
     import sys
     from pathlib import Path
@@ -303,6 +304,6 @@ def test_double_write_guard_survives_optimisation(tmp_path):
     result = subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True,
         check=True, cwd=tmp_path,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_dir)},
+        env={**os.environ, "PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_dir)},
     )
     assert result.stdout.strip() == "False double write ('', 'r') in stage 0"

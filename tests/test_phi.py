@@ -2,9 +2,11 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from injurybench.phi import (
     DEFAULT_CONFIG,
+    _ProgramSlot,
     config_digest,
     default_registry,
     registry_from_config,
@@ -184,3 +186,104 @@ def test_validate_config_accepts_natural_values():
     validate_config(DEFAULT_CONFIG)
     validate_config({"slots": [{"index": 3, "kind": "partial", "graph": {2: 3, "10": 0}},
                                {"index": 0, "kind": "const", "value": 0}]})
+
+
+# ---------------------------------------------------------------------------
+# Transfer-loop acceleration against plain stepping
+
+
+class _SteppedProgramSlot(_ProgramSlot):
+    """Reference: the register machine stepped one instruction at a time."""
+
+    def raw(self, n: int, budget: int):
+        state = self._state.get(n)
+        if state is None:
+            state = self._state[n] = [{0: n}, 0, 0, False, None]
+        regs, pc, steps, halted, value = state
+        if halted:
+            return (steps, value) if steps <= budget else None
+        code = self._code
+        while steps < budget:
+            if pc >= len(code):
+                halted, value = True, regs.get(0, 0)
+                break
+            instr = code[pc]
+            op = instr[0]
+            steps += 1
+            if op == "inc":
+                regs[instr[1]] = regs.get(instr[1], 0) + 1
+                pc = instr[2]
+            elif op == "dec":
+                r = instr[1]
+                if regs.get(r, 0) > 0:
+                    regs[r] -= 1
+                    pc = instr[2]
+                else:
+                    pc = instr[3]
+            else:  # halt
+                halted, value = True, regs.get(0, 0)
+                break
+        state[1], state[2], state[3], state[4] = pc, steps, halted, value
+        return (steps, value) if halted else None
+
+
+# n * n: copy R0 into R1 and R2; for each unit of R1, move R2 into R0 and R3
+# (inner transfer loop at 4), then move R3 back into R2 (transfer loop at 7).
+# The outer loop at 3 runs decs in its body, so it is not a transfer loop.
+_SQUARE = [
+    ["dec", 0, 1, 3], ["inc", 1, 2], ["inc", 2, 0],
+    ["dec", 1, 4, 9],
+    ["dec", 2, 5, 7], ["inc", 0, 6], ["inc", 3, 4],
+    ["dec", 3, 8, 3], ["inc", 2, 7],
+    ["halt"],
+]
+
+
+def test_transfer_loops_detected():
+    doubling = DEFAULT_CONFIG["slots"][7]["code"]
+    assert _ProgramSlot(doubling, True)._loops == {
+        0: (0, 3, ((1, 2),)),  # R0 -> R1, two incs per iteration
+        3: (1, 2, ((0, 1),)),  # R1 -> R0
+    }
+    square = _ProgramSlot(_SQUARE, True)
+    assert square._loops == {
+        0: (0, 3, ((1, 1), (2, 1))),
+        4: (2, 3, ((0, 1), (3, 1))),
+        7: (3, 2, ((2, 1),)),
+    }
+    assert [square.raw(n, 10_000)[1] for n in range(8)] == [n * n for n in range(8)]
+    # a dec that jumps to itself drains its register: an empty body
+    assert _ProgramSlot([["dec", 0, 0, 1], ["halt"]], None)._loops == {0: (0, 1, ())}
+    # an inc of r inside r's own loop, a body that runs off the end, and a
+    # cycle of incs that never returns to the dec are not transfer loops
+    assert _ProgramSlot([["dec", 0, 1, 2], ["inc", 0, 0]], None)._loops == {}
+    assert _ProgramSlot([["dec", 0, 1, 2], ["inc", 1, 2]], None)._loops == {}
+    assert _ProgramSlot([["dec", 0, 1, 3], ["inc", 1, 2], ["inc", 2, 1]], None)._loops == {}
+
+
+@st.composite
+def _programs(draw):
+    length = draw(st.integers(1, 8))
+    reg = st.integers(0, 3)
+    target = st.integers(0, length)  # `length` runs off the end
+    instr = st.one_of(
+        st.tuples(st.just("inc"), reg, target),
+        st.tuples(st.just("dec"), reg, target, target),
+        st.just(("halt",)),
+    )
+    return [list(i) for i in draw(st.lists(instr, min_size=length, max_size=length))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    code=st.one_of(_programs(), st.sampled_from([DEFAULT_CONFIG["slots"][7]["code"], _SQUARE])),
+    n=st.integers(0, 40),
+    budgets=st.lists(st.integers(0, 5000), min_size=1, max_size=5).map(sorted),
+)
+def test_accelerated_program_matches_stepping(code, n, budgets):
+    fast, plain = _ProgramSlot(code, None), _SteppedProgramSlot(code, None)
+    for budget in budgets:
+        assert fast.raw(n, budget) == plain.raw(n, budget)
+        (regs, *rest), (plain_regs, *plain_rest) = fast._state[n], plain._state[n]
+        assert rest == plain_rest  # pc, steps, halted, value
+        assert {r: v for r, v in regs.items() if v} == {r: v for r, v in plain_regs.items() if v}

@@ -253,6 +253,7 @@ def _set(path, value):
 STRICT_WORD_MUTANTS = {
     "settled": (lambda o: True, _set(["settled"], "0a")),
     "action_sigma": (lambda o: True, _set(["action", "sigma"], 1)),
+    "action_kind": (lambda o: True, _set(["action", "kind"], [])),
     "action_gamma": (lambda o: "gamma" in o["action"], _set(["action", "gamma"], "2")),
     "action_alpha": (lambda o: "alpha" in o["action"], _set(["action", "alpha"], "0 ")),
     "region_anchor": (lambda o: o["init_regions"], _set(["init_regions", 0, 0], "01x")),

@@ -150,6 +150,13 @@ def test_mutation_requirement_n(trace_a, minimal):
     mutated = mutate_record(trace_a, t, jump=-trace_a.stages[t].jump)
     report = check_requirement_N(mutated, minimal, 0)
     assert report.status == "fail"
+    assert report.witnesses == [{"status": "fail", "error": f"x decreases at stage {t}"}]
+    # run_checks finds the stage once on its shared index, for every slot
+    shared = run_checks(mutated, minimal, ["requirement_n"])
+    assert [r.to_json() for r in shared] == [
+        check_requirement_N(mutated, minimal, e).to_json()
+        for e in sorted(minimal.total_increasing_indices())
+    ]
 
 
 def test_mutation_requirement_p(minimal):
