@@ -29,10 +29,9 @@ from .speed import (
 from .strings import true_path_estimate
 from .tracekit import (
     Trace,
+    TraceIndex,
     TraceParseError,
-    covering_stages,
     deserialize,
-    init_events,
     read_sequence_csv,
     serialize_stamped,
     write_sequence_csv,
@@ -212,10 +211,10 @@ def cmd_export(args) -> int:
         settle_counts[rec.settled] = settle_counts.get(rec.settled, 0) + 1
         for node in rec.applied:
             nodes.setdefault(node, None)
-    events = init_events(trace)
+    index = TraceIndex(trace)
     last_init: dict[str, int] = {}
     for node in nodes:
-        covering = covering_stages(events, node)
+        covering = index.initialisations(node)
         if covering:
             last_init[node] = covering[-1]
     lines = ["digraph strategies {", '  node [shape=box];']

@@ -67,11 +67,15 @@ class Dyadic:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Dyadic":
-        """Parse the JSON object form ``{"m": "<int>", "k": <int>}``."""
+        """Parse the JSON object form ``{"m": "<int>", "k": <int>}``; ``k``
+        must be a JSON integer, not ``true`` or ``1.0``."""
         try:
-            return cls(int(obj["m"]), int(obj["k"]))
+            m, k = int(obj["m"]), obj["k"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"not a dyadic JSON object: {obj!r}") from exc
+        if type(k) is not int:
+            raise ValueError(f"not a dyadic JSON object: {obj!r}")
+        return cls(m, k)
 
     # -- serialisation ---------------------------------------------------
 
@@ -109,9 +113,27 @@ class Dyadic:
     # -- comparison ------------------------------------------------------
 
     def _cmp(self, other: "Dyadic") -> int:
-        k = max(self.k, other.k)
-        a = self.m << (k - self.k)
-        b = other.m << (k - other.k)
+        """-1, 0 or 1 as self is below, equal to or above other.
+
+        Magnitude first: a non-zero ``m / 2**k`` lies in [2**(e - 1), 2**e)
+        in absolute value, with e = bit_length(m) - k.  Equal exponents,
+        different signs or a zero are decided by the mantissas, different
+        e by e; only operands with the same sign and e are aligned, by a
+        shift no longer than a mantissa.  So the comparison never allocates
+        by the gap between the exponents.
+        """
+        a, b = self.m, other.m
+        if self.k == other.k or not a or not b or (a > 0) != (b > 0):
+            return (a > b) - (a < b)
+        ea = a.bit_length() - self.k
+        eb = b.bit_length() - other.k
+        if ea != eb:
+            return 1 if (ea > eb) == (a > 0) else -1
+        shift = self.k - other.k
+        if shift > 0:
+            b <<= shift
+        else:
+            a <<= -shift
         return (a > b) - (a < b)
 
     def __eq__(self, other) -> bool:

@@ -32,8 +32,6 @@ __all__ = [
     "speed_to_regain",
     "certify_regaining",
     "modulus_to_gapbound",
-    "geometric_sequence",
-    "random_synthetic_sequence",
 ]
 
 
@@ -274,34 +272,3 @@ def modulus_to_gapbound(f: ModulusFn, seq: ApproxSequence) -> GapBoundReport:
         if not (seq.values[i + 1] - seq.values[i]) < pow2(-g(i)):
             violations.append(i)
     return GapBoundReport(f0=f(0), checked=checked, violations=violations)
-
-
-# ---------------------------------------------------------------------------
-# Synthetic sequences (exact limits)
-
-
-def geometric_sequence(length: int, base_exp: int = 1, limit: Dyadic | None = None) -> ApproxSequence:
-    """x_n = limit - 2**(-base_exp * n), the standard increasing example."""
-    lim = limit if limit is not None else Dyadic(1)
-    values = [lim - pow2(-base_exp * n) for n in range(length)]
-    return ApproxSequence(values=values, known_limit=lim,
-                          provenance=f"geometric(exp={base_exp})")
-
-
-def random_synthetic_sequence(rng, length: int, increasing: bool = True) -> ApproxSequence:
-    """Mixed-rate dyadic approximation of 1 with an exact tail at every index.
-
-    The tail shrinks by a random dyadic factor in {1/2, 3/4, 7/8} per step
-    (increasing mode) or may also stall (non-decreasing mode).
-    """
-    one = Dyadic(1)
-    tail = pow2(-rng.randrange(0, 2))
-    values = []
-    factors = [Dyadic(1, 1), Dyadic(3, 2), Dyadic(7, 3)]
-    if not increasing:
-        factors = factors + [Dyadic(1)]
-    for _ in range(length):
-        values.append(one - tail)
-        tail = tail * factors[rng.randrange(len(factors))]
-    return ApproxSequence(values=values, known_limit=one,
-                          provenance="random_synthetic")

@@ -11,9 +11,13 @@ symbolic regions (anchor word plus relation) rather than memberships, and
 the per-strategy parameter timelines are reconstructed on demand from the
 defaults, the regions, and the explicit writes.
 
-The analyses that are facts about a finished run live here too: which
-stages handled a threat of each strategy, the attribution of every jump to
-the threat that caused it (``u_map``), and the cut-off stages.
+The facts about a finished run are read through one :class:`TraceIndex`,
+built in a single pass over the records: the stages that handled a threat
+of each strategy, the stages whose initialisation region covers a
+strategy, every parameter's timeline (``TraceIndex.value``), and the
+attribution of every jump to the threat that caused it (``u_map``).  The
+checkers share one index per trace; ``u_map`` and ``cutoff_stages`` build
+their own.
 """
 
 from __future__ import annotations
@@ -21,12 +25,21 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .dyadic import ZERO, Dyadic
 from .phi import config_digest
 # perfbench/tracing.py also counts region membership as tracekit.region_contains
-from .strings import REL_LEX, REL_LEX_OR_EXT, BinStr, nu, region_contains
+from .strings import (
+    REL_LEX,
+    REL_LEX_OR_EXT,
+    BinStr,
+    TruePathEstimate,
+    nu,
+    region_contains,
+    true_path_estimate,
+)
 
 __all__ = [
     "TOP_OUT",
@@ -47,14 +60,7 @@ __all__ = [
     "serialize",
     "serialize_stamped",
     "deserialize",
-    "init_events",
-    "covering_stages",
-    "replay_params",
-    "param_changepoints",
-    "changepoints_from",
-    "add_threat",
-    "threat_stages",
-    "episode_origin",
+    "TraceIndex",
     "u_map",
     "cutoff_stages",
     "write_sequence_csv",
@@ -173,7 +179,7 @@ class StageRecord:
             action=Action.from_json(obj["action"]),
             jump=Dyadic.from_json(obj["jump"]),
             init_regions=tuple((a, r) for a, r in obj["init_regions"]),
-            param_writes=tuple((s, f, int(v)) for s, f, v in obj["param_writes"]),
+            param_writes=tuple((s, f, v) for s, f, v in obj["param_writes"]),
         )
 
 
@@ -201,10 +207,6 @@ class Trace:
     def digest(self) -> str:
         """Deterministic digest of the canonical serialisation."""
         return hashlib.sha256(serialize(self)).hexdigest()
-
-    def jump_stages(self) -> list[int]:
-        """The set J of stages whose jump is positive, in order."""
-        return [rec.t for rec in self.stages if rec.jump.sign() > 0]
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +271,18 @@ def _check_header(header: dict) -> None:
 
 def _check_record(rec: StageRecord, fields: tuple[str, ...], line: int) -> None:
     """Reject a non-string action kind, any word that is not a string over
-    {0,1}, any unknown region relation and any parameter field outside
-    ``fields``: the native-order membership tests hold only on binary
-    words."""
+    {0,1}, any unknown region relation, any parameter field outside
+    ``fields``, and a stage number, parameter value or action number that is
+    not a JSON integer: the native-order membership tests hold only on
+    binary words, and ``true`` or ``1.5`` must not pass for 1."""
     act = rec.action
     if not isinstance(act.kind, str):
         raise TraceParseError(f"action kind {act.kind!r} is not a string", line=line)
+    numbers = [rec.t, *(v for _, _, v in rec.param_writes)]
+    numbers += [v for v in (act.counter, act.k, act.exponent) if v is not None]
+    for v in numbers:
+        if type(v) is not int:
+            raise TraceParseError(f"{v!r} is not an integer", line=line)
     words = [rec.settled, act.sigma]
     words += [w for w in (act.gamma, act.alpha) if w is not None]
     words += [anchor for anchor, _ in rec.init_regions]
@@ -334,132 +342,182 @@ def deserialize(data: bytes) -> Trace:
 
 
 # ---------------------------------------------------------------------------
-# Parameter replay
+# The trace index
 
 
-def init_events(trace: Trace) -> list[tuple[int, BinStr, str]]:
-    """Every initialisation region of a trace as (stage, anchor, relation),
-    in stage order."""
-    return [(rec.t, anchor, rel) for rec in trace.stages
-            for anchor, rel in rec.init_regions]
+class TraceIndex:
+    """What the analyses of a finished trace look up, gathered in one pass.
 
-
-def covering_stages(events: list[tuple[int, BinStr, str]], sigma: BinStr) -> list[int]:
-    """The stages, ascending and without repeats, whose initialisation region
-    contains sigma; ``events`` is laid out as :func:`init_events` returns it."""
-    out: list[int] = []
-    for t, anchor, rel in events:
-        if (not out or out[-1] != t) and region_contains(anchor, rel, sigma):
-            out.append(t)
-    return out
-
-
-def changepoints_from(
-    sigma: BinStr,
-    fld: str,
-    engine: str,
-    writes: list[tuple[int, int]],
-    inits: list[int],
-) -> list[tuple[int, int]]:
-    """Changepoint timeline of one parameter from its explicit writes
-    ((stage, value) in stage order) and the stages whose initialisation
-    region covers the strategy (see :func:`covering_stages`).
-
-    A write and a region effect from the same stage cannot collide for
-    engine-produced traces, but if a hand-mutated trace makes them collide
-    the region effect wins (matching engine commit order).  The list starts
-    at time 0 and is strictly increasing in time.
+    The pass collects the settled strategies, the handled threats grouped by
+    strategy, the positive jumps, the initialisation regions and the
+    explicit parameter writes.  The per-strategy facts -- the stages that
+    apply a strategy, the stages whose initialisation region covers it, and
+    its parameter timelines -- are derived on first use and only for the
+    strategies asked about: materialising them for every prefix of every
+    settlement would cost O(T * depth).
     """
-    if fld not in ("c", "r", "w", *FLAG_FIELDS.values()):
-        raise ValueError(f"unknown parameter field {fld!r}")
-    default = nu(sigma) if fld == "w" else 0
-    effects = dict(writes)  # the last write of a stage wins
-    # initialisation resets counters and witnesses in both constructions,
-    # the satisfaction flag only in the first; restraints and pause flags
-    # are never touched by regions
-    if fld in ("c", "w") or (engine == "A" and fld == FLAG_FIELDS["A"]):
-        for t in inits:
-            effects[t] = nu(sigma) + t + 2 if fld == "w" else 0
-    points = [(0, default)]
-    for t in sorted(effects):
-        if effects[t] != points[-1][1]:
-            points.append((t + 1, effects[t]))
-    return points
 
+    def __init__(self, trace: Trace):
+        self.trace = trace
+        self.settlements: list[BinStr] = []
+        self.threats: dict[BinStr, list[int]] = {}  # handled threats by strategy
+        self.jumps: dict[int, Dyadic] = {}  # positive jumps by stage
+        self.init_events: list[tuple[int, BinStr, str]] = []
+        self.writes: dict[tuple[BinStr, str], list[tuple[int, int]]] = {}
+        for rec in trace.stages:
+            t = rec.t
+            self.settlements.append(rec.settled)
+            if rec.action.kind in THREAT_KINDS:
+                self.threats.setdefault(rec.settled, []).append(t)
+            if rec.jump.sign() > 0:
+                self.jumps[t] = rec.jump
+            for anchor, rel in rec.init_regions:
+                self.init_events.append((t, anchor, rel))
+            for s, f, v in rec.param_writes:
+                self.writes.setdefault((s, f), []).append((t, v))
+        # strategies with an explicit write, in order of their first write
+        self.written = list(dict.fromkeys(s for s, _ in self.writes))
+        self._inits: dict[BinStr, list[int]] = {}
+        self._apps: dict[BinStr, list[int]] = {}
+        self._cp: dict[tuple[BinStr, str], tuple[list[int], list[int]]] = {}
 
-def param_changepoints(trace: Trace, sigma: BinStr, fld: str) -> list[tuple[int, int]]:
-    """Changepoint timeline [(time, value), ...] of one parameter,
-    reconstructed from the default, the explicit writes, and the covering
-    initialisation regions (see :func:`changepoints_from`)."""
-    writes = [(rec.t, v) for rec in trace.stages
-              for s, f, v in rec.param_writes if s == sigma and f == fld]
-    return changepoints_from(sigma, fld, trace.engine, writes,
-                             covering_stages(init_events(trace), sigma))
+    def written_to(self, fld: str) -> list[BinStr]:
+        """Sorted strategies with an explicit write to one field."""
+        return sorted(s for s, f in self.writes if f == fld)
 
+    # -- initialisations and applications ----------------------------------
 
-def replay_params(trace: Trace, sigma: BinStr, t: int, fld: str) -> int:
-    """Value of a parameter at time t, reconstructed from the trace."""
-    points = param_changepoints(trace, sigma, fld)
-    times = [pt for pt, _ in points]
-    return points[bisect_right(times, t) - 1][1]
+    def initialisations(self, sigma: BinStr) -> list[int]:
+        """Stages whose initialisation region contains sigma, ascending and
+        without repeats."""
+        inits = self._inits.get(sigma)
+        if inits is None:
+            inits = self._inits[sigma] = []
+            for t, anchor, rel in self.init_events:
+                if (not inits or inits[-1] != t) and region_contains(anchor, rel, sigma):
+                    inits.append(t)
+        return inits
 
+    def first_initialisation_in(self, sigma: BinStr, lo: int, hi: int) -> int | None:
+        """First stage in [lo, hi) whose region covers sigma, else None."""
+        inits = self.initialisations(sigma)
+        i = bisect_left(inits, lo)
+        return inits[i] if i < len(inits) and inits[i] < hi else None
 
-# ---------------------------------------------------------------------------
-# Jump attribution and cut-off stages
+    def applications(self, sigma: BinStr) -> list[int]:
+        """Stages whose settled strategy extends sigma, ascending."""
+        apps = self._apps.get(sigma)
+        if apps is None:
+            apps = self._apps[sigma] = [
+                t for t, settled in enumerate(self.settlements) if settled.startswith(sigma)
+            ]
+        return apps
 
+    def next_application(self, sigma: BinStr, after: int) -> int | None:
+        apps = self.applications(sigma)
+        i = bisect_right(apps, after)
+        return apps[i] if i < len(apps) else None
 
-def add_threat(threats: dict[BinStr, list[int]], rec: StageRecord) -> None:
-    """Add one record to a threats-by-strategy grouping: if its terminal
-    action handled a threat, append its stage to the threatened strategy's
-    list.  Fed records in stage order, each list is ascending."""
-    if rec.action.kind in THREAT_KINDS:
-        threats.setdefault(rec.settled, []).append(rec.t)
+    # -- parameter timelines -----------------------------------------------
 
+    def changepoints(self, sigma: BinStr, fld: str) -> tuple[list[int], list[int]]:
+        """Changepoint timeline of one parameter as (times, values): the
+        default from time 0, then every value change.
 
-def threat_stages(trace: Trace) -> dict[BinStr, list[int]]:
-    """Stages whose terminal action handled a threat, grouped by the
-    threatened strategy (see :func:`add_threat`)."""
-    threats: dict[BinStr, list[int]] = {}
-    for rec in trace.stages:
-        add_threat(threats, rec)
-    return threats
+        A value comes from the explicit writes (the last write of a stage
+        wins) and from the initialisation regions covering sigma.  A region
+        resets counters and witnesses in both constructions and the
+        satisfaction flag only in the first; restraints and pause flags are
+        never touched by regions.  A write and a region effect from the same
+        stage cannot collide for engine-produced traces, but if a
+        hand-mutated trace makes them collide the region effect wins
+        (matching engine commit order).
+        """
+        key = (sigma, fld)
+        cached = self._cp.get(key)
+        if cached is None:
+            if fld not in ("c", "r", "w", *FLAG_FIELDS.values()):
+                raise ValueError(f"unknown parameter field {fld!r}")
+            inits = self.initialisations(sigma)
+            effects = dict(self.writes.get(key, ()))
+            if fld in ("c", "w") or (self.trace.engine == "A" and fld == FLAG_FIELDS["A"]):
+                for t in inits:
+                    effects[t] = nu(sigma) + t + 2 if fld == "w" else 0
+            times, values = [0], [nu(sigma) if fld == "w" else 0]
+            for t in sorted(effects):
+                if effects[t] != values[-1]:
+                    times.append(t + 1)
+                    values.append(effects[t])
+            cached = self._cp[key] = (times, values)
+        return cached
 
+    def value(self, sigma: BinStr, fld: str, t: int) -> int:
+        """Value of a parameter at time t."""
+        times, values = self.changepoints(sigma, fld)
+        return values[bisect_right(times, t) - 1]
 
-def episode_origin(threats: dict[BinStr, list[int]], rec: StageRecord) -> int | None:
-    """The threat stage a counter episode belongs to: the latest stage
-    before ``rec.t`` at which the decoded label ``rec.action.alpha`` was
-    threatened, or None if there is none.  ``threats`` is the grouping
-    :func:`threat_stages` returns."""
-    origins = threats.get(rec.action.alpha, ())
-    i = bisect_left(origins, rec.t)
-    return origins[i - 1] if i else None
+    # -- jump attribution --------------------------------------------------
+
+    def episode_origin(self, rec: StageRecord) -> int | None:
+        """The threat stage a counter episode belongs to: the latest stage
+        before ``rec.t`` at which the decoded label ``rec.action.alpha`` was
+        threatened, or None if there is none."""
+        origins = self.threats.get(rec.action.alpha, ())
+        i = bisect_left(origins, rec.t)
+        return origins[i - 1] if i else None
+
+    @cached_property
+    def u_map(self) -> dict[int, int]:
+        """Each jump stage mapped to the stage of the threat that caused it.
+
+        An immediate threat jump maps to itself; a scheduled jump executed
+        while handling a counter maps to its :meth:`episode_origin`.  A jump
+        matching neither case marks a corrupt trace.
+        """
+        u: dict[int, int] = {}
+        for rec in self.trace.stages:
+            if rec.jump.sign() <= 0:
+                continue
+            kind = rec.action.kind
+            if kind == THREAT_JUMP:
+                u[rec.t] = rec.t
+            elif kind == EXPANSION_JUMP:
+                origin = self.episode_origin(rec)
+                if origin is None:
+                    raise TraceCorruption(
+                        f"jump at stage {rec.t} refers to {rec.action.alpha!r}, never threatened"
+                    )
+                u[rec.t] = origin
+            else:
+                raise TraceCorruption(f"jump at stage {rec.t} with non-jump action {kind}")
+        return u
+
+    @cached_property
+    def fibers(self) -> dict[int, list[int]]:
+        """Jump stages grouped by the threat stage :attr:`u_map` attributes
+        them to, ascending; raises TraceCorruption as :attr:`u_map` does."""
+        fibers: dict[int, list[int]] = {}
+        for t, origin in self.u_map.items():
+            fibers.setdefault(origin, []).append(t)
+        return fibers
+
+    # -- whole-run facts ---------------------------------------------------
+
+    @cached_property
+    def true_path(self) -> TruePathEstimate:
+        return true_path_estimate(self.settlements)
+
+    @cached_property
+    def first_decrease(self) -> int | None:
+        """First stage t with x[t + 1] < x[t], or None if x never decreases."""
+        x = self.trace.x
+        return next((t for t in range(self.trace.T) if x[t + 1] < x[t]), None)
 
 
 def u_map(trace: Trace) -> dict[int, int]:
-    """Map each jump stage back to the stage of the threat that caused it.
-
-    An immediate threat jump maps to itself; a scheduled jump executed while
-    handling a counter maps to its :func:`episode_origin`.  A jump matching
-    neither case marks a corrupt trace.
-    """
-    threats = threat_stages(trace)
-    u: dict[int, int] = {}
-    for rec in trace.stages:
-        if rec.jump.sign() <= 0:
-            continue
-        kind = rec.action.kind
-        if kind == THREAT_JUMP:
-            u[rec.t] = rec.t
-        elif kind == EXPANSION_JUMP:
-            origin = episode_origin(threats, rec)
-            if origin is None:
-                raise TraceCorruption(
-                    f"jump at stage {rec.t} refers to {rec.action.alpha!r}, never threatened"
-                )
-            u[rec.t] = origin
-        else:
-            raise TraceCorruption(f"jump at stage {rec.t} with non-jump action {kind}")
-    return u
+    """Map each jump stage back to the stage of the threat that caused it
+    (see :attr:`TraceIndex.u_map`)."""
+    return TraceIndex(trace).u_map
 
 
 def cutoff_stages(trace: Trace, sigma: BinStr) -> int | None:
@@ -471,15 +529,16 @@ def cutoff_stages(trace: Trace, sigma: BinStr) -> int | None:
     Whether the returned stage is the true cut-off (all split jumps
     executed) is a separate completeness question the checkers decide.
     """
-    candidates = threat_stages(trace).get(sigma)
+    index = TraceIndex(trace)
+    candidates = index.threats.get(sigma)
     if not candidates:
         return None
     t1 = candidates[-1]
-    inits = covering_stages(init_events(trace), sigma)
+    inits = index.initialisations(sigma)
     if inits and inits[-1] >= t1:
         return None
-    fiber = [t for t, origin in u_map(trace).items() if origin == t1]
-    return max(fiber) if fiber else None
+    fiber = index.fibers.get(t1)
+    return fiber[-1] if fiber else None
 
 
 # ---------------------------------------------------------------------------

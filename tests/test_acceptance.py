@@ -17,7 +17,6 @@ from injurybench.replay import replay_run
 from injurybench.speed import (
     ModulusFn,
     ApproxSequence,
-    random_synthetic_sequence,
     regain_to_speed,
     speed_ratio,
     speed_to_regain,
@@ -34,6 +33,7 @@ from injurybench.verify import (
     check_requirement_P,
     check_settlement_facts,
 )
+from conftest import jump_stages, random_synthetic_sequence
 
 ONE = Dyadic(1)
 
@@ -228,7 +228,7 @@ def test_c10_mutation_kill(minimal_registry):
     killed.append("monotonicity")
 
     # convergence: one jump forged to 8
-    t_j = trace_a.jump_stages()[0]
+    t_j = jump_stages(trace_a)[0]
     assert check_convergence_bound(rebuild(trace_a, t_j, jump=Dyadic(8))).status == "fail"
     assert check_convergence_bound(trace_a).status == "pass"
     killed.append("convergence")
@@ -249,7 +249,7 @@ def test_c10_mutation_kill(minimal_registry):
     killed.append("cutoffs")
 
     # requirement N: a negated jump breaks monotone x
-    t_n = trace_a.jump_stages()[-1]
+    t_n = jump_stages(trace_a)[-1]
     neg = rebuild(trace_a, t_n, jump=-trace_a.stages[t_n].jump)
     assert check_requirement_N(neg, minimal_registry, 0).status == "fail"
     assert check_requirement_N(trace_a, minimal_registry, 0).status == "pass"
@@ -269,7 +269,7 @@ def test_c10_mutation_kill(minimal_registry):
     killed.append("settlement")
 
     # expansion gap: a mid-run jump inflated to 4
-    jumps_b = trace_b.jump_stages()
+    jumps_b = jump_stages(trace_b)
     t_g = jumps_b[len(jumps_b) // 2]
     assert check_expansion_gap_bound(rebuild(trace_b, t_g, jump=Dyadic(4)), minimal_registry).status == "fail"
     assert check_expansion_gap_bound(trace_b, minimal_registry).status in ("pass", "incomplete")

@@ -5,7 +5,7 @@ import pytest
 from injurybench.cli import main
 from injurybench.dyadic import Dyadic, pow2
 from injurybench.tracekit import deserialize, read_sequence_csv, serialize_stamped, write_sequence_csv
-from conftest import fixture_dir
+from conftest import fixture_dir, jump_stages
 
 
 @pytest.fixture()
@@ -168,7 +168,7 @@ def test_export_dot_and_csv(run_dir, tmp_path, capsys):
                  "--format", "csv", "--out", str(jumps_csv)]) == 0
     trace = deserialize((run_dir / "trace.jsonl").read_bytes())
     rows = jumps_csv.read_text().strip().split("\n")[1:]
-    assert len(rows) == len(trace.jump_stages())
+    assert len(rows) == len(jump_stages(trace))
 
 
 def test_speed_subcommands(tmp_path, capsys):
@@ -290,9 +290,14 @@ def _unknown_version(header, records):
     header["version"] = 2
 
 
+def _float_write_value(header, records):
+    assert records[1]["param_writes"] == [["", "s", 1]]
+    records[1]["param_writes"][0][2] = 1.5
+
+
 @pytest.mark.parametrize("mutate", [
     _tamper_config, _unknown_param_field, _list_action_kind, _unknown_engine,
-    _unknown_version,
+    _unknown_version, _float_write_value,
 ], ids=lambda fn: fn.__name__.lstrip("_"))
 def test_verify_rejects_bad_header_or_field_with_exit_two(default_a60, tmp_path, capsys, mutate):
     # each mutant verified with exit 1 or 3 before the loader checked it
@@ -307,6 +312,41 @@ def test_verify_rejects_bad_header_or_field_with_exit_two(default_a60, tmp_path,
     assert main(["verify", str(bad)]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: line ") and "\n" not in err
+
+
+def test_verify_of_huge_witness_stays_bounded(default_a60, tmp_path):
+    # stage 40 tops out at depth 40; as a threat jump its witness is
+    # nu(sigma) + 42 > 2**40, and comparing a sum against 2**-w once shifted
+    # a mantissa by w bits (MemoryError under this address-space limit)
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import injurybench
+
+    head, *rest = default_a60.decode().rstrip("\n").split("\n")
+    rec = json.loads(rest[40])
+    assert rec["t"] == 40 and len(rec["settled"]) == 40
+    rec["action"] = {"kind": "threat_jump", "sigma": rec["settled"], "exponent": 1}
+    rec["jump"] = {"m": "1", "k": 1}
+    rest[40] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([head, *rest]) + "\n", encoding="utf-8")
+    limit = 1536 << 20
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from injurybench.cli import main\n"
+        f"sys.exit(main(['verify', {str(bad)!r}, '--report', {str(tmp_path / 'r.json')!r}]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(injurybench.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=env, timeout=120)
+    assert result.returncode == 1, result.stderr[-2000:]
+    assert "Traceback" not in result.stderr
+    assert "jump_sums: fail" in result.stderr.splitlines()
 
 
 def test_run_writes_digest_of_unstamped_trace(tmp_path, capsys):

@@ -92,3 +92,23 @@ def test_cmp_agrees_with_cross_multiplication(a, b):
     rhs = b.m * (1 << a.k)
     assert (a < b, a == b, a > b) == (lhs < rhs, lhs == rhs, lhs > rhs)
     assert (a <= b, a >= b) == (lhs <= rhs, lhs >= rhs)
+
+
+def test_cmp_matches_fractions_exhaustively():
+    # every sign, mantissa bit length and exponent gap up to the canonical
+    # form's small cases, zero included
+    values = sorted({Dyadic(m, k) for m in range(-17, 18) for k in range(7)},
+                    key=as_fraction)
+    for a in values:
+        for b in values:
+            fa, fb = as_fraction(a), as_fraction(b)
+            assert (a < b, a <= b, a == b, a >= b, a > b) == (
+                fa < fb, fa <= fb, fa == fb, fa >= fb, fa > fb), (a, b)
+
+
+def test_cmp_of_far_apart_exponents_allocates_nothing_large():
+    # 2**-(2**40) against 1: aligning the operands would need a 2**40-bit shift
+    tiny, one = pow2(-(1 << 40)), Dyadic(1)
+    assert tiny < one and one > tiny and -tiny > -one
+    assert Dyadic(3, 1 << 40) < Dyadic(1, (1 << 40) - 2)
+    assert ZERO < tiny and -tiny < ZERO

@@ -26,9 +26,8 @@ from injurybench.tracekit import (
     TOP_OUT,
     TERMINAL_KINDS,
     TraceCorruption,
+    TraceIndex,
     cutoff_stages,
-    replay_params,
-    threat_stages,
     u_map,
 )
 from conftest import MINIMAL_CONFIG
@@ -41,12 +40,13 @@ def minimal():
 
 def test_initial_parameter_defaults(minimal):
     trace = run_a(minimal, 1)
-    assert replay_params(trace, "", 0, "w") == 0
-    assert replay_params(trace, "1", 0, "w") == 2  # nu("1")
-    assert replay_params(trace, "0110", 0, "w") == nu("0110")
-    assert replay_params(trace, "", 0, "c") == 0
-    assert replay_params(trace, "101", 0, "r") == 0
-    assert replay_params(trace, "11", 0, "s") == 0
+    index = TraceIndex(trace)
+    assert index.value("", "w", 0) == 0
+    assert index.value("1", "w", 0) == 2  # nu("1")
+    assert index.value("0110", "w", 0) == nu("0110")
+    assert index.value("", "c", 0) == 0
+    assert index.value("101", "r", 0) == 0
+    assert index.value("11", "s", 0) == 0
 
     # the engine reads the same defaults: stage 0's region (lex-right of the
     # root) is empty, so stage 1 sees the root's flag and witness unchanged,
@@ -114,6 +114,7 @@ def test_all_diverge_registry_never_moves():
 
 def test_engine_a_golden(minimal):
     trace = run_a(minimal, 18)
+    index = TraceIndex(trace)
 
     assert trace.x[0] == ZERO and trace.x[1] == ZERO
     assert trace.x[2] == Dyadic(1)
@@ -148,20 +149,20 @@ def test_engine_a_golden(minimal):
         assert trace.stages[t].init_regions == (("0", "lex_gt_or_ext"),)
 
     # counter drain encoded via the pairing
-    assert replay_params(trace, "", 9, "c") == 53
-    assert replay_params(trace, "", 10, "c") == pair("0", 7)
-    assert replay_params(trace, "", 16, "c") == pair("0", 1)
-    assert replay_params(trace, "", 17, "c") == 0
+    assert index.value("", "c", 9) == 53
+    assert index.value("", "c", 10) == pair("0", 7)
+    assert index.value("", "c", 16) == pair("0", 1)
+    assert index.value("", "c", 17) == 0
 
     # restraint froze while the counter drained, and resumed after
-    assert replay_params(trace, "", 9, "r") == 7
-    assert replay_params(trace, "", 17, "r") == 7
-    assert replay_params(trace, "", 18, "r") == 8
+    assert index.value("", "r", 9) == 7
+    assert index.value("", "r", 17) == 7
+    assert index.value("", "r", 18) == 8
 
     # the threatened strategy's witness survived its own stage's region
-    assert replay_params(trace, "0", 8, "w") == 4
-    assert replay_params(trace, "0", 18, "w") == 4
-    assert replay_params(trace, "0", 9, "s") == 1
+    assert index.value("0", "w", 8) == 4
+    assert index.value("0", "w", 18) == 4
+    assert index.value("0", "s", 9) == 1
 
     assert u_map(trace) == {1: 1, **{t: 8 for t in range(9, 17)}}
     assert cutoff_stages(trace, "") == 1
@@ -171,6 +172,7 @@ def test_engine_a_golden(minimal):
 
 def test_engine_b_golden(minimal):
     trace = run_b(minimal, 8)
+    index = TraceIndex(trace)
 
     assert [str(v) for v in trace.x] == [
         "0/2^0", "0/2^0", "1/2^0", "1/2^0", "3/2^1", "2/2^0", "9/2^2", "9/2^2", "19/2^3",
@@ -186,18 +188,18 @@ def test_engine_b_golden(minimal):
     assert trace.stages[4].init_regions == (("0", "lex_gt"),)
 
     # pause flag alternates on the root, witnesses bump by one per threat
-    assert [replay_params(trace, "", t, "p") for t in range(2, 9)] == [1, 0, 1, 0, 1, 0, 1]
-    assert [replay_params(trace, "", t, "w") for t in (2, 4, 6, 8)] == [1, 2, 3, 4]
+    assert [index.value("", "p", t) for t in range(2, 9)] == [1, 0, 1, 0, 1, 0, 1]
+    assert [index.value("", "w", t) for t in (2, 4, 6, 8)] == [1, 2, 3, 4]
 
     # the first construction's region would have reset the sibling subtree;
     # here only the lex-right tree is touched and the pause flag never is
-    assert replay_params(trace, "0", 3, "w") == 2  # explicit bump, no region
-    assert replay_params(trace, "1", 3, "w") == nu("1") + 2 + 2
-    assert replay_params(trace, "1", 5, "w") == nu("1") + 4 + 2
-    assert replay_params(trace, "0", 7, "p") == 0
+    assert index.value("0", "w", 3) == 2  # explicit bump, no region
+    assert index.value("1", "w", 3) == nu("1") + 2 + 2
+    assert index.value("1", "w", 5) == nu("1") + 4 + 2
+    assert index.value("0", "p", 7) == 0
 
     assert u_map(trace) == {1: 1, 3: 3, 4: 2, 5: 5, 7: 7}
-    assert threat_stages(trace) == {"": [1, 3, 5, 7], "0": [2]}
+    assert index.threats == {"": [1, 3, 5, 7], "0": [2]}
 
 
 def test_terminal_kinds_only(minimal, registry):

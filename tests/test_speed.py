@@ -9,14 +9,13 @@ from injurybench.speed import (
     IncompleteSearch,
     ModulusFn,
     certify_regaining,
-    geometric_sequence,
     modulus_to_gapbound,
-    random_synthetic_sequence,
     regain_to_speed,
     speed_ratio,
     speed_to_regain,
     speedup_indices,
 )
+from conftest import geometric_sequence, random_synthetic_sequence
 
 ONE = Dyadic(1)
 

@@ -13,11 +13,10 @@ from injurybench.strings import (
     region_covers_right_of,
 )
 from injurybench.tracekit import (
+    TraceIndex,
     TraceParseError,
     deserialize,
-    param_changepoints,
     read_sequence_csv,
-    replay_params,
     serialize,
     serialize_stamped,
     write_sequence_csv,
@@ -177,29 +176,31 @@ def test_parse_errors_carry_line_numbers(trace_a):
 
 
 def test_replay_params_defaults_and_regions(trace_a):
+    index = TraceIndex(trace_a)
     # never-touched strategy reads its lazy defaults at time zero
-    assert replay_params(trace_a, "1011", 0, "w") == nu("1011")
-    assert replay_params(trace_a, "1011", 0, "c") == 0
+    assert index.value("1011", "w", 0) == nu("1011")
+    assert index.value("1011", "c", 0) == 0
     # stage 1 initialises every proper extension of the root
-    assert replay_params(trace_a, "1011", 2, "w") == nu("1011") + 1 + 2
+    assert index.value("1011", "w", 2) == nu("1011") + 1 + 2
     # explicit write carried over until the next event
-    assert replay_params(trace_a, "", 5, "s") == 1
+    assert index.value("", "s", 5) == 1
 
 
 def test_replay_matches_engine_writes(trace_a):
     # reading just before each recorded write yields a different older value
+    index = TraceIndex(trace_a)
     for rec in trace_a.stages:
         for sigma, fld, value in rec.param_writes:
-            before = replay_params(trace_a, sigma, rec.t, fld)
-            after = replay_params(trace_a, sigma, rec.t + 1, fld)
+            before = index.value(sigma, fld, rec.t)
+            after = index.value(sigma, fld, rec.t + 1)
             assert after == value
             assert before != value
 
-    # changepoint timelines are strictly increasing in time
-    for sigma in {s for rec in trace_a.stages for s, _, _ in rec.param_writes}:
+    # changepoint timelines start at time 0 and are strictly increasing
+    for sigma in index.written:
         for fld in ("c", "r", "w", "s"):
-            points = param_changepoints(trace_a, sigma, fld)
-            times = [t for t, _ in points]
+            times, values = index.changepoints(sigma, fld)
+            assert times[0] == 0 and len(values) == len(times)
             assert times == sorted(set(times))
 
 
@@ -225,7 +226,7 @@ def test_sequence_csv_round_trip(tmp_path, trace_a):
 
 def test_unknown_field_rejected(trace_a):
     with pytest.raises(ValueError):
-        replay_params(trace_a, "", 3, "q")
+        TraceIndex(trace_a).value("", "q", 3)
 
 
 def _mutate_first(trace, has_field, mutate):
@@ -269,3 +270,25 @@ def test_loader_rejects_non_binary_words_and_unknown_relations(trace_a, field):
     with pytest.raises(TraceParseError) as err:
         deserialize(data)
     assert err.value.line == line
+
+
+# a boolean, float or string where the loader needs a JSON integer
+INTEGER_MUTANTS = {
+    "stage_number": (lambda o: o["t"] == 1, _set(["t"], True)),
+    "write_value_float": (lambda o: o["param_writes"], _set(["param_writes", 0, 2], 1.5)),
+    "write_value_true": (lambda o: o["param_writes"], _set(["param_writes", 0, 2], True)),
+    "action_counter": (lambda o: "counter" in o["action"], _set(["action", "counter"], 53.0)),
+    "action_k": (lambda o: "k" in o["action"], _set(["action", "k"], True)),
+    "action_exponent": (lambda o: "exponent" in o["action"], _set(["action", "exponent"], "7")),
+    "jump_k": (lambda o: o["jump"]["k"] > 0, _set(["jump", "k"], 1.0)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_MUTANTS))
+def test_loader_rejects_non_integer_numbers(trace_a, field):
+    has_field, mutate = INTEGER_MUTANTS[field]
+    data, line = _mutate_first(trace_a, has_field, mutate)
+    with pytest.raises(TraceParseError) as err:
+        deserialize(data)
+    assert err.value.line == line
+    assert "\n" not in str(err.value)

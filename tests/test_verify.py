@@ -16,7 +16,7 @@ from injurybench.dyadic import Dyadic, ZERO, pow2
 from injurybench.engine import run_a, run_b
 from injurybench.phi import registry_from_config
 from injurybench.strings import region_contains, true_path_estimate
-from injurybench.tracekit import Trace, cutoff_stages, replay_params, threat_stages
+from injurybench.tracekit import Trace, TraceIndex, cutoff_stages
 from injurybench.verify import (
     check_convergence_bound,
     check_cutoffs,
@@ -28,7 +28,7 @@ from injurybench.verify import (
     check_settlement_facts,
     run_checks,
 )
-from conftest import MINIMAL_CONFIG
+from conftest import MINIMAL_CONFIG, jump_stages
 from test_randomized import random_config
 
 
@@ -109,7 +109,7 @@ def test_mutation_monotonicity(trace_a, minimal):
 
 def test_mutation_convergence_forged_big_jump(trace_a):
     # documented mutation: inflate one jump to 8 (a power of two) -> bound dies
-    t = trace_a.jump_stages()[0]
+    t = jump_stages(trace_a)[0]
     mutated = mutate_record(trace_a, t, jump=Dyadic(8))
     report = check_convergence_bound(mutated)
     assert report.status == "fail"
@@ -117,7 +117,7 @@ def test_mutation_convergence_forged_big_jump(trace_a):
 
 
 def test_mutation_convergence_non_power_jump(trace_a):
-    t = trace_a.jump_stages()[0]
+    t = jump_stages(trace_a)[0]
     mutated = mutate_record(trace_a, t, jump=Dyadic(3, 2))
     report = check_convergence_bound(mutated)
     assert report.status == "fail"
@@ -146,7 +146,7 @@ def test_mutation_cutoffs_missing_region(trace_a, minimal):
 
 def test_mutation_requirement_n(trace_a, minimal):
     # documented mutation: negate one jump so x is no longer non-decreasing
-    t = trace_a.jump_stages()[-1]
+    t = jump_stages(trace_a)[-1]
     mutated = mutate_record(trace_a, t, jump=-trace_a.stages[t].jump)
     report = check_requirement_N(mutated, minimal, 0)
     assert report.status == "fail"
@@ -179,7 +179,7 @@ def test_mutation_settlement(trace_a, minimal):
 
 def test_mutation_expansion_gap(trace_b, minimal):
     # documented mutation: inflate a mid-run jump between expansionary visits
-    stages = trace_b.jump_stages()
+    stages = jump_stages(trace_b)
     t = stages[len(stages) // 2]
     assert t + 1 < trace_b.T
     mutated = mutate_record(trace_b, t, jump=Dyadic(4))
@@ -227,8 +227,53 @@ def test_engine_specific_checks_reject_wrong_engine(trace_a, trace_b, minimal):
         check_cutoffs(trace_b, minimal)
     with pytest.raises(ValueError):
         check_expansion_gap_bound(trace_a, minimal)
-    with pytest.raises(ValueError):
+    # selected by name, an inapplicable check reaches its checker's refusal
+    with pytest.raises(ValueError, match="engine A traces only"):
         run_checks(trace_b, minimal, checks=["cutoffs"])
+    with pytest.raises(ValueError, match="engine B traces"):
+        run_checks(trace_a, minimal, checks=["monotonicity", "expansion_gap"])
+
+
+def test_benchmark_tracer_sees_every_checker_run_checks_runs():
+    # perfbench/tracing.py times each checker by rebinding its module global;
+    # run_checks must reach the checkers through those globals, or every
+    # verify.<check>_s of a traced benchmark run reads 0
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import injurybench
+
+    root = Path(__file__).resolve().parent.parent
+    script = f"""
+import json, sys
+sys.path.insert(0, {str(root / "perfbench")!r})
+from tracing import CHECKS, Tracer
+tracer = Tracer()
+tracer.install()
+from injurybench import default_registry, run_a, run_b
+from injurybench.verify import CHECK_NAMES, run_checks
+assert tuple(CHECKS) == tuple(CHECK_NAMES), (CHECKS, CHECK_NAMES)
+calls = {{}}
+for engine, runner in (("A", run_a), ("B", run_b)):
+    trace = runner(default_registry(), 40)
+    before = dict(tracer.calls)
+    run_checks(trace)
+    calls[engine] = {{name: tracer.calls["verify." + name] - before.get("verify." + name, 0)
+                     for name in CHECKS}}
+print(json.dumps(calls))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(injurybench.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=env, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    calls = json.loads(result.stdout.strip().splitlines()[-1])
+    for engine, skipped in (("A", "expansion_gap"), ("B", "cutoffs")):
+        assert calls[engine][skipped] == 0
+        assert all(n > 0 for name, n in calls[engine].items() if name != skipped), calls
 
 
 def test_unknown_check_name_rejected(trace_a, minimal):
@@ -292,7 +337,8 @@ def rescan_requirement_p(trace: Trace, registry, e: int):
     """Reference for check_requirement_P: for every n, rescan all
     expansionary stages for t(n) and the whole chain for the first bad gap.
 
-    Built from the public replay primitives only.  Returns the report's
+    Reads parameter values and threats from a public ``TraceIndex`` only,
+    never from the checker's sweep.  Returns the report's
     (counts, witnesses), or None where the checker refuses before the scan.
     """
     est = true_path_estimate([rec.settled for rec in trace.stages])
@@ -304,33 +350,34 @@ def rescan_requirement_p(trace: Trace, registry, e: int):
         return None
     sigma = est.path[:e]
     S = registry.total_increasing_indices()
+    index = TraceIndex(trace)
     inits = [rec.t for rec in trace.stages for anchor, rel in rec.init_regions
              if region_contains(anchor, rel, sigma)]
     t0 = inits[-1] + 1 if inits else 0
     if trace.engine == "B":
         for length in range(e + 1):
             if length not in S:
-                for t_thr in threat_stages(trace).get(est.path[:length], []):
+                for t_thr in index.threats.get(est.path[:length], []):
                     t0 = max(t0, t_thr + 1)
 
     def expansionary(t):
-        if trace.engine == "A" and replay_params(trace, sigma, t, "s") != 1:
+        if trace.engine == "A" and index.value(sigma, "s", t) != 1:
             return False
         l = registry.ell(e, t)
         if l < 0:
             return False
         gap = trace.x[t] - trace.x[registry.step(e, l, t)]
-        return gap < pow2(-replay_params(trace, sigma, t, "r"))
+        return gap < pow2(-index.value(sigma, "r", t))
 
     exp_stages = [t for t in range(t0, trace.T)
                   if trace.stages[t].settled.startswith(sigma) and expansionary(t)]
-    r = {t: replay_params(trace, sigma, t, "r") for t in exp_stages}
+    r = {t: index.value(sigma, "r", t) for t in exp_stages}
     witness_sum = {}
     for t in exp_stages:
         total = Dyadic(0)
         for length in range(e + 1):
             if length in S:
-                total = total + pow2(-replay_params(trace, est.path[:length], t, "w") + 1)
+                total = total + pow2(-index.value(est.path[:length], "w", t) + 1)
         witness_sum[t] = total
 
     def meets(n, t):
@@ -399,7 +446,8 @@ def test_requirement_p_sweep_matches_rescan_on_lowered_restraint(minimal, engine
                    for i, (s, f, v) in enumerate(rec.param_writes)
                    if s == "" and f == "r"][2]
     mutated = mutate_write(trace, t, i, value + 20)
-    restraints = [replay_params(mutated, "", u, "r") for u in range(mutated.T)]
+    index = TraceIndex(mutated)
+    restraints = [index.value("", "r", u) for u in range(mutated.T)]
     assert any(b < a for a, b in zip(restraints, restraints[1:]))
     assert check_requirement_P(mutated, minimal, 0).status == "fail"
     assert assert_sweep_matches_rescan(mutated, minimal) >= 1
