@@ -27,6 +27,7 @@ anchor (``lex_gt``) or that plus every proper extension of the anchor
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import isqrt
 
@@ -165,24 +166,25 @@ def true_path_estimate(
     if not (0 <= lo < hi <= len(settlements)):
         raise ValueError(f"empty or out-of-range window {window}")
 
-    observed = settlements[lo:hi]
+    observed = sorted(settlements[lo:hi])
+
+    def extending(p: BinStr) -> int:
+        # words are binary, so those extending p form the sorted range [p, p + "2")
+        return bisect_left(observed, p + "2") - bisect_left(observed, p)
+
     max_len = max(len(s) for s in observed)
     path = ""
     stable = 0
     stable_run = True
-    # candidates: settlements still extending the current prefix
-    candidates = observed
-    for depth in range(max_len):
-        zeros = [s for s in candidates if len(s) > depth and s[depth] == "0"]
-        ones = [s for s in candidates if len(s) > depth and s[depth] == "1"]
-        if len(zeros) >= threshold:
+    for _ in range(max_len):
+        zeros, ones = extending(path + "0"), extending(path + "1")
+        if zeros >= threshold:
             bit, chosen, other = "0", zeros, ones
         else:
             bit, chosen, other = "1", ones, zeros
         path += bit
-        if stable_run and len(chosen) - len(other) >= threshold:
+        if stable_run and chosen - other >= threshold:
             stable = len(path)
         else:
             stable_run = False
-        candidates = chosen
     return TruePathEstimate(path=path, stable_upto=stable, window=window)

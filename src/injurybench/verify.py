@@ -460,6 +460,11 @@ def check_requirement_P(
     monotone.  The chain differences are computed once, and a suffix
     maximum decides for each n whether any difference from v(n) on is too
     large; only then is the first such i looked for.
+
+    The engine writes r + 1 at most once per stage, so the restraint read at
+    stage t is at most t.  A restraint past that bound at an expansionary
+    stage is one fail finding, and the sweep, whose length grows with r, is
+    not run.
     """
     registry = _registry_for(trace, registry)
     _require_declared_increasing(registry, e)
@@ -496,6 +501,15 @@ def check_requirement_P(
                 and _witness_sum(index, registry, est.path, e, t) <= pow2(-(n + 1)))
 
     exp_stages = offline.expansionary_stages(sigma, t0)
+    for t in exp_stages:
+        r_here = index.value(sigma, "r", t)
+        if r_here > t:
+            return _make_report(
+                f"requirement_p[{e}]",
+                [("fail", {"law": "r<=t", "e": e, "t": t, "value": r_here,
+                           "bound": t})],
+                assumptions,
+            )
     l_max = registry.ell(e, trace.T)
     x = trace.x
     phi_vals = [registry.step(e, i, trace.T) for i in range(l_max + 1)]
@@ -698,23 +712,35 @@ def _check_pause_facts(trace: Trace, index: TraceIndex, findings) -> None:
 def check_expansion_gap_bound(trace: Trace, registry: PhiRegistry | None = None) -> Report:
     """Between consecutive expansionary applications of a stable strategy,
     the approximation may grow by at most twice its restraint bound plus the
-    witness sum of its declared-increasing prefixes."""
+    witness sum of its declared-increasing prefixes.
+
+    One walk down the stable path: once a prefix has an undeclared program
+    slot in scope, so does every longer one.  A prefix whose length is not a
+    configured slot index is skipped: its chain length is -1 at every stage,
+    so it is never expansionary and has no pair to check.  Only configured
+    lengths pay for initialisations and applications.
+    """
     if trace.engine != "B":
         raise ValueError("the witness-sum gap bound applies to engine B traces")
     registry = _registry_for(trace, registry)
     index = _index_for(trace)
     offline = _Offline(index, registry)
     est = index.true_path
+    configured = registry.configured_indices()
     findings: list[tuple[str, dict]] = []
     assumptions = [f"true-path estimate stable to length {est.stable_upto}"]
 
+    undeclared = False
     for length in range(est.stable_upto + 1):
         sigma = est.path[:length]
-        if any(registry.classification(i) is None for i in range(length + 1)):
+        undeclared = undeclared or registry.classification(length) is None
+        if undeclared:
             findings.append(("incomplete", {"sigma": sigma,
                                             "note": "undeclared program slot in "
                                             "scope; refusing this prefix"}))
             continue
+        if length not in configured:
+            continue  # ell is -1 for an empty slot: never expansionary
         t0 = _stability_start(index, registry, est.path, length)
         exp_stages = offline.expansionary_stages(sigma, t0)
         pairs = 0

@@ -314,10 +314,9 @@ def test_verify_rejects_bad_header_or_field_with_exit_two(default_a60, tmp_path,
     assert err.startswith("error: line ") and "\n" not in err
 
 
-def test_verify_of_huge_witness_stays_bounded(default_a60, tmp_path):
-    # stage 40 tops out at depth 40; as a threat jump its witness is
-    # nu(sigma) + 42 > 2**40, and comparing a sum against 2**-w once shifted
-    # a mantissa by w bits (MemoryError under this address-space limit)
+def _verify_under_memory_limit(bad, tmp_path):
+    """Run ``verify`` on a trace file in a subprocess limited to 1.5 GiB of
+    address space; return the completed process."""
     import os
     import subprocess
     import sys
@@ -325,14 +324,6 @@ def test_verify_of_huge_witness_stays_bounded(default_a60, tmp_path):
 
     import injurybench
 
-    head, *rest = default_a60.decode().rstrip("\n").split("\n")
-    rec = json.loads(rest[40])
-    assert rec["t"] == 40 and len(rec["settled"]) == 40
-    rec["action"] = {"kind": "threat_jump", "sigma": rec["settled"], "exponent": 1}
-    rec["jump"] = {"m": "1", "k": 1}
-    rest[40] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text("\n".join([head, *rest]) + "\n", encoding="utf-8")
     limit = 1536 << 20
     script = (
         "import resource, sys\n"
@@ -342,11 +333,47 @@ def test_verify_of_huge_witness_stays_bounded(default_a60, tmp_path):
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(injurybench.__file__).resolve().parent.parent)
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                            text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_verify_of_huge_witness_stays_bounded(default_a60, tmp_path):
+    # stage 40 tops out at depth 40; as a threat jump its witness is
+    # nu(sigma) + 42 > 2**40, and comparing a sum against 2**-w once shifted
+    # a mantissa by w bits (MemoryError under this address-space limit)
+    head, *rest = default_a60.decode().rstrip("\n").split("\n")
+    rec = json.loads(rest[40])
+    assert rec["t"] == 40 and len(rec["settled"]) == 40
+    rec["action"] = {"kind": "threat_jump", "sigma": rec["settled"], "exponent": 1}
+    rec["jump"] = {"m": "1", "k": 1}
+    rest[40] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([head, *rest]) + "\n", encoding="utf-8")
+    result = _verify_under_memory_limit(bad, tmp_path)
     assert result.returncode == 1, result.stderr[-2000:]
     assert "Traceback" not in result.stderr
     assert "jump_sums: fail" in result.stderr.splitlines()
+
+
+def test_verify_of_huge_restraint_stays_bounded(default_a60, tmp_path):
+    # a restraint of 2**70 once made requirement_p append one pass finding
+    # per n up to about 2**70; r read at stage t is at most t, so it is one
+    # fail finding now
+    head, *rest = default_a60.decode().rstrip("\n").split("\n")
+    rec = json.loads(rest[40])
+    assert rec["t"] == 40 and rec["param_writes"][0] == ["", "r", 31]
+    rec["param_writes"][0][2] = 2**70
+    rest[40] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([head, *rest]) + "\n", encoding="utf-8")
+    result = _verify_under_memory_limit(bad, tmp_path)
+    assert result.returncode == 1, result.stderr[-2000:]
+    assert "Traceback" not in result.stderr
+    assert "requirement_p[0]: fail" in result.stderr.splitlines()
+    reports = {r["check"]: r for r in json.loads((tmp_path / "r.json").read_text())}
+    assert reports["requirement_p[0]"]["witnesses"] == [
+        {"status": "fail", "law": "r<=t", "e": 0, "t": 41, "value": 2**70, "bound": 41},
+    ]
 
 
 def test_run_writes_digest_of_unstamped_trace(tmp_path, capsys):

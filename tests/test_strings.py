@@ -132,3 +132,35 @@ def test_true_path_estimate_stability():
     est = true_path_estimate(settlements, (0, 8), threshold=3)
     assert est.path == "01"
     assert est.stable_upto == 2  # 8-0 then 6-2 margins both meet the threshold
+
+
+def _true_path_estimate_reference(settlements, window, threshold):
+    """The estimate as two list filters per depth: an independent reference."""
+    lo, hi = window
+    candidates = settlements[lo:hi]
+    path, stable, stable_run = "", 0, True
+    for depth in range(max(len(s) for s in candidates)):
+        zeros = [s for s in candidates if len(s) > depth and s[depth] == "0"]
+        ones = [s for s in candidates if len(s) > depth and s[depth] == "1"]
+        if len(zeros) >= threshold:
+            bit, chosen, other = "0", zeros, ones
+        else:
+            bit, chosen, other = "1", ones, zeros
+        path += bit
+        if stable_run and len(chosen) - len(other) >= threshold:
+            stable = len(path)
+        else:
+            stable_run = False
+        candidates = chosen
+    return path, stable
+
+
+@given(st.lists(st.text(alphabet="01", max_size=8), min_size=1, max_size=40),
+       st.data(), st.integers(min_value=1, max_value=5))
+def test_true_path_estimate_matches_reference(settlements, data, threshold):
+    lo = data.draw(st.integers(min_value=0, max_value=len(settlements) - 1))
+    hi = data.draw(st.integers(min_value=lo + 1, max_value=len(settlements)))
+    est = true_path_estimate(settlements, (lo, hi), threshold)
+    assert (est.path, est.stable_upto) == _true_path_estimate_reference(
+        settlements, (lo, hi), threshold)
+    assert est.window == (lo, hi)

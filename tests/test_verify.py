@@ -7,16 +7,26 @@ consistent wherever the mutation does not target that consistency.
 """
 
 import dataclasses
+import json
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from injurybench.dyadic import Dyadic, ZERO, pow2
 from injurybench.engine import run_a, run_b
-from injurybench.phi import registry_from_config
+from injurybench.phi import DEFAULT_CONFIG, registry_from_config
 from injurybench.strings import region_contains, true_path_estimate
-from injurybench.tracekit import Trace, TraceIndex, cutoff_stages
+from injurybench.tracekit import (
+    Trace,
+    TraceIndex,
+    TraceParseError,
+    cutoff_stages,
+    deserialize,
+    serialize,
+)
+from injurybench import verify
 from injurybench.verify import (
     check_convergence_bound,
     check_cutoffs,
@@ -29,7 +39,8 @@ from injurybench.verify import (
     run_checks,
 )
 from conftest import MINIMAL_CONFIG, jump_stages
-from test_randomized import random_config
+from test_randomized import DOUBLING_PROGRAM, random_config
+from test_replay import SPARSE_DEEP_CONFIGS
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +351,7 @@ def rescan_requirement_p(trace: Trace, registry, e: int):
     Reads parameter values and threats from a public ``TraceIndex`` only,
     never from the checker's sweep.  Returns the report's
     (counts, witnesses), or None where the checker refuses before the scan.
+    A restraint past r <= t at an expansionary stage is one fail finding.
     """
     est = true_path_estimate([rec.settled for rec in trace.stages])
     if len(est.path) < e or est.stable_upto < e:
@@ -372,6 +384,11 @@ def rescan_requirement_p(trace: Trace, registry, e: int):
     exp_stages = [t for t in range(t0, trace.T)
                   if trace.stages[t].settled.startswith(sigma) and expansionary(t)]
     r = {t: index.value(sigma, "r", t) for t in exp_stages}
+    past_bound = [t for t in exp_stages if r[t] > t]
+    if past_bound:
+        t = past_bound[0]
+        return {"fail": 1}, [{"status": "fail", "law": "r<=t", "e": e, "t": t,
+                              "value": r[t], "bound": t}]
     witness_sum = {}
     for t in exp_stages:
         total = Dyadic(0)
@@ -451,3 +468,198 @@ def test_requirement_p_sweep_matches_rescan_on_lowered_restraint(minimal, engine
     assert any(b < a for a, b in zip(restraints, restraints[1:]))
     assert check_requirement_P(mutated, minimal, 0).status == "fail"
     assert assert_sweep_matches_rescan(mutated, minimal) >= 1
+
+
+@pytest.mark.parametrize("engine", ["A", "B"])
+def test_requirement_p_sweep_matches_rescan_on_raised_restraint_within_bound(minimal, engine):
+    # raise each restraint write of the root to t + 1, the most that
+    # r <= t allows: the next write lowers it, and the sweep still runs
+    trace = (run_a if engine == "A" else run_b)(minimal, 60)
+    writes = [(rec.t, i, v) for rec in trace.stages
+              for i, (s, f, v) in enumerate(rec.param_writes) if s == "" and f == "r"]
+    statuses = Counter()
+    for t, i, _ in writes:
+        mutated = mutate_write(trace, t, i, t + 1)
+        report = check_requirement_P(mutated, minimal, 0)
+        assert all(w.get("law") != "r<=t" for w in report.witnesses)
+        statuses[report.status] += 1
+        assert assert_sweep_matches_rescan(mutated, minimal) >= 1
+    assert statuses["fail"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# The expansion-gap walk against the per-prefix loop it replaced
+
+# The deep-b benchmark family: no slot 0, so the estimated true path stays
+# stable to depth ~T.
+DEEP_CONFIG = {"slots": [
+    {"index": 1, "kind": "identity"},
+    {"index": 5, "kind": "const", "value": 6},
+    {"index": 6, "kind": "diverge"},
+]}
+
+# An undeclared program at index 9 under two identity slots: prefixes of
+# length 1 and 4 are checked, every prefix from length 9 on is refused.
+UNDECLARED_BELOW_CONFIG = {"slots": [
+    {"index": 1, "kind": "identity"},
+    {"index": 4, "kind": "identity"},
+    {"index": 9, "kind": "program", "code": DOUBLING_PROGRAM},
+]}
+
+
+def per_prefix_expansion_gap(trace: Trace, registry) -> dict:
+    """Reference for check_expansion_gap_bound: every prefix of the stable
+    path on its own, rescanning the shorter slots for an undeclared
+    classification and asking every prefix, configured or not, for its
+    expansionary stages."""
+    index = TraceIndex(trace)
+    offline = verify._Offline(index, registry)
+    est = index.true_path
+    findings = []
+    for length in range(est.stable_upto + 1):
+        sigma = est.path[:length]
+        if any(registry.classification(i) is None for i in range(length + 1)):
+            findings.append(("incomplete", {"sigma": sigma,
+                                            "note": "undeclared program slot in "
+                                            "scope; refusing this prefix"}))
+            continue
+        t0 = verify._stability_start(index, registry, est.path, length)
+        exp_stages = offline.expansionary_stages(sigma, t0)
+        pairs = 0
+        for t1, t2 in zip(exp_stages, exp_stages[1:]):
+            bound = pow2(-index.value(sigma, "r", t1) + 1) + verify._witness_sum(
+                index, registry, est.path, length, t1
+            )
+            if not (trace.x[t2] - trace.x[t1]) <= bound:
+                findings.append(("fail", {"sigma": sigma, "t1": t1, "t2": t2,
+                                          "gap": str(trace.x[t2] - trace.x[t1]),
+                                          "bound": str(bound)}))
+            pairs += 1
+        if pairs:
+            findings.append(("pass", {"sigma": sigma, "pairs": pairs, "t0": t0}))
+    assumptions = [f"true-path estimate stable to length {est.stable_upto}"]
+    return verify._make_report("expansion_gap", findings, assumptions).to_json()
+
+
+def assert_gap_walk_matches_reference(trace, config) -> dict:
+    expected = per_prefix_expansion_gap(trace, registry_from_config(config))
+    got = check_expansion_gap_bound(trace, registry_from_config(config)).to_json()
+    assert got == expected
+    return got
+
+
+@pytest.mark.parametrize("T", [250, 500])
+def test_expansion_gap_matches_per_prefix_loop_on_deep_family(T):
+    trace = run_b(registry_from_config(DEEP_CONFIG), T)
+    report = assert_gap_walk_matches_reference(trace, DEEP_CONFIG)
+    assert report["counts"].get("pass", 0) >= 2
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_DEEP_CONFIGS))
+def test_expansion_gap_matches_per_prefix_loop_on_sparse_deep_registries(name):
+    config = SPARSE_DEEP_CONFIGS[name]
+    assert_gap_walk_matches_reference(run_b(registry_from_config(config), 300), config)
+
+
+def test_expansion_gap_matches_per_prefix_loop_below_undeclared_slot():
+    trace = run_b(registry_from_config(UNDECLARED_BELOW_CONFIG), 200)
+    report = assert_gap_walk_matches_reference(trace, UNDECLARED_BELOW_CONFIG)
+    assert report["counts"]["pass"] == 2 and report["counts"]["incomplete"] > 50
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(), st.booleans(),
+       st.integers(min_value=20, max_value=150))
+def test_expansion_gap_matches_per_prefix_loop_on_random_registries(
+    seed, drop_slot_zero, undeclare_programs, T
+):
+    # without slot 0 the path runs deep; an undeclared program refuses
+    # every prefix from its index on
+    config = random_config(random.Random(seed))
+    slots = [dict(entry) for entry in config["slots"]
+             if not (drop_slot_zero and entry["index"] == 0)]
+    if undeclare_programs:
+        for entry in slots:
+            entry.pop("total_increasing", None)
+    config = {"slots": slots}
+    assert_gap_walk_matches_reference(run_b(registry_from_config(config), T), config)
+
+
+_LEAF_VALUES = [-1, 0, 1, 2, 3, 5, 9, 30, 61, "", "0", "1", "01", "10", "11", "110",
+                "lex_gt", "lex_gt_or_ext", "top_out", "threat_jump", None, []]
+
+
+def _leaf_paths(obj, path=()):
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(obj, list) and obj:
+        for i, value in enumerate(obj):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+def single_record_mutants(trace: Trace, count: int, seed: int):
+    """Seeded mutants of one leaf of one stage record that the loader accepts."""
+    head, *records = serialize(trace).decode("utf-8").rstrip("\n").split("\n")
+    rng = random.Random(seed)
+    for _ in range(100 * count):
+        t = rng.randrange(len(records))
+        rec = json.loads(records[t])
+        *parents, leaf = rng.choice(list(_leaf_paths(rec)))
+        target = rec
+        for key in parents:
+            target = target[key]
+        target[leaf] = rng.choice(_LEAF_VALUES)
+        lines = list(records)
+        lines[t] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+        try:
+            mutant = deserialize("\n".join([head, *lines]).encode("utf-8"))
+        except TraceParseError:
+            continue
+        yield mutant
+        count -= 1
+        if count == 0:
+            return
+    raise AssertionError("too few mutants accepted by the loader")
+
+
+@pytest.mark.parametrize("config", [DEFAULT_CONFIG, DEEP_CONFIG], ids=["default", "deep"])
+def test_expansion_gap_matches_per_prefix_loop_on_trace_mutants(config):
+    trace = run_b(registry_from_config(config), 60)
+    original = assert_gap_walk_matches_reference(trace, config)
+    changed = 0
+    for mutant in single_record_mutants(trace, 50, seed=8):
+        changed += assert_gap_walk_matches_reference(mutant, config) != original
+    assert changed >= 3
+
+
+def test_expansion_gap_asks_only_configured_prefixes(monkeypatch):
+    # a work count, not a timing: prefixes of empty slots never reach the
+    # expansionary test, and initialisations are built for configured
+    # lengths only
+    registry = registry_from_config(DEEP_CONFIG)
+    trace = run_b(registry, 500)
+    configured = registry.configured_indices()
+    asked = Counter()
+    initialised = []
+    expansionary = verify._Offline.expansionary
+    initialisations = TraceIndex.initialisations
+
+    def counting_expansionary(self, sigma, t):
+        asked[len(sigma)] += 1
+        return expansionary(self, sigma, t)
+
+    def counting_initialisations(self, sigma):
+        initialised.append(sigma)
+        return initialisations(self, sigma)
+
+    monkeypatch.setattr(verify._Offline, "expansionary", counting_expansionary)
+    monkeypatch.setattr(TraceIndex, "initialisations", counting_initialisations)
+    report = check_expansion_gap_bound(trace, registry)
+    assert report.counts["pass"] >= 2
+    assert TraceIndex(trace).true_path.stable_upto > 400
+    assert asked and set(asked) <= configured
+    assert len(set(initialised)) <= len(configured)
+    assert all(len(sigma) in configured for sigma in initialised)
