@@ -11,7 +11,7 @@ for finite sequences.
 from .dyadic import Dyadic, pow2
 from .engine import run_a, run_b
 from .phi import DEFAULT_CONFIG, PhiRegistry, default_registry, registry_from_config
-from .tracekit import Trace, cutoff_stages, deserialize, serialize, u_map
+from .tracekit import Trace, deserialize, serialize
 from .verify import run_checks
 
 __version__ = "0.1.0"
@@ -21,8 +21,6 @@ __all__ = [
     "pow2",
     "run_a",
     "run_b",
-    "u_map",
-    "cutoff_stages",
     "PhiRegistry",
     "DEFAULT_CONFIG",
     "default_registry",

@@ -29,9 +29,9 @@ from .speed import (
 from .strings import true_path_estimate
 from .tracekit import (
     Trace,
-    TraceIndex,
     TraceParseError,
     deserialize,
+    read_csv_table,
     read_sequence_csv,
     serialize_stamped,
     write_sequence_csv,
@@ -58,20 +58,7 @@ def _load_modulus(args) -> ModulusFn:
         return ModulusFn.affine(a, b)
     if not args.modulus:
         raise ValueError("need either --modulus CSV or --affine A B")
-    rows = []
-    with open(args.modulus, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "n,f":
-            raise ValueError(f"unexpected modulus CSV header {header!r}")
-        for i, ln in enumerate(fh):
-            ln = ln.strip()
-            if not ln:
-                continue
-            n_str, f_str = ln.split(",")
-            if int(n_str) != i:
-                raise ValueError("modulus CSV rows out of order")
-            rows.append(int(f_str))
-    return ModulusFn.from_table(rows)
+    return ModulusFn.from_table([f for (f,) in read_csv_table(args.modulus, "n,f")])
 
 
 def _load_sequence(path: str, limit: str | None) -> ApproxSequence:
@@ -211,10 +198,9 @@ def cmd_export(args) -> int:
         settle_counts[rec.settled] = settle_counts.get(rec.settled, 0) + 1
         for node in rec.applied:
             nodes.setdefault(node, None)
-    index = TraceIndex(trace)
     last_init: dict[str, int] = {}
     for node in nodes:
-        covering = index.initialisations(node)
+        covering = trace.index.initialisations(node)
         if covering:
             last_init[node] = covering[-1]
     lines = ["digraph strategies {", '  node [shape=box];']

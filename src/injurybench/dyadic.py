@@ -21,10 +21,19 @@ __all__ = [
     "Dyadic",
     "ZERO",
     "ONE",
+    "MAX_EXPONENT",
     "pow2",
 ]
 
 _TEXT_RE = re.compile(r"^(-?\d+)/2\^(\d+)$")
+
+# The largest exponent k read from user input: a "m/2^k" literal (--limit,
+# --rho) or a sequence CSV cell.  A sum aligns both mantissas to the larger
+# exponent, so an unbounded k lets one input claim any amount of memory;
+# at 2**24 an aligned mantissa takes 2 MiB.  A run of T stages writes
+# exponents of at most T, and regain2speed adds at most the row count, so
+# every CSV the command line writes for T < 2**24 stays under the cap.
+MAX_EXPONENT = 1 << 24
 
 
 class Dyadic:
@@ -59,21 +68,27 @@ class Dyadic:
 
     @classmethod
     def from_text(cls, text: str) -> "Dyadic":
-        """Parse the textual form ``"m/2^k"`` (e.g. ``"3/2^2"`` for 3/4)."""
+        """Parse the textual form ``"m/2^k"`` (e.g. ``"3/2^2"`` for 3/4), with
+        k at most :data:`MAX_EXPONENT`."""
         match = _TEXT_RE.match(text.strip())
         if not match:
             raise ValueError(f"not a dyadic literal: {text!r}")
-        return cls(int(match.group(1)), int(match.group(2)))
+        k = int(match.group(2))
+        if k > MAX_EXPONENT:
+            raise ValueError(f"exponent of {text!r} exceeds {MAX_EXPONENT}")
+        return cls(int(match.group(1)), k)
 
     @classmethod
     def from_json(cls, obj: dict) -> "Dyadic":
         """Parse the JSON object form ``{"m": "<int>", "k": <int>}``; ``k``
-        must be a JSON integer, not ``true`` or ``1.0``."""
+        must be a non-negative JSON integer, as :meth:`to_json` writes it,
+        not ``true``, ``1.0`` or -1 (a negative k would shift m left by |k|
+        bits)."""
         try:
             m, k = int(obj["m"]), obj["k"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"not a dyadic JSON object: {obj!r}") from exc
-        if type(k) is not int:
+        if type(k) is not int or k < 0:
             raise ValueError(f"not a dyadic JSON object: {obj!r}")
         return cls(m, k)
 

@@ -6,9 +6,10 @@ reaches depth t (top-out), a strategy defeats a threat to its negative
 requirement (jumping or scheduling split jumps), or a strategy with a
 positive counter executes or delegates one scheduled jump.  The stage then
 initialises a symbolic region of strategies and commits its parameter
-writes.  The differences between the two variants -- satisfaction flag
-versus pause flag, witness bumps, and the initialisation regions -- live in
-a small rule table so the shared driver stays auditable.
+writes.  An ``EngineState`` is keyed by its engine tag, "A" or "B".  Apart
+from the flag field (satisfaction flag ``s`` for A, pause flag ``p`` for B)
+the two variants differ in six places, each a branch on the tag at its one
+use site with a comment naming the delta, as in the replay oracle.
 
 Parameter storage is sparse: a strategy materialises only when it receives
 an explicit write.  Everything else is derived on demand from the defaults
@@ -47,8 +48,6 @@ log them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dyadic import ZERO, Dyadic, pow2
 from .phi import PhiRegistry
 from .strings import REL_LEX, REL_LEX_OR_EXT, BinStr, nu, pair, region_contains, unpair
@@ -66,8 +65,6 @@ from .tracekit import (
 )
 
 __all__ = [
-    "RULES_A",
-    "RULES_B",
     "EngineState",
     "new_engine_a",
     "new_engine_b",
@@ -76,43 +73,6 @@ __all__ = [
     "run_a",
     "run_b",
 ]
-
-
-@dataclass(frozen=True)
-class RuleSet:
-    """The variant-specific deltas, one instance per construction."""
-
-    tag: str
-    flag_field: str  # FLAG_FIELDS[tag]: satisfaction (A) or pause (B) flag
-    expansion_needs_flag: bool  # A: expansionary requires flag == 1
-    unpause_when_unthreatened: bool  # B: write flag := 0 on a no-threat visit
-    bump_witness_on_threat: bool  # B: w := w + 1 on every handled threat
-    init_resets_flag: bool  # A: initialisation writes flag := 0
-    threat_region_rel: str  # region relation anchored at the threatened strategy
-    counter_anchor_alpha: bool  # A: counter stage inits around the decoded label
-
-
-RULES_A = RuleSet(
-    tag="A",
-    flag_field=FLAG_FIELDS["A"],
-    expansion_needs_flag=True,
-    unpause_when_unthreatened=False,
-    bump_witness_on_threat=False,
-    init_resets_flag=True,
-    threat_region_rel=REL_LEX_OR_EXT,
-    counter_anchor_alpha=True,
-)
-
-RULES_B = RuleSet(
-    tag="B",
-    flag_field=FLAG_FIELDS["B"],
-    expansion_needs_flag=False,
-    unpause_when_unthreatened=True,
-    bump_witness_on_threat=True,
-    init_resets_flag=False,
-    threat_region_rel=REL_LEX,
-    counter_anchor_alpha=False,
-)
 
 
 class _Params:
@@ -130,14 +90,16 @@ class _Params:
 class EngineState:
     """Mutable construction state; advance it one stage at a time."""
 
-    def __init__(self, registry: PhiRegistry, rules: RuleSet, record_reads: bool = False):
+    def __init__(self, registry: PhiRegistry, engine: str, record_reads: bool = False):
+        if engine not in ("A", "B"):
+            raise ValueError(f"unknown engine {engine!r}")
         self.registry = registry
-        self.rules = rules
+        self.engine = engine
+        self.flag_field = FLAG_FIELDS[engine]
         self.t = 0
         self.x: list[Dyadic] = [ZERO]
         self.params: dict[BinStr, _Params] = {}
         self.init_events: list[tuple[int, BinStr, str]] = []
-        self.settlements: list[BinStr] = []
         self.records: list[StageRecord] = []
         # reads as (t, sigma, field, "cur"|"next", value); None disables logging
         self.read_log: list[tuple] | None = [] if record_reads else None
@@ -170,7 +132,7 @@ class EngineState:
         if len(sigma) <= self._max_param_len:
             p = self.params.get(sigma)
             if p is not None:
-                return p.flag if fld == self.rules.flag_field else getattr(p, fld)
+                return p.flag if fld == self.flag_field else getattr(p, fld)
         if fld == "w":
             return self._lazy_w(sigma)
         return 0
@@ -206,7 +168,7 @@ class EngineState:
 
     def _threat_info(self, sigma: BinStr, e: int) -> tuple[bool, int, int | None, int]:
         """(threatened, flag, witness-or-None, chain length) for this substage."""
-        flag = self._read(sigma, self.rules.flag_field)
+        flag = self._read(sigma, self.flag_field)
         if flag != 0:
             return False, flag, None, -2
         l = self.registry.ell(e, self.t) if e in self._configured else -1
@@ -219,7 +181,8 @@ class EngineState:
 
     def _expansion_info(self, sigma: BinStr, e: int, flag: int) -> tuple[bool, int | None]:
         """(expansionary, restraint-or-None); flag was already read."""
-        if self.rules.expansion_needs_flag and flag != 1:
+        # A: expansionary only while the satisfaction flag is 1
+        if self.engine == "A" and flag != 1:
             return False, None
         l = self.registry.ell(e, self.t) if e in self._configured else -1
         if l < 0:
@@ -229,17 +192,18 @@ class EngineState:
 
 
 def new_engine_a(registry: PhiRegistry, record_reads: bool = False) -> EngineState:
-    return EngineState(registry, RULES_A, record_reads)
+    return EngineState(registry, "A", record_reads)
 
 
 def new_engine_b(registry: PhiRegistry, record_reads: bool = False) -> EngineState:
-    return EngineState(registry, RULES_B, record_reads)
+    return EngineState(registry, "B", record_reads)
 
 
 def run_stage(state: EngineState) -> StageRecord:
     """Execute one full stage and return its record."""
     t = state.t
-    rules = state.rules
+    flag_field = state.flag_field
+    variant_b = state.engine == "B"
     state._staged.clear()
     state._write_order.clear()
 
@@ -255,7 +219,7 @@ def run_stage(state: EngineState) -> StageRecord:
         if forced <= e < t:
             if state.read_log is not None:
                 state.read_log.extend(
-                    (t, sigma + "1" * k, rules.flag_field, "cur", 0) for k in range(t - e)
+                    (t, sigma + "1" * k, flag_field, "cur", 0) for k in range(t - e)
                 )
             sigma += "1" * (t - e)
             e = t
@@ -266,8 +230,9 @@ def run_stage(state: EngineState) -> StageRecord:
 
         threatened, flag, w, _l = state._threat_info(sigma, e)
 
-        if rules.unpause_when_unthreatened and not threatened and flag != 0:
-            state._stage_write(sigma, rules.flag_field, 0)
+        # B: an unthreatened visit lifts the pause flag
+        if variant_b and not threatened and flag != 0:
+            state._stage_write(sigma, flag_field, 0)
 
         if threatened:
             # find the longest 0-predecessor whose raised restraint blocks the jump
@@ -287,10 +252,12 @@ def run_stage(state: EngineState) -> StageRecord:
                 counter = pair(sigma, 1 << (r_next - w))
                 state._stage_write(gamma, "c", counter)
                 action = Action(THREAT_SCHEDULE, sigma=sigma, gamma=gamma, counter=counter)
-            state._stage_write(sigma, rules.flag_field, 1)
-            if rules.bump_witness_on_threat:
+            state._stage_write(sigma, flag_field, 1)
+            # B: every handled threat bumps the witness
+            if variant_b:
                 state._stage_write(sigma, "w", w + 1)
-            region = (sigma, rules.threat_region_rel)
+            # B: the region spares the threatened strategy's extensions
+            region = (sigma, REL_LEX if variant_b else REL_LEX_OR_EXT)
             break
 
         expansionary, r = state._expansion_info(sigma, e, flag)
@@ -329,10 +296,12 @@ def run_stage(state: EngineState) -> StageRecord:
                 alpha=alpha, k=k,
             )
         state._stage_write(sigma, "c", 0 if k == 0 else pair(alpha, k))
-        if rules.counter_anchor_alpha:
-            region = (alpha, REL_LEX_OR_EXT)
-        else:
+        # B: a counter stage initialises right of sigma's 0-branch; A
+        # initialises around the decoded label
+        if variant_b:
             region = (sigma + "0", REL_LEX)
+        else:
+            region = (alpha, REL_LEX_OR_EXT)
         break
 
     # ---- commit --------------------------------------------------------
@@ -352,7 +321,7 @@ def run_stage(state: EngineState) -> StageRecord:
             state._w_scan.pop(s, None)
             if len(s) > state._max_param_len:
                 state._max_param_len = len(s)
-        if fld == rules.flag_field:
+        if fld == flag_field:
             p.flag = val
         else:
             setattr(p, fld, val)
@@ -362,7 +331,8 @@ def run_stage(state: EngineState) -> StageRecord:
         if region_contains(anchor, rel, s):
             p.c = 0
             p.w = nu(s) + t + 2
-            if rules.init_resets_flag:
+            # A: initialisation also clears the satisfaction flag
+            if not variant_b:
                 p.flag = 0
 
     record = StageRecord(
@@ -373,7 +343,6 @@ def run_stage(state: EngineState) -> StageRecord:
         init_regions=((anchor, rel),),
         param_writes=tuple(state._write_order),
     )
-    state.settlements.append(sigma)
     state.records.append(record)
     state.t += 1
     return record
@@ -388,7 +357,7 @@ def run_engine(state: EngineState, T: int, hooks=None) -> Trace:
         if hooks is not None:
             hooks(record)
     return Trace(
-        engine=state.rules.tag,
+        engine=state.engine,
         config=state.registry.config,
         stages=list(state.records),
         x=list(state.x),

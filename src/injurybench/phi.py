@@ -55,7 +55,6 @@ class _Slot:
     is the declared classification (True / False / None for unknown).
     """
 
-    kind = "abstract"
     total_increasing: bool | None = None
 
     def raw(self, n: int, budget: int):
@@ -65,8 +64,7 @@ class _Slot:
 class _FormulaSlot(_Slot):
     """Closed-form total function; the raw computation halts instantly."""
 
-    def __init__(self, kind: str, fn, total_increasing: bool):
-        self.kind = kind
+    def __init__(self, fn, total_increasing: bool):
         self._fn = fn
         self._memo: dict[int, int] = {}
         self.total_increasing = total_increasing
@@ -81,7 +79,6 @@ class _FormulaSlot(_Slot):
 class _PartialSlot(_Slot):
     """Finite explicit graph; inputs outside the graph diverge."""
 
-    kind = "partial"
     total_increasing = False
 
     def __init__(self, graph: dict[int, int]):
@@ -93,7 +90,6 @@ class _PartialSlot(_Slot):
 
 
 class _DivergeSlot(_Slot):
-    kind = "diverge"
     total_increasing = False
 
     def raw(self, n: int, budget: int):
@@ -129,8 +125,6 @@ class _ProgramSlot(_Slot):
     multiplication, is stepped (its inner transfer loop is still
     accelerated).
     """
-
-    kind = "program"
 
     def __init__(self, code: list, total_increasing: bool | None):
         self._code = [tuple(instr) for instr in code]
@@ -281,13 +275,13 @@ def _build_slot(entry: dict) -> _Slot:
     kind = entry["kind"]
     if kind in _FORMULAS:
         fn, ti = _FORMULAS[kind]
-        return _FormulaSlot(kind, fn, ti)
+        return _FormulaSlot(fn, ti)
     if kind == "affine":
         shift = entry["shift"]
-        return _FormulaSlot("affine", lambda n, s=shift: n + s, True)
+        return _FormulaSlot(lambda n, s=shift: n + s, True)
     if kind == "const":
         value = entry["value"]
-        return _FormulaSlot("const", lambda n, v=value: v, False)
+        return _FormulaSlot(lambda n, v=value: v, False)
     if kind == "partial":
         return _PartialSlot({int(k): v for k, v in entry["graph"].items()})
     if kind == "diverge":

@@ -89,6 +89,8 @@ class ModulusFn:
     @classmethod
     def from_table(cls, values: list[int]) -> "ModulusFn":
         vals = list(values)
+        if any(v < 0 for v in vals):
+            raise ValueError("modulus table holds a negative value")
         if any(b < a for a, b in zip(vals, vals[1:])):
             raise ValueError("modulus table not non-decreasing")
         return cls(lambda n: vals[n], table_len=len(vals), name="table")

@@ -14,10 +14,11 @@ defaults, the regions, and the explicit writes.
 The facts about a finished run are read through one :class:`TraceIndex`,
 built in a single pass over the records: the stages that handled a threat
 of each strategy, the stages whose initialisation region covers a
-strategy, every parameter's timeline (``TraceIndex.value``), and the
-attribution of every jump to the threat that caused it (``u_map``).  The
-checkers share one index per trace; ``u_map`` and ``cutoff_stages`` build
-their own.
+strategy, every parameter's timeline (``TraceIndex.value``), the
+attribution of every jump to the threat that caused it (``u_map``) and the
+cut-off stage of a strategy (``cutoff_stage``).  A trace owns its index:
+``Trace.index`` builds it on first use, so every reader of one trace shares
+it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .dyadic import ZERO, Dyadic
+from .dyadic import MAX_EXPONENT, ZERO, Dyadic
 from .phi import config_digest
 # perfbench/tracing.py also counts region membership as tracekit.region_contains
 from .strings import (
@@ -61,10 +62,9 @@ __all__ = [
     "serialize_stamped",
     "deserialize",
     "TraceIndex",
-    "u_map",
-    "cutoff_stages",
     "write_sequence_csv",
     "read_sequence_csv",
+    "read_csv_table",
 ]
 
 # Stage-terminal actions.  Any other kind (say, the name of an intra-stage
@@ -185,13 +185,16 @@ class StageRecord:
 
 @dataclass
 class Trace:
-    """Immutable-by-convention record of a whole run."""
+    """Immutable-by-convention record of a whole run.
+
+    ``index`` is built from the stages and x on first use and kept, so a
+    trace must not be changed once it has been read.
+    """
 
     engine: str  # "A" | "B"
     config: dict  # registry configuration the run used
     stages: list[StageRecord]
     x: list[Dyadic]  # length T + 1
-    version: int = TRACE_VERSION
 
     @property
     def T(self) -> int:
@@ -200,6 +203,11 @@ class Trace:
     @property
     def flag_field(self) -> str:
         return FLAG_FIELDS[self.engine]
+
+    @cached_property
+    def index(self) -> TraceIndex:
+        """The one :class:`TraceIndex` of this trace, built on first use."""
+        return TraceIndex(self)
 
     def config_digest(self) -> str:
         return config_digest(self.config)
@@ -218,7 +226,7 @@ def _header_line(trace: Trace, created_at: str | None) -> str:
         "engine": trace.engine,
         "T": trace.T,
         "phi_config_digest": trace.config_digest(),
-        "version": trace.version,
+        "version": TRACE_VERSION,
         "phi_config": trace.config,
     }
     if created_at is not None:
@@ -251,9 +259,10 @@ def serialize_stamped(trace: Trace, created_at: str) -> tuple[bytes, str]:
 
 
 def _check_header(header: dict) -> None:
-    """Reject an unknown engine or version and a ``phi_config`` that does not
-    match its recorded digest: a trace is checked against the registry it
-    names, so a tampered registry must not reach the checkers."""
+    """Reject an unknown engine or version, a ``T`` that is not a natural
+    number and a ``phi_config`` that does not match its recorded digest: a
+    trace is checked against the registry it names, so a tampered registry
+    must not reach the checkers."""
     if not isinstance(header, dict):
         raise TraceParseError("header is not an object", line=1)
     for key in ("engine", "T", "version", "phi_config", "phi_config_digest"):
@@ -265,6 +274,9 @@ def _check_header(header: dict) -> None:
     version = header["version"]
     if type(version) is not int or version != TRACE_VERSION:
         raise TraceParseError(f"unsupported trace version {version!r}", line=1)
+    T = header["T"]
+    if type(T) is not int or T < 0:
+        raise TraceParseError(f"T={T!r} is not a natural number", line=1)
     if config_digest(header["phi_config"]) != header["phi_config_digest"]:
         raise TraceParseError("phi_config does not match phi_config_digest", line=1)
 
@@ -299,7 +311,12 @@ def _check_record(rec: StageRecord, fields: tuple[str, ...], line: int) -> None:
 
 
 def deserialize(data: bytes) -> Trace:
-    """Parse a trace file, rebuilding the x sequence from the jumps."""
+    """Parse a trace file, rebuilding the x sequence from the jumps.
+
+    A positive jump at stage t is 2**-w with w <= l <= t, or 2**-r with
+    r <= t, so every jump's exponent must lie in [0, T]; it is checked
+    before the jump is added to x, whose sums align mantissas by it.
+    """
     text = data.decode("utf-8")
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines:
@@ -309,6 +326,9 @@ def deserialize(data: bytes) -> Trace:
     except json.JSONDecodeError as exc:
         raise TraceParseError(f"bad header: {exc}", line=1) from None
     _check_header(header)
+    T = header["T"]
+    if len(lines) - 1 != T:
+        raise TraceParseError(f"header says T={T} but {len(lines) - 1} records present")
     fields = ("c", "r", "w", FLAG_FIELDS[header["engine"]])
     stages: list[StageRecord] = []
     x = [ZERO]
@@ -326,18 +346,17 @@ def deserialize(data: bytes) -> Trace:
             )
         if rec.jump.sign() < 0:
             raise TraceParseError(f"negative jump at stage {rec.t}", line=i)
+        if rec.jump.k > T:
+            raise TraceParseError(
+                f"jump exponent {rec.jump.k} at stage {rec.t} exceeds T={T}", line=i
+            )
         stages.append(rec)
         x.append(x[-1] + rec.jump)
-    if len(stages) != header["T"]:
-        raise TraceParseError(
-            f"header says T={header['T']} but {len(stages)} records present"
-        )
     return Trace(
         engine=header["engine"],
         config=header["phi_config"],
         stages=stages,
         x=x,
-        version=header["version"],
     )
 
 
@@ -513,36 +532,29 @@ class TraceIndex:
         x = self.trace.x
         return next((t for t in range(self.trace.T) if x[t + 1] < x[t]), None)
 
+    def cutoff_stage(self, sigma: BinStr) -> int | None:
+        """Largest jump stage attributed to sigma's stability-respecting threat.
 
-def u_map(trace: Trace) -> dict[int, int]:
-    """Map each jump stage back to the stage of the threat that caused it
-    (see :attr:`TraceIndex.u_map`)."""
-    return TraceIndex(trace).u_map
-
-
-def cutoff_stages(trace: Trace, sigma: BinStr) -> int | None:
-    """Largest jump stage attributed to sigma's stability-respecting threat.
-
-    The originating threat stage is the last applied-and-threatened stage of
-    sigma that no later in-horizon initialisation of sigma invalidates;
-    returns None when there is no such stage or no jump has landed yet.
-    Whether the returned stage is the true cut-off (all split jumps
-    executed) is a separate completeness question the checkers decide.
-    """
-    index = TraceIndex(trace)
-    candidates = index.threats.get(sigma)
-    if not candidates:
-        return None
-    t1 = candidates[-1]
-    inits = index.initialisations(sigma)
-    if inits and inits[-1] >= t1:
-        return None
-    fiber = index.fibers.get(t1)
-    return fiber[-1] if fiber else None
+        The originating threat stage is the last applied-and-threatened stage
+        of sigma that no later in-horizon initialisation of sigma invalidates;
+        returns None when there is no such stage or no jump has landed yet.
+        Whether the returned stage is the true cut-off (all split jumps
+        executed) is a separate completeness question the checkers decide.
+        """
+        candidates = self.threats.get(sigma)
+        if not candidates:
+            return None
+        t1 = candidates[-1]
+        inits = self.initialisations(sigma)
+        if inits and inits[-1] >= t1:
+            return None
+        fiber = self.fibers.get(t1)
+        return fiber[-1] if fiber else None
 
 
 # ---------------------------------------------------------------------------
-# Sequence CSV (shared with the speed module)
+# User CSV tables: the sequence CSV (shared with the speed module) and the
+# modulus table
 
 
 def write_sequence_csv(x: list[Dyadic], path: str) -> None:
@@ -554,17 +566,42 @@ def write_sequence_csv(x: list[Dyadic], path: str) -> None:
 
 
 def read_sequence_csv(path: str) -> list[Dyadic]:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "t,mantissa,exponent":
-            raise ValueError(f"unexpected sequence CSV header {header!r}")
-        out = []
-        for i, ln in enumerate(fh):
-            ln = ln.strip()
-            if not ln:
-                continue
-            t_str, m_str, k_str = ln.split(",")
-            if int(t_str) != i:
-                raise ValueError(f"sequence CSV rows out of order at {i}")
-            out.append(Dyadic(int(m_str), int(k_str)))
+    """Read rows ``t,mantissa,exponent`` (see :func:`read_csv_table`); every
+    exponent must lie in [0, MAX_EXPONENT]."""
+    out = []
+    for t, (m, k) in enumerate(read_csv_table(path, "t,mantissa,exponent")):
+        if not 0 <= k <= MAX_EXPONENT:
+            raise ValueError(f"{path}: row {t}: exponent {k} outside [0, {MAX_EXPONENT}]")
+        out.append(Dyadic(m, k))
     return out
+
+
+def read_csv_table(path: str, header: str) -> list[list[int]]:
+    """The integer cells of a CSV table after its first column, one list per
+    row.
+
+    The first line must be ``header``.  Every other non-blank line must hold
+    one integer cell per header column, and its first cell must number the
+    row: 0, 1, 2, ...  A violation raises ValueError with a one-line message
+    naming the file and line.
+    """
+    columns = len(header.split(","))
+    rows: list[list[int]] = []
+    with open(path, encoding="utf-8") as fh:
+        found = fh.readline().strip()
+        if found != header:
+            raise ValueError(f"{path}: header {found!r} is not {header!r}")
+        for line, text in enumerate(fh, start=2):
+            cells = text.strip().split(",")
+            if cells == [""]:
+                continue
+            if len(cells) != columns:
+                raise ValueError(f"{path}: line {line}: {len(cells)} cells, not {columns}")
+            try:
+                values = [int(cell) for cell in cells]
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line}: {exc}") from None
+            if values[0] != len(rows):
+                raise ValueError(f"{path}: line {line}: row {values[0]} out of order")
+            rows.append(values[1:])
+    return rows

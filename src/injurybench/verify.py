@@ -14,24 +14,23 @@ again -- unobservable at a finite horizon -- it substitutes the last
 initialisation seen in the trace and says so in the report's assumptions.
 
 Every trace fact a checker reads -- parameter values, initialisations,
-applications, threats by strategy, jump attribution -- comes from a
-``tracekit.TraceIndex``.  ``run_checks`` builds one index and runs the
-checkers from one table of (name, engines, per-slot, checker); the checkers
-find that index through a context variable, so their signatures take only
-the trace and the registry.
+applications, threats by strategy, jump attribution -- comes from the
+trace's own ``tracekit.TraceIndex`` (``trace.index``), so the checkers share
+one index whether ``run_checks`` runs them or a caller runs one alone.
+``run_checks`` runs the checkers from one table of (name, engines, per-slot,
+checker).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .dyadic import Dyadic, pow2
 from .phi import PhiRegistry, registry_from_config
-from .strings import BinStr, lex_less, region_covers_right_of
+from .strings import BinStr, lex_less, nu, region_covers_right_of
 from .tracekit import (
     EXPANSION_KINDS,
     THREAT_KINDS,
@@ -99,17 +98,6 @@ def _make_report(check: str, findings: list[tuple[str, dict]], assumptions=None)
     )
 
 
-# The index run_checks builds for its trace.  The checkers take only the
-# trace, so they find the shared index here; a checker called on its own, or
-# on another trace, builds a private one.
-_run_index: ContextVar[TraceIndex | None] = ContextVar("_run_index", default=None)
-
-
-def _index_for(trace: Trace) -> TraceIndex:
-    index = _run_index.get()
-    return index if index is not None and index.trace is trace else TraceIndex(trace)
-
-
 class _Offline:
     """Semantic re-evaluation of the stage predicates from a trace."""
 
@@ -155,6 +143,38 @@ def _registry_for(trace: Trace, registry: PhiRegistry | None) -> PhiRegistry:
     return registry if registry is not None else registry_from_config(trace.config)
 
 
+class _PastBound(Exception):
+    """A restraint or witness read from the trace lies outside the values
+    the engine writes; ``detail`` is the fail finding naming the law."""
+
+    def __init__(self, detail: dict):
+        super().__init__(detail["law"])
+        self.detail = detail
+
+
+def _bounded(index: TraceIndex, sigma: BinStr, fld: str, t: int) -> int:
+    """The restraint (``fld`` "r") or witness ("w") of sigma at stage t,
+    compared with the values the engine can write before any power of two
+    is taken of it; raises _PastBound outside them.
+
+    The engine raises a restraint from 0 by one at most once per stage, so
+    0 <= r <= t.  A witness starts at nu(sigma), an initialisation at stage
+    s writes nu(sigma) + s + 2, and engine B adds one at most once per
+    stage, so nu(sigma) <= w <= nu(sigma) + t + 2.
+    """
+    v = index.value(sigma, fld, t)
+    if fld == "r":
+        lo, hi, laws = 0, t, ("r>=0", "r<=t")
+    else:
+        lo = nu(sigma)
+        hi, laws = lo + t + 2, ("w>=nu(sigma)", "w<=nu(sigma)+t+2")
+    if v < lo:
+        raise _PastBound({"law": laws[0], "sigma": sigma, "t": t, "value": v, "bound": lo})
+    if v > hi:
+        raise _PastBound({"law": laws[1], "sigma": sigma, "t": t, "value": v, "bound": hi})
+    return v
+
+
 # ---------------------------------------------------------------------------
 # Parameter monotonicity
 
@@ -162,7 +182,7 @@ def _registry_for(trace: Trace, registry: PhiRegistry | None) -> PhiRegistry:
 def check_monotonicity(trace: Trace) -> Report:
     """Restraint and witness laws: r <= t, r and w non-decreasing in t,
     and (first construction only) the witness monotone along prefixes."""
-    index = _index_for(trace)
+    index = trace.index
     findings: list[tuple[str, dict]] = []
     tracked = list(index.written)
     if "" not in tracked:
@@ -266,7 +286,7 @@ def check_jump_sums(trace: Trace, registry: PhiRegistry | None = None) -> Report
     by the horizon only need the one-sided bound.
     """
     findings: list[tuple[str, dict]] = []
-    index = _index_for(trace)
+    index = trace.index
     try:
         fibers = index.fibers
     except TraceCorruption as exc:
@@ -319,7 +339,7 @@ def check_cutoffs(trace: Trace, registry: PhiRegistry | None = None) -> Report:
     if trace.engine != "A":
         raise ValueError("cut-off stages are defined for engine A traces only")
     findings: list[tuple[str, dict]] = []
-    index = _index_for(trace)
+    index = trace.index
     try:
         fibers = index.fibers
     except TraceCorruption as exc:
@@ -399,7 +419,7 @@ def check_requirement_N(
     _require_declared_increasing(registry, e)
     findings: list[tuple[str, dict]] = []
     x = trace.x
-    decrease = _index_for(trace).first_decrease
+    decrease = trace.index.first_decrease
     if decrease is not None:
         findings.append(("fail", {"error": f"x decreases at stage {decrease}"}))
         return _make_report(f"requirement_n[{e}]", findings)
@@ -464,11 +484,12 @@ def check_requirement_P(
     The engine writes r + 1 at most once per stage, so the restraint read at
     stage t is at most t.  A restraint past that bound at an expansionary
     stage is one fail finding, and the sweep, whose length grows with r, is
-    not run.
+    not run.  On engine B a witness the sweep reads outside its bound (see
+    ``_bounded``) also ends the check in one fail finding.
     """
     registry = _registry_for(trace, registry)
     _require_declared_increasing(registry, e)
-    index = _index_for(trace)
+    index = trace.index
     est = index.true_path
     if len(est.path) < e or est.stable_upto < e:
         return _make_report(
@@ -519,8 +540,11 @@ def check_requirement_P(
     p = 0
     n = 0
     while True:
-        while p < len(exp_stages) and not meets(n, exp_stages[p]):
-            p += 1
+        try:
+            while p < len(exp_stages) and not meets(n, exp_stages[p]):
+                p += 1
+        except _PastBound as exc:
+            return _make_report(f"requirement_p[{e}]", [("fail", exc.detail)], assumptions)
         if p == len(exp_stages):
             findings.append(("incomplete", {"n": n, "note": "t(n) beyond horizon"}))
             break
@@ -553,12 +577,13 @@ def _stability_start(index: TraceIndex, registry: PhiRegistry, path: BinStr, len
 
 
 def _witness_sum(index: TraceIndex, registry: PhiRegistry, path: BinStr, e: int, t: int) -> Dyadic:
-    """Exact sum of 2**(-w(tau)[t] + 1) over declared-increasing prefixes."""
+    """Exact sum of 2**(-w(tau)[t] + 1) over declared-increasing prefixes;
+    raises _PastBound for a witness outside its bound."""
     S = registry.total_increasing_indices()
     total = Dyadic(0)
     for length in range(e + 1):
         if length in S:
-            total = total + pow2(-index.value(path[:length], "w", t) + 1)
+            total = total + pow2(-_bounded(index, path[:length], "w", t) + 1)
     return total
 
 
@@ -572,7 +597,7 @@ def check_settlement_facts(trace: Trace, registry: PhiRegistry | None = None) ->
     0-spine, threat episodes closed once complete, one threat per witness
     value, and (second construction) the pause-flag laws."""
     registry = _registry_for(trace, registry)
-    index = _index_for(trace)
+    index = trace.index
     offline = _Offline(index, registry)
     configured = registry.configured_indices()
     findings: list[tuple[str, dict]] = []
@@ -719,11 +744,17 @@ def check_expansion_gap_bound(trace: Trace, registry: PhiRegistry | None = None)
     configured slot index is skipped: its chain length is -1 at every stage,
     so it is never expansionary and has no pair to check.  Only configured
     lengths pay for initialisations and applications.
+
+    The bound is 2**(-r + 1) plus the witness sum at t1.  Before it is
+    computed, r and every witness it sums are compared with their bounds
+    (0 <= r <= t1 and nu(tau) <= w <= nu(tau) + t1 + 2, see ``_bounded``):
+    a value outside ends the check in one fail finding naming the law, with
+    no arithmetic on it.
     """
     if trace.engine != "B":
         raise ValueError("the witness-sum gap bound applies to engine B traces")
     registry = _registry_for(trace, registry)
-    index = _index_for(trace)
+    index = trace.index
     offline = _Offline(index, registry)
     est = index.true_path
     configured = registry.configured_indices()
@@ -745,9 +776,12 @@ def check_expansion_gap_bound(trace: Trace, registry: PhiRegistry | None = None)
         exp_stages = offline.expansionary_stages(sigma, t0)
         pairs = 0
         for t1, t2 in zip(exp_stages, exp_stages[1:]):
-            bound = pow2(-index.value(sigma, "r", t1) + 1) + _witness_sum(
-                index, registry, est.path, length, t1
-            )
+            try:
+                bound = pow2(-_bounded(index, sigma, "r", t1) + 1) + _witness_sum(
+                    index, registry, est.path, length, t1
+                )
+            except _PastBound as exc:
+                return _make_report("expansion_gap", [("fail", exc.detail)], assumptions)
             if not (trace.x[t2] - trace.x[t1]) <= bound:
                 findings.append(("fail", {"sigma": sigma, "t1": t1, "t2": t2,
                                           "gap": str(trace.x[t2] - trace.x[t1]),
@@ -795,8 +829,7 @@ def run_checks(
     """Run the selected checkers (default: all that apply to the engine).
 
     A check selected by name runs even where it does not apply, so that its
-    checker's ValueError says why.  The checkers share one index of the
-    trace, built here.
+    checker's ValueError says why.
     """
     registry = _registry_for(trace, registry)
     if checks is None:
@@ -807,12 +840,8 @@ def run_checks(
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
         selected = [table[name] for name in checks]
-    token = _run_index.set(TraceIndex(trace))
-    try:
-        reports: list[Report] = []
-        for _, _, per_slot, checker in selected:
-            slots = sorted(registry.total_increasing_indices()) if per_slot else [None]
-            reports.extend(checker(trace, registry, e) for e in slots)
-        return reports
-    finally:
-        _run_index.reset(token)
+    reports: list[Report] = []
+    for _, _, per_slot, checker in selected:
+        slots = sorted(registry.total_increasing_indices()) if per_slot else [None]
+        reports.extend(checker(trace, registry, e) for e in slots)
+    return reports

@@ -241,9 +241,7 @@ def test_c10_mutation_kill(minimal_registry):
     killed.append("jump_sums")
 
     # cutoffs: initialisation region removed at the cut-off stage
-    from injurybench.tracekit import cutoff_stages
-
-    t_cut = cutoff_stages(trace_a, "0")
+    t_cut = trace_a.index.cutoff_stage("0")
     assert check_cutoffs(rebuild(trace_a, t_cut, init_regions=()), minimal_registry).status == "fail"
     assert check_cutoffs(trace_a, minimal_registry).status == "pass"
     killed.append("cutoffs")

@@ -295,9 +295,26 @@ def _float_write_value(header, records):
     records[1]["param_writes"][0][2] = 1.5
 
 
+def _first_positive_jump(records):
+    return next(rec["jump"] for rec in records if rec["jump"]["m"] != "0")
+
+
+def _huge_jump_exponent(header, records):
+    _first_positive_jump(records)["k"] = 2**70
+
+
+def _negative_jump_exponent(header, records):
+    _first_positive_jump(records)["k"] = -2**70
+
+
+def _float_horizon(header, records):
+    header["T"] = 60.0
+
+
 @pytest.mark.parametrize("mutate", [
     _tamper_config, _unknown_param_field, _list_action_kind, _unknown_engine,
-    _unknown_version, _float_write_value,
+    _unknown_version, _float_write_value, _huge_jump_exponent, _negative_jump_exponent,
+    _float_horizon,
 ], ids=lambda fn: fn.__name__.lstrip("_"))
 def test_verify_rejects_bad_header_or_field_with_exit_two(default_a60, tmp_path, capsys, mutate):
     # each mutant verified with exit 1 or 3 before the loader checked it
@@ -373,6 +390,40 @@ def test_verify_of_huge_restraint_stays_bounded(default_a60, tmp_path):
     reports = {r["check"]: r for r in json.loads((tmp_path / "r.json").read_text())}
     assert reports["requirement_p[0]"]["witnesses"] == [
         {"status": "fail", "law": "r<=t", "e": 0, "t": 41, "value": 2**70, "bound": 41},
+    ]
+
+
+@pytest.fixture(scope="module")
+def default_b60(tmp_path_factory):
+    out = tmp_path_factory.mktemp("b60")
+    assert main(["run", "--engine", "B", "--stages", "60", "--out", str(out)]) == 0
+    return (out / "trace.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("t, write, law, first_t, bound", [
+    (16, ["", "r", 5], "r<=t", 17, 17),
+    (15, ["", "w", 8], "w<=nu(sigma)+t+2", 16, 18),
+], ids=["restraint", "witness"])
+def test_verify_of_huge_gap_bound_exponent_stays_bounded(default_b60, tmp_path, t, write,
+                                                          law, first_t, bound):
+    # the witness-sum gap bound once added 2**(-r + 1) to the witness sum
+    # with r or w = 2**70, aligning mantissas by 2**70 bits (OverflowError);
+    # both are compared with their bounds first now
+    head, *rest = default_b60.decode().rstrip("\n").split("\n")
+    rec = json.loads(rest[t])
+    assert rec["t"] == t and rec["param_writes"][1] == write
+    rec["param_writes"][1][2] = 2**70
+    rest[t] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join([head, *rest]) + "\n", encoding="utf-8")
+    result = _verify_under_memory_limit(bad, tmp_path)
+    assert result.returncode == 1, result.stderr[-2000:]
+    assert "Traceback" not in result.stderr
+    assert "expansion_gap: fail" in result.stderr.splitlines()
+    reports = {r["check"]: r for r in json.loads((tmp_path / "r.json").read_text())}
+    assert reports["expansion_gap"]["witnesses"] == [
+        {"status": "fail", "law": law, "sigma": "", "t": first_t, "value": 2**70,
+         "bound": bound},
     ]
 
 

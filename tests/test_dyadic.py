@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from injurybench.dyadic import Dyadic, ZERO, ONE, pow2
+from injurybench.dyadic import MAX_EXPONENT, Dyadic, ZERO, ONE, pow2
 
 
 dyadics = st.builds(
@@ -52,6 +52,12 @@ def test_text_and_json_round_trip():
         Dyadic.from_text("1/3")
     with pytest.raises(ValueError):
         Dyadic.from_json({"m": "x", "k": 0})
+    # exponents: a literal's is capped, a JSON one is never negative
+    assert Dyadic.from_text(f"1/2^{MAX_EXPONENT}") == pow2(-MAX_EXPONENT)
+    with pytest.raises(ValueError, match="exceeds"):
+        Dyadic.from_text(f"1/2^{MAX_EXPONENT + 1}")
+    with pytest.raises(ValueError):
+        Dyadic.from_json({"m": "1", "k": -1})
 
 
 def test_is_pow2():

@@ -10,6 +10,7 @@ import pytest
 
 from injurybench.dyadic import Dyadic, ZERO, pow2
 from injurybench.engine import (
+    EngineState,
     new_engine_a,
     new_engine_b,
     run_a,
@@ -27,8 +28,6 @@ from injurybench.tracekit import (
     TERMINAL_KINDS,
     TraceCorruption,
     TraceIndex,
-    cutoff_stages,
-    u_map,
 )
 from conftest import MINIMAL_CONFIG
 
@@ -164,10 +163,10 @@ def test_engine_a_golden(minimal):
     assert index.value("0", "w", 18) == 4
     assert index.value("0", "s", 9) == 1
 
-    assert u_map(trace) == {1: 1, **{t: 8 for t in range(9, 17)}}
-    assert cutoff_stages(trace, "") == 1
-    assert cutoff_stages(trace, "0") == 16
-    assert cutoff_stages(trace, "11") is None
+    assert trace.index.u_map == {1: 1, **{t: 8 for t in range(9, 17)}}
+    assert trace.index.cutoff_stage("") == 1
+    assert trace.index.cutoff_stage("0") == 16
+    assert trace.index.cutoff_stage("11") is None
 
 
 def test_engine_b_golden(minimal):
@@ -198,7 +197,7 @@ def test_engine_b_golden(minimal):
     assert index.value("1", "w", 5) == nu("1") + 4 + 2
     assert index.value("0", "p", 7) == 0
 
-    assert u_map(trace) == {1: 1, 3: 3, 4: 2, 5: 5, 7: 7}
+    assert trace.index.u_map == {1: 1, 3: 3, 4: 2, 5: 5, 7: 7}
     assert index.threats == {"": [1, 3, 5, 7], "0": [2]}
 
 
@@ -231,6 +230,12 @@ def test_hooks_receive_every_record(minimal):
 def test_run_engine_rejects_empty_run(minimal):
     with pytest.raises(ValueError):
         run_engine(new_engine_a(minimal), 0)
+
+
+@pytest.mark.parametrize("tag", ["C", "a", "", None])
+def test_engine_state_rejects_unknown_tag(minimal, tag):
+    with pytest.raises(ValueError, match="unknown engine"):
+        EngineState(minimal, tag)
 
 
 def test_expansion_boundary_is_strict():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from injurybench.dyadic import ZERO
+from injurybench.dyadic import MAX_EXPONENT, ZERO, Dyadic, pow2
 from injurybench.engine import run_a, run_b
 from injurybench.phi import registry_from_config
 from injurybench.strings import (
@@ -222,6 +222,12 @@ def test_sequence_csv_round_trip(tmp_path, trace_a):
     path = tmp_path / "seq.csv"
     write_sequence_csv(trace_a.x, str(path))
     assert read_sequence_csv(str(path)) == trace_a.x
+    # the exponent cap admits its own value and nothing past it
+    write_sequence_csv([pow2(-MAX_EXPONENT)], str(path))
+    assert read_sequence_csv(str(path)) == [pow2(-MAX_EXPONENT)]
+    write_sequence_csv([Dyadic(1, MAX_EXPONENT + 1)], str(path))
+    with pytest.raises(ValueError, match=f"exponent {MAX_EXPONENT + 1} outside"):
+        read_sequence_csv(str(path))
 
 
 def test_unknown_field_rejected(trace_a):

@@ -17,12 +17,11 @@ from hypothesis import given, settings, strategies as st
 from injurybench.dyadic import Dyadic, ZERO, pow2
 from injurybench.engine import run_a, run_b
 from injurybench.phi import DEFAULT_CONFIG, registry_from_config
-from injurybench.strings import region_contains, true_path_estimate
+from injurybench.strings import nu, region_contains, true_path_estimate
 from injurybench.tracekit import (
     Trace,
     TraceIndex,
     TraceParseError,
-    cutoff_stages,
     deserialize,
     serialize,
 )
@@ -147,7 +146,7 @@ def test_mutation_jump_sums(trace_a, minimal):
 
 def test_mutation_cutoffs_missing_region(trace_a, minimal):
     # documented mutation: drop the initialisation region at a cut-off stage
-    t_cut = cutoff_stages(trace_a, "0")
+    t_cut = trace_a.index.cutoff_stage("0")
     assert t_cut is not None
     mutated = mutate_record(trace_a, t_cut, init_regions=())
     report = check_cutoffs(mutated, minimal)
@@ -168,6 +167,24 @@ def test_mutation_requirement_n(trace_a, minimal):
         check_requirement_N(mutated, minimal, e).to_json()
         for e in sorted(minimal.total_increasing_indices())
     ]
+
+
+def test_run_checks_a_lone_checker_and_cutoff_stage_build_one_index(minimal, monkeypatch):
+    # the trace owns its index: run_checks, a checker called alone
+    # afterwards and the cut-off lookup all read the same one
+    built = []
+    init = TraceIndex.__init__
+
+    def counting_init(self, trace):
+        built.append(trace)
+        init(self, trace)
+
+    monkeypatch.setattr(TraceIndex, "__init__", counting_init)
+    trace = run_a(minimal, 60)
+    run_checks(trace, minimal)
+    assert check_cutoffs(trace, minimal).status == "pass"
+    assert trace.index.cutoff_stage("0") is not None
+    assert len(built) == 1 and built[0] is trace
 
 
 def test_mutation_requirement_p(minimal):
@@ -507,14 +524,35 @@ UNDECLARED_BELOW_CONFIG = {"slots": [
 ]}
 
 
+def gap_bound_past_bound(index: TraceIndex, registry, path, length, t):
+    """The first restraint or witness the gap bound at t reads outside the
+    values the engine writes (0 <= r <= t, nu <= w <= nu + t + 2), as the
+    fail finding's detail; None when all are within."""
+    sigma = path[:length]
+    r = index.value(sigma, "r", t)
+    if not 0 <= r <= t:
+        law, bound = ("r>=0", 0) if r < 0 else ("r<=t", t)
+        return {"law": law, "sigma": sigma, "t": t, "value": r, "bound": bound}
+    for sub in sorted(registry.total_increasing_indices()):
+        tau = path[:sub]
+        w = index.value(tau, "w", t)
+        if sub <= length and not nu(tau) <= w <= nu(tau) + t + 2:
+            law, bound = (("w>=nu(sigma)", nu(tau)) if w < nu(tau)
+                          else ("w<=nu(sigma)+t+2", nu(tau) + t + 2))
+            return {"law": law, "sigma": tau, "t": t, "value": w, "bound": bound}
+    return None
+
+
 def per_prefix_expansion_gap(trace: Trace, registry) -> dict:
     """Reference for check_expansion_gap_bound: every prefix of the stable
     path on its own, rescanning the shorter slots for an undeclared
     classification and asking every prefix, configured or not, for its
-    expansionary stages."""
+    expansionary stages.  A restraint or witness past its bound is one fail
+    finding."""
     index = TraceIndex(trace)
     offline = verify._Offline(index, registry)
     est = index.true_path
+    assumptions = [f"true-path estimate stable to length {est.stable_upto}"]
     findings = []
     for length in range(est.stable_upto + 1):
         sigma = est.path[:length]
@@ -527,6 +565,10 @@ def per_prefix_expansion_gap(trace: Trace, registry) -> dict:
         exp_stages = offline.expansionary_stages(sigma, t0)
         pairs = 0
         for t1, t2 in zip(exp_stages, exp_stages[1:]):
+            past = gap_bound_past_bound(index, registry, est.path, length, t1)
+            if past is not None:
+                return verify._make_report("expansion_gap", [("fail", past)],
+                                           assumptions).to_json()
             bound = pow2(-index.value(sigma, "r", t1) + 1) + verify._witness_sum(
                 index, registry, est.path, length, t1
             )
@@ -537,7 +579,6 @@ def per_prefix_expansion_gap(trace: Trace, registry) -> dict:
             pairs += 1
         if pairs:
             findings.append(("pass", {"sigma": sigma, "pairs": pairs, "t0": t0}))
-    assumptions = [f"true-path estimate stable to length {est.stable_upto}"]
     return verify._make_report("expansion_gap", findings, assumptions).to_json()
 
 
