@@ -10,7 +10,7 @@ for finite sequences.
 
 from .dyadic import Dyadic, pow2
 from .engine import run_a, run_b
-from .phi import DEFAULT_CONFIG, PhiRegistry, default_registry, registry_from_config
+from .phi import DEFAULT_CONFIG, PhiRegistry, registry_from_config
 from .tracekit import Trace, deserialize, serialize
 from .verify import run_checks
 
@@ -23,7 +23,6 @@ __all__ = [
     "run_b",
     "PhiRegistry",
     "DEFAULT_CONFIG",
-    "default_registry",
     "registry_from_config",
     "Trace",
     "serialize",

@@ -17,6 +17,7 @@ from .dyadic import Dyadic
 from .engine import run_a, run_b
 from .phi import DEFAULT_CONFIG, registry_from_config
 from .speed import (
+    SEARCH_BUDGET,
     ApproxSequence,
     IncompleteSearch,
     ModulusFn,
@@ -156,22 +157,25 @@ def cmd_speed(args) -> int:
         print(json.dumps(summary))
         return EXIT_PASS
     if args.speed_cmd == "speed2regain":
-        if args.n_max < 0:
-            raise ValueError(f"--n-max must be a natural number, got {args.n_max}")
+        n_max = args.n_max
+        if n_max < 0:
+            raise ValueError(f"--n-max must be a natural number, got {n_max}")
+        if n_max > SEARCH_BUDGET:
+            raise ValueError(f"--n-max must be at most {SEARCH_BUDGET}, got {n_max}")
         f = _load_modulus(args)
         rho = Dyadic.from_text(args.rho)
         try:
             res = speed_to_regain(f, rho)
+            payload = {
+                "k": res.k,
+                "m": res.m,
+                "g": [res.g(n) for n in range(n_max + 1)],
+                "h": [res.h(n) for n in range(n_max + 1)],
+            }
         except IncompleteSearch as exc:
             print(json.dumps({"incomplete": str(exc), "budget": exc.budget}))
             return EXIT_INCOMPLETE
-        n_max = args.n_max
-        print(json.dumps({
-            "k": res.k,
-            "m": res.m,
-            "g": [res.g(n) for n in range(n_max + 1)],
-            "h": [res.h(n) for n in range(n_max + 1)],
-        }))
+        print(json.dumps(payload))
         return EXIT_PASS
     if args.speed_cmd == "certify":
         seq = _load_sequence(args.sequence, args.limit)

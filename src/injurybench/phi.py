@@ -23,7 +23,6 @@ from bisect import bisect_right
 __all__ = [
     "PhiRegistry",
     "DEFAULT_CONFIG",
-    "default_registry",
     "registry_from_config",
     "config_digest",
     "validate_config",
@@ -418,9 +417,3 @@ DEFAULT_CONFIG: dict = {
         },
     ]
 }
-
-
-def default_registry() -> PhiRegistry:
-    """Fresh registry holding the documented default family."""
-    return PhiRegistry(DEFAULT_CONFIG)
-

@@ -15,6 +15,7 @@ cross-multiplication, and the reporting helper returns exact
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -32,7 +33,13 @@ __all__ = [
     "speed_to_regain",
     "certify_regaining",
     "modulus_to_gapbound",
+    "SEARCH_BUDGET",
 ]
+
+# Evaluation budget of every unbounded search over a modulus: the search
+# for g(n) and the search for m.  ``speed speed2regain --n-max`` is capped
+# by it too, since g(n) for n past it may need a longer search.
+SEARCH_BUDGET = 100_000
 
 
 class IncompleteSearch(Exception):
@@ -188,22 +195,35 @@ class SpeedToRegain:
 
 
 def _derive_g(f: ModulusFn, search_limit: int) -> ModulusFn:
-    """g(n) = 0 below f(0), else max{k : f(k) <= n}."""
+    """g(n) = 0 below f(0), else max{k : f(k) <= n}.
+
+    f is non-decreasing, so {k : f(k) <= n} is an initial segment that grows
+    with n, and g is non-decreasing: the search for g(n) starts at g(n') for
+    the largest n' <= n already evaluated, so listing g(0..N) costs
+    O(N + g(N)) evaluations of f rather than O(N * g(N)).
+    """
+    seen_n: list[int] = []  # searched arguments, sorted
+    seen_g: list[int] = []  # g at each of them
 
     def g_eval(n: int) -> int:
         if f(0) > n:
             return 0
-        k = 0
+        i = bisect_right(seen_n, n)
+        k = seen_g[i - 1] if i else 0
         while k + 1 <= search_limit and f(k + 1) <= n:
             k += 1
         if k + 1 > search_limit:
             raise IncompleteSearch("g evaluation", search_limit)
+        seen_n.insert(i, n)
+        seen_g.insert(i, k)
         return k
 
     return ModulusFn(g_eval, name="g")
 
 
-def speed_to_regain(f: ModulusFn, rho: Dyadic, search_limit: int = 100_000) -> SpeedToRegain:
+def speed_to_regain(
+    f: ModulusFn, rho: Dyadic, search_limit: int = SEARCH_BUDGET
+) -> SpeedToRegain:
     """From a gap modulus and a speedup constant to a regaining modulus.
 
     g(n) is 0 below f(0) and otherwise the largest k with f(k) <= n; k is
@@ -266,7 +286,7 @@ def modulus_to_gapbound(f: ModulusFn, seq: ApproxSequence) -> GapBoundReport:
                 )
         n += 1
 
-    g = _derive_g(f, search_limit=100_000)
+    g = _derive_g(f, SEARCH_BUDGET)
     checked = []
     violations = []
     for i in range(f(0), length - 1):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .dyadic import MAX_EXPONENT, ZERO, Dyadic
-from .phi import config_digest
+from .phi import PhiRegistry, config_digest
 # perfbench/tracing.py also counts region membership as tracekit.region_contains
 from .strings import (
     REL_LEX,
@@ -187,8 +187,9 @@ class StageRecord:
 class Trace:
     """Immutable-by-convention record of a whole run.
 
-    ``index`` is built from the stages and x on first use and kept, so a
-    trace must not be changed once it has been read.
+    ``index`` is built from the stages and x, and ``registry`` from
+    ``config``, on first use and kept, so a trace must not be changed once
+    it has been read.
     """
 
     engine: str  # "A" | "B"
@@ -200,7 +201,7 @@ class Trace:
     def T(self) -> int:
         return len(self.stages)
 
-    @property
+    @cached_property
     def flag_field(self) -> str:
         return FLAG_FIELDS[self.engine]
 
@@ -208,6 +209,11 @@ class Trace:
     def index(self) -> TraceIndex:
         """The one :class:`TraceIndex` of this trace, built on first use."""
         return TraceIndex(self)
+
+    @cached_property
+    def registry(self) -> PhiRegistry:
+        """The one :class:`PhiRegistry` of ``config``, built on first use."""
+        return PhiRegistry(self.config)
 
     def config_digest(self) -> str:
         return config_digest(self.config)
@@ -284,9 +290,11 @@ def _check_header(header: dict) -> None:
 def _check_record(rec: StageRecord, fields: tuple[str, ...], line: int) -> None:
     """Reject a non-string action kind, any word that is not a string over
     {0,1}, any unknown region relation, any parameter field outside
-    ``fields``, and a stage number, parameter value or action number that is
-    not a JSON integer: the native-order membership tests hold only on
-    binary words, and ``true`` or ``1.5`` must not pass for 1."""
+    ``fields``, a stage number, parameter value or action number that is
+    not a JSON integer, and a negative parameter value: the native-order
+    membership tests hold only on binary words, ``true`` or ``1.5`` must not
+    pass for 1, and the engine writes only naturals (c, r, w >= 0 and flags
+    in {0, 1}), whose negation the checkers take as a power of two."""
     act = rec.action
     if not isinstance(act.kind, str):
         raise TraceParseError(f"action kind {act.kind!r} is not a string", line=line)
@@ -305,9 +313,11 @@ def _check_record(rec: StageRecord, fields: tuple[str, ...], line: int) -> None:
     for _, rel in rec.init_regions:
         if rel not in (REL_LEX, REL_LEX_OR_EXT):
             raise TraceParseError(f"unknown region relation {rel!r}", line=line)
-    for _, fld, _ in rec.param_writes:
+    for _, fld, v in rec.param_writes:
         if fld not in fields:
             raise TraceParseError(f"unknown parameter field {fld!r}", line=line)
+        if v < 0:
+            raise TraceParseError(f"parameter value {v} of {fld!r} is negative", line=line)
 
 
 def deserialize(data: bytes) -> Trace:

@@ -1,13 +1,12 @@
 """Mechanical checkers for the constructions' laws and certificates.
 
-Each checker is a pure function of an immutable trace (plus the registry the
-run used, when the statement mentions slot values) and returns a structured
-report.  Most of the verified statements quantify over the infinite run, so
-conclusions are three-valued: "pass" and "fail" where the finite trace
-decides the statement, "incomplete" where the horizon truncates it.  A
-report's overall status is "fail" if any item failed, "incomplete" only
-when nothing could be confirmed, and "pass" otherwise (vacuous checks
-pass).
+Each checker is a pure function of an immutable trace, its only input, and
+returns a structured report.  Most of the verified statements quantify over
+the infinite run, so conclusions are three-valued: "pass" and "fail" where
+the finite trace decides the statement, "incomplete" where the horizon
+truncates it.  A report's overall status is "fail" if any item failed,
+"incomplete" only when nothing could be confirmed, and "pass" otherwise
+(vacuous checks pass).
 
 Where a checker needs the stage after which a strategy is never initialised
 again -- unobservable at a finite horizon -- it substitutes the last
@@ -17,8 +16,12 @@ Every trace fact a checker reads -- parameter values, initialisations,
 applications, threats by strategy, jump attribution -- comes from the
 trace's own ``tracekit.TraceIndex`` (``trace.index``), so the checkers share
 one index whether ``run_checks`` runs them or a caller runs one alone.
-``run_checks`` runs the checkers from one table of (name, engines, per-slot,
-checker).
+Slot values come from the registry that the trace's embedded configuration
+builds (``trace.registry``), likewise built once per trace.  The loader
+(``tracekit.deserialize``) has already checked that configuration against
+its digest, and every parameter value to be a natural number, as the
+engine writes them.  ``run_checks`` runs the checkers from one table of
+(name, engines, per-slot, checker).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .dyadic import Dyadic, pow2
-from .phi import PhiRegistry, registry_from_config
+from .phi import PhiRegistry
 from .strings import BinStr, lex_less, nu, region_covers_right_of
 from .tracekit import (
     EXPANSION_KINDS,
@@ -98,49 +101,44 @@ def _make_report(check: str, findings: list[tuple[str, dict]], assumptions=None)
     )
 
 
-class _Offline:
-    """Semantic re-evaluation of the stage predicates from a trace."""
-
-    def __init__(self, index: TraceIndex, registry: PhiRegistry):
-        self.index = index
-        self.trace = index.trace
-        self.registry = registry
-        self.flag = self.trace.flag_field
-        self.needs_flag = self.trace.engine == "A"
-
-    def _gap_below(self, e: int, t: int, exponent: int) -> bool:
-        l = self.registry.ell(e, t)
-        v = self.registry.step(e, l, t)
-        if v is None or v > t:
-            raise TraceCorruption(f"slot {e} chain inconsistent at stage {t}")
-        return (self.trace.x[t] - self.trace.x[v]) < pow2(-exponent)
-
-    def threatened(self, sigma: BinStr, t: int) -> bool:
-        if self.index.value(sigma, self.flag, t) != 0:
-            return False
-        e = len(sigma)
-        l = self.registry.ell(e, t)
-        w = self.index.value(sigma, "w", t)
-        if l < 0 or l < w:
-            return False
-        return self._gap_below(e, t, w)
-
-    def expansionary(self, sigma: BinStr, t: int) -> bool:
-        if self.needs_flag and self.index.value(sigma, self.flag, t) != 1:
-            return False
-        e = len(sigma)
-        if self.registry.ell(e, t) < 0:
-            return False
-        return self._gap_below(e, t, self.index.value(sigma, "r", t))
-
-    def expansionary_stages(self, sigma: BinStr, t0: int) -> list[int]:
-        """Applications of sigma from stage t0 on at which it is expansionary."""
-        apps = self.index.applications(sigma)
-        return [t for t in apps[bisect_left(apps, t0):] if self.expansionary(sigma, t)]
+def _gap_below(trace: Trace, e: int, t: int, exponent: int) -> bool:
+    registry = trace.registry
+    l = registry.ell(e, t)
+    v = registry.step(e, l, t)
+    if v is None or v > t:
+        raise TraceCorruption(f"slot {e} chain inconsistent at stage {t}")
+    return (trace.x[t] - trace.x[v]) < pow2(-exponent)
 
 
-def _registry_for(trace: Trace, registry: PhiRegistry | None) -> PhiRegistry:
-    return registry if registry is not None else registry_from_config(trace.config)
+def _threatened(trace: Trace, sigma: BinStr, t: int) -> bool:
+    """The threat predicate of sigma at stage t, re-evaluated from the trace."""
+    index = trace.index
+    if index.value(sigma, trace.flag_field, t) != 0:
+        return False
+    e = len(sigma)
+    l = trace.registry.ell(e, t)
+    w = index.value(sigma, "w", t)
+    if l < 0 or l < w:
+        return False
+    return _gap_below(trace, e, t, w)
+
+
+def _expansionary(trace: Trace, sigma: BinStr, t: int) -> bool:
+    """The expansion predicate of sigma at stage t, re-evaluated from the
+    trace; engine A also needs sigma's flag set."""
+    index = trace.index
+    if trace.engine == "A" and index.value(sigma, trace.flag_field, t) != 1:
+        return False
+    e = len(sigma)
+    if trace.registry.ell(e, t) < 0:
+        return False
+    return _gap_below(trace, e, t, index.value(sigma, "r", t))
+
+
+def _expansionary_stages(trace: Trace, sigma: BinStr, t0: int) -> list[int]:
+    """Applications of sigma from stage t0 on at which it is expansionary."""
+    apps = trace.index.applications(sigma)
+    return [t for t in apps[bisect_left(apps, t0):] if _expansionary(trace, sigma, t)]
 
 
 class _PastBound(Exception):
@@ -277,7 +275,7 @@ def _classify_episode(total: Dyadic, bound: Dyadic, t2, interrupted_at) -> tuple
     return "fail", "episode complete but sum falls short"
 
 
-def check_jump_sums(trace: Trace, registry: PhiRegistry | None = None) -> Report:
+def check_jump_sums(trace: Trace) -> Report:
     """Exact jump-sum identities per threat and per counter episode.
 
     A threat handled at t1 with the next application of the strategy at t2
@@ -329,7 +327,7 @@ def check_jump_sums(trace: Trace, registry: PhiRegistry | None = None) -> Report
 # Cut-off stages (first construction)
 
 
-def check_cutoffs(trace: Trace, registry: PhiRegistry | None = None) -> Report:
+def check_cutoffs(trace: Trace) -> Report:
     """Cut-off certification: region coverage, counter condition, tail bound.
 
     A cut-off is identified when a strategy's threat episode completed in
@@ -406,16 +404,14 @@ def _require_declared_increasing(registry: PhiRegistry, e: int) -> None:
     raise ValueError(f"slot {e} is not declared total and increasing; refusing")
 
 
-def check_requirement_N(
-    trace: Trace, registry: PhiRegistry | None = None, e: int = 0
-) -> Report:
+def check_requirement_N(trace: Trace, e: int = 0) -> Report:
     """One-sided certification of the negative requirement for slot e.
 
     Engine A form: find the least m with x_T - x_{phi_e(m)} >= 2**-m (sound
     because the limit dominates x_T).  Engine B form: report the widest
     window [m, n_max] on which the inequality holds for every n.
     """
-    registry = _registry_for(trace, registry)
+    registry = trace.registry
     _require_declared_increasing(registry, e)
     findings: list[tuple[str, dict]] = []
     x = trace.x
@@ -462,9 +458,7 @@ def check_requirement_N(
 # Positive requirements
 
 
-def check_requirement_P(
-    trace: Trace, registry: PhiRegistry | None = None, e: int = 0
-) -> Report:
+def check_requirement_P(trace: Trace, e: int = 0) -> Report:
     """Modulus extraction and gap verification for the positive requirement.
 
     Computes the stage t(n) at which the true-path strategy of length e has
@@ -487,7 +481,7 @@ def check_requirement_P(
     not run.  On engine B a witness the sweep reads outside its bound (see
     ``_bounded``) also ends the check in one fail finding.
     """
-    registry = _registry_for(trace, registry)
+    registry = trace.registry
     _require_declared_increasing(registry, e)
     index = trace.index
     est = index.true_path
@@ -499,7 +493,6 @@ def check_requirement_P(
                              "stable_upto": est.stable_upto})],
         )
     sigma = est.path[:e]
-    offline = _Offline(index, registry)
     assumptions = [f"true-path prefix {sigma or 'the root'!r} taken from the "
                    f"windowed estimate (stable_upto={est.stable_upto})"]
 
@@ -511,7 +504,7 @@ def check_requirement_P(
                     [("incomplete", {"e": e, "note": f"slot {length} lacks a "
                                      "declared classification; refusing"})],
                 )
-    t0 = _stability_start(index, registry, est.path, e)
+    t0 = _stability_start(trace, est.path, e)
     assumptions.append(f"post-stability horizon approximated as t0={t0}")
 
     def meets(n: int, t: int) -> bool:
@@ -519,9 +512,9 @@ def check_requirement_P(
         if trace.engine == "A":
             return r_here >= n + 2
         return (r_here >= n + 3
-                and _witness_sum(index, registry, est.path, e, t) <= pow2(-(n + 1)))
+                and _witness_sum(trace, est.path, e, t) <= pow2(-(n + 1)))
 
-    exp_stages = offline.expansionary_stages(sigma, t0)
+    exp_stages = _expansionary_stages(trace, sigma, t0)
     for t in exp_stages:
         r_here = index.value(sigma, "r", t)
         if r_here > t:
@@ -562,28 +555,29 @@ def check_requirement_P(
     return _make_report(f"requirement_p[{e}]", findings, assumptions)
 
 
-def _stability_start(index: TraceIndex, registry: PhiRegistry, path: BinStr, length: int) -> int:
+def _stability_start(trace: Trace, path: BinStr, length: int) -> int:
     """First stage after the last in-horizon initialisation of path[:length]
     and, on engine B, after the last threat handled by any prefix whose slot
     is not declared total and increasing."""
+    index = trace.index
     inits = index.initialisations(path[:length])
     t0 = inits[-1] + 1 if inits else 0
-    if index.trace.engine == "B":
-        S = registry.total_increasing_indices()
+    if trace.engine == "B":
+        S = trace.registry.total_increasing_indices()
         for sub in range(length + 1):
             if sub not in S and path[:sub] in index.threats:
                 t0 = max(t0, index.threats[path[:sub]][-1] + 1)
     return t0
 
 
-def _witness_sum(index: TraceIndex, registry: PhiRegistry, path: BinStr, e: int, t: int) -> Dyadic:
+def _witness_sum(trace: Trace, path: BinStr, e: int, t: int) -> Dyadic:
     """Exact sum of 2**(-w(tau)[t] + 1) over declared-increasing prefixes;
     raises _PastBound for a witness outside its bound."""
-    S = registry.total_increasing_indices()
+    S = trace.registry.total_increasing_indices()
     total = Dyadic(0)
     for length in range(e + 1):
         if length in S:
-            total = total + pow2(-_bounded(index, path[:length], "w", t) + 1)
+            total = total + pow2(-_bounded(trace.index, path[:length], "w", t) + 1)
     return total
 
 
@@ -591,15 +585,13 @@ def _witness_sum(index: TraceIndex, registry: PhiRegistry, path: BinStr, e: int,
 # Settlement facts
 
 
-def check_settlement_facts(trace: Trace, registry: PhiRegistry | None = None) -> Report:
+def check_settlement_facts(trace: Trace) -> Report:
     """Consistency of every stage with the substage rules: descent bits
     justified by the re-evaluated predicates, counters clear along the
     0-spine, threat episodes closed once complete, one threat per witness
     value, and (second construction) the pause-flag laws."""
-    registry = _registry_for(trace, registry)
     index = trace.index
-    offline = _Offline(index, registry)
-    configured = registry.configured_indices()
+    configured = trace.registry.configured_indices()
     findings: list[tuple[str, dict]] = []
     c_written = index.written_to("c")
 
@@ -625,10 +617,10 @@ def check_settlement_facts(trace: Trace, registry: PhiRegistry | None = None) ->
             for depth in range(len(settled)):
                 rho = settled[:depth]
                 if depth in configured:
-                    if offline.threatened(rho, t):
+                    if _threatened(trace, rho, t):
                         violation(t=t, law="threatened prefix passed over", rho=rho)
                         break
-                    if offline.expansionary(rho, t):
+                    if _expansionary(trace, rho, t):
                         if index.value(rho, "c", t) != 0:
                             violation(t=t, law="pending counter passed over", rho=rho)
                             break
@@ -643,14 +635,14 @@ def check_settlement_facts(trace: Trace, registry: PhiRegistry | None = None) ->
                     break
             # the settled strategy itself must justify the terminal action
             if kind != TOP_OUT:
-                thr = offline.threatened(settled, t) if len(settled) in configured else False
+                thr = _threatened(trace, settled, t) if len(settled) in configured else False
                 if kind in THREAT_KINDS and not thr:
                     violation(t=t, law="threat action without threat", sigma=settled)
                 if kind in EXPANSION_KINDS:
                     if thr:
                         violation(t=t, law="counter action while threatened",
                                   sigma=settled)
-                    elif not (len(settled) in configured and offline.expansionary(settled, t)):
+                    elif not (len(settled) in configured and _expansionary(trace, settled, t)):
                         violation(t=t, law="counter action without expansion",
                                   sigma=settled)
                     elif index.value(settled, "c", t) == 0:
@@ -734,7 +726,7 @@ def _check_pause_facts(trace: Trace, index: TraceIndex, findings) -> None:
 # Expansion gap bound (second construction)
 
 
-def check_expansion_gap_bound(trace: Trace, registry: PhiRegistry | None = None) -> Report:
+def check_expansion_gap_bound(trace: Trace) -> Report:
     """Between consecutive expansionary applications of a stable strategy,
     the approximation may grow by at most twice its restraint bound plus the
     witness sum of its declared-increasing prefixes.
@@ -753,9 +745,8 @@ def check_expansion_gap_bound(trace: Trace, registry: PhiRegistry | None = None)
     """
     if trace.engine != "B":
         raise ValueError("the witness-sum gap bound applies to engine B traces")
-    registry = _registry_for(trace, registry)
+    registry = trace.registry
     index = trace.index
-    offline = _Offline(index, registry)
     est = index.true_path
     configured = registry.configured_indices()
     findings: list[tuple[str, dict]] = []
@@ -772,13 +763,13 @@ def check_expansion_gap_bound(trace: Trace, registry: PhiRegistry | None = None)
             continue
         if length not in configured:
             continue  # ell is -1 for an empty slot: never expansionary
-        t0 = _stability_start(index, registry, est.path, length)
-        exp_stages = offline.expansionary_stages(sigma, t0)
+        t0 = _stability_start(trace, est.path, length)
+        exp_stages = _expansionary_stages(trace, sigma, t0)
         pairs = 0
         for t1, t2 in zip(exp_stages, exp_stages[1:]):
             try:
                 bound = pow2(-_bounded(index, sigma, "r", t1) + 1) + _witness_sum(
-                    index, registry, est.path, length, t1
+                    trace, est.path, length, t1
                 )
             except _PastBound as exc:
                 return _make_report("expansion_gap", [("fail", exc.detail)], assumptions)
@@ -800,38 +791,25 @@ def check_expansion_gap_bound(trace: Trace, registry: PhiRegistry | None = None)
 # global at call time, so a wrapper installed over that name (as
 # perfbench/tracing.py does to time each checker) sees every call.
 _CHECKS = (
-    ("monotonicity", "AB", False,
-     lambda trace, registry, e: check_monotonicity(trace)),
-    ("convergence", "AB", False,
-     lambda trace, registry, e: check_convergence_bound(trace)),
-    ("jump_sums", "AB", False,
-     lambda trace, registry, e: check_jump_sums(trace, registry)),
-    ("cutoffs", "A", False,
-     lambda trace, registry, e: check_cutoffs(trace, registry)),
-    ("requirement_n", "AB", True,
-     lambda trace, registry, e: check_requirement_N(trace, registry, e)),
-    ("requirement_p", "AB", True,
-     lambda trace, registry, e: check_requirement_P(trace, registry, e)),
-    ("settlement", "AB", False,
-     lambda trace, registry, e: check_settlement_facts(trace, registry)),
-    ("expansion_gap", "B", False,
-     lambda trace, registry, e: check_expansion_gap_bound(trace, registry)),
+    ("monotonicity", "AB", False, lambda trace, e: check_monotonicity(trace)),
+    ("convergence", "AB", False, lambda trace, e: check_convergence_bound(trace)),
+    ("jump_sums", "AB", False, lambda trace, e: check_jump_sums(trace)),
+    ("cutoffs", "A", False, lambda trace, e: check_cutoffs(trace)),
+    ("requirement_n", "AB", True, lambda trace, e: check_requirement_N(trace, e)),
+    ("requirement_p", "AB", True, lambda trace, e: check_requirement_P(trace, e)),
+    ("settlement", "AB", False, lambda trace, e: check_settlement_facts(trace)),
+    ("expansion_gap", "B", False, lambda trace, e: check_expansion_gap_bound(trace)),
 )
 
 CHECK_NAMES = tuple(name for name, _, _, _ in _CHECKS)
 
 
-def run_checks(
-    trace: Trace,
-    registry: PhiRegistry | None = None,
-    checks: list[str] | None = None,
-) -> list[Report]:
+def run_checks(trace: Trace, checks: list[str] | None = None) -> list[Report]:
     """Run the selected checkers (default: all that apply to the engine).
 
     A check selected by name runs even where it does not apply, so that its
     checker's ValueError says why.
     """
-    registry = _registry_for(trace, registry)
     if checks is None:
         selected = [c for c in _CHECKS if trace.engine in c[1]]
     else:
@@ -842,6 +820,6 @@ def run_checks(
         selected = [table[name] for name in checks]
     reports: list[Report] = []
     for _, _, per_slot, checker in selected:
-        slots = sorted(registry.total_increasing_indices()) if per_slot else [None]
-        reports.extend(checker(trace, registry, e) for e in slots)
+        slots = sorted(trace.registry.total_increasing_indices()) if per_slot else [None]
+        reports.extend(checker(trace, e) for e in slots)
     return reports

@@ -4,7 +4,7 @@ import pytest
 
 from injurybench.dyadic import Dyadic, pow2
 from injurybench.engine import run_a, run_b
-from injurybench.phi import default_registry, registry_from_config
+from injurybench.phi import DEFAULT_CONFIG, registry_from_config
 from injurybench.speed import ApproxSequence
 
 MINIMAL_CONFIG = {
@@ -53,7 +53,7 @@ def random_synthetic_sequence(rng, length: int, increasing: bool = True) -> Appr
 
 @pytest.fixture(scope="session")
 def registry():
-    return default_registry()
+    return registry_from_config(DEFAULT_CONFIG)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ import pytest
 
 from injurybench.dyadic import Dyadic, pow2
 from injurybench.engine import new_engine_a, new_engine_b, run_a, run_b, run_engine
-from injurybench.phi import default_registry
+from injurybench.phi import DEFAULT_CONFIG, registry_from_config
 from injurybench.replay import replay_run
 from injurybench.speed import (
     ModulusFn,
@@ -54,9 +54,9 @@ def test_c01_determinism_and_replay(registry):
     assert elapsed["A"] < 10.0 and elapsed["B"] < 10.0, elapsed
 
     for tag, factory in (("A", new_engine_a), ("B", new_engine_b)):
-        state = factory(default_registry(), record_reads=True)
+        state = factory(registry_from_config(DEFAULT_CONFIG), record_reads=True)
         trace = run_engine(state, 400)
-        oracle = replay_run(default_registry(), tag, 400)
+        oracle = replay_run(registry_from_config(DEFAULT_CONFIG), tag, 400)
         assert oracle.x == trace.x
         assert oracle.settlements == [rec.settled for rec in trace.stages]
         assert oracle.reads == state.read_log
@@ -91,10 +91,10 @@ def test_c03_monotonicity_suite(trace_a_2000, trace_b_2000):
               "witness prefix-monotone on engine A) over both T=2000 traces")
 
 
-def test_c04_jump_sum_identities(trace_a_2000, trace_b_2000, registry):
+def test_c04_jump_sum_identities(trace_a_2000, trace_b_2000):
     totals = {}
     for trace in (trace_a_2000, trace_b_2000):
-        rep = check_jump_sums(trace, registry)
+        rep = check_jump_sums(trace)
         assert rep.status == "pass", rep.witnesses[:3]
         assert rep.counts.get("fail", 0) == 0
         assert rep.counts.get("pass", 0) > 0
@@ -103,8 +103,8 @@ def test_c04_jump_sum_identities(trace_a_2000, trace_b_2000, registry):
               f"(A: {totals['A']}, B: {totals['B']}; incompletes satisfy the bound)")
 
 
-def test_c05_cutoff_certification(trace_a_2000, registry):
-    rep = check_cutoffs(trace_a_2000, registry)
+def test_c05_cutoff_certification(trace_a_2000):
+    rep = check_cutoffs(trace_a_2000)
     assert rep.status == "pass", rep.witnesses[:3]
     certified = rep.counts.get("pass", 0)
     assert certified >= 1
@@ -112,27 +112,27 @@ def test_c05_cutoff_certification(trace_a_2000, registry):
               f"condition, and exact tail bound x_T - x_(t+1) <= 2^-(t+1)")
 
 
-def test_c06_requirement_certification(trace_a_2000, trace_b_2000, registry):
+def test_c06_requirement_certification(trace_a_2000, trace_b_2000):
     ms = {}
     for e in (0, 1):
-        rep = check_requirement_N(trace_a_2000, registry, e)
+        rep = check_requirement_N(trace_a_2000, e)
         assert rep.status == "pass", rep.witnesses
         ms[e] = rep.counts
-        rep_p = check_requirement_P(trace_a_2000, registry, e)
+        rep_p = check_requirement_P(trace_a_2000, e)
         assert rep_p.counts.get("fail", 0) == 0, rep_p.witnesses[:3]
         assert rep_p.counts.get("pass", 0) > 0
     for e in (0, 1):
-        rep = check_requirement_N(trace_b_2000, registry, e)
+        rep = check_requirement_N(trace_b_2000, e)
         assert rep.status == "pass", rep.witnesses
-        rep_p = check_requirement_P(trace_b_2000, registry, e)
+        rep_p = check_requirement_P(trace_b_2000, e)
         assert rep_p.counts.get("fail", 0) == 0, rep_p.witnesses[:3]
     report(6, "N_0 and N_1 certified on both T=2000 runs (A least-m form, "
               "B windowed form); P-checker passes every realisable n and "
               "never fails")
 
 
-def test_c07_pause_dynamics(trace_b_2000, registry):
-    rep = check_settlement_facts(trace_b_2000, registry)
+def test_c07_pause_dynamics(trace_b_2000):
+    rep = check_settlement_facts(trace_b_2000)
     assert rep.status == "pass", rep.witnesses[:3]
     pause_laws = {"pause alternation", "no consecutive threats",
                   "witness grows by one per threat"}
@@ -236,41 +236,41 @@ def test_c10_mutation_kill(minimal_registry):
     # jump sums: one split jump doubled
     t_s = next(rec.t for rec in trace_a.stages if rec.action.kind == "expansion_jump")
     doubled = trace_a.stages[t_s].jump + trace_a.stages[t_s].jump
-    assert check_jump_sums(rebuild(trace_a, t_s, jump=doubled), minimal_registry).status == "fail"
-    assert check_jump_sums(trace_a, minimal_registry).status == "pass"
+    assert check_jump_sums(rebuild(trace_a, t_s, jump=doubled)).status == "fail"
+    assert check_jump_sums(trace_a).status == "pass"
     killed.append("jump_sums")
 
     # cutoffs: initialisation region removed at the cut-off stage
     t_cut = trace_a.index.cutoff_stage("0")
-    assert check_cutoffs(rebuild(trace_a, t_cut, init_regions=()), minimal_registry).status == "fail"
-    assert check_cutoffs(trace_a, minimal_registry).status == "pass"
+    assert check_cutoffs(rebuild(trace_a, t_cut, init_regions=())).status == "fail"
+    assert check_cutoffs(trace_a).status == "pass"
     killed.append("cutoffs")
 
     # requirement N: a negated jump breaks monotone x
     t_n = jump_stages(trace_a)[-1]
     neg = rebuild(trace_a, t_n, jump=-trace_a.stages[t_n].jump)
-    assert check_requirement_N(neg, minimal_registry, 0).status == "fail"
-    assert check_requirement_N(trace_a, minimal_registry, 0).status == "pass"
+    assert check_requirement_N(neg, 0).status == "fail"
+    assert check_requirement_N(trace_a, 0).status == "pass"
     killed.append("requirement_n")
 
     # requirement P: one late jump inflated past the modulus bound
     small = run_a(minimal_registry, 18)
-    assert check_requirement_P(rebuild(small, 14, jump=Dyadic(2)), minimal_registry, 0).status == "fail"
-    assert check_requirement_P(small, minimal_registry, 0).status == "pass"
+    assert check_requirement_P(rebuild(small, 14, jump=Dyadic(2)), 0).status == "fail"
+    assert check_requirement_P(small, 0).status == "pass"
     killed.append("requirement_p")
 
     # settlement: the settled word of a threat stage rewritten
     t_t = next(rec.t for rec in trace_a.stages if rec.action.kind == "threat_jump")
     grown = trace_a.stages[t_t].settled + "1"
-    assert check_settlement_facts(rebuild(trace_a, t_t, settled=grown), minimal_registry).status == "fail"
-    assert check_settlement_facts(trace_a, minimal_registry).status == "pass"
+    assert check_settlement_facts(rebuild(trace_a, t_t, settled=grown)).status == "fail"
+    assert check_settlement_facts(trace_a).status == "pass"
     killed.append("settlement")
 
     # expansion gap: a mid-run jump inflated to 4
     jumps_b = jump_stages(trace_b)
     t_g = jumps_b[len(jumps_b) // 2]
-    assert check_expansion_gap_bound(rebuild(trace_b, t_g, jump=Dyadic(4)), minimal_registry).status == "fail"
-    assert check_expansion_gap_bound(trace_b, minimal_registry).status in ("pass", "incomplete")
+    assert check_expansion_gap_bound(rebuild(trace_b, t_g, jump=Dyadic(4))).status == "fail"
+    assert check_expansion_gap_bound(trace_b).status in ("pass", "incomplete")
     killed.append("expansion_gap")
 
     report(10, f"every checker kills its documented single-field mutation and "

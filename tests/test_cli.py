@@ -4,6 +4,7 @@ import pytest
 
 from injurybench.cli import main
 from injurybench.dyadic import Dyadic, pow2
+from injurybench.speed import SEARCH_BUDGET
 from injurybench.tracekit import deserialize, read_sequence_csv, serialize_stamped, write_sequence_csv
 from conftest import fixture_dir, jump_stages
 
@@ -201,13 +202,28 @@ def test_speed_subcommands(tmp_path, capsys):
 
 
 def test_speed2regain_rejects_negative_n_max(capsys):
-    # exited 0 with empty g and h lists before the check
-    assert main(["speed", "speed2regain", "--affine", "2", "0",
-                 "--rho", "1/2^2", "--n-max", "-3"]) == 2
+    # -3 exited 0 with empty g and h lists before the check; past the
+    # search budget, listing g never ended
+    for n_max in (-3, SEARCH_BUDGET + 1):
+        assert main(["speed", "speed2regain", "--affine", "2", "0",
+                     "--rho", "1/2^2", "--n-max", str(n_max)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip()
+        assert err.startswith("error: --n-max") and "\n" not in err
+
+
+def test_speed2regain_incomplete_listing_exits_three(capsys):
+    # g(n) = n for the identity modulus, so g(SEARCH_BUDGET) exhausts the
+    # budget while g and h are listed, after speed_to_regain has returned
+    assert main(["speed", "speed2regain", "--affine", "1", "0", "--rho", "1/2^2",
+                 "--n-max", str(SEARCH_BUDGET)]) == 3
     captured = capsys.readouterr()
-    assert captured.out == ""
-    err = captured.err.strip()
-    assert err.startswith("error: --n-max") and "\n" not in err
+    assert json.loads(captured.out) == {
+        "incomplete": f"g evaluation: no result within evaluation budget {SEARCH_BUDGET}",
+        "budget": SEARCH_BUDGET,
+    }
+    assert "Traceback" not in captured.err
 
 
 def test_speed_precondition_surfaces(tmp_path):

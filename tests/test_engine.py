@@ -299,9 +299,9 @@ def test_double_write_guard_survives_optimisation(tmp_path):
     src_dir = Path(injurybench.__file__).resolve().parent.parent
     code = (
         "from injurybench.engine import new_engine_a\n"
-        "from injurybench.phi import default_registry\n"
+        "from injurybench.phi import DEFAULT_CONFIG, registry_from_config\n"
         "from injurybench.tracekit import TraceCorruption\n"
-        "st = new_engine_a(default_registry())\n"
+        "st = new_engine_a(registry_from_config(DEFAULT_CONFIG))\n"
         "st._stage_write('', 'r', 1)\n"
         "try:\n"
         "    st._stage_write('', 'r', 2)\n"

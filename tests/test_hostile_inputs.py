@@ -2,9 +2,9 @@
 
 Seeded single-leaf mutants of default A and B traces, the inputs that once
 ended in a traceback (huge restraints, witnesses and jump exponents in a
-trace, a huge exponent in a sequence CSV or a dyadic literal), and malformed
-CSV rows and literals all run through ``cli.main`` in one subprocess under a
-1.5 GiB address-space limit.  Every run must end in a documented exit code
+trace, negative restraints and witnesses, a huge exponent in a sequence CSV
+or a dyadic literal), and malformed CSV rows and literals all run through
+``cli.main`` in one subprocess under a 1.5 GiB address-space limit.  Every run must end in a documented exit code
 (0 pass, 1 fail, 2 usage, 3 incomplete) without a traceback, and a usage
 error is one line.
 """
@@ -79,6 +79,20 @@ def set_write(i: int, value: int):
     return edit
 
 
+def first_write(data: bytes, fld: str) -> tuple[int, int]:
+    """Stage and position of the first parameter write to fld."""
+    for t, line in enumerate(data.decode("utf-8").rstrip("\n").split("\n")[1:]):
+        for i, (_, f, _) in enumerate(json.loads(line)["param_writes"]):
+            if f == fld:
+                return t, i
+    raise AssertionError(f"no write to {fld!r}")
+
+
+def set_negative_write(data: bytes, fld: str) -> str:
+    t, i = first_write(data, fld)
+    return edit_record(data, t, set_write(i, -(2**70)))
+
+
 def set_jump_exponent(k: int):
     def edit(rec):
         rec["jump"]["k"] = k
@@ -102,8 +116,11 @@ def test_hostile_inputs_end_in_an_exit_code_without_traceback(tmp_path, capsys):
         "witness": edit_record(traces["B"], 15, set_write(1, 2**70)),
         "jump-k-huge": edit_record(traces["A"], first_jump, set_jump_exponent(2**70)),
         "jump-k-negative": edit_record(traces["A"], first_jump, set_jump_exponent(-(2**70))),
+        "restraint-negative": set_negative_write(traces["A"], "r"),
+        "witness-negative": set_negative_write(traces["B"], "w"),
     }
-    expected = {"restraint": 1, "witness": 1, "jump-k-huge": 2, "jump-k-negative": 2}
+    expected = {"restraint": 1, "witness": 1, "jump-k-huge": 2, "jump-k-negative": 2,
+                "restraint-negative": 2, "witness-negative": 2}
     for engine, data in traces.items():
         for j, text in enumerate(single_leaf_mutants(data, MUTANTS_PER_ENGINE, seed=9)):
             files[f"mutant-{engine}-{j}"] = text

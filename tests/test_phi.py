@@ -8,7 +8,6 @@ from injurybench.phi import (
     DEFAULT_CONFIG,
     _ProgramSlot,
     config_digest,
-    default_registry,
     registry_from_config,
     validate_config,
 )
@@ -105,7 +104,7 @@ def test_unknown_kind_rejected():
 
 
 def test_program_slot_doubles():
-    reg = default_registry()
+    reg = registry_from_config(DEFAULT_CONFIG)
     for n in range(0, 12):
         # eff time is the 7n+3 step count, so query with a large budget
         assert reg.step(7, n, 1000) == 2 * n
@@ -127,7 +126,7 @@ def test_classifications(registry):
 
 
 def test_digest_stable():
-    assert config_digest(default_registry().config) == config_digest(default_registry().config)
+    assert config_digest(registry_from_config(DEFAULT_CONFIG).config) == config_digest(registry_from_config(DEFAULT_CONFIG).config)
     assert DEFAULT_CONFIG["slots"][0]["kind"] == "identity"
 
 

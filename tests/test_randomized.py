@@ -68,7 +68,7 @@ def test_random_registry_runs_verify_clean(seed, engine):
 
     assert deserialize(serialize(trace)) == trace
 
-    for report in run_checks(trace, registry):
+    for report in run_checks(trace):
         assert report.status in ("pass", "incomplete"), (seed, report.to_json())
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from injurybench.engine import EngineState, new_engine_a, new_engine_b, run_engine
-from injurybench.phi import default_registry, registry_from_config
+from injurybench.phi import DEFAULT_CONFIG, registry_from_config
 from injurybench.replay import naive_ell, replay_run
 from conftest import MINIMAL_CONFIG
 from test_randomized import random_config
@@ -30,8 +30,6 @@ def test_minimal_registry_replay(engine_tag):
 
 @pytest.mark.parametrize("engine_tag", ["A", "B"])
 def test_default_registry_replay(engine_tag):
-    from injurybench.phi import DEFAULT_CONFIG
-
     _compare(engine_tag, DEFAULT_CONFIG, 120)
 
 
@@ -54,7 +52,7 @@ def test_replay_covers_re_split_delegation():
 
     from injurybench.verify import run_checks
 
-    for report in run_checks(trace, registry_from_config(config)):
+    for report in run_checks(trace):
         assert report.status in ("pass", "incomplete"), report.to_json()
 
 
@@ -93,7 +91,7 @@ def test_forced_tail_is_fast_forwarded(monkeypatch):
         return original(self, sigma, e)
 
     monkeypatch.setattr(EngineState, "_threat_info", counting)
-    registry = default_registry()
+    registry = registry_from_config(DEFAULT_CONFIG)
     T = 300
     trace = run_engine(new_engine_a(registry), T)
     assert sum(rec.action.kind == "top_out" for rec in trace.stages) > T // 2
@@ -109,8 +107,8 @@ def test_random_registry_replay(seed):
 
 
 def test_naive_ell_matches_registry():
-    reg = default_registry()
-    fresh = default_registry()
+    reg = registry_from_config(DEFAULT_CONFIG)
+    fresh = registry_from_config(DEFAULT_CONFIG)
     for e in sorted(reg.configured_indices()) + [11]:
         for t in (0, 1, 5, 17, 60):
             assert naive_ell(reg, e, t) == fresh.ell(e, t)
@@ -118,4 +116,4 @@ def test_naive_ell_matches_registry():
 
 def test_replay_rejects_unknown_engine():
     with pytest.raises(ValueError):
-        replay_run(default_registry(), "C", 5)
+        replay_run(registry_from_config(DEFAULT_CONFIG), "C", 5)

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from injurybench.dyadic import Dyadic, pow2
 from injurybench.speed import (
@@ -122,6 +124,29 @@ def test_speed_to_regain_budget():
     with pytest.raises(IncompleteSearch) as err:
         speed_to_regain(stuck, Dyadic(1, 2), search_limit=50)
     assert err.value.budget == 50
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=30),
+       st.lists(st.integers(min_value=0, max_value=150), max_size=40))
+def test_g_search_resumes_to_the_same_values(steps, queries):
+    # g(n) resumes its search at g(n') for the largest n' <= n already
+    # evaluated; evaluated in any order it equals the search from k = 0
+    table = list(accumulate(steps))
+
+    def raw(k):
+        return table[k] if k < len(table) else table[-1] + k
+
+    def searched(n):
+        if raw(0) > n:
+            return 0
+        k = 0
+        while raw(k + 1) <= n:
+            k += 1
+        return k
+
+    g = speed_to_regain(ModulusFn(raw), Dyadic(1, 1)).g
+    assert [g(n) for n in queries] == [searched(n) for n in queries]
 
 
 def test_certify_regaining_examples():

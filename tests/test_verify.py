@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from injurybench.dyadic import Dyadic, ZERO, pow2
 from injurybench.engine import run_a, run_b
-from injurybench.phi import DEFAULT_CONFIG, registry_from_config
+from injurybench.phi import DEFAULT_CONFIG, PhiRegistry, registry_from_config
 from injurybench.strings import nu, region_contains, true_path_estimate
 from injurybench.tracekit import (
     Trace,
@@ -78,32 +78,32 @@ def mutate_write(trace: Trace, t: int, index: int, new_value: int) -> Trace:
 # Valid traces stay green
 
 
-def test_valid_traces_have_no_failures(trace_a, trace_b, minimal):
+def test_valid_traces_have_no_failures(trace_a, trace_b):
     for trace in (trace_a, trace_b):
-        for report in run_checks(trace, minimal):
+        for report in run_checks(trace):
             assert report.status in ("pass", "incomplete"), report.to_json()
 
 
 def test_all_diverge_trace_vacuously_passes():
     reg = registry_from_config({"slots": []})
     trace = run_a(reg, 25)
-    for report in run_checks(trace, reg):
+    for report in run_checks(trace):
         assert report.status == "pass", report.to_json()
     assert check_monotonicity(trace).witnesses == []
-    assert check_jump_sums(trace, reg).counts == {}
-    assert check_cutoffs(trace, reg).counts == {}
+    assert check_jump_sums(trace).counts == {}
+    assert check_cutoffs(trace).counts == {}
 
 
-def test_checks_give_nontrivial_coverage(trace_a, minimal):
-    assert check_jump_sums(trace_a, minimal).counts.get("pass", 0) >= 5
-    assert check_cutoffs(trace_a, minimal).counts.get("pass", 0) >= 2
+def test_checks_give_nontrivial_coverage(trace_a):
+    assert check_jump_sums(trace_a).counts.get("pass", 0) >= 5
+    assert check_cutoffs(trace_a).counts.get("pass", 0) >= 2
 
 
 # ---------------------------------------------------------------------------
 # Documented mutation kills (one per checker)
 
 
-def test_mutation_monotonicity(trace_a, minimal):
+def test_mutation_monotonicity(trace_a):
     # documented mutation: lower one recorded restraint write to zero
     target = None
     for rec in trace_a.stages:
@@ -134,22 +134,22 @@ def test_mutation_convergence_non_power_jump(trace_a):
     assert any(w["law"] == "jump is a power of two" for w in report.witnesses)
 
 
-def test_mutation_jump_sums(trace_a, minimal):
+def test_mutation_jump_sums(trace_a):
     # documented mutation: double one split jump -> episode sum overshoots
     split = [rec.t for rec in trace_a.stages
              if rec.action.kind == "expansion_jump"][0]
     old = trace_a.stages[split].jump
     mutated = mutate_record(trace_a, split, jump=old + old)
-    report = check_jump_sums(mutated, minimal)
+    report = check_jump_sums(mutated)
     assert report.status == "fail"
 
 
-def test_mutation_cutoffs_missing_region(trace_a, minimal):
+def test_mutation_cutoffs_missing_region(trace_a):
     # documented mutation: drop the initialisation region at a cut-off stage
     t_cut = trace_a.index.cutoff_stage("0")
     assert t_cut is not None
     mutated = mutate_record(trace_a, t_cut, init_regions=())
-    report = check_cutoffs(mutated, minimal)
+    report = check_cutoffs(mutated)
     assert report.status == "fail"
     assert any("region" in p for w in report.witnesses for p in w.get("problems", []))
 
@@ -158,13 +158,13 @@ def test_mutation_requirement_n(trace_a, minimal):
     # documented mutation: negate one jump so x is no longer non-decreasing
     t = jump_stages(trace_a)[-1]
     mutated = mutate_record(trace_a, t, jump=-trace_a.stages[t].jump)
-    report = check_requirement_N(mutated, minimal, 0)
+    report = check_requirement_N(mutated, 0)
     assert report.status == "fail"
     assert report.witnesses == [{"status": "fail", "error": f"x decreases at stage {t}"}]
     # run_checks finds the stage once on its shared index, for every slot
-    shared = run_checks(mutated, minimal, ["requirement_n"])
+    shared = run_checks(mutated, ["requirement_n"])
     assert [r.to_json() for r in shared] == [
-        check_requirement_N(mutated, minimal, e).to_json()
+        check_requirement_N(mutated, e).to_json()
         for e in sorted(minimal.total_increasing_indices())
     ]
 
@@ -181,48 +181,66 @@ def test_run_checks_a_lone_checker_and_cutoff_stage_build_one_index(minimal, mon
 
     monkeypatch.setattr(TraceIndex, "__init__", counting_init)
     trace = run_a(minimal, 60)
-    run_checks(trace, minimal)
-    assert check_cutoffs(trace, minimal).status == "pass"
+    run_checks(trace)
+    assert check_cutoffs(trace).status == "pass"
     assert trace.index.cutoff_stage("0") is not None
     assert len(built) == 1 and built[0] is trace
+
+
+def test_run_checks_a_lone_checker_and_trace_registry_build_one_registry(minimal, monkeypatch):
+    # the trace owns its registry: run_checks, a checker called alone
+    # afterwards and trace.registry all read the one built from its config
+    trace = run_a(minimal, 60)
+    built = []
+    init = PhiRegistry.__init__
+
+    def counting_init(self, config=None):
+        built.append(config)
+        init(self, config)
+
+    monkeypatch.setattr(PhiRegistry, "__init__", counting_init)
+    run_checks(trace)
+    assert check_settlement_facts(trace).status == "pass"
+    assert trace.registry.configured_indices() == minimal.configured_indices()
+    assert len(built) == 1 and built[0] is trace.config
 
 
 def test_mutation_requirement_p(minimal):
     # documented mutation: enlarge one late recorded jump past the modulus bound
     trace = run_a(minimal, 18)
     mutated = mutate_record(trace, 14, jump=Dyadic(2))
-    report = check_requirement_P(mutated, minimal, 0)
+    report = check_requirement_P(mutated, 0)
     assert report.status == "fail"
     assert any("difference_exceeds" in w for w in report.witnesses)
-    assert check_requirement_P(trace, minimal, 0).status == "pass"
+    assert check_requirement_P(trace, 0).status == "pass"
 
 
-def test_mutation_settlement(trace_a, minimal):
+def test_mutation_settlement(trace_a):
     # documented mutation: rewrite the settled word of a threat stage
     t = next(rec.t for rec in trace_a.stages if rec.action.kind == "threat_jump")
     mutated = mutate_record(trace_a, t, settled=trace_a.stages[t].settled + "1")
-    report = check_settlement_facts(mutated, minimal)
+    report = check_settlement_facts(mutated)
     assert report.status == "fail"
 
 
-def test_mutation_expansion_gap(trace_b, minimal):
+def test_mutation_expansion_gap(trace_b):
     # documented mutation: inflate a mid-run jump between expansionary visits
     stages = jump_stages(trace_b)
     t = stages[len(stages) // 2]
     assert t + 1 < trace_b.T
     mutated = mutate_record(trace_b, t, jump=Dyadic(4))
-    report = check_expansion_gap_bound(mutated, minimal)
+    report = check_expansion_gap_bound(mutated)
     assert report.status == "fail"
-    assert check_expansion_gap_bound(trace_b, minimal).status in ("pass", "incomplete")
+    assert check_expansion_gap_bound(trace_b).status in ("pass", "incomplete")
 
 
-def test_mutation_pause_alternation(trace_b, minimal):
+def test_mutation_pause_alternation(trace_b):
     # documented mutation: erase the pause write of a handled threat
     rec = next(r for r in trace_b.stages if r.action.kind in
                ("threat_jump", "threat_schedule") and r.t >= 3)
     idx = next(i for i, (s, f, v) in enumerate(rec.param_writes) if f == "p")
     mutated = mutate_write(trace_b, rec.t, idx, 0)
-    report = check_settlement_facts(mutated, minimal)
+    report = check_settlement_facts(mutated)
     assert report.status == "fail"
 
 
@@ -230,11 +248,11 @@ def test_mutation_pause_alternation(trace_b, minimal):
 # Refusals and selection
 
 
-def test_requirement_checks_refuse_undeclared_slots(trace_a, minimal):
+def test_requirement_checks_refuse_undeclared_slots(trace_a):
     with pytest.raises(ValueError):
-        check_requirement_N(trace_a, minimal, 5)
+        check_requirement_N(trace_a, 5)
     with pytest.raises(ValueError):
-        check_requirement_P(trace_a, minimal, 9)
+        check_requirement_P(trace_a, 9)
 
 
 def test_requirement_refuses_unclassified_program():
@@ -247,19 +265,19 @@ def test_requirement_refuses_unclassified_program():
     reg = registry_from_config(config)
     trace = run_a(reg, 10)
     with pytest.raises(ValueError):
-        check_requirement_N(trace, reg, 1)
+        check_requirement_N(trace, 1)
 
 
-def test_engine_specific_checks_reject_wrong_engine(trace_a, trace_b, minimal):
+def test_engine_specific_checks_reject_wrong_engine(trace_a, trace_b):
     with pytest.raises(ValueError):
-        check_cutoffs(trace_b, minimal)
+        check_cutoffs(trace_b)
     with pytest.raises(ValueError):
-        check_expansion_gap_bound(trace_a, minimal)
+        check_expansion_gap_bound(trace_a)
     # selected by name, an inapplicable check reaches its checker's refusal
     with pytest.raises(ValueError, match="engine A traces only"):
-        run_checks(trace_b, minimal, checks=["cutoffs"])
+        run_checks(trace_b, checks=["cutoffs"])
     with pytest.raises(ValueError, match="engine B traces"):
-        run_checks(trace_a, minimal, checks=["monotonicity", "expansion_gap"])
+        run_checks(trace_a, checks=["monotonicity", "expansion_gap"])
 
 
 def test_benchmark_tracer_sees_every_checker_run_checks_runs():
@@ -281,12 +299,12 @@ sys.path.insert(0, {str(root / "perfbench")!r})
 from tracing import CHECKS, Tracer
 tracer = Tracer()
 tracer.install()
-from injurybench import default_registry, run_a, run_b
+from injurybench import DEFAULT_CONFIG, registry_from_config, run_a, run_b
 from injurybench.verify import CHECK_NAMES, run_checks
 assert tuple(CHECKS) == tuple(CHECK_NAMES), (CHECKS, CHECK_NAMES)
 calls = {{}}
 for engine, runner in (("A", run_a), ("B", run_b)):
-    trace = runner(default_registry(), 40)
+    trace = runner(registry_from_config(DEFAULT_CONFIG), 40)
     before = dict(tracer.calls)
     run_checks(trace)
     calls[engine] = {{name: tracer.calls["verify." + name] - before.get("verify." + name, 0)
@@ -304,34 +322,34 @@ print(json.dumps(calls))
         assert all(n > 0 for name, n in calls[engine].items() if name != skipped), calls
 
 
-def test_unknown_check_name_rejected(trace_a, minimal):
+def test_unknown_check_name_rejected(trace_a):
     with pytest.raises(ValueError):
-        run_checks(trace_a, minimal, checks=["monotonicity", "nonsense"])
+        run_checks(trace_a, checks=["monotonicity", "nonsense"])
 
 
-def test_requirement_p_refuses_unstable_path(trace_b, minimal):
-    report = check_requirement_P(trace_b, minimal, 1)
+def test_requirement_p_refuses_unstable_path(trace_b):
+    report = check_requirement_P(trace_b, 1)
     assert report.status == "incomplete"
     assert any("unstable" in w.get("note", "") for w in report.witnesses)
 
 
-def test_reports_serialise(trace_a, minimal):
+def test_reports_serialise(trace_a):
     import json
 
-    payload = [r.to_json() for r in run_checks(trace_a, minimal)]
+    payload = [r.to_json() for r in run_checks(trace_a)]
     json.dumps(payload)
 
 
-def test_checkers_are_order_independent(trace_a, minimal):
+def test_checkers_are_order_independent(trace_a):
     names = ["settlement", "jump_sums", "monotonicity", "convergence", "cutoffs"]
-    first = [r.to_json() for r in run_checks(trace_a, minimal, checks=names)]
-    second = [r.to_json() for r in run_checks(trace_a, minimal, checks=names[::-1])]
+    first = [r.to_json() for r in run_checks(trace_a, checks=names)]
+    second = [r.to_json() for r in run_checks(trace_a, checks=names[::-1])]
     assert sorted(first, key=lambda r: r["check"]) == sorted(
         second, key=lambda r: r["check"]
     )
 
 
-def test_mutation_single_threat_per_witness(trace_b, minimal):
+def test_mutation_single_threat_per_witness(trace_b):
     # a duplicated threat stage record reuses the same witness value
     src = next(rec for rec in trace_b.stages
                if rec.action.kind == "threat_jump" and rec.t >= 4)
@@ -342,16 +360,16 @@ def test_mutation_single_threat_per_witness(trace_b, minimal):
         param_writes=trace_b.stages[earlier].param_writes[:-1],
     )
     # removing the witness bump makes the later threat reuse the value
-    report = check_settlement_facts(mutated, minimal)
+    report = check_settlement_facts(mutated)
     assert report.status == "fail"
 
 
-def test_settlement_rejects_descend_as_terminal_kind(trace_a, minimal):
+def test_settlement_rejects_descend_as_terminal_kind(trace_a):
     # an intra-stage move is never a stage-terminal action
     rec = next(r for r in trace_a.stages if r.action.kind == "top_out" and r.t >= 5)
     mutated = mutate_record(trace_a, rec.t,
                             action=dataclasses.replace(rec.action, kind="descend"))
-    report = check_settlement_facts(mutated, minimal)
+    report = check_settlement_facts(mutated)
     assert report.status == "fail"
     assert {"status": "fail", "t": rec.t, "law": "terminal action kind",
             "kind": "descend"} in report.witnesses
@@ -449,7 +467,7 @@ def assert_sweep_matches_rescan(trace, registry) -> int:
         expected = rescan_requirement_p(trace, registry, e)
         if expected is None:
             continue
-        report = check_requirement_P(trace, registry, e)
+        report = check_requirement_P(trace, e)
         assert (report.counts, report.witnesses) == expected, (e, report.to_json())
         compared += 1
     return compared
@@ -466,7 +484,7 @@ def test_requirement_p_sweep_matches_rescan_on_random_registries(seed, engine):
 def test_requirement_p_sweep_matches_rescan_on_late_bad_gap(minimal):
     # one inflated jump after v(n): the first bad i lies strictly past v(n)
     mutated = mutate_record(run_a(minimal, 18), 12, jump=Dyadic(1, 3))
-    report = check_requirement_P(mutated, minimal, 0)
+    report = check_requirement_P(mutated, 0)
     fails = [w for w in report.witnesses if w["status"] == "fail"]
     assert fails and all(w["i"] == 12 and w["i"] > w["v_n"] for w in fails)
     assert assert_sweep_matches_rescan(mutated, minimal) >= 1
@@ -483,7 +501,7 @@ def test_requirement_p_sweep_matches_rescan_on_lowered_restraint(minimal, engine
     index = TraceIndex(mutated)
     restraints = [index.value("", "r", u) for u in range(mutated.T)]
     assert any(b < a for a, b in zip(restraints, restraints[1:]))
-    assert check_requirement_P(mutated, minimal, 0).status == "fail"
+    assert check_requirement_P(mutated, 0).status == "fail"
     assert assert_sweep_matches_rescan(mutated, minimal) >= 1
 
 
@@ -497,7 +515,7 @@ def test_requirement_p_sweep_matches_rescan_on_raised_restraint_within_bound(min
     statuses = Counter()
     for t, i, _ in writes:
         mutated = mutate_write(trace, t, i, t + 1)
-        report = check_requirement_P(mutated, minimal, 0)
+        report = check_requirement_P(mutated, 0)
         assert all(w.get("law") != "r<=t" for w in report.witnesses)
         statuses[report.status] += 1
         assert assert_sweep_matches_rescan(mutated, minimal) >= 1
@@ -550,7 +568,6 @@ def per_prefix_expansion_gap(trace: Trace, registry) -> dict:
     expansionary stages.  A restraint or witness past its bound is one fail
     finding."""
     index = TraceIndex(trace)
-    offline = verify._Offline(index, registry)
     est = index.true_path
     assumptions = [f"true-path estimate stable to length {est.stable_upto}"]
     findings = []
@@ -561,8 +578,8 @@ def per_prefix_expansion_gap(trace: Trace, registry) -> dict:
                                             "note": "undeclared program slot in "
                                             "scope; refusing this prefix"}))
             continue
-        t0 = verify._stability_start(index, registry, est.path, length)
-        exp_stages = offline.expansionary_stages(sigma, t0)
+        t0 = verify._stability_start(trace, est.path, length)
+        exp_stages = verify._expansionary_stages(trace, sigma, t0)
         pairs = 0
         for t1, t2 in zip(exp_stages, exp_stages[1:]):
             past = gap_bound_past_bound(index, registry, est.path, length, t1)
@@ -570,7 +587,7 @@ def per_prefix_expansion_gap(trace: Trace, registry) -> dict:
                 return verify._make_report("expansion_gap", [("fail", past)],
                                            assumptions).to_json()
             bound = pow2(-index.value(sigma, "r", t1) + 1) + verify._witness_sum(
-                index, registry, est.path, length, t1
+                trace, est.path, length, t1
             )
             if not (trace.x[t2] - trace.x[t1]) <= bound:
                 findings.append(("fail", {"sigma": sigma, "t1": t1, "t2": t2,
@@ -584,7 +601,7 @@ def per_prefix_expansion_gap(trace: Trace, registry) -> dict:
 
 def assert_gap_walk_matches_reference(trace, config) -> dict:
     expected = per_prefix_expansion_gap(trace, registry_from_config(config))
-    got = check_expansion_gap_bound(trace, registry_from_config(config)).to_json()
+    got = check_expansion_gap_bound(trace).to_json()
     assert got == expected
     return got
 
@@ -685,20 +702,20 @@ def test_expansion_gap_asks_only_configured_prefixes(monkeypatch):
     configured = registry.configured_indices()
     asked = Counter()
     initialised = []
-    expansionary = verify._Offline.expansionary
+    expansionary = verify._expansionary
     initialisations = TraceIndex.initialisations
 
-    def counting_expansionary(self, sigma, t):
+    def counting_expansionary(trace, sigma, t):
         asked[len(sigma)] += 1
-        return expansionary(self, sigma, t)
+        return expansionary(trace, sigma, t)
 
     def counting_initialisations(self, sigma):
         initialised.append(sigma)
         return initialisations(self, sigma)
 
-    monkeypatch.setattr(verify._Offline, "expansionary", counting_expansionary)
+    monkeypatch.setattr(verify, "_expansionary", counting_expansionary)
     monkeypatch.setattr(TraceIndex, "initialisations", counting_initialisations)
-    report = check_expansion_gap_bound(trace, registry)
+    report = check_expansion_gap_bound(trace)
     assert report.counts["pass"] >= 2
     assert TraceIndex(trace).true_path.stable_upto > 400
     assert asked and set(asked) <= configured
