@@ -9,7 +9,6 @@ for finite sequences.
 """
 
 from .dyadic import Dyadic, pow2
-from .engine import run_a, run_b
 from .phi import DEFAULT_CONFIG, PhiRegistry, registry_from_config
 from .tracekit import Trace, deserialize, serialize
 from .verify import run_checks
@@ -19,8 +18,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Dyadic",
     "pow2",
-    "run_a",
-    "run_b",
     "PhiRegistry",
     "DEFAULT_CONFIG",
     "registry_from_config",

@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .dyadic import Dyadic
-from .engine import run_a, run_b
+from .engine import EngineState, run_engine
 from .phi import DEFAULT_CONFIG, registry_from_config
 from .speed import (
     SEARCH_BUDGET,
@@ -78,14 +78,13 @@ def cmd_run(args) -> int:
     else:
         config = DEFAULT_CONFIG
     registry = registry_from_config(config)
-    runner = run_a if args.engine == "A" else run_b
     hooks = None
     if args.progress:
         def hooks(rec):  # pragma: no cover - cosmetic
             if rec.t % 100 == 0:
                 print(f"stage {rec.t}: settled on {_fmt_word(rec.settled)}",
                       file=sys.stderr)
-    trace = runner(registry, args.stages, hooks)
+    trace = run_engine(EngineState(registry, args.engine), args.stages, hooks)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     created = datetime.now(timezone.utc).isoformat(timespec="seconds")

@@ -11,6 +11,21 @@ mantissa ``m`` and a non-negative exponent ``k``.  The canonical form keeps
 the fraction in lowest terms (``m`` odd, or ``k == 0``) and normalises zero
 to ``(0, 0)``.  Negative values are allowed: the sequence transforms of the
 speed module subtract powers of two from values starting at zero.
+
+Every threat and expansion test of the constructions, and most tail bounds
+of the checkers, ask whether a difference of two approximation values lies
+below one power of two: x_a - x_b < 2**-e.  :func:`gap_cmp` decides that in
+integers, with no ``Dyadic`` built.  It aligns the two mantissas at the
+larger exponent, the same shift a subtraction does, and then compares the
+difference with the threshold by bit length first.  The power of two itself
+is shifted into existence only when it lies within one bit of the
+difference's width, so an exponent e as far out as 2**70 in either
+direction allocates nothing by it.
+
+The naive replay oracle deliberately keeps the plain form,
+``(x[a] - x[b]) < pow2(-e)``: its agreement with the engine on every
+substage then also tests :func:`gap_cmp` against ordinary dyadic
+arithmetic.
 """
 
 from __future__ import annotations
@@ -23,6 +38,7 @@ __all__ = [
     "ONE",
     "MAX_EXPONENT",
     "pow2",
+    "gap_cmp",
 ]
 
 _TEXT_RE = re.compile(r"^(-?\d+)/2\^(\d+)$")
@@ -48,18 +64,20 @@ class Dyadic:
     __slots__ = ("m", "k")
 
     def __init__(self, m: int, k: int = 0):
-        if k < 0:
+        if k > 0 and m:
+            if not m & 1:
+                shift = min(k, (m & -m).bit_length() - 1)
+                m >>= shift
+                k -= shift
+        elif k < 0:
             # normalise 2**j for positive j into the mantissa
             m <<= -k
             k = 0
-        if m == 0:
+        else:
             k = 0
-        elif k > 0:
-            shift = min(k, (m & -m).bit_length() - 1)
-            m >>= shift
-            k -= shift
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
+        # the slot descriptors store past the raising __setattr__
+        _set_m(self, m)
+        _set_k(self, k)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dyadic is immutable")
@@ -80,17 +98,26 @@ class Dyadic:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Dyadic":
-        """Parse the JSON object form ``{"m": "<int>", "k": <int>}``; ``k``
-        must be a non-negative JSON integer, as :meth:`to_json` writes it,
-        not ``true``, ``1.0`` or -1 (a negative k would shift m left by |k|
-        bits)."""
+        """Parse the JSON object form ``{"m": "<int>", "k": <int>}``, in the
+        one encoding :meth:`to_json` writes for its value.
+
+        ``k`` must be a non-negative JSON integer, not ``true``, ``1.0`` or
+        -1 (a negative k would shift m left by |k| bits).  The object must
+        then equal the canonical form's own JSON: no other key, m written in
+        plain decimal (not ``" 1"``, ``"+1"``, ``"0_1"`` or ``"01"``), m odd
+        or k 0, and zero as ``{"m": "0", "k": 0}``.  So one value has one
+        encoding, and a trace re-serialises to its own bytes.
+        """
         try:
             m, k = int(obj["m"]), obj["k"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"not a dyadic JSON object: {obj!r}") from exc
         if type(k) is not int or k < 0:
             raise ValueError(f"not a dyadic JSON object: {obj!r}")
-        return cls(m, k)
+        value = cls(m, k)
+        if value.to_json() != obj:
+            raise ValueError(f"not the canonical dyadic JSON object: {obj!r}")
+        return value
 
     # -- serialisation ---------------------------------------------------
 
@@ -184,6 +211,9 @@ class Dyadic:
         return self.m > 0 and self.m & (self.m - 1) == 0
 
 
+_set_m = Dyadic.m.__set__
+_set_k = Dyadic.k.__set__
+
 ZERO = Dyadic(0)
 ONE = Dyadic(1)
 
@@ -193,3 +223,25 @@ def pow2(k: int) -> Dyadic:
     if k >= 0:
         return Dyadic(1 << k, 0)
     return Dyadic(1, -k)
+
+
+def gap_cmp(hi: Dyadic, lo: Dyadic, e: int) -> int:
+    """-1, 0 or 1 as hi - lo is below, equal to or above 2**-e.
+
+    With both mantissas aligned at k = max(hi.k, lo.k), the test is
+    d = hi.m * 2**(k - hi.k) - lo.m * 2**(k - lo.k) against 2**(k - e).
+    A d <= 0 lies below the positive threshold.  Otherwise d lies in
+    [2**(n - 1), 2**n) with n = bit_length(d), so s = k - e decides unless
+    s == n - 1, where d equals the threshold exactly when it is 1 << s.
+    """
+    k = hi.k if hi.k >= lo.k else lo.k
+    d = (hi.m << (k - hi.k)) - (lo.m << (k - lo.k))
+    if d <= 0:
+        return -1
+    s = k - e
+    n = d.bit_length()
+    if s >= n:
+        return -1
+    if s < n - 1:
+        return 1
+    return 0 if d == 1 << s else 1

@@ -48,7 +48,7 @@ log them.
 
 from __future__ import annotations
 
-from .dyadic import ZERO, Dyadic, pow2
+from .dyadic import ZERO, Dyadic, gap_cmp, pow2
 from .phi import PhiRegistry
 from .strings import REL_LEX, REL_LEX_OR_EXT, BinStr, nu, pair, region_contains, unpair
 from .tracekit import (
@@ -70,8 +70,6 @@ __all__ = [
     "new_engine_b",
     "run_engine",
     "run_stage",
-    "run_a",
-    "run_b",
 ]
 
 
@@ -163,8 +161,7 @@ class EngineState:
             raise TraceCorruption(
                 f"chain length {l} of slot {e} not convergent at stage {self.t}"
             )
-        gap = self.x[self.t] - self.x[v]
-        return gap < pow2(-exponent)
+        return gap_cmp(self.x[self.t], self.x[v], exponent) < 0
 
     def _threat_info(self, sigma: BinStr, e: int) -> tuple[bool, int, int | None, int]:
         """(threatened, flag, witness-or-None, chain length) for this substage."""
@@ -362,13 +359,3 @@ def run_engine(state: EngineState, T: int, hooks=None) -> Trace:
         stages=list(state.records),
         x=list(state.x),
     )
-
-
-def run_a(registry: PhiRegistry, T: int, hooks=None) -> Trace:
-    """Deterministic run of the first construction; same config, same trace."""
-    return run_engine(new_engine_a(registry), T, hooks)
-
-
-def run_b(registry: PhiRegistry, T: int, hooks=None) -> Trace:
-    """Deterministic run of the second construction."""
-    return run_engine(new_engine_b(registry), T, hooks)

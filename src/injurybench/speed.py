@@ -271,11 +271,18 @@ def modulus_to_gapbound(f: ModulusFn, seq: ApproxSequence) -> GapBoundReport:
     First verifies on the evaluable range that f really is a modulus of
     convergence for the sequence (|limit - x_j| < 2**-n for j >= f(n));
     refuses with the first counterexample otherwise.
+
+    Let K be the largest exponent among the terms and the limit.  A non-zero
+    difference |limit - x_j| is at least 2**-K, so for n >= K it lies below
+    2**-n only when it is 0; and the range j >= f(n) only shrinks as n
+    grows.  So the test at n = K decides every larger n, and the check stops
+    there, also for a modulus that never outgrows the sequence.
     """
     x = seq.require_limit()
     length = len(seq.values)
+    last = max([x.k, *(v.k for v in seq.values)])
     n = 0
-    while f(n) < length:
+    while n <= last and f(n) < length:
         for j in range(f(n), length):
             diff = x - seq.values[j]
             if diff.sign() < 0:

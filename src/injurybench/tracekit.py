@@ -325,7 +325,9 @@ def deserialize(data: bytes) -> Trace:
 
     A positive jump at stage t is 2**-w with w <= l <= t, or 2**-r with
     r <= t, so every jump's exponent must lie in [0, T]; it is checked
-    before the jump is added to x, whose sums align mantissas by it.
+    before the jump is added to x, whose sums align mantissas by it.  A jump
+    must also be written in its value's one canonical encoding
+    (``Dyadic.from_json``), so an accepted trace re-serialises to its bytes.
     """
     text = data.decode("utf-8")
     lines = [ln for ln in text.split("\n") if ln.strip()]

@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .dyadic import Dyadic, pow2
+from .dyadic import ZERO, Dyadic, gap_cmp, pow2
 from .phi import PhiRegistry
 from .strings import BinStr, lex_less, nu, region_covers_right_of
 from .tracekit import (
@@ -101,13 +101,13 @@ def _make_report(check: str, findings: list[tuple[str, dict]], assumptions=None)
     )
 
 
-def _gap_below(trace: Trace, e: int, t: int, exponent: int) -> bool:
-    registry = trace.registry
-    l = registry.ell(e, t)
-    v = registry.step(e, l, t)
+def _gap_below(trace: Trace, e: int, l: int, t: int, exponent: int) -> bool:
+    """The exact test x_t - x_{phi_e(l)} < 2**-exponent, with l the chain
+    length of slot e at stage t that the caller has already read."""
+    v = trace.registry.step(e, l, t)
     if v is None or v > t:
         raise TraceCorruption(f"slot {e} chain inconsistent at stage {t}")
-    return (trace.x[t] - trace.x[v]) < pow2(-exponent)
+    return gap_cmp(trace.x[t], trace.x[v], exponent) < 0
 
 
 def _threatened(trace: Trace, sigma: BinStr, t: int) -> bool:
@@ -117,10 +117,12 @@ def _threatened(trace: Trace, sigma: BinStr, t: int) -> bool:
         return False
     e = len(sigma)
     l = trace.registry.ell(e, t)
-    w = index.value(sigma, "w", t)
-    if l < 0 or l < w:
+    if l < 0:
         return False
-    return _gap_below(trace, e, t, w)
+    w = index.value(sigma, "w", t)
+    if l < w:
+        return False
+    return _gap_below(trace, e, l, t, w)
 
 
 def _expansionary(trace: Trace, sigma: BinStr, t: int) -> bool:
@@ -130,9 +132,10 @@ def _expansionary(trace: Trace, sigma: BinStr, t: int) -> bool:
     if trace.engine == "A" and index.value(sigma, trace.flag_field, t) != 1:
         return False
     e = len(sigma)
-    if trace.registry.ell(e, t) < 0:
+    l = trace.registry.ell(e, t)
+    if l < 0:
         return False
-    return _gap_below(trace, e, t, index.value(sigma, "r", t))
+    return _gap_below(trace, e, l, t, index.value(sigma, "r", t))
 
 
 def _expansionary_stages(trace: Trace, sigma: BinStr, t0: int) -> list[int]:
@@ -374,7 +377,7 @@ def check_cutoffs(trace: Trace) -> Report:
         for tau in index.written:
             if index.value(tau, "c", t_cut + 1) > 0 and not lex_less(tau + "0", sigma):
                 problems.append(f"positive counter at {tau!r} not lex-left")
-        if not (trace.x[trace.T] - trace.x[t_cut + 1]) <= pow2(-(t_cut + 1)):
+        if gap_cmp(trace.x[trace.T], trace.x[t_cut + 1], t_cut + 1) > 0:
             problems.append("tail bound x_T - x_{t+1} <= 2^-(t+1) violated")
         if problems:
             findings.append(("fail", {"sigma": sigma, "t1": t1, "t_cut": t_cut,
@@ -423,7 +426,7 @@ def check_requirement_N(trace: Trace, e: int = 0) -> Report:
     if trace.engine == "A":
         for m in range(l_max + 1):
             v = registry.step(e, m, trace.T)
-            if (x[trace.T] - x[v]) >= pow2(-m):
+            if gap_cmp(x[trace.T], x[v], m) >= 0:
                 findings.append(("pass", {"e": e, "m": m, "mode": "A"}))
                 break
         else:
@@ -433,7 +436,7 @@ def check_requirement_N(trace: Trace, e: int = 0) -> Report:
         holds = []
         for n in range(l_max + 1):
             v = registry.step(e, n, trace.T)
-            holds.append((x[trace.T] - x[v]) >= pow2(-n))
+            holds.append(gap_cmp(x[trace.T], x[v], n) >= 0)
         best = (0, -1)  # (start, end) of the longest run, end inclusive
         start = None
         for n, ok in enumerate(holds + [False]):
@@ -512,7 +515,7 @@ def check_requirement_P(trace: Trace, e: int = 0) -> Report:
         if trace.engine == "A":
             return r_here >= n + 2
         return (r_here >= n + 3
-                and _witness_sum(trace, est.path, e, t) <= pow2(-(n + 1)))
+                and gap_cmp(_witness_sum(trace, est.path, e, t), ZERO, n + 1) <= 0)
 
     exp_stages = _expansionary_stages(trace, sigma, t0)
     for t in exp_stages:
@@ -543,9 +546,8 @@ def check_requirement_P(trace: Trace, e: int = 0) -> Report:
             break
         t_n = exp_stages[p]
         v_n = registry.ell(e, t_n)
-        bound = pow2(-n)
-        if v_n < l_max and not suffix_max[v_n] < bound:
-            bad = next(i for i in range(v_n, l_max) if not diffs[i] < bound)
+        if v_n < l_max and gap_cmp(suffix_max[v_n], ZERO, n) >= 0:
+            bad = next(i for i in range(v_n, l_max) if gap_cmp(diffs[i], ZERO, n) >= 0)
             findings.append(("fail", {"n": n, "v_n": v_n, "i": bad,
                                       "difference_exceeds": f"2^-{n}"}))
         else:

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from injurybench.dyadic import Dyadic, pow2
-from injurybench.engine import run_a, run_b
+from injurybench.engine import EngineState, run_engine
 from injurybench.phi import DEFAULT_CONFIG, registry_from_config
 from injurybench.speed import ApproxSequence
 
@@ -69,8 +69,7 @@ def traces(registry):
     def get(engine: str, T: int):
         key = (engine, T)
         if key not in cache:
-            runner = run_a if engine == "A" else run_b
-            cache[key] = runner(registry, T)
+            cache[key] = run_engine(EngineState(registry, engine), T)
         return cache[key]
 
     return get

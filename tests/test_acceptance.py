@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from injurybench.dyadic import Dyadic, pow2
-from injurybench.engine import new_engine_a, new_engine_b, run_a, run_b, run_engine
+from injurybench.engine import EngineState, new_engine_a, new_engine_b, run_engine
 from injurybench.phi import DEFAULT_CONFIG, registry_from_config
 from injurybench.replay import replay_run
 from injurybench.speed import (
@@ -44,11 +44,11 @@ def report(number: int, text: str) -> None:
 
 def test_c01_determinism_and_replay(registry):
     elapsed = {}
-    for tag, runner in (("A", run_a), ("B", run_b)):
+    for tag in "AB":
         start = time.monotonic()
-        first = runner(registry, 500)
+        first = run_engine(EngineState(registry, tag), 500)
         elapsed[tag] = time.monotonic() - start
-        second = runner(registry, 500)
+        second = run_engine(EngineState(registry, tag), 500)
         assert serialize(first) == serialize(second)
         assert first.digest() == second.digest()
     assert elapsed["A"] < 10.0 and elapsed["B"] < 10.0, elapsed
@@ -212,8 +212,8 @@ def test_c10_mutation_kill(minimal_registry):
             x.append(x[-1] + rec.jump)
         return Trace(engine=trace.engine, config=trace.config, stages=stages, x=x)
 
-    trace_a = run_a(minimal_registry, 60)
-    trace_b = run_b(minimal_registry, 60)
+    trace_a = run_engine(EngineState(minimal_registry, "A"), 60)
+    trace_b = run_engine(EngineState(minimal_registry, "B"), 60)
     killed = []
 
     # monotonicity: a restraint write lowered to zero
@@ -254,7 +254,7 @@ def test_c10_mutation_kill(minimal_registry):
     killed.append("requirement_n")
 
     # requirement P: one late jump inflated past the modulus bound
-    small = run_a(minimal_registry, 18)
+    small = run_engine(EngineState(minimal_registry, "A"), 18)
     assert check_requirement_P(rebuild(small, 14, jump=Dyadic(2)), 0).status == "fail"
     assert check_requirement_P(small, 0).status == "pass"
     killed.append("requirement_p")

@@ -13,8 +13,6 @@ from injurybench.engine import (
     EngineState,
     new_engine_a,
     new_engine_b,
-    run_a,
-    run_b,
     run_engine,
     run_stage,
 )
@@ -38,7 +36,7 @@ def minimal():
 
 
 def test_initial_parameter_defaults(minimal):
-    trace = run_a(minimal, 1)
+    trace = run_engine(EngineState(minimal, "A"), 1)
     index = TraceIndex(trace)
     assert index.value("", "w", 0) == 0
     assert index.value("1", "w", 0) == 2  # nu("1")
@@ -97,22 +95,22 @@ def test_stage_zero(minimal):
 
 
 def test_run_a_small_horizons(minimal):
-    assert run_a(minimal, 1).x == [ZERO, ZERO]
-    assert run_a(minimal, 2).x == [ZERO, ZERO, Dyadic(1)]
+    assert run_engine(EngineState(minimal, "A"), 1).x == [ZERO, ZERO]
+    assert run_engine(EngineState(minimal, "A"), 2).x == [ZERO, ZERO, Dyadic(1)]
 
 
 def test_all_diverge_registry_never_moves():
     reg = registry_from_config({"slots": []})
-    trace = run_a(reg, 40)
+    trace = run_engine(EngineState(reg, "A"), 40)
     assert all(v == ZERO for v in trace.x)
     assert all(rec.action.kind == TOP_OUT for rec in trace.stages)
     assert [rec.settled for rec in trace.stages] == ["1" * t for t in range(40)]
-    trace_b = run_b(reg, 40)
+    trace_b = run_engine(EngineState(reg, "B"), 40)
     assert all(v == ZERO for v in trace_b.x)
 
 
 def test_engine_a_golden(minimal):
-    trace = run_a(minimal, 18)
+    trace = run_engine(EngineState(minimal, "A"), 18)
     index = TraceIndex(trace)
 
     assert trace.x[0] == ZERO and trace.x[1] == ZERO
@@ -170,7 +168,7 @@ def test_engine_a_golden(minimal):
 
 
 def test_engine_b_golden(minimal):
-    trace = run_b(minimal, 8)
+    trace = run_engine(EngineState(minimal, "B"), 8)
     index = TraceIndex(trace)
 
     assert [str(v) for v in trace.x] == [
@@ -202,7 +200,7 @@ def test_engine_b_golden(minimal):
 
 
 def test_terminal_kinds_only(minimal, registry):
-    for trace in (run_a(minimal, 30), run_b(minimal, 30), run_a(registry, 60)):
+    for trace in (run_engine(EngineState(minimal, "A"), 30), run_engine(EngineState(minimal, "B"), 30), run_engine(EngineState(registry, "A"), 60)):
         for rec in trace.stages:
             assert rec.action.kind in TERMINAL_KINDS
             assert rec.action.sigma == rec.settled
@@ -210,13 +208,13 @@ def test_terminal_kinds_only(minimal, registry):
 
 
 def test_determinism_same_registry_instance(minimal):
-    assert run_a(minimal, 60).digest() == run_a(minimal, 60).digest()
-    assert run_b(minimal, 60).digest() == run_b(minimal, 60).digest()
+    assert run_engine(EngineState(minimal, "A"), 60).digest() == run_engine(EngineState(minimal, "A"), 60).digest()
+    assert run_engine(EngineState(minimal, "B"), 60).digest() == run_engine(EngineState(minimal, "B"), 60).digest()
 
 
 def test_prefix_stability(registry):
-    long = run_a(registry, 150)
-    short = run_a(registry, 75)
+    long = run_engine(EngineState(registry, "A"), 150)
+    short = run_engine(EngineState(registry, "A"), 75)
     assert short.x == long.x[:76]
     assert [r.settled for r in short.stages] == [r.settled for r in long.stages[:75]]
 

@@ -3,7 +3,8 @@
 Seeded single-leaf mutants of default A and B traces, the inputs that once
 ended in a traceback (huge restraints, witnesses and jump exponents in a
 trace, negative restraints and witnesses, a huge exponent in a sequence CSV
-or a dyadic literal), and malformed CSV rows and literals all run through
+or a dyadic literal), jumps in any but the canonical encoding, and
+malformed CSV rows and literals all run through
 ``cli.main`` in one subprocess under a 1.5 GiB address-space limit.  Every run must end in a documented exit code
 (0 pass, 1 fail, 2 usage, 3 incomplete) without a traceback, and a usage
 error is one line.
@@ -99,6 +100,12 @@ def set_jump_exponent(k: int):
     return edit
 
 
+def set_jump_mantissa(m: str):
+    def edit(rec):
+        rec["jump"]["m"] = m
+    return edit
+
+
 def default_trace(tmp_path, engine: str) -> bytes:
     out = tmp_path / f"default-{engine}"
     assert main(["run", "--engine", engine, "--stages", "60", "--out", str(out)]) == 0
@@ -118,9 +125,15 @@ def test_hostile_inputs_end_in_an_exit_code_without_traceback(tmp_path, capsys):
         "jump-k-negative": edit_record(traces["A"], first_jump, set_jump_exponent(-(2**70))),
         "restraint-negative": set_negative_write(traces["A"], "r"),
         "witness-negative": set_negative_write(traces["B"], "w"),
+        # one encoding per value: each of these once loaded as another's value
+        "jump-zero-k": edit_record(traces["A"], 0, set_jump_exponent(5)),
     }
     expected = {"restraint": 1, "witness": 1, "jump-k-huge": 2, "jump-k-negative": 2,
-                "restraint-negative": 2, "witness-negative": 2}
+                "restraint-negative": 2, "witness-negative": 2, "jump-zero-k": 2}
+    for name, m in {"space": " 1", "underscore": "0_1", "plus": "+1",
+                    "leading-zero": "01"}.items():
+        files[f"jump-m-{name}"] = edit_record(traces["A"], first_jump, set_jump_mantissa(m))
+        expected[f"jump-m-{name}"] = 2
     for engine, data in traces.items():
         for j, text in enumerate(single_leaf_mutants(data, MUTANTS_PER_ENGINE, seed=9)):
             files[f"mutant-{engine}-{j}"] = text

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from injurybench.dyadic import MAX_EXPONENT, ZERO, Dyadic, pow2
-from injurybench.engine import run_a, run_b
+from injurybench.engine import EngineState, run_engine
 from injurybench.phi import registry_from_config
 from injurybench.strings import (
     REL_LEX,
@@ -26,12 +26,12 @@ from conftest import MINIMAL_CONFIG
 
 @pytest.fixture(scope="module")
 def trace_a():
-    return run_a(registry_from_config(MINIMAL_CONFIG), 30)
+    return run_engine(EngineState(registry_from_config(MINIMAL_CONFIG), "A"), 30)
 
 
 @pytest.fixture(scope="module")
 def trace_b():
-    return run_b(registry_from_config(MINIMAL_CONFIG), 30)
+    return run_engine(EngineState(registry_from_config(MINIMAL_CONFIG), "B"), 30)
 
 
 def test_region_membership():
@@ -75,7 +75,7 @@ def test_region_functions_match_definitions_exhaustively():
 
 
 def test_round_trip_tiny(trace_a):
-    small = run_a(registry_from_config(MINIMAL_CONFIG), 1)
+    small = run_engine(EngineState(registry_from_config(MINIMAL_CONFIG), "A"), 1)
     assert deserialize(serialize(small)) == small
 
 
@@ -105,7 +105,7 @@ INT_KEYED_CONFIG = {"slots": [
 @pytest.mark.parametrize("config", [MINIMAL_CONFIG, INT_KEYED_CONFIG],
                          ids=["string_keys", "int_keys"])
 def test_serialize_stamped_adds_only_created_at(config):
-    trace = run_b(registry_from_config(config), 25)
+    trace = run_engine(EngineState(registry_from_config(config), "B"), 25)
     stamp = "2026-08-10T12:00:00+00:00"
     data, digest = serialize_stamped(trace, stamp)
     plain = serialize(trace)
@@ -120,7 +120,7 @@ def test_serialize_stamped_adds_only_created_at(config):
 
 
 def test_int_keyed_config_digest_survives_round_trip():
-    trace = run_a(registry_from_config(INT_KEYED_CONFIG), 25)
+    trace = run_engine(EngineState(registry_from_config(INT_KEYED_CONFIG), "A"), 25)
     clone = deserialize(serialize(trace))
     assert clone.config == json.loads(json.dumps(INT_KEYED_CONFIG))
     assert clone.config_digest() == trace.config_digest()

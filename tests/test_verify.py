@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from injurybench.dyadic import Dyadic, ZERO, pow2
-from injurybench.engine import run_a, run_b
+from injurybench.engine import EngineState, run_engine
 from injurybench.phi import DEFAULT_CONFIG, PhiRegistry, registry_from_config
 from injurybench.strings import nu, region_contains, true_path_estimate
 from injurybench.tracekit import (
@@ -49,12 +49,12 @@ def minimal():
 
 @pytest.fixture(scope="module")
 def trace_a(minimal):
-    return run_a(minimal, 60)
+    return run_engine(EngineState(minimal, "A"), 60)
 
 
 @pytest.fixture(scope="module")
 def trace_b(minimal):
-    return run_b(minimal, 60)
+    return run_engine(EngineState(minimal, "B"), 60)
 
 
 def mutate_record(trace: Trace, t: int, **changes) -> Trace:
@@ -86,7 +86,7 @@ def test_valid_traces_have_no_failures(trace_a, trace_b):
 
 def test_all_diverge_trace_vacuously_passes():
     reg = registry_from_config({"slots": []})
-    trace = run_a(reg, 25)
+    trace = run_engine(EngineState(reg, "A"), 25)
     for report in run_checks(trace):
         assert report.status == "pass", report.to_json()
     assert check_monotonicity(trace).witnesses == []
@@ -180,7 +180,7 @@ def test_run_checks_a_lone_checker_and_cutoff_stage_build_one_index(minimal, mon
         init(self, trace)
 
     monkeypatch.setattr(TraceIndex, "__init__", counting_init)
-    trace = run_a(minimal, 60)
+    trace = run_engine(EngineState(minimal, "A"), 60)
     run_checks(trace)
     assert check_cutoffs(trace).status == "pass"
     assert trace.index.cutoff_stage("0") is not None
@@ -190,7 +190,7 @@ def test_run_checks_a_lone_checker_and_cutoff_stage_build_one_index(minimal, mon
 def test_run_checks_a_lone_checker_and_trace_registry_build_one_registry(minimal, monkeypatch):
     # the trace owns its registry: run_checks, a checker called alone
     # afterwards and trace.registry all read the one built from its config
-    trace = run_a(minimal, 60)
+    trace = run_engine(EngineState(minimal, "A"), 60)
     built = []
     init = PhiRegistry.__init__
 
@@ -207,7 +207,7 @@ def test_run_checks_a_lone_checker_and_trace_registry_build_one_registry(minimal
 
 def test_mutation_requirement_p(minimal):
     # documented mutation: enlarge one late recorded jump past the modulus bound
-    trace = run_a(minimal, 18)
+    trace = run_engine(EngineState(minimal, "A"), 18)
     mutated = mutate_record(trace, 14, jump=Dyadic(2))
     report = check_requirement_P(mutated, 0)
     assert report.status == "fail"
@@ -263,7 +263,7 @@ def test_requirement_refuses_unclassified_program():
         ]
     }
     reg = registry_from_config(config)
-    trace = run_a(reg, 10)
+    trace = run_engine(EngineState(reg, "A"), 10)
     with pytest.raises(ValueError):
         check_requirement_N(trace, 1)
 
@@ -299,12 +299,13 @@ sys.path.insert(0, {str(root / "perfbench")!r})
 from tracing import CHECKS, Tracer
 tracer = Tracer()
 tracer.install()
-from injurybench import DEFAULT_CONFIG, registry_from_config, run_a, run_b
+from injurybench import DEFAULT_CONFIG, registry_from_config
+from injurybench.engine import EngineState, run_engine
 from injurybench.verify import CHECK_NAMES, run_checks
 assert tuple(CHECKS) == tuple(CHECK_NAMES), (CHECKS, CHECK_NAMES)
 calls = {{}}
-for engine, runner in (("A", run_a), ("B", run_b)):
-    trace = runner(registry_from_config(DEFAULT_CONFIG), 40)
+for engine in "AB":
+    trace = run_engine(EngineState(registry_from_config(DEFAULT_CONFIG), engine), 40)
     before = dict(tracer.calls)
     run_checks(trace)
     calls[engine] = {{name: tracer.calls["verify." + name] - before.get("verify." + name, 0)
@@ -477,13 +478,13 @@ def assert_sweep_matches_rescan(trace, registry) -> int:
 @pytest.mark.parametrize("engine", ["A", "B"])
 def test_requirement_p_sweep_matches_rescan_on_random_registries(seed, engine):
     registry = registry_from_config(random_config(random.Random(seed)))
-    trace = (run_a if engine == "A" else run_b)(registry, 150)
+    trace = run_engine(EngineState(registry, engine), 150)
     assert_sweep_matches_rescan(trace, registry)
 
 
 def test_requirement_p_sweep_matches_rescan_on_late_bad_gap(minimal):
     # one inflated jump after v(n): the first bad i lies strictly past v(n)
-    mutated = mutate_record(run_a(minimal, 18), 12, jump=Dyadic(1, 3))
+    mutated = mutate_record(run_engine(EngineState(minimal, "A"), 18), 12, jump=Dyadic(1, 3))
     report = check_requirement_P(mutated, 0)
     fails = [w for w in report.witnesses if w["status"] == "fail"]
     assert fails and all(w["i"] == 12 and w["i"] > w["v_n"] for w in fails)
@@ -493,7 +494,7 @@ def test_requirement_p_sweep_matches_rescan_on_late_bad_gap(minimal):
 @pytest.mark.parametrize("engine", ["A", "B"])
 def test_requirement_p_sweep_matches_rescan_on_lowered_restraint(minimal, engine):
     # raise one early restraint write of the root, so the next write lowers it
-    trace = (run_a if engine == "A" else run_b)(minimal, 60)
+    trace = run_engine(EngineState(minimal, engine), 60)
     t, i, value = [(rec.t, i, v) for rec in trace.stages
                    for i, (s, f, v) in enumerate(rec.param_writes)
                    if s == "" and f == "r"][2]
@@ -509,7 +510,7 @@ def test_requirement_p_sweep_matches_rescan_on_lowered_restraint(minimal, engine
 def test_requirement_p_sweep_matches_rescan_on_raised_restraint_within_bound(minimal, engine):
     # raise each restraint write of the root to t + 1, the most that
     # r <= t allows: the next write lowers it, and the sweep still runs
-    trace = (run_a if engine == "A" else run_b)(minimal, 60)
+    trace = run_engine(EngineState(minimal, engine), 60)
     writes = [(rec.t, i, v) for rec in trace.stages
               for i, (s, f, v) in enumerate(rec.param_writes) if s == "" and f == "r"]
     statuses = Counter()
@@ -608,7 +609,7 @@ def assert_gap_walk_matches_reference(trace, config) -> dict:
 
 @pytest.mark.parametrize("T", [250, 500])
 def test_expansion_gap_matches_per_prefix_loop_on_deep_family(T):
-    trace = run_b(registry_from_config(DEEP_CONFIG), T)
+    trace = run_engine(EngineState(registry_from_config(DEEP_CONFIG), "B"), T)
     report = assert_gap_walk_matches_reference(trace, DEEP_CONFIG)
     assert report["counts"].get("pass", 0) >= 2
 
@@ -616,11 +617,11 @@ def test_expansion_gap_matches_per_prefix_loop_on_deep_family(T):
 @pytest.mark.parametrize("name", sorted(SPARSE_DEEP_CONFIGS))
 def test_expansion_gap_matches_per_prefix_loop_on_sparse_deep_registries(name):
     config = SPARSE_DEEP_CONFIGS[name]
-    assert_gap_walk_matches_reference(run_b(registry_from_config(config), 300), config)
+    assert_gap_walk_matches_reference(run_engine(EngineState(registry_from_config(config), "B"), 300), config)
 
 
 def test_expansion_gap_matches_per_prefix_loop_below_undeclared_slot():
-    trace = run_b(registry_from_config(UNDECLARED_BELOW_CONFIG), 200)
+    trace = run_engine(EngineState(registry_from_config(UNDECLARED_BELOW_CONFIG), "B"), 200)
     report = assert_gap_walk_matches_reference(trace, UNDECLARED_BELOW_CONFIG)
     assert report["counts"]["pass"] == 2 and report["counts"]["incomplete"] > 50
 
@@ -640,7 +641,7 @@ def test_expansion_gap_matches_per_prefix_loop_on_random_registries(
         for entry in slots:
             entry.pop("total_increasing", None)
     config = {"slots": slots}
-    assert_gap_walk_matches_reference(run_b(registry_from_config(config), T), config)
+    assert_gap_walk_matches_reference(run_engine(EngineState(registry_from_config(config), "B"), T), config)
 
 
 _LEAF_VALUES = [-1, 0, 1, 2, 3, 5, 9, 30, 61, "", "0", "1", "01", "10", "11", "110",
@@ -685,10 +686,10 @@ def single_record_mutants(trace: Trace, count: int, seed: int):
 
 @pytest.mark.parametrize("config", [DEFAULT_CONFIG, DEEP_CONFIG], ids=["default", "deep"])
 def test_expansion_gap_matches_per_prefix_loop_on_trace_mutants(config):
-    trace = run_b(registry_from_config(config), 60)
+    trace = run_engine(EngineState(registry_from_config(config), "B"), 60)
     original = assert_gap_walk_matches_reference(trace, config)
     changed = 0
-    for mutant in single_record_mutants(trace, 50, seed=8):
+    for mutant in single_record_mutants(trace, 100, seed=8):
         changed += assert_gap_walk_matches_reference(mutant, config) != original
     assert changed >= 3
 
@@ -698,7 +699,7 @@ def test_expansion_gap_asks_only_configured_prefixes(monkeypatch):
     # expansionary test, and initialisations are built for configured
     # lengths only
     registry = registry_from_config(DEEP_CONFIG)
-    trace = run_b(registry, 500)
+    trace = run_engine(EngineState(registry, "B"), 500)
     configured = registry.configured_indices()
     asked = Counter()
     initialised = []
