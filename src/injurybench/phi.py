@@ -313,17 +313,19 @@ class PhiRegistry:
             entry["index"]: _build_slot(entry) for entry in self.config.get("slots", [])
         }
         self._chains: dict[int, _ChainState] = {}
+        self._configured = frozenset(self.slots)
+        self._total_increasing = frozenset(
+            e for e, s in self.slots.items() if s.total_increasing is True
+        )
 
     # -- configuration -----------------------------------------------------
 
     def configured_indices(self) -> frozenset[int]:
-        return frozenset(self.slots)
+        return self._configured
 
     def total_increasing_indices(self) -> frozenset[int]:
         """Indices declared total and increasing by the configuration."""
-        return frozenset(
-            e for e, s in self.slots.items() if s.total_increasing is True
-        )
+        return self._total_increasing
 
     def classification(self, e: int) -> bool | None:
         """Declared total-increasing status of slot e (False for empty slots)."""

@@ -118,26 +118,6 @@ class Action:
     k: int | None = None
     exponent: int | None = None
 
-    def to_json(self) -> dict:
-        obj: dict = {"kind": self.kind, "sigma": self.sigma}
-        for key in ("gamma", "counter", "alpha", "k", "exponent"):
-            val = getattr(self, key)
-            if val is not None:
-                obj[key] = val
-        return obj
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Action":
-        return cls(
-            kind=obj["kind"],
-            sigma=obj.get("sigma", ""),
-            gamma=obj.get("gamma"),
-            counter=obj.get("counter"),
-            alpha=obj.get("alpha"),
-            k=obj.get("k"),
-            exponent=obj.get("exponent"),
-        )
-
 
 @dataclass(frozen=True)
 class StageRecord:
@@ -160,27 +140,6 @@ class StageRecord:
     @property
     def applied(self) -> list[BinStr]:
         return [self.settled[:i] for i in range(len(self.settled) + 1)]
-
-    def to_json(self) -> dict:
-        return {
-            "t": self.t,
-            "settled": self.settled,
-            "action": self.action.to_json(),
-            "jump": self.jump.to_json(),
-            "init_regions": [[a, r] for a, r in self.init_regions],
-            "param_writes": [[s, f, v] for s, f, v in self.param_writes],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "StageRecord":
-        return cls(
-            t=obj["t"],
-            settled=obj["settled"],
-            action=Action.from_json(obj["action"]),
-            jump=Dyadic.from_json(obj["jump"]),
-            init_regions=tuple((a, r) for a, r in obj["init_regions"]),
-            param_writes=tuple((s, f, v) for s, f, v in obj["param_writes"]),
-        )
 
 
 @dataclass
@@ -227,6 +186,12 @@ class Trace:
 # Serialisation
 
 
+# One encoder writes and one decoder reads every line: json.dumps with
+# non-default arguments would build a new encoder on each call.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_DECODE = json.JSONDecoder().decode
+
+
 def _header_line(trace: Trace, created_at: str | None) -> str:
     header = {
         "engine": trace.engine,
@@ -237,7 +202,31 @@ def _header_line(trace: Trace, created_at: str | None) -> str:
     }
     if created_at is not None:
         header["created_at"] = created_at
-    return json.dumps(header, sort_keys=True, separators=(",", ":"))
+    return _ENCODE(header)
+
+
+def _record_line(rec: StageRecord) -> str:
+    """A record's line: an action key only for a field the action uses."""
+    act = rec.action
+    action = {"kind": act.kind, "sigma": act.sigma}
+    if act.gamma is not None:
+        action["gamma"] = act.gamma
+    if act.counter is not None:
+        action["counter"] = act.counter
+    if act.alpha is not None:
+        action["alpha"] = act.alpha
+    if act.k is not None:
+        action["k"] = act.k
+    if act.exponent is not None:
+        action["exponent"] = act.exponent
+    return _ENCODE({
+        "t": rec.t,
+        "settled": rec.settled,
+        "action": action,
+        "jump": rec.jump.to_json(),
+        "init_regions": rec.init_regions,
+        "param_writes": rec.param_writes,
+    })
 
 
 def serialize(trace: Trace) -> bytes:
@@ -248,8 +237,7 @@ def serialize(trace: Trace) -> bytes:
     (:func:`serialize_stamped`).
     """
     lines = [_header_line(trace, None)]
-    for rec in trace.stages:
-        lines.append(json.dumps(rec.to_json(), sort_keys=True, separators=(",", ":")))
+    lines += map(_record_line, trace.stages)
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -287,47 +275,93 @@ def _check_header(header: dict) -> None:
         raise TraceParseError("phi_config does not match phi_config_digest", line=1)
 
 
-def _check_record(rec: StageRecord, fields: tuple[str, ...], line: int) -> None:
-    """Reject a non-string action kind, any word that is not a string over
-    {0,1}, any unknown region relation, any parameter field outside
-    ``fields``, a stage number, parameter value or action number that is
-    not a JSON integer, and a negative parameter value: the native-order
-    membership tests hold only on binary words, ``true`` or ``1.5`` must not
-    pass for 1, and the engine writes only naturals (c, r, w >= 0 and flags
-    in {0, 1}), whose negation the checkers take as a power of two."""
-    act = rec.action
-    if not isinstance(act.kind, str):
-        raise TraceParseError(f"action kind {act.kind!r} is not a string", line=line)
-    numbers = [rec.t, *(v for _, _, v in rec.param_writes)]
-    numbers += [v for v in (act.counter, act.k, act.exponent) if v is not None]
-    for v in numbers:
+def _read_record(text: str, t_next: int, T: int, fields: tuple[str, ...],
+                 line: int) -> StageRecord:
+    """The record on one line, checked leaf by leaf from its raw JSON and
+    built from the checked leaves, in the order :func:`deserialize` lists."""
+    try:
+        obj = _DECODE(text)
+        t, settled, act = obj["t"], obj["settled"], obj["action"]
+        kind = act["kind"]
+        sigma, gamma, counter = act.get("sigma", ""), act.get("gamma"), act.get("counter")
+        alpha, k, exponent = act.get("alpha"), act.get("k"), act.get("exponent")
+        jump = Dyadic.from_json(obj["jump"])
+        regions = tuple([(anchor, rel) for anchor, rel in obj["init_regions"]])
+        writes = tuple([(s, fld, v) for s, fld, v in obj["param_writes"]])
+    except (KeyError, ValueError, TypeError) as exc:
+        if text.startswith("\ufeff"):
+            # worded as json.loads words it; the decoder alone does not
+            exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        raise TraceParseError(f"bad stage record: {exc}", line=line) from None
+
+    if not isinstance(kind, str):
+        raise TraceParseError(f"action kind {kind!r} is not a string", line=line)
+    if type(t) is not int:
+        raise TraceParseError(f"{t!r} is not an integer", line=line)
+    for _, _, v in writes:
         if type(v) is not int:
             raise TraceParseError(f"{v!r} is not an integer", line=line)
-    words = [rec.settled, act.sigma]
-    words += [w for w in (act.gamma, act.alpha) if w is not None]
-    words += [anchor for anchor, _ in rec.init_regions]
-    words += [sigma for sigma, _, _ in rec.param_writes]
-    for word in words:
+    for v in (counter, k, exponent):
+        if v is not None and type(v) is not int:
+            raise TraceParseError(f"{v!r} is not an integer", line=line)
+    # an absent gamma or alpha passes as the empty word
+    for word in (settled, sigma, "" if gamma is None else gamma, "" if alpha is None else alpha):
         if not isinstance(word, str) or word.strip("01"):
             raise TraceParseError(f"{word!r} is not a binary word", line=line)
-    for _, rel in rec.init_regions:
+    for word, _ in regions:
+        if not isinstance(word, str) or word.strip("01"):
+            raise TraceParseError(f"{word!r} is not a binary word", line=line)
+    for word, _, _ in writes:
+        if not isinstance(word, str) or word.strip("01"):
+            raise TraceParseError(f"{word!r} is not a binary word", line=line)
+    for _, rel in regions:
         if rel not in (REL_LEX, REL_LEX_OR_EXT):
             raise TraceParseError(f"unknown region relation {rel!r}", line=line)
-    for _, fld, v in rec.param_writes:
+    for _, fld, v in writes:
         if fld not in fields:
             raise TraceParseError(f"unknown parameter field {fld!r}", line=line)
         if v < 0:
             raise TraceParseError(f"parameter value {v} of {fld!r} is negative", line=line)
+    if t != t_next:
+        raise TraceParseError(f"stage {t} out of order", line=line)
+    if (jump.m > 0) != (kind in JUMP_KINDS):
+        raise TraceParseError(f"jump/action mismatch at stage {t}", line=line)
+    if jump.m < 0:
+        raise TraceParseError(f"negative jump at stage {t}", line=line)
+    if jump.k > T:
+        raise TraceParseError(f"jump exponent {jump.k} at stage {t} exceeds T={T}", line=line)
+    return StageRecord(t, settled, Action(kind, sigma, gamma, counter, alpha, k, exponent),
+                       jump, regions, writes)
 
 
 def deserialize(data: bytes) -> Trace:
     """Parse a trace file, rebuilding the x sequence from the jumps.
 
-    A positive jump at stage t is 2**-w with w <= l <= t, or 2**-r with
-    r <= t, so every jump's exponent must lie in [0, T]; it is checked
-    before the jump is added to x, whose sums align mantissas by it.  A jump
-    must also be written in its value's one canonical encoding
-    (``Dyadic.from_json``), so an accepted trace re-serialises to its bytes.
+    The header is checked first (:func:`_check_header`) and must announce
+    exactly as many records as follow.  Then each record line is read in
+    one pass that checks its raw JSON in this order, each rejection a
+    one-line :class:`TraceParseError` naming the line:
+
+    1. the line is a JSON object with ``t``, ``settled``, an ``action``
+       object with a ``kind``, a ``jump``, ``init_regions`` pairs and
+       ``param_writes`` triples, and the jump is written in its value's one
+       canonical encoding (``Dyadic.from_json``), so an accepted trace
+       re-serialises to its bytes;
+    2. the action kind is a string;
+    3. the stage number, every parameter value and the action's counter,
+       ``k`` and exponent are JSON integers (not ``true`` or ``1.5``);
+    4. the settled word, the action's sigma, gamma and alpha, every region
+       anchor and every written strategy are strings over {0,1}, on which
+       alone the native-order membership tests hold;
+    5. every region relation is ``lex_gt`` or ``lex_gt_or_ext``;
+    6. every written field is c, r, w or the engine's flag, and its value
+       is natural, as the engine writes them: the checkers take powers of
+       two of minus a restraint or witness;
+    7. the stage number is the record's position;
+    8. the jump is positive exactly on a jump action, and never negative;
+    9. the jump's exponent is at most T: a positive jump at stage t is
+       2**-w with w <= l <= t, or 2**-r with r <= t, and x aligns
+       mantissas by it when it adds the jump.
     """
     text = data.decode("utf-8")
     lines = [ln for ln in text.split("\n") if ln.strip()]
@@ -345,25 +379,9 @@ def deserialize(data: bytes) -> Trace:
     stages: list[StageRecord] = []
     x = [ZERO]
     for i, ln in enumerate(lines[1:], start=2):
-        try:
-            rec = StageRecord.from_json(json.loads(ln))
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-            raise TraceParseError(f"bad stage record: {exc}", line=i) from None
-        _check_record(rec, fields, i)
-        if rec.t != len(stages):
-            raise TraceParseError(f"stage {rec.t} out of order", line=i)
-        if (rec.jump.sign() > 0) != (rec.action.kind in JUMP_KINDS):
-            raise TraceParseError(
-                f"jump/action mismatch at stage {rec.t}", line=i
-            )
-        if rec.jump.sign() < 0:
-            raise TraceParseError(f"negative jump at stage {rec.t}", line=i)
-        if rec.jump.k > T:
-            raise TraceParseError(
-                f"jump exponent {rec.jump.k} at stage {rec.t} exceeds T={T}", line=i
-            )
+        rec = _read_record(ln, len(stages), T, fields, i)
         stages.append(rec)
-        x.append(x[-1] + rec.jump)
+        x.append(x[-1] + rec.jump if rec.jump.m else x[-1])
     return Trace(
         engine=header["engine"],
         config=header["phi_config"],
@@ -386,6 +404,13 @@ class TraceIndex:
     its parameter timelines -- are derived on first use and only for the
     strategies asked about: materialising them for every prefix of every
     settlement would cost O(T * depth).
+
+    ``expansionary`` is the memo of the checkers' expansion predicate, a
+    pure function of the trace: (sigma, t) maps to its result, so every
+    checker of the trace evaluates each pair once.  It holds results only,
+    never exceptions: a TraceCorruption raised while evaluating a pair is
+    raised again at the next query, so a check's findings do not depend on
+    which checks ran before it.
     """
 
     def __init__(self, trace: Trace):
@@ -411,6 +436,7 @@ class TraceIndex:
         self._inits: dict[BinStr, list[int]] = {}
         self._apps: dict[BinStr, list[int]] = {}
         self._cp: dict[tuple[BinStr, str], tuple[list[int], list[int]]] = {}
+        self.expansionary: dict[tuple[BinStr, int], bool] = {}
 
     def written_to(self, fld: str) -> list[BinStr]:
         """Sorted strategies with an explicit write to one field."""

@@ -15,7 +15,9 @@ initialisation seen in the trace and says so in the report's assumptions.
 Every trace fact a checker reads -- parameter values, initialisations,
 applications, threats by strategy, jump attribution -- comes from the
 trace's own ``tracekit.TraceIndex`` (``trace.index``), so the checkers share
-one index whether ``run_checks`` runs them or a caller runs one alone.
+one index whether ``run_checks`` runs them or a caller runs one alone.  The
+expansion predicate's results are kept on that index as well
+(``TraceIndex.expansionary``).
 Slot values come from the registry that the trace's embedded configuration
 builds (``trace.registry``), likewise built once per trace.  The loader
 (``tracekit.deserialize``) has already checked that configuration against
@@ -126,6 +128,17 @@ def _threatened(trace: Trace, sigma: BinStr, t: int) -> bool:
 
 
 def _expansionary(trace: Trace, sigma: BinStr, t: int) -> bool:
+    """The expansion predicate of sigma at stage t, evaluated once per trace
+    and kept in ``trace.index.expansionary``; a TraceCorruption it raises is
+    not kept, so it is raised again at every call."""
+    memo = trace.index.expansionary
+    found = memo.get((sigma, t))
+    if found is None:
+        found = memo[sigma, t] = _expansion_test(trace, sigma, t)
+    return found
+
+
+def _expansion_test(trace: Trace, sigma: BinStr, t: int) -> bool:
     """The expansion predicate of sigma at stage t, re-evaluated from the
     trace; engine A also needs sigma's flag set."""
     index = trace.index

@@ -9,7 +9,7 @@ from injurybench.engine import EngineState, new_engine_a, new_engine_b, run_engi
 from injurybench.phi import DEFAULT_CONFIG, registry_from_config
 from injurybench.replay import naive_ell, replay_run
 from conftest import MINIMAL_CONFIG
-from test_randomized import random_config
+from test_randomized import DOUBLING_PROGRAM, random_config
 
 
 def _compare(engine_tag, config, T):
@@ -54,6 +54,29 @@ def test_replay_covers_re_split_delegation():
 
     for report in run_checks(trace):
         assert report.status in ("pass", "incomplete"), report.to_json()
+
+
+# The family test_randomized.random_config draws from random.Random(193):
+# by T=250 engine A schedules a counter of more than a hundred digits, a
+# branch the default family reaches only past the naive oracle's horizons.
+BIG_COUNTER_CONFIG = {"slots": [
+    {"index": 5, "kind": "const", "value": 1},
+    {"index": 0, "kind": "program", "code": DOUBLING_PROGRAM, "total_increasing": True},
+    {"index": 3, "kind": "square"},
+]}
+
+
+def test_replay_covers_a_counter_of_over_a_hundred_digits():
+    state = new_engine_a(registry_from_config(BIG_COUNTER_CONFIG), record_reads=True)
+    trace = run_engine(state, 250)
+    counters = [rec.action.counter for rec in trace.stages if rec.action.counter is not None]
+    assert max(len(str(c)) for c in counters) >= 100
+    assert {rec.action.kind for rec in trace.stages} == {
+        "threat_jump", "threat_schedule", "expansion_jump", "top_out"}
+    oracle = replay_run(registry_from_config(BIG_COUNTER_CONFIG), "A", 250)
+    assert oracle.x == trace.x
+    assert oracle.settlements == [rec.settled for rec in trace.stages]
+    assert oracle.reads == state.read_log
 
 
 # Sparse registries whose deepest slot index lies far beyond their slot

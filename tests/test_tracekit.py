@@ -1,10 +1,12 @@
 import json
+import random
 
 import pytest
 
+from injurybench import tracekit
 from injurybench.dyadic import MAX_EXPONENT, ZERO, Dyadic, pow2
 from injurybench.engine import EngineState, run_engine
-from injurybench.phi import registry_from_config
+from injurybench.phi import DEFAULT_CONFIG, registry_from_config
 from injurybench.strings import (
     REL_LEX,
     REL_LEX_OR_EXT,
@@ -13,6 +15,11 @@ from injurybench.strings import (
     region_covers_right_of,
 )
 from injurybench.tracekit import (
+    FLAG_FIELDS,
+    JUMP_KINDS,
+    Action,
+    StageRecord,
+    Trace,
     TraceIndex,
     TraceParseError,
     deserialize,
@@ -298,3 +305,219 @@ def test_loader_rejects_non_integer_numbers(trace_a, field):
         deserialize(data)
     assert err.value.line == line
     assert "\n" not in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass record reader against a two-step reference loader
+
+
+def _built_action(obj) -> Action:
+    return Action(
+        kind=obj["kind"],
+        sigma=obj.get("sigma", ""),
+        gamma=obj.get("gamma"),
+        counter=obj.get("counter"),
+        alpha=obj.get("alpha"),
+        k=obj.get("k"),
+        exponent=obj.get("exponent"),
+    )
+
+
+def _built_record(obj) -> StageRecord:
+    return StageRecord(
+        t=obj["t"],
+        settled=obj["settled"],
+        action=_built_action(obj["action"]),
+        jump=Dyadic.from_json(obj["jump"]),
+        init_regions=tuple((a, r) for a, r in obj["init_regions"]),
+        param_writes=tuple((s, f, v) for s, f, v in obj["param_writes"]),
+    )
+
+
+def _walk_record(rec: StageRecord, fields, line: int) -> None:
+    act = rec.action
+    if not isinstance(act.kind, str):
+        raise TraceParseError(f"action kind {act.kind!r} is not a string", line=line)
+    numbers = [rec.t, *(v for _, _, v in rec.param_writes)]
+    numbers += [v for v in (act.counter, act.k, act.exponent) if v is not None]
+    for v in numbers:
+        if type(v) is not int:
+            raise TraceParseError(f"{v!r} is not an integer", line=line)
+    words = [rec.settled, act.sigma]
+    words += [w for w in (act.gamma, act.alpha) if w is not None]
+    words += [anchor for anchor, _ in rec.init_regions]
+    words += [sigma for sigma, _, _ in rec.param_writes]
+    for word in words:
+        if not isinstance(word, str) or word.strip("01"):
+            raise TraceParseError(f"{word!r} is not a binary word", line=line)
+    for _, rel in rec.init_regions:
+        if rel not in (REL_LEX, REL_LEX_OR_EXT):
+            raise TraceParseError(f"unknown region relation {rel!r}", line=line)
+    for _, fld, v in rec.param_writes:
+        if fld not in fields:
+            raise TraceParseError(f"unknown parameter field {fld!r}", line=line)
+        if v < 0:
+            raise TraceParseError(f"parameter value {v} of {fld!r} is negative", line=line)
+
+
+def _two_step_load(data: bytes) -> Trace:
+    """The reference loader: json.loads each record line, build the record
+    through keyword constructors, then walk the built record to check it."""
+    lines = [ln for ln in data.decode("utf-8").split("\n") if ln.strip()]
+    if not lines:
+        raise TraceParseError("empty trace file")
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise TraceParseError(f"bad header: {exc}", line=1) from None
+    tracekit._check_header(header)
+    T = header["T"]
+    if len(lines) - 1 != T:
+        raise TraceParseError(f"header says T={T} but {len(lines) - 1} records present")
+    fields = ("c", "r", "w", FLAG_FIELDS[header["engine"]])
+    stages, x = [], [ZERO]
+    for i, ln in enumerate(lines[1:], start=2):
+        try:
+            rec = _built_record(json.loads(ln))
+        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+            raise TraceParseError(f"bad stage record: {exc}", line=i) from None
+        _walk_record(rec, fields, i)
+        if rec.t != len(stages):
+            raise TraceParseError(f"stage {rec.t} out of order", line=i)
+        if (rec.jump.sign() > 0) != (rec.action.kind in JUMP_KINDS):
+            raise TraceParseError(f"jump/action mismatch at stage {rec.t}", line=i)
+        if rec.jump.sign() < 0:
+            raise TraceParseError(f"negative jump at stage {rec.t}", line=i)
+        if rec.jump.k > T:
+            raise TraceParseError(
+                f"jump exponent {rec.jump.k} at stage {rec.t} exceeds T={T}", line=i
+            )
+        stages.append(rec)
+        x.append(x[-1] + rec.jump)
+    return Trace(engine=header["engine"], config=header["phi_config"], stages=stages, x=x)
+
+
+_HOSTILE = [
+    True, False, None, 0, 1, 2, -1, 1.5, 2**70, -(2**70), "", "0", "1", "-1", "01", "0a", "λ",
+    "ab", "lex_gt", "lex_gt_or_ext", "c", "r", "w", "s", "p", "q", "top_out",
+    "threat_jump", "expansion_jump", [], [[]], ["1", "c"], ["1", "c", 5],
+    ["1", "c", 5, 6], [["", "lex_gt"]], {}, {"ab": 1}, {"m": "1", "k": 3},
+    {"m": "0", "k": 0}, {"m": "01", "k": 0}, {"m": "-1", "k": 0}, {"m": "3", "k": 2},
+    {"m": "2", "k": 1}, {"m": "1", "k": 99},
+]
+# leaf values of the types an engine writes, so that some mutants are accepted
+_INTS = [-1, 0, 1, 2, 5, 30, 31]
+_STRINGS = ["", "0", "1", "01", "10", "lex_gt", "lex_gt_or_ext", "c", "r", "w", "s", "p",
+            "top_out", "threat_jump", "threat_schedule", "expansion_jump",
+            "expansion_delegate"]
+_JUMPS = [{"m": "-1", "k": 0}, {"m": "-1", "k": 3}, {"m": "0", "k": 0}, {"m": "1", "k": 0},
+          {"m": "1", "k": 2}, {"m": "1", "k": 30}, {"m": "1", "k": 31}]
+_KEYS = ["t", "settled", "action", "jump", "kind", "sigma", "gamma", "counter", "alpha",
+         "k", "exponent", "m", "x"]
+
+
+def _nodes(obj, path=()):
+    yield path
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _nodes(value, path + (i,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _edit_record(obj, rng):
+    """One seeded edit of a decoded record: replace, delete or add a node."""
+    path = rng.choice(list(_nodes(obj)))
+    if not path:
+        return rng.choice(_HOSTILE)
+    parent = _at(obj, path[:-1])
+    node = parent[path[-1]]
+    op = rng.randrange(3)
+    if op == 0:
+        parent[path[-1]] = rng.choice(_HOSTILE)
+    elif op == 1:
+        del parent[path[-1]]
+    elif isinstance(node, dict):
+        node[rng.choice(_KEYS)] = rng.choice(_HOSTILE)
+    elif isinstance(node, list):
+        node.append(rng.choice(_HOSTILE))
+    else:
+        parent[path[-1]] = rng.choice(_HOSTILE)
+    return obj
+
+
+def _record_mutant(data: bytes, rng) -> bytes:
+    """One to three seeded edits of the record lines of a trace file."""
+    head, *records = data.decode("utf-8").rstrip("\n").split("\n")
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(records))
+        kind = rng.randrange(10)
+        if kind == 0:
+            records[i] = "\ufeff" + records[i]
+        elif kind == 1:
+            records[i] = records[i][: rng.randrange(1, len(records[i]))]
+        elif kind == 2:
+            j = rng.randrange(len(records))
+            records[i], records[j] = records[j], records[i]
+        else:
+            try:
+                obj = json.loads(records[i])
+            except json.JSONDecodeError:
+                continue  # an earlier edit already broke this line
+            if kind < 6:
+                obj = _edit_record(obj, rng)
+            elif kind < 8:
+                leaves = [p for p in _nodes(obj) if p and isinstance(_at(obj, p), (int, str))]
+                if leaves:
+                    path = rng.choice(leaves)
+                    pool = _STRINGS if isinstance(_at(obj, path), str) else _INTS
+                    _at(obj, path[:-1])[path[-1]] = rng.choice(pool)
+            elif isinstance(obj, dict) and isinstance(obj.get("action"), dict):
+                obj["jump"] = rng.choice(_JUMPS)
+                obj["action"]["kind"] = rng.choice(_STRINGS[-5:])
+            records[i] = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                                    ensure_ascii=rng.random() < 0.5)
+    return ("\n".join([head, *records]) + "\n").encode("utf-8")
+
+
+def _outcome(load, data: bytes):
+    try:
+        return load(data)
+    except TraceParseError as exc:
+        return exc.line, str(exc)
+
+
+# the start of every rejection text the record reader can give
+_REJECTIONS = ("bad stage record", "action kind", "is not an integer", "is not a binary word",
+               "unknown region relation", "unknown parameter field", "is negative",
+               "out of order", "jump/action mismatch", "negative jump", "exceeds T")
+
+
+@pytest.mark.parametrize("engine", ["A", "B"])
+def test_record_reader_matches_two_step_loader_on_mutants(engine):
+    # every mutant is accepted as the same trace, or refused on the same
+    # line with the same text, as the two-step loader refused it; a mutant
+    # with several defects names the one the two-step order reaches first
+    trace = run_engine(EngineState(registry_from_config(DEFAULT_CONFIG), engine), 30)
+    data = serialize(trace)
+    assert deserialize(data) == _two_step_load(data) == trace
+    rng = random.Random(12)
+    seen = set()
+    accepted = 0
+    for _ in range(800):
+        mutant = _record_mutant(data, rng)
+        got = _outcome(deserialize, mutant)
+        assert got == _outcome(_two_step_load, mutant), mutant
+        if isinstance(got, Trace):
+            accepted += 1
+        else:
+            seen.update(r for r in _REJECTIONS if r in got[1])
+    assert accepted >= 20
+    assert seen == set(_REJECTIONS)

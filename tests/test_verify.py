@@ -19,7 +19,10 @@ from injurybench.engine import EngineState, run_engine
 from injurybench.phi import DEFAULT_CONFIG, PhiRegistry, registry_from_config
 from injurybench.strings import nu, region_contains, true_path_estimate
 from injurybench.tracekit import (
+    Action,
+    StageRecord,
     Trace,
+    TraceCorruption,
     TraceIndex,
     TraceParseError,
     deserialize,
@@ -722,3 +725,134 @@ def test_expansion_gap_asks_only_configured_prefixes(monkeypatch):
     assert asked and set(asked) <= configured
     assert len(set(initialised)) <= len(configured)
     assert all(len(sigma) in configured for sigma in initialised)
+
+
+# ---------------------------------------------------------------------------
+# The expansion predicate, evaluated once per (sigma, t) of a trace
+
+
+def _applicable(engine: str) -> list[str]:
+    return [name for name, engines, _, _ in verify._CHECKS if engine in engines]
+
+
+@pytest.mark.parametrize("engine, config", [
+    ("A", DEFAULT_CONFIG), ("B", DEFAULT_CONFIG), ("B", DEEP_CONFIG),
+], ids=["default-A", "default-B", "deep-B"])
+def test_each_checker_alone_matches_run_checks_on_one_shared_trace(engine, config):
+    # the memo on the shared index changes no finding: each check run alone
+    # on a freshly loaded trace reports what it reports after the others
+    data = serialize(run_engine(EngineState(registry_from_config(config), engine), 300))
+    shared = [r.to_json() for r in run_checks(deserialize(data))]
+    alone = [r.to_json() for name in _applicable(engine)
+             for r in run_checks(deserialize(data), [name])]
+    assert alone == shared
+
+
+def test_run_checks_evaluates_the_expansion_predicate_once_per_strategy_and_stage(
+    monkeypatch,
+):
+    trace = run_engine(EngineState(registry_from_config(DEFAULT_CONFIG), "B"), 500)
+    evaluated = Counter()
+    asked = 0
+    body, predicate = verify._expansion_test, verify._expansionary
+
+    def counting_body(trace, sigma, t):
+        evaluated[sigma, t] += 1
+        return body(trace, sigma, t)
+
+    def counting_predicate(trace, sigma, t):
+        nonlocal asked
+        asked += 1
+        return predicate(trace, sigma, t)
+
+    monkeypatch.setattr(verify, "_expansion_test", counting_body)
+    monkeypatch.setattr(verify, "_expansionary", counting_predicate)
+    reports = run_checks(trace)
+    assert all(r.status != "fail" for r in reports)
+    assert evaluated and set(evaluated.values()) == {1}
+    assert trace.index.expansionary.keys() == evaluated.keys()
+    # settlement, requirement_p and expansion_gap ask for the same pairs
+    assert asked > 2 * len(evaluated)
+
+
+def _corrupt_at(trace: Trace, t_bad: int) -> Trace:
+    """The trace with a registry whose slot values are unknown at stage
+    t_bad, as if checked against a registry its run did not use: every gap
+    test there raises TraceCorruption."""
+    step = trace.registry.step
+    trace.registry.step = lambda e, n, t: None if t == t_bad else step(e, n, t)
+    return trace
+
+
+def test_expansion_memo_keeps_no_trace_corruption():
+    data = serialize(run_engine(EngineState(registry_from_config(DEFAULT_CONFIG), "B"), 120))
+    index = deserialize(data).index
+    # the root's pause flag is set at t_bad, so the threat test returns
+    # before its gap test and the expansion test alone meets the corruption
+    t_bad = next(t for t in range(40, 120) if index.value("", "p", t) == 1)
+    trace = _corrupt_at(deserialize(data), t_bad)
+    for _ in range(2):
+        with pytest.raises(TraceCorruption):
+            verify._expansionary(trace, "", t_bad)
+    assert ("", t_bad) not in trace.index.expansionary
+
+    def outcome(trace, name):
+        try:
+            return [r.to_json() for r in run_checks(trace, [name])]
+        except TraceCorruption as exc:
+            return f"TraceCorruption: {exc}"
+
+    names = _applicable("B")
+    alone = [outcome(_corrupt_at(deserialize(data), t_bad), name) for name in names]
+    shared = _corrupt_at(deserialize(data), t_bad)
+    assert [outcome(shared, name) for name in names] == alone
+    raised = [name for name, out in zip(names, alone) if isinstance(out, str)]
+    assert "requirement_p" in raised and "settlement" not in raised
+    settlement = alone[names.index("settlement")][0]
+    assert {"status": "fail", "t": t_bad, "law": "predicate evaluation",
+            "error": f"slot 0 chain inconsistent at stage {t_bad}"} in settlement["witnesses"]
+
+
+# ---------------------------------------------------------------------------
+# Gap tests at the boundary x_a - x_b = 2**-e
+
+# slot 0 has phi(0) = 0 and phi(1) = 2, so from stage 2 on its chain length
+# is 1 and every gap test reads x_t - x_2
+_BOUNDARY_CONFIG = {"slots": [{"index": 0, "kind": "partial", "graph": {"0": 0, "1": 2}}]}
+
+
+def _top_out_trace(engine: str, config: dict, x: list[Dyadic], writes=()) -> Trace:
+    """A trace of top-out records with the given x and stage-0 writes, for
+    gap tests with exactly chosen values."""
+    stages = [StageRecord(t, "", Action("top_out", ""), ZERO, (), tuple(writes) if t == 0 else ())
+              for t in range(len(x) - 1)]
+    return Trace(engine=engine, config=config, stages=stages, x=x)
+
+
+def test_threat_and_expansion_tests_are_strict_at_the_boundary():
+    # from stage 1 the root's witness is 1 and its restraint 2: a threat
+    # needs x_t - x_2 < 1/2 and an expansion x_t - x_2 < 1/4
+    x = [ZERO, ZERO, ZERO, pow2(-1), pow2(-2), pow2(-1) - pow2(-10),
+         pow2(-2) - pow2(-10), ZERO]
+    trace = _top_out_trace("B", _BOUNDARY_CONFIG, x, [("", "w", 1), ("", "r", 2)])
+    expected = {3: (False, False),  # x_3 - x_2 = 2**-1 exactly
+                4: (True, False),  # x_4 - x_2 = 2**-2 exactly
+                5: (True, False),
+                6: (True, True)}
+    for t, (threatened, expansionary) in expected.items():
+        assert (x[t] - x[2] < pow2(-1), x[t] - x[2] < pow2(-2)) == (threatened, expansionary)
+        assert verify._threatened(trace, "", t) is threatened, t
+        assert verify._expansionary(trace, "", t) is expansionary, t
+
+
+@pytest.mark.parametrize("engine", ["A", "B"])
+def test_requirement_n_holds_at_the_boundary(engine):
+    # slot 0 doubles, so phi(2) = 4, and x_8 - x_4 = 2**-2 exactly: the
+    # inequality x_T - x_phi(m) >= 2**-m holds at m = 2 and nowhere else
+    config = {"slots": [{"index": 0, "kind": "double"}]}
+    x = [ZERO] * 5 + [pow2(-2)] * 4
+    trace = _top_out_trace(engine, config, x)
+    holds = [x[8] - x[2 * m] >= pow2(-m) for m in range(5)]
+    assert holds == [False, False, True, False, False]
+    report = check_requirement_N(trace, 0)
+    assert (report.status, report.counts, report.witnesses) == ("pass", {"pass": 1}, [])
