@@ -144,10 +144,7 @@ def cmd_speed(args) -> int:
         write_sequence_csv(shifted.values, args.out)
         summary = {"out": args.out, "length": len(shifted)}
         if seq.known_limit is not None and len(seq) > 1:
-            regaining = [
-                n for n in range(len(seq))
-                if (seq.known_limit - seq.values[n]) < Dyadic(1, n)
-            ]
+            regaining = certify_regaining(seq, ModulusFn.affine(1, 0))
             summary["regaining_indices"] = regaining
             summary["ratios"] = {
                 str(n): str(speed_ratio(shifted, n))

@@ -12,6 +12,14 @@ Convergence uses the uniform gate: a query (e, n, t) converges iff the
 slot's raw computation halts within t steps *and* its value is at most t.
 The gate makes convergence monotone in t and guarantees that a converged
 value never exceeds the stage that observed it.
+
+The gate lives in one place, ``_Slot.visible``, stated on the slot's raw
+semantics; :meth:`PhiRegistry.step` is the slot lookup plus that call.
+Slots that halt in zero steps (formulas and finite graphs) override it with
+the shorter ``v <= t``: their values are natural, so ``v <= t`` already
+implies ``steps = 0 <= t``, even for t = -1.  The naive replay oracle asks
+hundreds of thousands of step queries, and the short form saves a tuple
+and a call on each.
 """
 
 from __future__ import annotations
@@ -52,12 +60,25 @@ class _Slot:
     slots memoise their values, and program slots keep each input's
     simulation state so a larger budget resumes it.  ``total_increasing``
     is the declared classification (True / False / None for unknown).
+
+    ``visible(n, t)`` is the uniform gate (module docstring): the value if
+    the raw computation halts within t steps and the value is at most t,
+    else None.  It is stated here once, on ``raw``; zero-step slots may
+    shorten it to ``v <= t``, because a natural value at most t also bounds
+    their zero step count.
     """
 
     total_increasing: bool | None = None
 
     def raw(self, n: int, budget: int):
         raise NotImplementedError
+
+    def visible(self, n: int, t: int) -> int | None:
+        res = self.raw(n, t)
+        if res is None:
+            return None
+        steps, value = res
+        return value if steps <= t and value <= t else None
 
 
 class _FormulaSlot(_Slot):
@@ -74,6 +95,12 @@ class _FormulaSlot(_Slot):
             v = self._memo[n] = self._fn(n)
         return (0, v)
 
+    def visible(self, n: int, t: int) -> int | None:
+        v = self._memo.get(n)
+        if v is None:
+            v = self._memo[n] = self._fn(n)
+        return v if v <= t else None
+
 
 class _PartialSlot(_Slot):
     """Finite explicit graph; inputs outside the graph diverge."""
@@ -87,11 +114,18 @@ class _PartialSlot(_Slot):
         v = self._graph.get(n)
         return None if v is None else (0, v)
 
+    def visible(self, n: int, t: int) -> int | None:
+        v = self._graph.get(n)
+        return v if v is not None and v <= t else None
+
 
 class _DivergeSlot(_Slot):
     total_increasing = False
 
     def raw(self, n: int, budget: int):
+        return None
+
+    def visible(self, n: int, t: int) -> int | None:
         return None
 
 
@@ -104,9 +138,10 @@ class _ProgramSlot(_Slot):
                                      else go to `on_zero`
       ["halt"]                    -- stop (costs one step)
     The input is placed in R0, the value read back from R0 on halt; running
-    off the end of the program halts without an extra step.  Simulation
-    state per input is saved so a larger budget resumes where the previous
-    query stopped.
+    off the end of the program halts without an extra step, so a run that
+    leaves the program after exactly ``budget`` steps has halted within
+    that budget.  Simulation state per input is saved so a larger budget
+    resumes where the previous query stopped.
 
     Transfer loops run in one step of the simulator, not one per
     instruction.  A transfer loop is a ``dec r`` whose success branch runs
@@ -158,9 +193,11 @@ class _ProgramSlot(_Slot):
             return (steps, value) if steps <= budget else None
         code = self._code
         loops = self._loops
-        while steps < budget:
+        while True:
             if pc >= len(code):
                 halted, value = True, regs.get(0, 0)
+                break
+            if steps >= budget:
                 break
             loop = loops.get(pc)
             if loop is not None:
@@ -338,18 +375,10 @@ class PhiRegistry:
         """Value of slot e on input n as visible at stage t, or None.
 
         Converges iff the raw computation halts within t steps and its value
-        is at most t; monotone in t with a stable value.
+        is at most t (``_Slot.visible``); monotone in t with a stable value.
         """
         slot = self.slots.get(e)
-        if slot is None:
-            return None
-        res = slot.raw(n, t)
-        if res is None:
-            return None
-        steps, value = res
-        if steps > t or value > t:
-            return None
-        return value
+        return None if slot is None else slot.visible(n, t)
 
     def ell(self, e: int, t: int) -> int:
         """Length of the visible strictly-increasing initial chain of slot e.

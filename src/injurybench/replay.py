@@ -16,6 +16,14 @@ To stay independent, this module imports only the primitives
 :mod:`~injurybench.strings`, :mod:`~injurybench.dyadic` and
 :mod:`~injurybench.phi`, never the engine or the trace model; it even spells
 the flag fields itself (a test pins this boundary).
+
+The oracle stays naive on purpose: it gets faster only when a shared
+primitive does, such as the step query or region membership.  The engine
+calls the same primitives, so the cross-check cannot see a fault in them;
+each therefore has a test against its written-out definition instead
+(``test_phi`` for the convergence gate, ``test_tracekit`` for region
+membership, ``test_strings`` for the tree order, ``test_dyadic`` for the
+arithmetic).
 """
 
 from __future__ import annotations

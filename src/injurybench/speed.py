@@ -160,11 +160,17 @@ def speedup_indices(seq: ApproxSequence, rho: Dyadic) -> list[int]:
 
 
 def certify_regaining(seq: ApproxSequence, h: ModulusFn) -> list[int]:
-    """Indices n with limit - x_n <= 2**-h(n), by exact comparison."""
+    """Indices n with limit - x_n < 2**-h(n), by exact comparison.
+
+    The test is strict, as in the paper's characterisation of computable
+    left-computable numbers (x - x_s(n) < 2**-n); with h(n) = n these are
+    the indices at which :func:`regain_to_speed` covers more than a quarter
+    of what remains.
+    """
     x = seq.require_limit()
     return [
         n for n in range(len(seq.values))
-        if (x - seq.values[n]) <= pow2(-h(n))
+        if (x - seq.values[n]) < pow2(-h(n))
     ]
 
 

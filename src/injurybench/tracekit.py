@@ -252,27 +252,28 @@ def serialize_stamped(trace: Trace, created_at: str) -> tuple[bytes, str]:
     return stamped, hashlib.sha256(data).hexdigest()
 
 
-def _check_header(header: dict) -> None:
+def _check_header(header: dict, line: int = 1) -> None:
     """Reject an unknown engine or version, a ``T`` that is not a natural
     number and a ``phi_config`` that does not match its recorded digest: a
     trace is checked against the registry it names, so a tampered registry
-    must not reach the checkers."""
+    must not reach the checkers.  ``line`` is the header's line in the
+    file."""
     if not isinstance(header, dict):
-        raise TraceParseError("header is not an object", line=1)
+        raise TraceParseError("header is not an object", line=line)
     for key in ("engine", "T", "version", "phi_config", "phi_config_digest"):
         if key not in header:
-            raise TraceParseError(f"header missing {key!r}", line=1)
+            raise TraceParseError(f"header missing {key!r}", line=line)
     engine = header["engine"]
     if not isinstance(engine, str) or engine not in FLAG_FIELDS:
-        raise TraceParseError(f"unknown engine {engine!r}", line=1)
+        raise TraceParseError(f"unknown engine {engine!r}", line=line)
     version = header["version"]
     if type(version) is not int or version != TRACE_VERSION:
-        raise TraceParseError(f"unsupported trace version {version!r}", line=1)
+        raise TraceParseError(f"unsupported trace version {version!r}", line=line)
     T = header["T"]
     if type(T) is not int or T < 0:
-        raise TraceParseError(f"T={T!r} is not a natural number", line=1)
+        raise TraceParseError(f"T={T!r} is not a natural number", line=line)
     if config_digest(header["phi_config"]) != header["phi_config_digest"]:
-        raise TraceParseError("phi_config does not match phi_config_digest", line=1)
+        raise TraceParseError("phi_config does not match phi_config_digest", line=line)
 
 
 def _read_record(text: str, t_next: int, T: int, fields: tuple[str, ...],
@@ -340,7 +341,8 @@ def deserialize(data: bytes) -> Trace:
     The header is checked first (:func:`_check_header`) and must announce
     exactly as many records as follow.  Then each record line is read in
     one pass that checks its raw JSON in this order, each rejection a
-    one-line :class:`TraceParseError` naming the line:
+    one-line :class:`TraceParseError` naming the line (its number in the
+    file: blank lines are skipped but counted):
 
     1. the line is a JSON object with ``t``, ``settled``, an ``action``
        object with a ``kind``, a ``jump``, ``init_regions`` pairs and
@@ -364,21 +366,23 @@ def deserialize(data: bytes) -> Trace:
        mantissas by it when it adds the jump.
     """
     text = data.decode("utf-8")
-    lines = [ln for ln in text.split("\n") if ln.strip()]
+    # blank lines are skipped, but each line keeps its number in the file
+    lines = [(i, ln) for i, ln in enumerate(text.split("\n"), start=1) if ln.strip()]
     if not lines:
         raise TraceParseError("empty trace file")
+    head_line, head = lines[0]
     try:
-        header = json.loads(lines[0])
+        header = json.loads(head)
     except json.JSONDecodeError as exc:
-        raise TraceParseError(f"bad header: {exc}", line=1) from None
-    _check_header(header)
+        raise TraceParseError(f"bad header: {exc}", line=head_line) from None
+    _check_header(header, head_line)
     T = header["T"]
     if len(lines) - 1 != T:
         raise TraceParseError(f"header says T={T} but {len(lines) - 1} records present")
     fields = ("c", "r", "w", FLAG_FIELDS[header["engine"]])
     stages: list[StageRecord] = []
     x = [ZERO]
-    for i, ln in enumerate(lines[1:], start=2):
+    for i, ln in lines[1:]:
         rec = _read_record(ln, len(stages), T, fields, i)
         stages.append(rec)
         x.append(x[-1] + rec.jump if rec.jump.m else x[-1])

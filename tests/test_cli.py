@@ -185,7 +185,15 @@ def test_speed_subcommands(tmp_path, capsys):
     out_csv = tmp_path / "shifted.csv"
     assert main(["speed", "regain2speed", "--sequence", str(seq_csv),
                  "--limit", "1/2^0", "--out", str(out_csv)]) == 0
-    capsys.readouterr()
+    assert json.loads(capsys.readouterr().out)["regaining_indices"] == []
+    # on 1 - 4**-n every index but 0 regains, each with its shifted ratio
+    quarter_csv = tmp_path / "quarter.csv"
+    write_sequence_csv([Dyadic(1) - pow2(-2 * n) for n in range(12)], str(quarter_csv))
+    assert main(["speed", "regain2speed", "--sequence", str(quarter_csv),
+                 "--limit", "1/2^0", "--out", str(out_csv)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["regaining_indices"] == list(range(1, 12))
+    assert sorted(out["ratios"], key=int) == [str(n) for n in range(1, 11)]
     shifted = read_sequence_csv(str(out_csv))
     assert shifted[0] == Dyadic(-1)
 
@@ -195,10 +203,15 @@ def test_speed_subcommands(tmp_path, capsys):
     assert out["k"] == 2 and out["m"] == 4
     assert out["g"] == [n // 2 for n in range(9)]
 
+    # 1 - x_n = 2**-n is not strictly below 2**-n: no index regains
     assert main(["speed", "certify", "--sequence", str(seq_csv),
                  "--limit", "1/2^0", "--affine", "1", "0"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["indices"] == list(range(12))
+    assert out["indices"] == []
+    assert main(["speed", "certify", "--sequence", str(seq_csv),
+                 "--limit", "1/2^0", "--affine", "0", "0"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["indices"] == list(range(1, 12))
 
 
 def test_speed2regain_rejects_negative_n_max(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,6 +90,47 @@ def test_chain_value_visible_at_chain_length(registry):
             if l >= 0:
                 v = registry.step(e, l, t)
                 assert v is not None and v <= t
+
+
+# a program with transfer loops (the default slot 7) and two without one:
+# n + 2 in two steps, off the end, and a loop that never halts
+_GATE_CONFIGS = {
+    "default": DEFAULT_CONFIG,
+    "programs": {"slots": [
+        {"index": 0, "kind": "program", "code": DEFAULT_CONFIG["slots"][7]["code"]},
+        {"index": 1, "kind": "program", "code": [["inc", 0, 1], ["inc", 0, 2]]},
+        {"index": 2, "kind": "program", "code": [["inc", 1, 0]]},
+    ]},
+}
+
+
+def _gate_from_raw(config, e, n, t):
+    """The uniform gate written out from ``raw`` on a fresh registry."""
+    slot = registry_from_config(config).slots.get(e)
+    res = None if slot is None else slot.raw(n, t)
+    if res is None:
+        return None
+    steps, value = res
+    return None if steps > t or value > t else value
+
+
+@pytest.mark.parametrize("name", sorted(_GATE_CONFIGS))
+def test_step_is_the_gate_on_raw_in_any_query_order(name):
+    # the engine and the replay oracle share step, so the cross-check cannot
+    # see a fault in it; every slot kind must agree with the gate on raw,
+    # queried in increasing t and shuffled, since program slots keep state
+    config = _GATE_CONFIGS[name]
+    indices = [entry["index"] for entry in config["slots"]] + [99]
+    queries = [(e, n, t) for e in indices for n in range(16) for t in range(-1, 41)]
+    expected = {q: _gate_from_raw(config, *q) for q in queries}
+    assert any(v is None for v in expected.values())
+    assert any(v is not None for v in expected.values())
+    shuffled = list(queries)
+    random.Random(13).shuffle(shuffled)
+    for order in (queries, shuffled):
+        registry = registry_from_config(config)
+        for q in order:
+            assert registry.step(*q) == expected[q], q
 
 
 def test_duplicate_slot_index_rejected():
@@ -202,9 +244,11 @@ class _SteppedProgramSlot(_ProgramSlot):
         if halted:
             return (steps, value) if steps <= budget else None
         code = self._code
-        while steps < budget:
+        while True:
             if pc >= len(code):
                 halted, value = True, regs.get(0, 0)
+                break
+            if steps >= budget:
                 break
             instr = code[pc]
             op = instr[0]

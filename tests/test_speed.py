@@ -72,19 +72,25 @@ def test_regain_to_speed_requires_monotone():
 
 
 def test_regain_to_speed_ratio_above_quarter_everywhere_regaining():
+    # at every index certify_regaining returns for h(n) = n; the guarantee
+    # needs its strict test: on (0, 0) with limit 1 the shifted ratio at
+    # index 0 is exactly 1/4, and index 0 is not certified
+    ident = ModulusFn.affine(1, 0)
+    flat = ApproxSequence(values=[Dyadic(0), Dyadic(0)], known_limit=ONE)
+    assert speed_ratio(regain_to_speed(flat), 0) == Fraction(1, 4)
+    assert certify_regaining(flat, ident) == []
     rng = random.Random(20260810)
+    checked = 0
     for _ in range(20):
         seq = random_synthetic_sequence(rng, 24, increasing=False)
         assert seq.is_non_decreasing()
         shifted = regain_to_speed(seq)
         assert shifted.is_increasing()
-        limit = seq.require_limit()
-        regaining = [
-            n for n in range(len(seq) - 1)
-            if (limit - seq.values[n]) < pow2(-n)
-        ]
-        for n in regaining:
-            assert speed_ratio(shifted, n) > Fraction(1, 4)
+        for n in certify_regaining(seq, ident):
+            if n + 1 < len(shifted):
+                assert speed_ratio(shifted, n) > Fraction(1, 4), n
+                checked += 1
+    assert checked > 0
 
 
 def test_speed_to_regain_doubling_modulus():
@@ -153,10 +159,15 @@ def test_g_search_resumes_to_the_same_values(steps, queries):
 def test_certify_regaining_examples():
     seq = quarter_powers(10)
     ident = ModulusFn.affine(1, 0)
-    assert certify_regaining(seq, ident) == list(range(10))
-    assert certify_regaining(seq, ModulusFn(lambda n: 0, name="zero")) == list(range(10))
+    # strict, as in the paper: 1 - x_0 = 1 is not below 2**-0 under either modulus
+    assert certify_regaining(seq, ident) == list(range(1, 10))
+    assert certify_regaining(seq, ModulusFn(lambda n: 0, name="zero")) == list(range(1, 10))
     slow = geometric_sequence(10)
     assert certify_regaining(slow, ModulusFn.affine(1, 1)) == []
+    # limit - x_n = 2**-n exactly: every index under <=, none under <
+    assert certify_regaining(slow, ident) == []
+    halves = ApproxSequence(values=[Dyadic(0), Dyadic(1, 1), Dyadic(3, 2)], known_limit=ONE)
+    assert certify_regaining(halves, ident) == []
 
 
 def test_modulus_to_gapbound():

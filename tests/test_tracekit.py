@@ -182,6 +182,25 @@ def test_parse_errors_carry_line_numbers(trace_a):
         deserialize("\n".join(lines).encode())
 
 
+def test_parse_errors_count_blank_lines():
+    # the line number is the line in the file, blank lines included
+    trace = run_engine(EngineState(registry_from_config(DEFAULT_CONFIG), "A"), 10)
+    head, *records = serialize(trace).decode().rstrip("\n").split("\n")
+    assert deserialize(("\n".join([head, "", *records]) + "\n").encode()) == trace
+    obj = json.loads(records[2])
+    obj["t"] = True
+    records[2] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    lines = [head, "", *records]
+    assert lines[4].startswith('{') and '"t":true' in lines[4]  # file line 5
+    with pytest.raises(TraceParseError, match="line 5: True is not an integer") as err:
+        deserialize(("\n".join(lines) + "\n").encode())
+    assert err.value.line == 5
+    # a header after a blank line is named by its own line too
+    with pytest.raises(TraceParseError) as err:
+        deserialize(("\n  \n" + head.replace('"engine":"A"', '"engine":"Q"')).encode())
+    assert err.value.line == 3
+
+
 def test_replay_params_defaults_and_regions(trace_a):
     index = TraceIndex(trace_a)
     # never-touched strategy reads its lazy defaults at time zero
