@@ -394,26 +394,25 @@ class PhiRegistry:
         chain = self._chains.get(e)
         if chain is None:
             chain = self._chains[e] = _ChainState()
-        # try to extend the confirmed prefix with what is resolvable at budget t
-        while not chain.broken:
-            k = len(chain.values)
+        # extend the chain with what is resolvable at budget t.  An entry whose
+        # effective time is past t is kept and ends the extension: a later
+        # query with a larger budget resumes after it, and since cummax_eff
+        # never decreases no entry after it can count at t
+        values, cummax = chain.values, chain.cummax_eff
+        while not chain.broken and (not cummax or cummax[-1] <= t):
+            k = len(values)
             res = slot.raw(k, t)
             if res is None:
                 break
             steps, value = res
-            if k > 0 and value <= chain.values[-1]:
+            if k > 0 and value <= values[-1]:
                 chain.broken = True
                 break
             eff = max(steps, value)
-            chain.values.append(value)
-            chain.cummax_eff.append(
-                max(eff, chain.cummax_eff[-1]) if chain.cummax_eff else eff
-            )
-            if eff > t:
-                # not visible yet; later queries with larger budgets resume here
-                break
+            values.append(value)
+            cummax.append(max(eff, cummax[-1]) if cummax else eff)
         # largest prefix whose every effective convergence time is <= t
-        return bisect_right(chain.cummax_eff, t) - 1
+        return bisect_right(cummax, t) - 1
 
 
 def registry_from_config(config: dict) -> PhiRegistry:

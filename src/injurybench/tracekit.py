@@ -501,10 +501,11 @@ class TraceIndex:
                 raise ValueError(f"unknown parameter field {fld!r}")
             inits = self.initialisations(sigma)
             effects = dict(self.writes.get(key, ()))
+            default = nu(sigma) if fld == "w" else 0
             if fld in ("c", "w") or (self.trace.engine == "A" and fld == FLAG_FIELDS["A"]):
                 for t in inits:
-                    effects[t] = nu(sigma) + t + 2 if fld == "w" else 0
-            times, values = [0], [nu(sigma) if fld == "w" else 0]
+                    effects[t] = default + t + 2 if fld == "w" else 0
+            times, values = [0], [default]
             for t in sorted(effects):
                 if effects[t] != values[-1]:
                     times.append(t + 1)
@@ -514,7 +515,7 @@ class TraceIndex:
 
     def value(self, sigma: BinStr, fld: str, t: int) -> int:
         """Value of a parameter at time t."""
-        times, values = self.changepoints(sigma, fld)
+        times, values = self._cp.get((sigma, fld)) or self.changepoints(sigma, fld)
         return values[bisect_right(times, t) - 1]
 
     # -- jump attribution --------------------------------------------------

@@ -604,9 +604,18 @@ def check_settlement_facts(trace: Trace) -> Report:
     """Consistency of every stage with the substage rules: descent bits
     justified by the re-evaluated predicates, counters clear along the
     0-spine, threat episodes closed once complete, one threat per witness
-    value, and (second construction) the pause-flag laws."""
+    value, and (second construction) the pause-flag laws.
+
+    The descent bits are checked per depth only below ``head``, one past the
+    deepest configured slot index.  From ``head`` on the check is one search
+    for the first "0", reported as the descent-bit finding the per-depth
+    loop would give there.  This is exact: at an unconfigured depth the
+    per-depth rule evaluates no predicate and wants "1", because the empty
+    slot's chain length is -1 and neither predicate can hold there (the
+    forced walk of the engine module docstring)."""
     index = trace.index
     configured = trace.registry.configured_indices()
+    head = max(configured, default=-1) + 1
     findings: list[tuple[str, dict]] = []
     c_written = index.written_to("c")
 
@@ -627,9 +636,10 @@ def check_settlement_facts(trace: Trace) -> Report:
             violation(t=t, law="early termination below depth t")
 
         # descent bits: each applied proper prefix must not have been
-        # threatened, and its continuation bit must match its expansion state
+        # threatened, and its continuation bit must match its expansion state;
+        # from depth head on every bit must be "1"
         try:
-            for depth in range(len(settled)):
+            for depth in range(min(len(settled), head)):
                 rho = settled[:depth]
                 if depth in configured:
                     if _threatened(trace, rho, t):
@@ -648,6 +658,11 @@ def check_settlement_facts(trace: Trace) -> Report:
                     violation(t=t, law="descent bit", rho=rho, expected=want,
                               got=settled[depth])
                     break
+            else:
+                depth = settled.find("0", head)
+                if depth >= 0:
+                    violation(t=t, law="descent bit", rho=settled[:depth], expected="1",
+                              got="0")
             # the settled strategy itself must justify the terminal action
             if kind != TOP_OUT:
                 thr = _threatened(trace, settled, t) if len(settled) in configured else False
@@ -831,7 +846,7 @@ def run_checks(trace: Trace, checks: list[str] | None = None) -> list[Report]:
         table = {c[0]: c for c in _CHECKS}
         unknown = [name for name in checks if name not in table]
         if unknown:
-            raise ValueError(f"unknown checks: {', '.join(unknown)}")
+            raise ValueError(f"unknown checks: {', '.join(map(repr, unknown))}")
         selected = [table[name] for name in checks]
     reports: list[Report] = []
     for _, _, per_slot, checker in selected:

@@ -135,6 +135,13 @@ def test_verify_unknown_check(run_dir):
     assert main(["verify", str(run_dir / "trace.jsonl"), "--checks", "bogus"]) == 2
 
 
+def test_verify_unknown_check_names_the_empty_name(run_dir, capsys):
+    # an empty name between two commas is quoted, so the message shows it
+    args = ["verify", str(run_dir / "trace.jsonl"), "--checks", "settlement,,settlement"]
+    assert main(args) == 2
+    assert "unknown checks: ''" in capsys.readouterr().err
+
+
 def test_verify_incomplete_only_exits_three(tmp_path, capsys):
     # the default registry at a short horizon leaves some requirement
     # checks horizon-conditional without any failure

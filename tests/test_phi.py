@@ -133,6 +133,57 @@ def test_step_is_the_gate_on_raw_in_any_query_order(name):
             assert registry.step(*q) == expected[q], q
 
 
+def _chain_from_step(config, e, t):
+    """The chain length written out from ``step`` on a fresh registry: the
+    largest l <= t with values on 0..l visible at t and strictly increasing."""
+    registry = registry_from_config(config)
+    l, prev = -1, None
+    for k in range(t + 1):
+        v = registry.step(e, k, t)
+        if v is None or (prev is not None and v <= prev):
+            break
+        l, prev = k, v
+    return l
+
+
+_ELL_CONFIGS = {
+    **_GATE_CONFIGS,
+    # the chain breaks at input 2 (3 after 4), long before the graph ends
+    "partial-break": {"slots": [
+        {"index": 0, "kind": "partial", "graph": {"0": 1, "1": 4, "2": 3, "3": 7}},
+    ]},
+    # five steps on every input, then off the end with the input: from t = 5
+    # on the chain's effective times are its step count, not its values
+    "fixed-cost": {"slots": [
+        {"index": 0, "kind": "program", "code": [["inc", 1, i + 1] for i in range(5)]},
+    ]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ELL_CONFIGS))
+def test_ell_is_the_chain_from_step_in_any_query_order(name):
+    # ell keeps chain state across queries, so it must agree with the chain
+    # written out from step whatever the order of earlier queries
+    config = _ELL_CONFIGS[name]
+    indices = [entry["index"] for entry in config["slots"]] + [99]
+    increasing = [(e, t) for t in range(-1, 81) for e in indices for _ in range(2)]
+    expected = {q: _chain_from_step(config, *q) for q in increasing}
+    assert len(set(expected.values())) >= 3
+    shuffled = list(increasing)
+    random.Random(29).shuffle(shuffled)
+    for order in (increasing, increasing[::-1], shuffled):
+        registry = registry_from_config(config)
+        for q in order:
+            assert registry.ell(*q) == expected[q], q
+
+
+def test_ell_keeps_no_chain_entry_past_the_first_invisible_one():
+    registry = registry_from_config(DEFAULT_CONFIG)
+    for _ in range(50):
+        registry.ell(0, 100)
+    assert len(registry._chains[0].values) <= registry.ell(0, 100) + 2
+
+
 def test_duplicate_slot_index_rejected():
     with pytest.raises(ValueError):
         registry_from_config(

@@ -19,6 +19,10 @@ from injurybench.engine import EngineState, run_engine
 from injurybench.phi import DEFAULT_CONFIG, PhiRegistry, registry_from_config
 from injurybench.strings import nu, region_contains, true_path_estimate
 from injurybench.tracekit import (
+    EXPANSION_KINDS,
+    TERMINAL_KINDS,
+    THREAT_KINDS,
+    TOP_OUT,
     Action,
     StageRecord,
     Trace,
@@ -725,6 +729,207 @@ def test_expansion_gap_asks_only_configured_prefixes(monkeypatch):
     assert asked and set(asked) <= configured
     assert len(set(initialised)) <= len(configured)
     assert all(len(sigma) in configured for sigma in initialised)
+
+
+# ---------------------------------------------------------------------------
+# The settlement check against the per-depth loop it replaced
+
+# The re-split family of the replay tests: a depth-2 threat is scheduled onto
+# a mid-tree strategy, which re-delegates upward.
+RESPLIT_CONFIG = {"slots": [
+    {"index": 0, "kind": "identity"},
+    {"index": 1, "kind": "identity"},
+    {"index": 2, "kind": "square"},
+]}
+
+
+def per_depth_settlement(trace: Trace) -> dict:
+    """Reference for check_settlement_facts: the descent bits of every
+    settled word checked one depth at a time, up to its full length."""
+    index = trace.index
+    configured = trace.registry.configured_indices()
+    findings = []
+    c_written = index.written_to("c")
+
+    def violation(**detail):
+        findings.append(("fail", detail))
+
+    for rec in trace.stages:
+        t, settled, kind = rec.t, rec.settled, rec.action.kind
+        if kind not in TERMINAL_KINDS:
+            violation(t=t, law="terminal action kind", kind=kind)
+            continue
+        if rec.action.sigma != settled:
+            violation(t=t, law="settles on the acting strategy",
+                      settled=settled, action_sigma=rec.action.sigma)
+        if kind == TOP_OUT and len(settled) != t:
+            violation(t=t, law="top-out at depth t", settled_len=len(settled))
+        if kind != TOP_OUT and len(settled) >= t:
+            violation(t=t, law="early termination below depth t")
+        try:
+            for depth in range(len(settled)):
+                rho = settled[:depth]
+                if depth in configured:
+                    if verify._threatened(trace, rho, t):
+                        violation(t=t, law="threatened prefix passed over", rho=rho)
+                        break
+                    if verify._expansionary(trace, rho, t):
+                        if index.value(rho, "c", t) != 0:
+                            violation(t=t, law="pending counter passed over", rho=rho)
+                            break
+                        want = "0"
+                    else:
+                        want = "1"
+                else:
+                    want = "1"
+                if settled[depth] != want:
+                    violation(t=t, law="descent bit", rho=rho, expected=want,
+                              got=settled[depth])
+                    break
+            if kind != TOP_OUT:
+                thr = (verify._threatened(trace, settled, t)
+                       if len(settled) in configured else False)
+                if kind in THREAT_KINDS and not thr:
+                    violation(t=t, law="threat action without threat", sigma=settled)
+                if kind in EXPANSION_KINDS:
+                    if thr:
+                        violation(t=t, law="counter action while threatened",
+                                  sigma=settled)
+                    elif not (len(settled) in configured
+                              and verify._expansionary(trace, settled, t)):
+                        violation(t=t, law="counter action without expansion",
+                                  sigma=settled)
+                    elif index.value(settled, "c", t) == 0:
+                        violation(t=t, law="counter action with zero counter",
+                                  sigma=settled)
+        except TraceCorruption as exc:
+            violation(t=t, law="predicate evaluation", error=str(exc))
+        for gamma in c_written:
+            if settled.startswith(gamma + "0") and index.value(gamma, "c", t) != 0:
+                violation(t=t, law="counters clear along the 0-spine", gamma=gamma)
+
+    threat_witnesses = {}
+    for rec in trace.stages:
+        if rec.action.kind in THREAT_KINDS:
+            key = (rec.settled, index.value(rec.settled, "w", rec.t))
+            if key in threat_witnesses:
+                violation(law="single threat per witness value",
+                          sigma=rec.settled, witness=key[1],
+                          stages=[threat_witnesses[key], rec.t])
+            else:
+                threat_witnesses[key] = rec.t
+
+    try:
+        fibers = index.fibers
+    except TraceCorruption as exc:
+        violation(law="jump attribution", error=str(exc))
+        fibers = {}
+    for origin, members in fibers.items():
+        sigma = trace.stages[origin].settled
+        bound = pow2(-index.value(sigma, "w", origin))
+        total = Dyadic(0)
+        done_at = None
+        for t in members:
+            if done_at is not None:
+                violation(law="fiber closed after completion", origin=origin,
+                          late_jump=t)
+                break
+            total = total + index.jumps[t]
+            if total == bound:
+                done_at = t
+            elif total > bound:
+                violation(law="fiber sum bounded by schedule", origin=origin, t=t)
+                break
+
+    if trace.engine == "B":
+        verify._check_pause_facts(trace, index, findings)
+    return verify._make_report("settlement",
+                               findings or [("pass", {"stages": trace.T})]).to_json()
+
+
+def assert_settlement_matches_reference(trace: Trace) -> dict:
+    # each side on its own copy, so neither reads the other's memo
+    data = serialize(trace)
+    expected = per_depth_settlement(deserialize(data))
+    got = check_settlement_facts(deserialize(data)).to_json()
+    assert got == expected
+    return got
+
+
+_SETTLEMENT_FAMILIES = {
+    "default-A-300": ("A", DEFAULT_CONFIG, 300),
+    "resplit-A-220": ("A", RESPLIT_CONFIG, 220),
+    "deep-B-250": ("B", DEEP_CONFIG, 250),
+    "sparse-A-200": ("A", SPARSE_DEEP_CONFIGS["identity0-double12"], 200),
+    "sparse-B-200": ("B", SPARSE_DEEP_CONFIGS["identity0-double12"], 200),
+    "empty-A-60": ("A", {"slots": []}, 60),
+    "empty-B-60": ("B", {"slots": []}, 60),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SETTLEMENT_FAMILIES))
+def test_settlement_matches_per_depth_loop(name):
+    engine, config, T = _SETTLEMENT_FAMILIES[name]
+    report = assert_settlement_matches_reference(
+        run_engine(EngineState(registry_from_config(config), engine), T))
+    assert report["status"] == "pass"
+
+
+@pytest.mark.parametrize("config", [DEFAULT_CONFIG, SPARSE_DEEP_CONFIGS["identity0-double12"]],
+                         ids=["default", "sparse"])
+def test_settlement_matches_per_depth_loop_on_trace_mutants(config):
+    trace = run_engine(EngineState(registry_from_config(config), "A"), 60)
+    original = assert_settlement_matches_reference(trace)
+    changed = 0
+    for mutant in single_record_mutants(trace, 100, seed=9):
+        changed += assert_settlement_matches_reference(mutant) != original
+    assert changed >= 10
+
+
+@pytest.mark.parametrize("engine", ["A", "B"])
+@pytest.mark.parametrize("config", [DEFAULT_CONFIG, SPARSE_DEEP_CONFIGS["identity0-double12"]],
+                         ids=["default", "sparse"])
+def test_settlement_matches_per_depth_loop_on_flipped_bits(engine, config):
+    # one "1" of a settled word turned "0", below and beyond the deepest
+    # configured index; the acting strategy follows the settled word
+    trace = run_engine(EngineState(registry_from_config(config), engine), 80)
+    head = max(trace.registry.configured_indices()) + 1
+    rng = random.Random(21)
+    past_head = 0
+    for below in [True, False] * 8:
+        while True:
+            rec = trace.stages[rng.randrange(20, 80)]
+            ones = [d for d, bit in enumerate(rec.settled) if bit == "1" and (d < head) == below]
+            if ones:
+                break
+        depth = rng.choice(ones)
+        word = rec.settled[:depth] + "0" + rec.settled[depth + 1:]
+        mutant = mutate_record(trace, rec.t, settled=word,
+                               action=dataclasses.replace(rec.action, sigma=word))
+        report = assert_settlement_matches_reference(mutant)
+        assert report["status"] == "fail"
+        past_head += any(w["law"] == "descent bit" and len(w["rho"]) >= head
+                         for w in report["witnesses"])
+    assert past_head >= 1
+
+
+def test_settlement_asks_only_configured_depths(monkeypatch):
+    # a work count, not a timing: past the deepest configured index the
+    # settled word is searched, not tested depth by depth
+    T = 500
+    trace = run_engine(EngineState(registry_from_config(DEFAULT_CONFIG), "A"), T)
+    tests = 0
+
+    class CountingSet(frozenset):
+        def __contains__(self, item):
+            nonlocal tests
+            tests += 1
+            return super().__contains__(item)
+
+    configured = CountingSet(trace.registry.configured_indices())
+    monkeypatch.setattr(PhiRegistry, "configured_indices", lambda self: configured)
+    assert check_settlement_facts(trace).status == "pass"
+    assert 0 < tests <= T * (max(configured) + 2)
 
 
 # ---------------------------------------------------------------------------
