@@ -14,9 +14,10 @@ defaults, the regions, and the explicit writes.
 The facts about a finished run are read through one :class:`TraceIndex`,
 built in a single pass over the records: the stages that handled a threat
 of each strategy, the stages whose initialisation region covers a
-strategy, every parameter's timeline (``TraceIndex.value``), the
-attribution of every jump to the threat that caused it (``u_map``) and the
-cut-off stage of a strategy (``cutoff_stage``).  A trace owns its index:
+strategy, every parameter's timeline (``TraceIndex.value``), and the
+attribution of every jump to the threat that caused it (``fibers``), with
+each fibre's running sums, so that what any range of stages paid to one
+threat is one subtraction (``paid``).  A trace owns its index:
 ``Trace.index`` builds it on first use, so every reader of one trace shares
 it.
 """
@@ -28,6 +29,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .dyadic import MAX_EXPONENT, ZERO, Dyadic
 from .phi import PhiRegistry, config_digest
@@ -529,39 +531,45 @@ class TraceIndex:
         return origins[i - 1] if i else None
 
     @cached_property
-    def u_map(self) -> dict[int, int]:
-        """Each jump stage mapped to the stage of the threat that caused it.
-
-        An immediate threat jump maps to itself; a scheduled jump executed
-        while handling a counter maps to its :meth:`episode_origin`.  A jump
-        matching neither case marks a corrupt trace.
-        """
-        u: dict[int, int] = {}
-        for rec in self.trace.stages:
-            if rec.jump.sign() <= 0:
-                continue
+    def fibers(self) -> dict[int, list[int]]:
+        """Jump attribution: each threat stage mapped to its fibre, the
+        ascending stages of the jumps it caused.  An immediate threat jump
+        belongs to its own stage, a scheduled jump executed while handling a
+        counter to its :meth:`episode_origin`; a positive jump matching
+        neither case marks a corrupt trace and raises TraceCorruption."""
+        fibers: dict[int, list[int]] = {}
+        for t in self.jumps:
+            rec = self.trace.stages[t]
             kind = rec.action.kind
             if kind == THREAT_JUMP:
-                u[rec.t] = rec.t
+                origin = t
             elif kind == EXPANSION_JUMP:
                 origin = self.episode_origin(rec)
                 if origin is None:
                     raise TraceCorruption(
-                        f"jump at stage {rec.t} refers to {rec.action.alpha!r}, never threatened"
+                        f"jump at stage {t} refers to {rec.action.alpha!r}, never threatened"
                     )
-                u[rec.t] = origin
             else:
-                raise TraceCorruption(f"jump at stage {rec.t} with non-jump action {kind}")
-        return u
-
-    @cached_property
-    def fibers(self) -> dict[int, list[int]]:
-        """Jump stages grouped by the threat stage :attr:`u_map` attributes
-        them to, ascending; raises TraceCorruption as :attr:`u_map` does."""
-        fibers: dict[int, list[int]] = {}
-        for t, origin in self.u_map.items():
+                raise TraceCorruption(f"jump at stage {t} with non-jump action {kind}")
             fibers.setdefault(origin, []).append(t)
         return fibers
+
+    @cached_property
+    def fiber_sums(self) -> dict[int, list[Dyadic]]:
+        """Running sums of each fibre: ``fiber_sums[o][i]`` is the sum of the
+        jumps at ``fibers[o][:i]``.  Every jump in :attr:`jumps` is positive,
+        so each list strictly increases.  Raises as :attr:`fibers` does."""
+        jumps = self.jumps
+        return {origin: list(accumulate((jumps[t] for t in members), initial=ZERO))
+                for origin, members in self.fibers.items()}
+
+    def paid(self, origin: int, lo: int, hi: int) -> Dyadic:
+        """Sum of the jumps attributed to the threat at stage ``origin`` at
+        stages in [lo, hi), for lo <= hi; zero when there are none.  Raises
+        as :attr:`fibers` does."""
+        members = self.fibers.get(origin, ())
+        sums = self.fiber_sums.get(origin, (ZERO,))
+        return sums[bisect_left(members, hi)] - sums[bisect_left(members, lo)]
 
     # -- whole-run facts ---------------------------------------------------
 
@@ -574,25 +582,6 @@ class TraceIndex:
         """First stage t with x[t + 1] < x[t], or None if x never decreases."""
         x = self.trace.x
         return next((t for t in range(self.trace.T) if x[t + 1] < x[t]), None)
-
-    def cutoff_stage(self, sigma: BinStr) -> int | None:
-        """Largest jump stage attributed to sigma's stability-respecting threat.
-
-        The originating threat stage is the last applied-and-threatened stage
-        of sigma that no later in-horizon initialisation of sigma invalidates;
-        returns None when there is no such stage or no jump has landed yet.
-        Whether the returned stage is the true cut-off (all split jumps
-        executed) is a separate completeness question the checkers decide.
-        """
-        candidates = self.threats.get(sigma)
-        if not candidates:
-            return None
-        t1 = candidates[-1]
-        inits = self.initialisations(sigma)
-        if inits and inits[-1] >= t1:
-            return None
-        fiber = self.fibers.get(t1)
-        return fiber[-1] if fiber else None
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ initialisation seen in the trace and says so in the report's assumptions.
 Every trace fact a checker reads -- parameter values, initialisations,
 applications, threats by strategy, jump attribution -- comes from the
 trace's own ``tracekit.TraceIndex`` (``trace.index``), so the checkers share
-one index whether ``run_checks`` runs them or a caller runs one alone.  The
+one index whether ``run_checks`` runs them or a caller runs one alone.
+What an episode paid comes from the running sums of the jumps attributed to
+its threat (``TraceIndex.paid``, ``TraceIndex.fiber_sums``).  The
 expansion predicate's results are kept on that index as well
 (``TraceIndex.expansionary``).
 Slot values come from the registry that the trace's embedded configuration
@@ -291,6 +293,12 @@ def _classify_episode(total: Dyadic, bound: Dyadic, t2, interrupted_at) -> tuple
     return "fail", "episode complete but sum falls short"
 
 
+def _scheduled(trace: Trace, t1: int) -> Dyadic:
+    """The amount 2**-w scheduled for the threat handled at stage t1, w the
+    witness of its strategy at t1."""
+    return pow2(-trace.index.value(trace.stages[t1].settled, "w", t1))
+
+
 def check_jump_sums(trace: Trace) -> Report:
     """Exact jump-sum identities per threat and per counter episode.
 
@@ -302,7 +310,7 @@ def check_jump_sums(trace: Trace) -> Report:
     findings: list[tuple[str, dict]] = []
     index = trace.index
     try:
-        fibers = index.fibers
+        index.fibers  # a corrupt attribution fails the check before any episode
     except TraceCorruption as exc:
         return _make_report("jump_sums", [("fail", {"error": str(exc)})])
 
@@ -311,7 +319,7 @@ def check_jump_sums(trace: Trace) -> Report:
         if kind in THREAT_KINDS:
             sigma, t1 = rec.settled, rec.t
             origin = t1
-            bound = pow2(-index.value(sigma, "w", t1))
+            bound = _scheduled(trace, t1)
             label = "threat"
         elif kind in EXPANSION_KINDS:
             sigma, t1 = rec.settled, rec.t
@@ -327,10 +335,7 @@ def check_jump_sums(trace: Trace) -> Report:
         t2 = index.next_application(sigma, t1)
         end = t2 if t2 is not None else trace.T
         interrupted_at = index.first_initialisation_in(sigma, t1, end)
-        fiber = fibers.get(origin, [])
-        total = Dyadic(0)
-        for t in fiber[bisect_left(fiber, t1):bisect_left(fiber, end)]:
-            total = total + index.jumps[t]
+        total = index.paid(origin, t1, end)
         status, note = _classify_episode(total, bound, t2, interrupted_at)
         findings.append(
             (status, {"episode": label, "sigma": sigma, "t1": t1, "t2": t2,
@@ -365,11 +370,8 @@ def check_cutoffs(trace: Trace) -> Report:
         sigma, t1 = rec.settled, rec.t
         if index.first_initialisation_in(sigma, t1, trace.T) is not None:
             continue  # threat invalidated within horizon; not a stable episode
-        bound = pow2(-index.value(sigma, "w", t1))
-        fiber = fibers.get(t1, [])
-        total = Dyadic(0)
-        for t in fiber:
-            total = total + index.jumps[t]
+        bound = _scheduled(trace, t1)
+        total = index.paid(t1, t1, trace.T)
         if total > bound:
             findings.append(("fail", {"sigma": sigma, "t1": t1,
                                       "error": "fiber sum exceeds scheduled amount"}))
@@ -378,7 +380,7 @@ def check_cutoffs(trace: Trace) -> Report:
             findings.append(("incomplete", {"sigma": sigma, "t1": t1,
                                             "note": "episode not completed in horizon"}))
             continue
-        t_cut = max(fiber)
+        t_cut = fibers[t1][-1]
         problems = []
         cut_rec = trace.stages[t_cut]
         if not any(
@@ -702,26 +704,23 @@ def check_settlement_facts(trace: Trace) -> Report:
     # fiber closure: once an episode's jumps reach the scheduled amount,
     # nothing further may be attributed to it
     try:
-        fibers = index.fibers
+        fiber_sums = index.fiber_sums
     except TraceCorruption as exc:
         violation(law="jump attribution", error=str(exc))
-        fibers = {}
-    for origin, members in fibers.items():
-        sigma = trace.stages[origin].settled
-        bound = pow2(-index.value(sigma, "w", origin))
-        total = Dyadic(0)
-        done_at = None
-        for t in members:
-            if done_at is not None:
-                violation(law="fiber closed after completion", origin=origin,
-                          late_jump=t)
-                break
-            total = total + index.jumps[t]
-            if total == bound:
-                done_at = t
-            elif total > bound:
-                violation(law="fiber sum bounded by schedule", origin=origin, t=t)
-                break
+        fiber_sums = {}
+    for origin, sums in fiber_sums.items():
+        # every indexed jump is positive, so the running sums strictly
+        # increase and the first to reach the schedule decides both laws
+        bound = _scheduled(trace, origin)
+        i = bisect_left(sums, bound)
+        members = index.fibers[origin]
+        if i == len(sums):
+            continue
+        if sums[i] > bound:
+            violation(law="fiber sum bounded by schedule", origin=origin, t=members[i - 1])
+        elif i < len(members):
+            violation(law="fiber closed after completion", origin=origin,
+                      late_jump=members[i])
 
     if trace.engine == "B":
         _check_pause_facts(trace, index, findings)

@@ -241,7 +241,7 @@ def test_c10_mutation_kill(minimal_registry):
     killed.append("jump_sums")
 
     # cutoffs: initialisation region removed at the cut-off stage
-    t_cut = trace_a.index.cutoff_stage("0")
+    t_cut = trace_a.index.fibers[trace_a.index.threats["0"][-1]][-1]
     assert check_cutoffs(rebuild(trace_a, t_cut, init_regions=())).status == "fail"
     assert check_cutoffs(trace_a).status == "pass"
     killed.append("cutoffs")

@@ -161,10 +161,15 @@ def test_engine_a_golden(minimal):
     assert index.value("0", "w", 18) == 4
     assert index.value("0", "s", 9) == 1
 
-    assert trace.index.u_map == {1: 1, **{t: 8 for t in range(9, 17)}}
-    assert trace.index.cutoff_stage("") == 1
-    assert trace.index.cutoff_stage("0") == 16
-    assert trace.index.cutoff_stage("11") is None
+    # stage 1 pays its own threat, stages 9..16 the threat of "0" at stage 8;
+    # neither threat is initialised again, so the last stage of each fibre
+    # is its cut-off stage
+    fibers = index.fibers
+    assert fibers == {1: [1], 8: list(range(9, 17))}
+    assert index.threats == {"": [1], "0": [8]}
+    assert index.first_initialisation_in("", 1, trace.T) is None
+    assert index.first_initialisation_in("0", 8, trace.T) is None
+    assert [fibers[t][-1] for t in (1, 8)] == [1, 16]
 
 
 def test_engine_b_golden(minimal):
@@ -195,7 +200,7 @@ def test_engine_b_golden(minimal):
     assert index.value("1", "w", 5) == nu("1") + 4 + 2
     assert index.value("0", "p", 7) == 0
 
-    assert trace.index.u_map == {1: 1, 3: 3, 4: 2, 5: 5, 7: 7}
+    assert trace.index.fibers == {1: [1], 3: [3], 2: [4], 5: [5], 7: [7]}
     assert index.threats == {"": [1, 3, 5, 7], "0": [2]}
 
 

@@ -3,8 +3,9 @@
 Seeded single-leaf mutants of default A and B traces, the inputs that once
 ended in a traceback (huge restraints, witnesses and jump exponents in a
 trace, negative restraints and witnesses, a huge exponent in a sequence CSV
-or a dyadic literal), jumps in any but the canonical encoding, and
-malformed CSV rows and literals all run through
+or a dyadic literal), jumps in any but the canonical encoding, jumps
+rescaled to another value the loader accepts, and malformed CSV rows and
+literals all run through
 ``cli.main`` in one subprocess under a 1.5 GiB address-space limit.  Every run must end in a documented exit code
 (0 pass, 1 fail, 2 usage, 3 incomplete) without a traceback, and a usage
 error is one line.
@@ -19,7 +20,8 @@ from pathlib import Path
 
 import injurybench
 from injurybench.cli import main
-from test_verify import _leaf_paths
+from injurybench.tracekit import deserialize, serialize
+from mutants import jump_value_edits, leaf_paths
 
 LIMIT = 1536 << 20
 LEAF_VALUES = [-1, 2**70, "", [], {}, None, True, 1.5, "01" * 2048]
@@ -55,7 +57,7 @@ def single_leaf_mutants(data: bytes, count: int, seed: int) -> list[str]:
     for _ in range(count):
         i = rng.randrange(len(lines))
         obj = json.loads(lines[i])
-        *parents, leaf = rng.choice(list(_leaf_paths(obj)))
+        *parents, leaf = rng.choice(list(leaf_paths(obj)))
         target = obj
         for key in parents:
             target = target[key]
@@ -137,6 +139,9 @@ def test_hostile_inputs_end_in_an_exit_code_without_traceback(tmp_path, capsys):
     for engine, data in traces.items():
         for j, text in enumerate(single_leaf_mutants(data, MUTANTS_PER_ENGINE, seed=9)):
             files[f"mutant-{engine}-{j}"] = text
+        # rescaled jumps load, so every check reads their running sums
+        for j, mutant in enumerate(jump_value_edits(deserialize(data))):
+            files[f"jump-edit-{engine}-{j}"] = serialize(mutant).decode("utf-8")
     csv_rows = {
         "huge-exponent": "t,mantissa,exponent\n0,0,0\n1,1,99999999999\n",
         "negative-exponent": "t,mantissa,exponent\n0,0,0\n1,1,-99999999999\n",
@@ -189,5 +194,6 @@ def test_hostile_inputs_end_in_an_exit_code_without_traceback(tmp_path, capsys):
     assert not crashed
     assert all(code in (0, 1, 2, 3) for code, _ in results.values())
     assert {name: results[name][0] for name in expected} == expected
+    assert all(code != 2 for name, (code, _) in results.items() if name.startswith("jump-edit-"))
     usage = [err for code, err in results.values() if code == 2]
     assert all(err.startswith("error: ") and err.count("\n") == 1 for err in usage)

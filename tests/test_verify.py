@@ -9,15 +9,22 @@ consistent wherever the mutation does not target that consistency.
 import dataclasses
 import json
 import random
+from bisect import bisect_left
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from injurybench.dyadic import Dyadic, ZERO, pow2
+from injurybench.dyadic import Dyadic, ZERO, gap_cmp, pow2
 from injurybench.engine import EngineState, run_engine
 from injurybench.phi import DEFAULT_CONFIG, PhiRegistry, registry_from_config
-from injurybench.strings import nu, region_contains, true_path_estimate
+from injurybench.strings import (
+    lex_less,
+    nu,
+    region_contains,
+    region_covers_right_of,
+    true_path_estimate,
+)
 from injurybench.tracekit import (
     EXPANSION_KINDS,
     TERMINAL_KINDS,
@@ -28,7 +35,6 @@ from injurybench.tracekit import (
     Trace,
     TraceCorruption,
     TraceIndex,
-    TraceParseError,
     deserialize,
     serialize,
 )
@@ -45,6 +51,7 @@ from injurybench.verify import (
     run_checks,
 )
 from conftest import MINIMAL_CONFIG, jump_stages
+from mutants import jump_value_edits, single_record_mutants
 from test_randomized import DOUBLING_PROGRAM, random_config
 from test_replay import SPARSE_DEEP_CONFIGS
 
@@ -153,8 +160,7 @@ def test_mutation_jump_sums(trace_a):
 
 def test_mutation_cutoffs_missing_region(trace_a):
     # documented mutation: drop the initialisation region at a cut-off stage
-    t_cut = trace_a.index.cutoff_stage("0")
-    assert t_cut is not None
+    t_cut = trace_a.index.fibers[trace_a.index.threats["0"][-1]][-1]
     mutated = mutate_record(trace_a, t_cut, init_regions=())
     report = check_cutoffs(mutated)
     assert report.status == "fail"
@@ -176,9 +182,9 @@ def test_mutation_requirement_n(trace_a, minimal):
     ]
 
 
-def test_run_checks_a_lone_checker_and_cutoff_stage_build_one_index(minimal, monkeypatch):
+def test_run_checks_a_lone_checker_and_fibers_build_one_index(minimal, monkeypatch):
     # the trace owns its index: run_checks, a checker called alone
-    # afterwards and the cut-off lookup all read the same one
+    # afterwards and the jump attribution all read the same one
     built = []
     init = TraceIndex.__init__
 
@@ -190,7 +196,7 @@ def test_run_checks_a_lone_checker_and_cutoff_stage_build_one_index(minimal, mon
     trace = run_engine(EngineState(minimal, "A"), 60)
     run_checks(trace)
     assert check_cutoffs(trace).status == "pass"
-    assert trace.index.cutoff_stage("0") is not None
+    assert trace.index.fibers[trace.index.threats["0"][-1]]
     assert len(built) == 1 and built[0] is trace
 
 
@@ -651,46 +657,6 @@ def test_expansion_gap_matches_per_prefix_loop_on_random_registries(
     assert_gap_walk_matches_reference(run_engine(EngineState(registry_from_config(config), "B"), T), config)
 
 
-_LEAF_VALUES = [-1, 0, 1, 2, 3, 5, 9, 30, 61, "", "0", "1", "01", "10", "11", "110",
-                "lex_gt", "lex_gt_or_ext", "top_out", "threat_jump", None, []]
-
-
-def _leaf_paths(obj, path=()):
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            yield from _leaf_paths(value, path + (key,))
-    elif isinstance(obj, list) and obj:
-        for i, value in enumerate(obj):
-            yield from _leaf_paths(value, path + (i,))
-    else:
-        yield path
-
-
-def single_record_mutants(trace: Trace, count: int, seed: int):
-    """Seeded mutants of one leaf of one stage record that the loader accepts."""
-    head, *records = serialize(trace).decode("utf-8").rstrip("\n").split("\n")
-    rng = random.Random(seed)
-    for _ in range(100 * count):
-        t = rng.randrange(len(records))
-        rec = json.loads(records[t])
-        *parents, leaf = rng.choice(list(_leaf_paths(rec)))
-        target = rec
-        for key in parents:
-            target = target[key]
-        target[leaf] = rng.choice(_LEAF_VALUES)
-        lines = list(records)
-        lines[t] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
-        try:
-            mutant = deserialize("\n".join([head, *lines]).encode("utf-8"))
-        except TraceParseError:
-            continue
-        yield mutant
-        count -= 1
-        if count == 0:
-            return
-    raise AssertionError("too few mutants accepted by the loader")
-
-
 @pytest.mark.parametrize("config", [DEFAULT_CONFIG, DEEP_CONFIG], ids=["default", "deep"])
 def test_expansion_gap_matches_per_prefix_loop_on_trace_mutants(config):
     trace = run_engine(EngineState(registry_from_config(config), "B"), 60)
@@ -930,6 +896,161 @@ def test_settlement_asks_only_configured_depths(monkeypatch):
     monkeypatch.setattr(PhiRegistry, "configured_indices", lambda self: configured)
     assert check_settlement_facts(trace).status == "pass"
     assert 0 < tests <= T * (max(configured) + 2)
+
+
+# ---------------------------------------------------------------------------
+# Episode payments: the summing loops that check_jump_sums and check_cutoffs
+# used before every payment was read from the running sums of a fibre, kept
+# as references
+
+
+def summing_jump_sums(trace: Trace) -> dict:
+    findings = []
+    index = trace.index
+    try:
+        fibers = index.fibers
+    except TraceCorruption as exc:
+        return verify._make_report("jump_sums", [("fail", {"error": str(exc)})]).to_json()
+    for rec in trace.stages:
+        kind = rec.action.kind
+        if kind in THREAT_KINDS:
+            sigma, t1 = rec.settled, rec.t
+            origin = t1
+            bound = pow2(-index.value(sigma, "w", t1))
+            label = "threat"
+        elif kind in EXPANSION_KINDS:
+            sigma, t1 = rec.settled, rec.t
+            origin = index.episode_origin(rec)
+            if origin is None:
+                findings.append(("fail", {"episode": "counter", "t1": t1,
+                                          "error": f"no prior threat of {rec.action.alpha!r}"}))
+                continue
+            bound = pow2(-index.value(sigma, "r", t1))
+            label = "counter"
+        else:
+            continue
+        t2 = index.next_application(sigma, t1)
+        end = t2 if t2 is not None else trace.T
+        interrupted_at = index.first_initialisation_in(sigma, t1, end)
+        fiber = fibers.get(origin, [])
+        total = Dyadic(0)
+        for t in fiber[bisect_left(fiber, t1):bisect_left(fiber, end)]:
+            total = total + index.jumps[t]
+        status, note = verify._classify_episode(total, bound, t2, interrupted_at)
+        findings.append(
+            (status, {"episode": label, "sigma": sigma, "t1": t1, "t2": t2,
+                      "sum": str(total), "bound": str(bound), "note": note})
+        )
+    return verify._make_report("jump_sums", findings).to_json()
+
+
+def summing_cutoffs(trace: Trace) -> dict:
+    findings = []
+    index = trace.index
+    try:
+        fibers = index.fibers
+    except TraceCorruption as exc:
+        return verify._make_report("cutoffs", [("fail", {"error": str(exc)})]).to_json()
+    for rec in trace.stages:
+        if rec.action.kind not in THREAT_KINDS:
+            continue
+        sigma, t1 = rec.settled, rec.t
+        if index.first_initialisation_in(sigma, t1, trace.T) is not None:
+            continue
+        bound = pow2(-index.value(sigma, "w", t1))
+        fiber = fibers.get(t1, [])
+        total = Dyadic(0)
+        for t in fiber:
+            total = total + index.jumps[t]
+        if total > bound:
+            findings.append(("fail", {"sigma": sigma, "t1": t1,
+                                      "error": "fiber sum exceeds scheduled amount"}))
+            continue
+        if total < bound:
+            findings.append(("incomplete", {"sigma": sigma, "t1": t1,
+                                            "note": "episode not completed in horizon"}))
+            continue
+        t_cut = max(fiber)
+        problems = []
+        if not any(region_covers_right_of(anchor, rel, sigma)
+                   for anchor, rel in trace.stages[t_cut].init_regions):
+            problems.append("initialisation region does not cover extensions "
+                            "and lex-right strategies")
+        for tau in index.written:
+            if index.value(tau, "c", t_cut + 1) > 0 and not lex_less(tau + "0", sigma):
+                problems.append(f"positive counter at {tau!r} not lex-left")
+        if gap_cmp(trace.x[trace.T], trace.x[t_cut + 1], t_cut + 1) > 0:
+            problems.append("tail bound x_T - x_{t+1} <= 2^-(t+1) violated")
+        if problems:
+            findings.append(("fail", {"sigma": sigma, "t1": t1, "t_cut": t_cut,
+                                      "problems": problems}))
+        else:
+            findings.append(("pass", {"sigma": sigma, "t1": t1, "t_cut": t_cut}))
+    return verify._make_report(
+        "cutoffs", findings,
+        ["stability of each threat approximated by the absence of later "
+         "in-horizon initialisations"]).to_json()
+
+
+def assert_payment_reports_match_reference(trace: Trace) -> dict[str, dict]:
+    """The jump_sums, settlement and (engine A) cutoffs reports, each equal
+    to its reference's; each side reads its own copy of the trace."""
+    data = serialize(trace)
+    pairs = {"jump_sums": (check_jump_sums, summing_jump_sums),
+             "settlement": (check_settlement_facts, per_depth_settlement)}
+    if trace.engine == "A":
+        pairs["cutoffs"] = (check_cutoffs, summing_cutoffs)
+    reports = {}
+    for name, (check, reference) in pairs.items():
+        reports[name] = check(deserialize(data)).to_json()
+        assert reports[name] == reference(deserialize(data)), name
+    return reports
+
+
+_PAYMENT_FAMILIES = {
+    "default-A-500": ("A", DEFAULT_CONFIG, 500),
+    "default-B-500": ("B", DEFAULT_CONFIG, 500),
+    "resplit-A-300": ("A", RESPLIT_CONFIG, 300),
+    "resplit-B-300": ("B", RESPLIT_CONFIG, 300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAYMENT_FAMILIES))
+def test_payment_reports_match_summing_loops(name):
+    engine, config, T = _PAYMENT_FAMILIES[name]
+    reports = assert_payment_reports_match_reference(
+        run_engine(EngineState(registry_from_config(config), engine), T))
+    assert reports["jump_sums"]["counts"].get("pass", 0) > 0
+
+
+@pytest.mark.parametrize("engine", ["A", "B"])
+def test_payment_reports_match_summing_loops_on_mutants(engine):
+    trace = run_engine(EngineState(registry_from_config(DEFAULT_CONFIG), engine), 60)
+    original = assert_payment_reports_match_reference(trace)
+    edits = jump_value_edits(trace)
+    changed = {"records": Counter(), "jumps": Counter()}
+    for kind, mutants in [("records", single_record_mutants(trace, 100, seed=10)),
+                          ("jumps", edits)]:
+        for mutant in mutants:
+            reports = assert_payment_reports_match_reference(mutant)
+            changed[kind].update(name for name in reports if reports[name] != original[name])
+    # every report is moved by a few of each kind of mutant
+    for kind in changed:
+        assert set(changed[kind]) == set(original), kind
+        assert min(changed[kind].values()) >= 3, (kind, changed[kind])
+
+
+@pytest.mark.parametrize("engine", ["A", "B"])
+def test_paid_is_the_direct_sum_over_every_range(minimal, engine):
+    trace = run_engine(EngineState(minimal, engine), 20)
+    for variant in [trace, *jump_value_edits(trace)]:
+        index = variant.index
+        for origin in range(-1, variant.T + 1):
+            members = index.fibers.get(origin, [])
+            for lo in range(-1, variant.T + 2):
+                for hi in range(lo, variant.T + 2):
+                    direct = sum((index.jumps[t] for t in members if lo <= t < hi), ZERO)
+                    assert str(index.paid(origin, lo, hi)) == str(direct)
 
 
 # ---------------------------------------------------------------------------
