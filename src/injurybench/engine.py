@@ -332,14 +332,8 @@ def run_stage(state: EngineState) -> StageRecord:
             if not variant_b:
                 p.flag = 0
 
-    record = StageRecord(
-        t=t,
-        settled=sigma,
-        action=action,
-        jump=jump,
-        init_regions=((anchor, rel),),
-        param_writes=tuple(state._write_order),
-    )
+    # positional: a named tuple builds in half the time that way
+    record = StageRecord(t, sigma, action, jump, ((anchor, rel),), tuple(state._write_order))
     state.records.append(record)
     state.t += 1
     return record

@@ -26,10 +26,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 from .dyadic import MAX_EXPONENT, ZERO, Dyadic
 from .phi import PhiRegistry, config_digest
@@ -101,8 +103,7 @@ class TraceParseError(Exception):
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(NamedTuple):
     """Stage-terminal action with the fields its kind uses.
 
     sigma: strategy the stage settled on (all kinds);
@@ -110,6 +111,11 @@ class Action:
     gamma/counter: delegation target and scheduled counter value;
     alpha/k: decoded counter label and remaining-jump count for the
     expansion kinds.
+
+    An immutable named tuple: assigning a field raises AttributeError, and
+    ``_replace`` gives a copy with some fields changed.  The loader and the
+    engine build one per stage, and a named tuple builds in a fraction of
+    the time a frozen dataclass takes.
     """
 
     kind: str
@@ -121,9 +127,9 @@ class Action:
     exponent: int | None = None
 
 
-@dataclass(frozen=True)
-class StageRecord:
-    """Complete audit record of one stage.
+class StageRecord(NamedTuple):
+    """Complete audit record of one stage, an immutable named tuple like
+    :class:`Action`.
 
     The substage path is not stored: the applied strategies of a stage are
     exactly the prefixes of the settled word, so ``applied`` is derived.
@@ -278,6 +284,18 @@ def _check_header(header: dict, line: int = 1) -> None:
         raise TraceParseError("phi_config does not match phi_config_digest", line=line)
 
 
+_ZERO_JSON = ZERO.to_json()
+
+
+def _binary_word(word) -> bool:
+    """Whether ``word`` is a string over {0,1}: the answer of
+    ``not word.strip("01")`` in linear time.  ``strip`` with a character
+    set costs several times more than two ``replace`` scans on a word
+    hundreds of characters long, and a stage-t word of engine A is about t
+    characters long."""
+    return isinstance(word, str) and not word.replace("0", "").replace("1", "")
+
+
 def _read_record(text: str, t_next: int, T: int, fields: tuple[str, ...],
                  line: int) -> StageRecord:
     """The record on one line, checked leaf by leaf from its raw JSON and
@@ -288,7 +306,13 @@ def _read_record(text: str, t_next: int, T: int, fields: tuple[str, ...],
         kind = act["kind"]
         sigma, gamma, counter = act.get("sigma", ""), act.get("gamma"), act.get("counter")
         alpha, k, exponent = act.get("alpha"), act.get("k"), act.get("exponent")
-        jump = Dyadic.from_json(obj["jump"])
+        jump = obj["jump"]
+        # most records carry the canonical zero, which needs no Dyadic built;
+        # False == 0 and 0.0 == 0, so k's type is tested too
+        if jump == _ZERO_JSON and type(jump["k"]) is int:
+            jump = ZERO
+        else:
+            jump = Dyadic.from_json(jump)
         regions = tuple([(anchor, rel) for anchor, rel in obj["init_regions"]])
         writes = tuple([(s, fld, v) for s, fld, v in obj["param_writes"]])
     except (KeyError, ValueError, TypeError) as exc:
@@ -309,13 +333,13 @@ def _read_record(text: str, t_next: int, T: int, fields: tuple[str, ...],
             raise TraceParseError(f"{v!r} is not an integer", line=line)
     # an absent gamma or alpha passes as the empty word
     for word in (settled, sigma, "" if gamma is None else gamma, "" if alpha is None else alpha):
-        if not isinstance(word, str) or word.strip("01"):
+        if not _binary_word(word):
             raise TraceParseError(f"{word!r} is not a binary word", line=line)
     for word, _ in regions:
-        if not isinstance(word, str) or word.strip("01"):
+        if not _binary_word(word):
             raise TraceParseError(f"{word!r} is not a binary word", line=line)
     for word, _, _ in writes:
-        if not isinstance(word, str) or word.strip("01"):
+        if not _binary_word(word):
             raise TraceParseError(f"{word!r} is not a binary word", line=line)
     for _, rel in regions:
         if rel not in (REL_LEX, REL_LEX_OR_EXT):
@@ -590,11 +614,26 @@ class TraceIndex:
 
 
 def write_sequence_csv(x: list[Dyadic], path: str) -> None:
-    """Write the exact sequence as rows ``t,mantissa,exponent``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,mantissa,exponent\n")
-        for t, val in enumerate(x):
-            fh.write(f"{t},{val.m},{val.k}\n")
+    """Write the exact sequence as rows ``t,mantissa,exponent``.
+
+    Every mantissa is written in full.  Engine B's mantissa grows by about
+    one bit per two stages, past the 4300 decimal digits to which Python
+    limits int-to-text conversion by default, so the writer lifts that
+    limit while it writes and restores it afterwards.  Interpreters without
+    the limit have no ``sys.get_int_max_str_digits``.  The reader keeps the
+    limit as a guard on its input.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("t,mantissa,exponent\n")
+            for t, val in enumerate(x):
+                fh.write(f"{t},{val.m},{val.k}\n")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def read_sequence_csv(path: str) -> list[Dyadic]:

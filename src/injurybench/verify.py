@@ -42,6 +42,7 @@ from .tracekit import (
     EXPANSION_KINDS,
     THREAT_KINDS,
     TERMINAL_KINDS,
+    THREAT_JUMP,
     TOP_OUT,
     Trace,
     TraceCorruption,
@@ -305,7 +306,9 @@ def check_jump_sums(trace: Trace) -> Report:
     A threat handled at t1 with the next application of the strategy at t2
     and no initialisation in between must see jumps attributed to t1 sum to
     exactly 2**-w; a counter episode likewise to 2**-r.  Episodes truncated
-    by the horizon only need the one-sided bound.
+    by the horizon only need the one-sided bound.  An immediate threat jump
+    pays all of 2**-w at its own stage, so its stage alone must pay exactly
+    that, wherever the episode ends.
     """
     findings: list[tuple[str, dict]] = []
     index = trace.index
@@ -337,6 +340,8 @@ def check_jump_sums(trace: Trace) -> Report:
         interrupted_at = index.first_initialisation_in(sigma, t1, end)
         total = index.paid(origin, t1, end)
         status, note = _classify_episode(total, bound, t2, interrupted_at)
+        if status != "fail" and kind == THREAT_JUMP and index.paid(t1, t1, t1 + 1) != bound:
+            status, note = "fail", "threat jump differs from the scheduled amount"
         findings.append(
             (status, {"episode": label, "sigma": sigma, "t1": t1, "t2": t2,
                       "sum": str(total), "bound": str(bound), "note": note})

@@ -195,8 +195,6 @@ def test_c09_bijection_laws():
 
 
 def test_c10_mutation_kill(minimal_registry):
-    import dataclasses
-
     from injurybench.tracekit import Trace
     from injurybench.dyadic import ZERO
     from injurybench.verify import (
@@ -206,7 +204,7 @@ def test_c10_mutation_kill(minimal_registry):
 
     def rebuild(trace, t, **changes):
         stages = list(trace.stages)
-        stages[t] = dataclasses.replace(stages[t], **changes)
+        stages[t] = stages[t]._replace(**changes)
         x = [ZERO]
         for rec in stages:
             x.append(x[-1] + rec.jump)

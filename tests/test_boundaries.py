@@ -3,9 +3,15 @@
 The replay oracle must stay independent of the engine it cross-checks, so
 it may import only the primitives ``strings``, ``dyadic`` and ``phi``.  The
 checkers analyse finished traces and must not import the engine either.
+The package has no runtime dependencies: its command line loads nothing
+outside the standard library.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import injurybench
@@ -48,3 +54,21 @@ def test_verify_does_not_import_engine():
     imports = package_imports("verify")
     assert "tracekit" in imports  # the parser sees relative imports
     assert "engine" not in imports and "injurybench" not in imports, imports
+
+
+def _top_level_modules_after(statement: str) -> set[str]:
+    """Top-level names in ``sys.modules`` of a fresh interpreter that has run
+    ``statement``."""
+    script = f"{statement}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, "PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC.parent),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True, timeout=60)
+    return {name.partition(".")[0] for name in json.loads(result.stdout)}
+
+
+def test_cli_imports_only_the_standard_library():
+    added = _top_level_modules_after("import injurybench.cli") - _top_level_modules_after("pass")
+    assert "injurybench" in added
+    outside = sorted(added - set(sys.stdlib_module_names) - {"injurybench"})
+    assert not outside, outside

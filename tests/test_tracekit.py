@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -254,6 +255,26 @@ def test_sequence_csv_round_trip(tmp_path, trace_a):
     write_sequence_csv([Dyadic(1, MAX_EXPONENT + 1)], str(path))
     with pytest.raises(ValueError, match=f"exponent {MAX_EXPONENT + 1} outside"):
         read_sequence_csv(str(path))
+
+
+def test_sequence_csv_writes_mantissas_past_the_int_text_limit(tmp_path):
+    # 10**5000 + 1 has 5001 decimal digits, past the 4300 to which Python
+    # limits int-to-text conversion by default
+    wide = Dyadic(10**5000 + 1, 3)
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    before = get_limit() if get_limit else None
+    path = tmp_path / "seq.csv"
+    write_sequence_csv([ZERO, wide], str(path))
+    assert path.read_text().split("\n")[1:] == ["0,0,0", "1,1" + "0" * 4999 + "1,3", ""]
+    with pytest.raises(OSError):
+        write_sequence_csv([wide], str(tmp_path / "missing" / "seq.csv"))
+    if not before:
+        return  # an interpreter without the limit reads the file back
+    assert get_limit() == before
+    # the reader keeps the limit as its guard on input
+    with pytest.raises(ValueError, match="line 3: Exceeds the limit") as err:
+        read_sequence_csv(str(path))
+    assert "\n" not in str(err.value)
 
 
 def test_unknown_field_rejected(trace_a):
@@ -540,3 +561,50 @@ def test_record_reader_matches_two_step_loader_on_mutants(engine):
             seen.update(r for r in _REJECTIONS if r in got[1])
     assert accepted >= 20
     assert seen == set(_REJECTIONS)
+
+
+# the canonical zero jump {"m":"0","k":0} is read without a Dyadic built;
+# each of these is a near miss that the reader must refuse as from_json does
+ZERO_JUMP_NEAR_MISSES = {
+    "k_false": {"m": "0", "k": False},
+    "k_float": {"m": "0", "k": 0.0},
+    "m_00": {"m": "00", "k": 0},
+    "m_minus_0": {"m": "-0", "k": 0},
+    "extra_key": {"m": "0", "k": 0, "x": 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_JUMP_NEAR_MISSES))
+def test_zero_jump_near_misses_are_refused_as_by_two_step_loader(trace_a, name):
+    data, line = _mutate_first(trace_a, lambda o: o["jump"] == {"m": "0", "k": 0},
+                               _set(["jump"], ZERO_JUMP_NEAR_MISSES[name]))
+    got = _outcome(deserialize, data)
+    assert got == _outcome(_two_step_load, data)
+    assert got[0] == line and "bad stage record" in got[1]
+
+
+NEAR_BINARY_WORDS = ["", " 0", "0\n", "0 1", "\u0660", "\uff10", "O", "l", "2",
+                     "01" * 300 + "2", "01" * 300]
+
+
+@pytest.mark.parametrize("word", NEAR_BINARY_WORDS)
+def test_binary_word_test_matches_strip(trace_a, word):
+    assert tracekit._binary_word(word) == (not word.strip("01"))
+    # and the loader, reading it as a settled word, agrees with the reference
+    data, _ = _mutate_first(trace_a, lambda o: True, _set(["settled"], word))
+    got = _outcome(deserialize, data)
+    assert got == _outcome(_two_step_load, data)
+    assert isinstance(got, Trace) == (not word.strip("01"))
+
+
+def test_records_are_immutable_values(trace_a):
+    rec = trace_a.stages[8]
+    with pytest.raises(AttributeError):
+        rec.t = 9
+    with pytest.raises(AttributeError):
+        rec.action.kind = "top_out"
+    obj = json.loads(serialize(trace_a).decode().split("\n")[9])
+    built = _built_record(obj)
+    assert built == rec and hash(built) == hash(rec)
+    assert built.action == rec.action and hash(built.action) == hash(rec.action)
+    assert built._replace(t=9) != rec

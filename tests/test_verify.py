@@ -6,7 +6,6 @@ x sequence is rebuilt from the jumps so the mutated trace stays internally
 consistent wherever the mutation does not target that consistency.
 """
 
-import dataclasses
 import json
 import random
 from bisect import bisect_left
@@ -28,6 +27,7 @@ from injurybench.strings import (
 from injurybench.tracekit import (
     EXPANSION_KINDS,
     TERMINAL_KINDS,
+    THREAT_JUMP,
     THREAT_KINDS,
     TOP_OUT,
     Action,
@@ -74,7 +74,7 @@ def trace_b(minimal):
 def mutate_record(trace: Trace, t: int, **changes) -> Trace:
     """Replace fields of one stage record and rebuild x from the jumps."""
     stages = list(trace.stages)
-    stages[t] = dataclasses.replace(stages[t], **changes)
+    stages[t] = stages[t]._replace(**changes)
     x = [ZERO]
     for rec in stages:
         x.append(x[-1] + rec.jump)
@@ -156,6 +156,29 @@ def test_mutation_jump_sums(trace_a):
     mutated = mutate_record(trace_a, split, jump=old + old)
     report = check_jump_sums(mutated)
     assert report.status == "fail"
+
+
+def test_jump_sums_holds_a_last_stage_threat_jump_to_its_schedule():
+    # the stage-59 threat jump of default B at T=60 pays 2^-29; its episode
+    # runs past the horizon, where the sum itself is only bounded above
+    trace = run_engine(EngineState(registry_from_config(DEFAULT_CONFIG), "B"), 60)
+    head, *records = serialize(trace).decode("utf-8").rstrip("\n").split("\n")
+    rec = json.loads(records[59])
+    assert rec["action"]["kind"] == "threat_jump" and rec["jump"] == {"k": 29, "m": "1"}
+    clean = check_jump_sums(trace)
+    assert clean.status == "pass"
+    assert {"status": "incomplete", "episode": "threat", "sigma": rec["settled"], "t1": 59,
+            "t2": None, "sum": "1/2^29", "bound": "1/2^29",
+            "note": "next application beyond horizon; weak bound holds"} in clean.witnesses
+    rec["jump"] = {"k": 30, "m": "1"}
+    records[59] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    halved = deserialize("\n".join([head, *records]).encode("utf-8"))
+    report = check_jump_sums(halved)
+    assert report.status == "fail"
+    assert [w for w in report.witnesses if w["status"] == "fail"] == [
+        {"status": "fail", "episode": "threat", "sigma": rec["settled"], "t1": 59, "t2": None,
+         "sum": "1/2^30", "bound": "1/2^29",
+         "note": "threat jump differs from the scheduled amount"}]
 
 
 def test_mutation_cutoffs_missing_region(trace_a):
@@ -382,7 +405,7 @@ def test_settlement_rejects_descend_as_terminal_kind(trace_a):
     # an intra-stage move is never a stage-terminal action
     rec = next(r for r in trace_a.stages if r.action.kind == "top_out" and r.t >= 5)
     mutated = mutate_record(trace_a, rec.t,
-                            action=dataclasses.replace(rec.action, kind="descend"))
+                            action=rec.action._replace(kind="descend"))
     report = check_settlement_facts(mutated)
     assert report.status == "fail"
     assert {"status": "fail", "t": rec.t, "law": "terminal action kind",
@@ -871,7 +894,7 @@ def test_settlement_matches_per_depth_loop_on_flipped_bits(engine, config):
         depth = rng.choice(ones)
         word = rec.settled[:depth] + "0" + rec.settled[depth + 1:]
         mutant = mutate_record(trace, rec.t, settled=word,
-                               action=dataclasses.replace(rec.action, sigma=word))
+                               action=rec.action._replace(sigma=word))
         report = assert_settlement_matches_reference(mutant)
         assert report["status"] == "fail"
         past_head += any(w["law"] == "descent bit" and len(w["rho"]) >= head
@@ -905,6 +928,7 @@ def test_settlement_asks_only_configured_depths(monkeypatch):
 
 
 def summing_jump_sums(trace: Trace) -> dict:
+    # also holds an immediate threat jump's own stage to the scheduled amount
     findings = []
     index = trace.index
     try:
@@ -937,6 +961,12 @@ def summing_jump_sums(trace: Trace) -> dict:
         for t in fiber[bisect_left(fiber, t1):bisect_left(fiber, end)]:
             total = total + index.jumps[t]
         status, note = verify._classify_episode(total, bound, t2, interrupted_at)
+        if status != "fail" and kind == THREAT_JUMP:
+            own = Dyadic(0)
+            for t in fiber[bisect_left(fiber, t1):bisect_left(fiber, t1 + 1)]:
+                own = own + index.jumps[t]
+            if own != bound:
+                status, note = "fail", "threat jump differs from the scheduled amount"
         findings.append(
             (status, {"episode": label, "sigma": sigma, "t1": t1, "t2": t2,
                       "sum": str(total), "bound": str(bound), "note": note})
@@ -1038,6 +1068,16 @@ def test_payment_reports_match_summing_loops_on_mutants(engine):
     for kind in changed:
         assert set(changed[kind]) == set(original), kind
         assert min(changed[kind].values()) >= 3, (kind, changed[kind])
+
+
+@pytest.mark.parametrize("engine,count", [("A", 30), ("B", 153)])
+def test_every_accepted_jump_value_edit_fails_a_check(engine, count):
+    trace = run_engine(EngineState(registry_from_config(DEFAULT_CONFIG), engine), 60)
+    edits = jump_value_edits(trace)
+    assert len(edits) == count
+    for mutant in edits:
+        failed = [r.check for r in run_checks(mutant) if r.status == "fail"]
+        assert failed, [rec.t for rec, old in zip(mutant.stages, trace.stages) if rec != old]
 
 
 @pytest.mark.parametrize("engine", ["A", "B"])
