@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -215,25 +214,27 @@ def _header_line(trace: Trace, created_at: str | None) -> str:
 
 def _record_line(rec: StageRecord) -> str:
     """A record's line: an action key only for a field the action uses."""
-    act = rec.action
-    action = {"kind": act.kind, "sigma": act.sigma}
-    if act.gamma is not None:
-        action["gamma"] = act.gamma
-    if act.counter is not None:
-        action["counter"] = act.counter
-    if act.alpha is not None:
-        action["alpha"] = act.alpha
-    if act.k is not None:
-        action["k"] = act.k
-    if act.exponent is not None:
-        action["exponent"] = act.exponent
+    # unpacked once: a named tuple's field read costs more than a local
+    t, settled, act, jump, regions, writes = rec
+    kind, sigma, gamma, counter, alpha, k, exponent = act
+    action = {"kind": kind, "sigma": sigma}
+    if gamma is not None:
+        action["gamma"] = gamma
+    if counter is not None:
+        action["counter"] = counter
+    if alpha is not None:
+        action["alpha"] = alpha
+    if k is not None:
+        action["k"] = k
+    if exponent is not None:
+        action["exponent"] = exponent
     return _ENCODE({
-        "t": rec.t,
-        "settled": rec.settled,
+        "t": t,
+        "settled": settled,
         "action": action,
-        "jump": rec.jump.to_json(),
-        "init_regions": rec.init_regions,
-        "param_writes": rec.param_writes,
+        "jump": jump.to_json(),
+        "init_regions": regions,
+        "param_writes": writes,
     })
 
 
@@ -284,9 +285,6 @@ def _check_header(header: dict, line: int = 1) -> None:
         raise TraceParseError("phi_config does not match phi_config_digest", line=line)
 
 
-_ZERO_JSON = ZERO.to_json()
-
-
 def _binary_word(word) -> bool:
     """Whether ``word`` is a string over {0,1}: the answer of
     ``not word.strip("01")`` in linear time.  ``strip`` with a character
@@ -306,13 +304,7 @@ def _read_record(text: str, t_next: int, T: int, fields: tuple[str, ...],
         kind = act["kind"]
         sigma, gamma, counter = act.get("sigma", ""), act.get("gamma"), act.get("counter")
         alpha, k, exponent = act.get("alpha"), act.get("k"), act.get("exponent")
-        jump = obj["jump"]
-        # most records carry the canonical zero, which needs no Dyadic built;
-        # False == 0 and 0.0 == 0, so k's type is tested too
-        if jump == _ZERO_JSON and type(jump["k"]) is int:
-            jump = ZERO
-        else:
-            jump = Dyadic.from_json(jump)
+        jump = Dyadic.from_json(obj["jump"])
         regions = tuple([(anchor, rel) for anchor, rel in obj["init_regions"]])
         writes = tuple([(s, fld, v) for s, fld, v in obj["param_writes"]])
     except (KeyError, ValueError, TypeError) as exc:
@@ -450,16 +442,15 @@ class TraceIndex:
         self.jumps: dict[int, Dyadic] = {}  # positive jumps by stage
         self.init_events: list[tuple[int, BinStr, str]] = []
         self.writes: dict[tuple[BinStr, str], list[tuple[int, int]]] = {}
-        for rec in trace.stages:
-            t = rec.t
-            self.settlements.append(rec.settled)
-            if rec.action.kind in THREAT_KINDS:
-                self.threats.setdefault(rec.settled, []).append(t)
-            if rec.jump.sign() > 0:
-                self.jumps[t] = rec.jump
-            for anchor, rel in rec.init_regions:
+        for t, settled, action, jump, regions, writes in trace.stages:
+            self.settlements.append(settled)
+            if action.kind in THREAT_KINDS:
+                self.threats.setdefault(settled, []).append(t)
+            if jump.sign() > 0:
+                self.jumps[t] = jump
+            for anchor, rel in regions:
                 self.init_events.append((t, anchor, rel))
-            for s, f, v in rec.param_writes:
+            for s, f, v in writes:
                 self.writes.setdefault((s, f), []).append((t, v))
         # strategies with an explicit write, in order of their first write
         self.written = list(dict.fromkeys(s for s, _ in self.writes))
@@ -618,22 +609,34 @@ def write_sequence_csv(x: list[Dyadic], path: str) -> None:
 
     Every mantissa is written in full.  Engine B's mantissa grows by about
     one bit per two stages, past the 4300 decimal digits to which Python
-    limits int-to-text conversion by default, so the writer lifts that
-    limit while it writes and restores it afterwards.  Interpreters without
-    the limit have no ``sys.get_int_max_str_digits``.  The reader keeps the
-    limit as a guard on its input.
+    limits int-to-text conversion by default; such a mantissa goes through
+    :func:`_decimal`, and the limit, a process-wide setting, is left alone.
+    The reader keeps the limit as a guard on its input.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,mantissa,exponent\n")
-            for t, val in enumerate(x):
-                fh.write(f"{t},{val.m},{val.k}\n")
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,mantissa,exponent\n")
+        for t, val in enumerate(x):
+            try:
+                row = f"{t},{val.m},{val.k}\n"
+            except ValueError:  # the mantissa is past the int-to-text limit
+                row = f"{t},{_decimal(val.m)},{val.k}\n"
+            fh.write(row)
+
+
+# a power of ten with fewer digits than the least int-to-text limit (640)
+_DIGIT_CHUNK = 10 ** 600
+
+
+def _decimal(n: int) -> str:
+    """Decimal text of ``n`` however many digits it has, converted 600 digits
+    at a time, so whatever int-to-text limit is set never applies."""
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= _DIGIT_CHUNK:
+        n, low = divmod(n, _DIGIT_CHUNK)
+        chunks.append(f"{low:0600d}")
+    chunks.append(str(n))
+    return sign + "".join(reversed(chunks))
 
 
 def read_sequence_csv(path: str) -> list[Dyadic]:

@@ -307,7 +307,7 @@ def check_jump_sums(trace: Trace) -> Report:
     and no initialisation in between must see jumps attributed to t1 sum to
     exactly 2**-w; a counter episode likewise to 2**-r.  Episodes truncated
     by the horizon only need the one-sided bound.  An immediate threat jump
-    pays all of 2**-w at its own stage, so its stage alone must pay exactly
+    pays all of 2**-w at its own stage, so its own jump must be exactly
     that, wherever the episode ends.
     """
     findings: list[tuple[str, dict]] = []
@@ -340,7 +340,7 @@ def check_jump_sums(trace: Trace) -> Report:
         interrupted_at = index.first_initialisation_in(sigma, t1, end)
         total = index.paid(origin, t1, end)
         status, note = _classify_episode(total, bound, t2, interrupted_at)
-        if status != "fail" and kind == THREAT_JUMP and index.paid(t1, t1, t1 + 1) != bound:
+        if status != "fail" and kind == THREAT_JUMP and rec.jump != bound:
             status, note = "fail", "threat jump differs from the scheduled amount"
         findings.append(
             (status, {"episode": label, "sigma": sigma, "t1": t1, "t2": t2,

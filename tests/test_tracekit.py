@@ -261,16 +261,26 @@ def test_sequence_csv_writes_mantissas_past_the_int_text_limit(tmp_path):
     # 10**5000 + 1 has 5001 decimal digits, past the 4300 to which Python
     # limits int-to-text conversion by default
     wide = Dyadic(10**5000 + 1, 3)
+    digits = "1" + "0" * 4999 + "1"
     get_limit = getattr(sys, "get_int_max_str_digits", None)
     before = get_limit() if get_limit else None
     path = tmp_path / "seq.csv"
-    write_sequence_csv([ZERO, wide], str(path))
-    assert path.read_text().split("\n")[1:] == ["0,0,0", "1,1" + "0" * 4999 + "1,3", ""]
+    write_sequence_csv([ZERO, wide, -wide], str(path))
+    rows = ["0,0,0", f"1,{digits},3", f"2,-{digits},3", ""]
+    assert path.read_text().split("\n")[1:] == rows
     with pytest.raises(OSError):
         write_sequence_csv([wide], str(tmp_path / "missing" / "seq.csv"))
     if not before:
         return  # an interpreter without the limit reads the file back
     assert get_limit() == before
+    # the least limit Python allows is 640 digits
+    sys.set_int_max_str_digits(640)
+    try:
+        write_sequence_csv([ZERO, wide, -wide], str(tmp_path / "low.csv"))
+        assert get_limit() == 640
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert (tmp_path / "low.csv").read_text().split("\n")[1:] == rows
     # the reader keeps the limit as its guard on input
     with pytest.raises(ValueError, match="line 3: Exceeds the limit") as err:
         read_sequence_csv(str(path))
@@ -563,8 +573,9 @@ def test_record_reader_matches_two_step_loader_on_mutants(engine):
     assert seen == set(_REJECTIONS)
 
 
-# the canonical zero jump {"m":"0","k":0} is read without a Dyadic built;
-# each of these is a near miss that the reader must refuse as from_json does
+# near misses of the canonical zero jump {"m":"0","k":0}, which most engine A
+# records carry; False == 0 and 0.0 == 0, so a zero test on values alone
+# would accept the first two
 ZERO_JUMP_NEAR_MISSES = {
     "k_false": {"m": "0", "k": False},
     "k_float": {"m": "0", "k": 0.0},
