@@ -48,7 +48,7 @@ log them.
 
 from __future__ import annotations
 
-from .dyadic import ZERO, Dyadic, gap_cmp, pow2
+from .dyadic import ZERO, Dyadic, pow2
 from .phi import PhiRegistry
 from .strings import REL_LEX, REL_LEX_OR_EXT, BinStr, nu, pair, region_contains, unpair
 from .tracekit import (
@@ -62,6 +62,7 @@ from .tracekit import (
     StageRecord,
     Trace,
     TraceCorruption,
+    gap_below,
 )
 
 __all__ = [
@@ -74,14 +75,13 @@ __all__ = [
 
 
 class _Params:
-    """Materialised parameter block of one strategy (current values)."""
+    """Materialised parameter block of one strategy (current values), one
+    slot per parameter field name."""
 
-    __slots__ = ("c", "r", "flag", "w")
+    __slots__ = ("c", "r", "w", "s", "p")
 
-    def __init__(self, c: int, r: int, flag: int, w: int):
-        self.c = c
-        self.r = r
-        self.flag = flag
+    def __init__(self, w: int):
+        self.c = self.r = self.s = self.p = 0
         self.w = w
 
 
@@ -130,7 +130,7 @@ class EngineState:
         if len(sigma) <= self._max_param_len:
             p = self.params.get(sigma)
             if p is not None:
-                return p.flag if fld == self.flag_field else getattr(p, fld)
+                return getattr(p, fld)
         if fld == "w":
             return self._lazy_w(sigma)
         return 0
@@ -154,27 +154,18 @@ class EngineState:
 
     # -- predicates ----------------------------------------------------------
 
-    def _gap_below(self, e: int, l: int, exponent: int) -> bool:
-        """Exact test x_t - x_{phi_e(l)} < 2**-exponent."""
-        v = self.registry.step(e, l, self.t)
-        if v is None or v > self.t:
-            raise TraceCorruption(
-                f"chain length {l} of slot {e} not convergent at stage {self.t}"
-            )
-        return gap_cmp(self.x[self.t], self.x[v], exponent) < 0
-
-    def _threat_info(self, sigma: BinStr, e: int) -> tuple[bool, int, int | None, int]:
-        """(threatened, flag, witness-or-None, chain length) for this substage."""
+    def _threat_info(self, sigma: BinStr, e: int) -> tuple[bool, int, int | None]:
+        """(threatened, flag, witness-or-None) for this substage."""
         flag = self._read(sigma, self.flag_field)
         if flag != 0:
-            return False, flag, None, -2
+            return False, flag, None
         l = self.registry.ell(e, self.t) if e in self._configured else -1
         if l < 0:
-            return False, flag, None, l
+            return False, flag, None
         w = self._read(sigma, "w")
         if l < w:
-            return False, flag, w, l
-        return self._gap_below(e, l, w), flag, w, l
+            return False, flag, w
+        return gap_below(self.registry, self.x, e, l, self.t, w), flag, w
 
     def _expansion_info(self, sigma: BinStr, e: int, flag: int) -> tuple[bool, int | None]:
         """(expansionary, restraint-or-None); flag was already read."""
@@ -185,7 +176,7 @@ class EngineState:
         if l < 0:
             return False, None
         r = self._read(sigma, "r")
-        return self._gap_below(e, l, r), r
+        return gap_below(self.registry, self.x, e, l, self.t, r), r
 
 
 def new_engine_a(registry: PhiRegistry, record_reads: bool = False) -> EngineState:
@@ -225,7 +216,7 @@ def run_stage(state: EngineState) -> StageRecord:
             region = (sigma, REL_LEX)
             break
 
-        threatened, flag, w, _l = state._threat_info(sigma, e)
+        threatened, flag, w = state._threat_info(sigma, e)
 
         # B: an unthreatened visit lifts the pause flag
         if variant_b and not threatened and flag != 0:
@@ -314,14 +305,11 @@ def run_stage(state: EngineState) -> StageRecord:
             )
         p = state.params.get(s)
         if p is None:
-            p = state.params[s] = _Params(0, 0, 0, state._lazy_w(s))
+            p = state.params[s] = _Params(state._lazy_w(s))
             state._w_scan.pop(s, None)
             if len(s) > state._max_param_len:
                 state._max_param_len = len(s)
-        if fld == flag_field:
-            p.flag = val
-        else:
-            setattr(p, fld, val)
+        setattr(p, fld, val)
 
     state.init_events.append((t, anchor, rel))
     for s, p in state.params.items():
@@ -330,7 +318,7 @@ def run_stage(state: EngineState) -> StageRecord:
             p.w = nu(s) + t + 2
             # A: initialisation also clears the satisfaction flag
             if not variant_b:
-                p.flag = 0
+                p.s = 0
 
     # positional: a named tuple builds in half the time that way
     record = StageRecord(t, sigma, action, jump, ((anchor, rel),), tuple(state._write_order))

@@ -17,7 +17,9 @@ of each strategy, the stages whose initialisation region covers a
 strategy, every parameter's timeline (``TraceIndex.value``), and the
 attribution of every jump to the threat that caused it (``fibers``), with
 each fibre's running sums, so that what any range of stages paid to one
-threat is one subtraction (``paid``).  A trace owns its index:
+threat is one subtraction (``paid``).  The index re-evaluates the
+substage predicates (``threatened``, ``expansionary``) with the gap test
+the engine also calls (:func:`gap_below`).  A trace owns its index:
 ``Trace.index`` builds it on first use, so every reader of one trace shares
 it.
 """
@@ -32,7 +34,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
-from .dyadic import MAX_EXPONENT, ZERO, Dyadic
+from .dyadic import MAX_EXPONENT, ZERO, Dyadic, gap_cmp
 from .phi import PhiRegistry, config_digest
 # perfbench/tracing.py also counts region membership as tracekit.region_contains
 from .strings import (
@@ -65,6 +67,7 @@ __all__ = [
     "serialize_stamped",
     "deserialize",
     "TraceIndex",
+    "gap_below",
     "write_sequence_csv",
     "read_sequence_csv",
     "read_csv_table",
@@ -347,6 +350,9 @@ def _read_record(text: str, t_next: int, T: int, fields: tuple[str, ...],
         raise TraceParseError(f"jump/action mismatch at stage {t}", line=line)
     if jump.m < 0:
         raise TraceParseError(f"negative jump at stage {t}", line=line)
+    if kind in JUMP_KINDS and (jump.m != 1 or jump.k != exponent):
+        raise TraceParseError(f"jump at stage {t} is not 2**-exponent "
+                              f"(exponent {exponent!r})", line=line)
     if jump.k > T:
         raise TraceParseError(f"jump exponent {jump.k} at stage {t} exceeds T={T}", line=line)
     return StageRecord(t, settled, Action(kind, sigma, gamma, counter, alpha, k, exponent),
@@ -378,7 +384,9 @@ def deserialize(data: bytes) -> Trace:
        is natural, as the engine writes them: the checkers take powers of
        two of minus a restraint or witness;
     7. the stage number is the record's position;
-    8. the jump is positive exactly on a jump action, and never negative;
+    8. the jump is positive exactly on a jump action, and never negative,
+       and a jump action's integer exponent states its jump:
+       jump == 2**-exponent;
     9. the jump's exponent is at most T: a positive jump at stage t is
        2**-w with w <= l <= t, or 2**-r with r <= t, and x aligns
        mantissas by it when it adds the jump.
@@ -427,12 +435,8 @@ class TraceIndex:
     strategies asked about: materialising them for every prefix of every
     settlement would cost O(T * depth).
 
-    ``expansionary`` is the memo of the checkers' expansion predicate, a
-    pure function of the trace: (sigma, t) maps to its result, so every
-    checker of the trace evaluates each pair once.  It holds results only,
-    never exceptions: a TraceCorruption raised while evaluating a pair is
-    raised again at the next query, so a check's findings do not depend on
-    which checks ran before it.
+    Of the substage predicates, the expansion test, which three checkers
+    ask, is evaluated once per (sigma, t) (:meth:`expansionary`).
     """
 
     def __init__(self, trace: Trace):
@@ -457,7 +461,7 @@ class TraceIndex:
         self._inits: dict[BinStr, list[int]] = {}
         self._apps: dict[BinStr, list[int]] = {}
         self._cp: dict[tuple[BinStr, str], tuple[list[int], list[int]]] = {}
-        self.expansionary: dict[tuple[BinStr, int], bool] = {}
+        self._expansions: dict[tuple[BinStr, int], bool] = {}
 
     def written_to(self, fld: str) -> list[BinStr]:
         """Sorted strategies with an explicit write to one field."""
@@ -535,6 +539,51 @@ class TraceIndex:
         times, values = self._cp.get((sigma, fld)) or self.changepoints(sigma, fld)
         return values[bisect_right(times, t) - 1]
 
+    # -- substage predicates -----------------------------------------------
+
+    def threatened(self, sigma: BinStr, t: int) -> bool:
+        """The threat predicate of sigma at stage t."""
+        trace = self.trace
+        if self.value(sigma, trace.flag_field, t) != 0:
+            return False
+        e = len(sigma)
+        l = trace.registry.ell(e, t)
+        if l < 0:
+            return False
+        w = self.value(sigma, "w", t)
+        if l < w:
+            return False
+        return gap_below(trace.registry, trace.x, e, l, t, w)
+
+    def expansionary(self, sigma: BinStr, t: int) -> bool:
+        """The expansion predicate of sigma at stage t, a pure function of
+        the trace, evaluated once per (sigma, t) and kept.
+
+        Only results are kept, never exceptions: a TraceCorruption raised
+        while evaluating a pair is raised again at the next query, so a
+        check's findings do not depend on which checks ran before it.
+        """
+        found = self._expansions.get((sigma, t))
+        if found is None:
+            found = self._expansions[sigma, t] = self._expansion_test(sigma, t)
+        return found
+
+    def _expansion_test(self, sigma: BinStr, t: int) -> bool:
+        """The expansion predicate evaluated afresh (engine A: flag set)."""
+        trace = self.trace
+        if trace.engine == "A" and self.value(sigma, trace.flag_field, t) != 1:
+            return False
+        e = len(sigma)
+        l = trace.registry.ell(e, t)
+        if l < 0:
+            return False
+        return gap_below(trace.registry, trace.x, e, l, t, self.value(sigma, "r", t))
+
+    def expansionary_stages(self, sigma: BinStr, t0: int) -> list[int]:
+        """Applications of sigma from stage t0 on at which it is expansionary."""
+        apps = self.applications(sigma)
+        return [t for t in apps[bisect_left(apps, t0):] if self.expansionary(sigma, t)]
+
     # -- jump attribution --------------------------------------------------
 
     def episode_origin(self, rec: StageRecord) -> int | None:
@@ -597,6 +646,18 @@ class TraceIndex:
         """First stage t with x[t + 1] < x[t], or None if x never decreases."""
         x = self.trace.x
         return next((t for t in range(self.trace.T) if x[t + 1] < x[t]), None)
+
+
+def gap_below(registry: PhiRegistry, x: list[Dyadic], e: int, l: int, t: int,
+              exponent: int) -> bool:
+    """The exact test x_t - x_{phi_e(l)} < 2**-exponent, with l the chain
+    length of slot e at stage t that the caller has already read; a chain
+    value not visible by stage t (a registry the run did not use) raises
+    TraceCorruption."""
+    v = registry.step(e, l, t)
+    if v is None or v > t:
+        raise TraceCorruption(f"slot {e} chain inconsistent at stage {t}")
+    return gap_cmp(x[t], x[v], exponent) < 0
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ trace's own ``tracekit.TraceIndex`` (``trace.index``), so the checkers share
 one index whether ``run_checks`` runs them or a caller runs one alone.
 What an episode paid comes from the running sums of the jumps attributed to
 its threat (``TraceIndex.paid``, ``TraceIndex.fiber_sums``).  The
-expansion predicate's results are kept on that index as well
-(``TraceIndex.expansionary``).
+substage predicates come from that index as well
+(``TraceIndex.threatened``, ``TraceIndex.expansionary``).
 Slot values come from the registry that the trace's embedded configuration
 builds (``trace.registry``), likewise built once per trace.  The loader
 (``tracekit.deserialize``) has already checked that configuration against
@@ -104,60 +104,6 @@ def _make_report(check: str, findings: list[tuple[str, dict]], assumptions=None)
         assumptions=list(assumptions or []),
         counts=dict(counts),
     )
-
-
-def _gap_below(trace: Trace, e: int, l: int, t: int, exponent: int) -> bool:
-    """The exact test x_t - x_{phi_e(l)} < 2**-exponent, with l the chain
-    length of slot e at stage t that the caller has already read."""
-    v = trace.registry.step(e, l, t)
-    if v is None or v > t:
-        raise TraceCorruption(f"slot {e} chain inconsistent at stage {t}")
-    return gap_cmp(trace.x[t], trace.x[v], exponent) < 0
-
-
-def _threatened(trace: Trace, sigma: BinStr, t: int) -> bool:
-    """The threat predicate of sigma at stage t, re-evaluated from the trace."""
-    index = trace.index
-    if index.value(sigma, trace.flag_field, t) != 0:
-        return False
-    e = len(sigma)
-    l = trace.registry.ell(e, t)
-    if l < 0:
-        return False
-    w = index.value(sigma, "w", t)
-    if l < w:
-        return False
-    return _gap_below(trace, e, l, t, w)
-
-
-def _expansionary(trace: Trace, sigma: BinStr, t: int) -> bool:
-    """The expansion predicate of sigma at stage t, evaluated once per trace
-    and kept in ``trace.index.expansionary``; a TraceCorruption it raises is
-    not kept, so it is raised again at every call."""
-    memo = trace.index.expansionary
-    found = memo.get((sigma, t))
-    if found is None:
-        found = memo[sigma, t] = _expansion_test(trace, sigma, t)
-    return found
-
-
-def _expansion_test(trace: Trace, sigma: BinStr, t: int) -> bool:
-    """The expansion predicate of sigma at stage t, re-evaluated from the
-    trace; engine A also needs sigma's flag set."""
-    index = trace.index
-    if trace.engine == "A" and index.value(sigma, trace.flag_field, t) != 1:
-        return False
-    e = len(sigma)
-    l = trace.registry.ell(e, t)
-    if l < 0:
-        return False
-    return _gap_below(trace, e, l, t, index.value(sigma, "r", t))
-
-
-def _expansionary_stages(trace: Trace, sigma: BinStr, t0: int) -> list[int]:
-    """Applications of sigma from stage t0 on at which it is expansionary."""
-    apps = trace.index.applications(sigma)
-    return [t for t in apps[bisect_left(apps, t0):] if _expansionary(trace, sigma, t)]
 
 
 class _PastBound(Exception):
@@ -537,7 +483,7 @@ def check_requirement_P(trace: Trace, e: int = 0) -> Report:
         return (r_here >= n + 3
                 and gap_cmp(_witness_sum(trace, est.path, e, t), ZERO, n + 1) <= 0)
 
-    exp_stages = _expansionary_stages(trace, sigma, t0)
+    exp_stages = index.expansionary_stages(sigma, t0)
     for t in exp_stages:
         r_here = index.value(sigma, "r", t)
         if r_here > t:
@@ -649,10 +595,10 @@ def check_settlement_facts(trace: Trace) -> Report:
             for depth in range(min(len(settled), head)):
                 rho = settled[:depth]
                 if depth in configured:
-                    if _threatened(trace, rho, t):
+                    if index.threatened(rho, t):
                         violation(t=t, law="threatened prefix passed over", rho=rho)
                         break
-                    if _expansionary(trace, rho, t):
+                    if index.expansionary(rho, t):
                         if index.value(rho, "c", t) != 0:
                             violation(t=t, law="pending counter passed over", rho=rho)
                             break
@@ -672,14 +618,14 @@ def check_settlement_facts(trace: Trace) -> Report:
                               got="0")
             # the settled strategy itself must justify the terminal action
             if kind != TOP_OUT:
-                thr = _threatened(trace, settled, t) if len(settled) in configured else False
+                thr = index.threatened(settled, t) if len(settled) in configured else False
                 if kind in THREAT_KINDS and not thr:
                     violation(t=t, law="threat action without threat", sigma=settled)
                 if kind in EXPANSION_KINDS:
                     if thr:
                         violation(t=t, law="counter action while threatened",
                                   sigma=settled)
-                    elif not (len(settled) in configured and _expansionary(trace, settled, t)):
+                    elif not (len(settled) in configured and index.expansionary(settled, t)):
                         violation(t=t, law="counter action without expansion",
                                   sigma=settled)
                     elif index.value(settled, "c", t) == 0:
@@ -798,7 +744,7 @@ def check_expansion_gap_bound(trace: Trace) -> Report:
         if length not in configured:
             continue  # ell is -1 for an empty slot: never expansionary
         t0 = _stability_start(trace, est.path, length)
-        exp_stages = _expansionary_stages(trace, sigma, t0)
+        exp_stages = index.expansionary_stages(sigma, t0)
         pairs = 0
         for t1, t2 in zip(exp_stages, exp_stages[1:]):
             try:

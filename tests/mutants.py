@@ -3,8 +3,8 @@ hostile-input gate.
 
 ``single_record_mutants`` replaces one leaf of one stage record and keeps
 the traces the loader accepts.  ``jump_value_edits`` rescales the jump of
-one record, keeping the action, so that only the amounts paid to the
-threats change.
+one record together with the exponent that states it, keeping the action
+kind, so that only the amounts paid to the threats change.
 """
 
 import json
@@ -16,13 +16,12 @@ from injurybench.tracekit import Trace, TraceParseError, deserialize, serialize
 _LEAF_VALUES = [-1, 0, 1, 2, 3, 5, 9, 30, 61, "", "0", "1", "01", "10", "11", "110",
                 "lex_gt", "lex_gt_or_ext", "top_out", "threat_jump", None, []]
 
-# Rescalings of a positive jump.  Lowering the exponent by one is the same
-# value as doubling whenever the loader accepts it (the mantissa is odd), so
-# the third edit is three halves, which is no longer a power of two.
+# Rescalings of a positive jump 2**-exponent, with the exponent change that
+# keeps the action's exponent stating the jump.  The loader rejects any other
+# jump value, such as three halves of it, which is no power of two.
 JUMP_EDITS = {
-    "doubled": lambda j: j + j,
-    "halved": lambda j: j * Dyadic(1, 1),
-    "three-halves": lambda j: j + j * Dyadic(1, 1),
+    "doubled": (lambda j: j + j, -1),
+    "halved": (lambda j: j * Dyadic(1, 1), +1),
 }
 
 
@@ -77,15 +76,16 @@ def single_record_mutants(trace: Trace, count: int, seed: int):
 def jump_value_edits(trace: Trace) -> list[Trace]:
     """Every :data:`JUMP_EDITS` edit of every positive jump that the loader
     accepts, in stage order.  A halved jump whose exponent passes T is
-    rejected."""
+    rejected, and so is a doubled jump of exponent 0."""
     head, records = _lines(trace)
     out = []
     for rec in trace.stages:
         if rec.jump.sign() <= 0:
             continue
-        for edit in JUMP_EDITS.values():
+        for edit, shift in JUMP_EDITS.values():
             obj = json.loads(records[rec.t])
             obj["jump"] = edit(rec.jump).to_json()
+            obj["action"]["exponent"] += shift
             mutant = _accepted(head, records, rec.t, obj)
             if mutant is not None:
                 out.append(mutant)

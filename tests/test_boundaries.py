@@ -4,7 +4,8 @@ The replay oracle must stay independent of the engine it cross-checks, so
 it may import only the primitives ``strings``, ``dyadic`` and ``phi``.  The
 checkers analyse finished traces and must not import the engine either.
 The package has no runtime dependencies: its command line loads nothing
-outside the standard library.
+outside the standard library.  Every name a module imports is used there
+or re-exported through its ``__all__``, so a move leaves no stale import.
 """
 
 import ast
@@ -44,6 +45,25 @@ def package_imports(module: str) -> set[str]:
     return found
 
 
+def unused_imports(module: str) -> list[str]:
+    """Names that ``module`` imports but neither reads nor lists in its
+    ``__all__``; ``from __future__`` imports are directives, not names."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    imported, exported, read = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    return sorted(imported - exported - read)
+
+
 def test_replay_imports_only_primitives():
     imports = package_imports("replay")
     assert imports, "no package import found: the parser missed them"
@@ -72,3 +92,10 @@ def test_cli_imports_only_the_standard_library():
     assert "injurybench" in added
     outside = sorted(added - set(sys.stdlib_module_names) - {"injurybench"})
     assert not outside, outside
+
+
+def test_every_import_is_used_or_exported():
+    modules = sorted(path.stem for path in SRC.glob("*.py"))
+    assert {"__init__", "engine", "tracekit", "verify"} <= set(modules)
+    unused = {module: names for module in modules if (names := unused_imports(module))}
+    assert not unused, unused

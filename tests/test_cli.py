@@ -103,17 +103,18 @@ def test_verify_corrupted_trace(run_dir, tmp_path):
 
 
 def test_verify_mutated_trace_fails(run_dir, tmp_path):
-    # inflate a recorded jump in the raw JSONL: checks must go red
+    # inflate every recorded jump to 1 in the raw JSONL, with the exponent
+    # that states it: x_T passes 4 and checks must go red
     lines = (run_dir / "trace.jsonl").read_bytes().decode().rstrip("\n").split("\n")
-    changed = None
+    changed = 0
     for i, line in enumerate(lines[1:], start=1):
         obj = json.loads(line)
         if obj["jump"]["m"] != "0":
-            obj["jump"] = {"m": "5", "k": 0}
+            obj["jump"] = {"m": "1", "k": 0}
+            obj["action"]["exponent"] = 0
             lines[i] = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-            changed = i
-            break
-    assert changed is not None
+            changed += 1
+    assert changed >= 4
     mutated = tmp_path / "mutated.jsonl"
     mutated.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["verify", str(mutated), "--checks", "convergence"]) == 1

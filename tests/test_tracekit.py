@@ -357,6 +357,37 @@ def test_loader_rejects_non_integer_numbers(trace_a, field):
     assert "\n" not in str(err.value)
 
 
+def _scale_jump(factor: Dyadic):
+    def mutate(obj):
+        obj["jump"] = (Dyadic.from_json(obj["jump"]) * factor).to_json()
+    return mutate
+
+
+def _shift_exponent(shift: int):
+    def mutate(obj):
+        obj["action"]["exponent"] += shift
+    return mutate
+
+
+# a jump action whose exponent and jump disagree: the record states two jumps
+EXPONENT_MISMATCHES = {
+    "jump_three_halves": _scale_jump(Dyadic(3, 1)),
+    "jump_five": _set(["jump"], {"m": "5", "k": 0}),
+    "exponent_plus_one": _shift_exponent(1),
+    "exponent_minus_one": _shift_exponent(-1),
+    "exponent_absent": lambda obj: obj["action"].pop("exponent"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(EXPONENT_MISMATCHES))
+def test_loader_rejects_a_jump_that_its_exponent_does_not_state(trace_a, edit):
+    data, line = _mutate_first(trace_a, lambda o: o["jump"]["k"] > 0, EXPONENT_MISMATCHES[edit])
+    with pytest.raises(TraceParseError, match=r"is not 2\*\*-exponent") as err:
+        deserialize(data)
+    assert err.value.line == line
+    assert "\n" not in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # The one-pass record reader against a two-step reference loader
 
@@ -438,6 +469,9 @@ def _two_step_load(data: bytes) -> Trace:
             raise TraceParseError(f"jump/action mismatch at stage {rec.t}", line=i)
         if rec.jump.sign() < 0:
             raise TraceParseError(f"negative jump at stage {rec.t}", line=i)
+        if rec.action.kind in JUMP_KINDS and (rec.jump.m, rec.jump.k) != (1, rec.action.exponent):
+            raise TraceParseError(f"jump at stage {rec.t} is not 2**-exponent "
+                                  f"(exponent {rec.action.exponent!r})", line=i)
         if rec.jump.k > T:
             raise TraceParseError(
                 f"jump exponent {rec.jump.k} at stage {rec.t} exceeds T={T}", line=i
@@ -532,6 +566,9 @@ def _record_mutant(data: bytes, rng) -> bytes:
             elif isinstance(obj, dict) and isinstance(obj.get("action"), dict):
                 obj["jump"] = rng.choice(_JUMPS)
                 obj["action"]["kind"] = rng.choice(_STRINGS[-5:])
+                # the exponent that states the drawn jump, so that a jump
+                # past T reaches the loader's bound on it
+                obj["action"]["exponent"] = obj["jump"]["k"]
             records[i] = json.dumps(obj, sort_keys=True, separators=(",", ":"),
                                     ensure_ascii=rng.random() < 0.5)
     return ("\n".join([head, *records]) + "\n").encode("utf-8")
@@ -547,7 +584,8 @@ def _outcome(load, data: bytes):
 # the start of every rejection text the record reader can give
 _REJECTIONS = ("bad stage record", "action kind", "is not an integer", "is not a binary word",
                "unknown region relation", "unknown parameter field", "is negative",
-               "out of order", "jump/action mismatch", "negative jump", "exceeds T")
+               "out of order", "jump/action mismatch", "negative jump", "is not 2**-exponent",
+               "exceeds T")
 
 
 @pytest.mark.parametrize("engine", ["A", "B"])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from injurybench.dyadic import Dyadic, ZERO, gap_cmp, pow2
-from injurybench.engine import EngineState, run_engine
+from injurybench.engine import EngineState, run_engine, run_stage
 from injurybench.phi import DEFAULT_CONFIG, PhiRegistry, registry_from_config
 from injurybench.strings import (
     lex_less,
@@ -171,6 +171,7 @@ def test_jump_sums_holds_a_last_stage_threat_jump_to_its_schedule():
             "t2": None, "sum": "1/2^29", "bound": "1/2^29",
             "note": "next application beyond horizon; weak bound holds"} in clean.witnesses
     rec["jump"] = {"k": 30, "m": "1"}
+    rec["action"]["exponent"] = 30
     records[59] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
     halved = deserialize("\n".join([head, *records]).encode("utf-8"))
     report = check_jump_sums(halved)
@@ -616,7 +617,7 @@ def per_prefix_expansion_gap(trace: Trace, registry) -> dict:
                                             "scope; refusing this prefix"}))
             continue
         t0 = verify._stability_start(trace, est.path, length)
-        exp_stages = verify._expansionary_stages(trace, sigma, t0)
+        exp_stages = trace.index.expansionary_stages(sigma, t0)
         pairs = 0
         for t1, t2 in zip(exp_stages, exp_stages[1:]):
             past = gap_bound_past_bound(index, registry, est.path, length, t1)
@@ -699,18 +700,18 @@ def test_expansion_gap_asks_only_configured_prefixes(monkeypatch):
     configured = registry.configured_indices()
     asked = Counter()
     initialised = []
-    expansionary = verify._expansionary
+    expansionary = TraceIndex.expansionary
     initialisations = TraceIndex.initialisations
 
-    def counting_expansionary(trace, sigma, t):
+    def counting_expansionary(self, sigma, t):
         asked[len(sigma)] += 1
-        return expansionary(trace, sigma, t)
+        return expansionary(self, sigma, t)
 
     def counting_initialisations(self, sigma):
         initialised.append(sigma)
         return initialisations(self, sigma)
 
-    monkeypatch.setattr(verify, "_expansionary", counting_expansionary)
+    monkeypatch.setattr(TraceIndex, "expansionary", counting_expansionary)
     monkeypatch.setattr(TraceIndex, "initialisations", counting_initialisations)
     report = check_expansion_gap_bound(trace)
     assert report.counts["pass"] >= 2
@@ -759,10 +760,10 @@ def per_depth_settlement(trace: Trace) -> dict:
             for depth in range(len(settled)):
                 rho = settled[:depth]
                 if depth in configured:
-                    if verify._threatened(trace, rho, t):
+                    if index.threatened(rho, t):
                         violation(t=t, law="threatened prefix passed over", rho=rho)
                         break
-                    if verify._expansionary(trace, rho, t):
+                    if index.expansionary(rho, t):
                         if index.value(rho, "c", t) != 0:
                             violation(t=t, law="pending counter passed over", rho=rho)
                             break
@@ -776,8 +777,7 @@ def per_depth_settlement(trace: Trace) -> dict:
                               got=settled[depth])
                     break
             if kind != TOP_OUT:
-                thr = (verify._threatened(trace, settled, t)
-                       if len(settled) in configured else False)
+                thr = index.threatened(settled, t) if len(settled) in configured else False
                 if kind in THREAT_KINDS and not thr:
                     violation(t=t, law="threat action without threat", sigma=settled)
                 if kind in EXPANSION_KINDS:
@@ -785,7 +785,7 @@ def per_depth_settlement(trace: Trace) -> dict:
                         violation(t=t, law="counter action while threatened",
                                   sigma=settled)
                     elif not (len(settled) in configured
-                              and verify._expansionary(trace, settled, t)):
+                              and index.expansionary(settled, t)):
                         violation(t=t, law="counter action without expansion",
                                   sigma=settled)
                     elif index.value(settled, "c", t) == 0:
@@ -1070,7 +1070,7 @@ def test_payment_reports_match_summing_loops_on_mutants(engine):
         assert min(changed[kind].values()) >= 3, (kind, changed[kind])
 
 
-@pytest.mark.parametrize("engine,count", [("A", 30), ("B", 153)])
+@pytest.mark.parametrize("engine,count", [("A", 19), ("B", 101)])
 def test_every_accepted_jump_value_edit_fails_a_check(engine, count):
     trace = run_engine(EngineState(registry_from_config(DEFAULT_CONFIG), engine), 60)
     edits = jump_value_edits(trace)
@@ -1120,33 +1120,39 @@ def test_run_checks_evaluates_the_expansion_predicate_once_per_strategy_and_stag
     trace = run_engine(EngineState(registry_from_config(DEFAULT_CONFIG), "B"), 500)
     evaluated = Counter()
     asked = 0
-    body, predicate = verify._expansion_test, verify._expansionary
+    body, predicate = TraceIndex._expansion_test, TraceIndex.expansionary
 
-    def counting_body(trace, sigma, t):
+    def counting_body(self, sigma, t):
         evaluated[sigma, t] += 1
-        return body(trace, sigma, t)
+        return body(self, sigma, t)
 
-    def counting_predicate(trace, sigma, t):
+    def counting_predicate(self, sigma, t):
         nonlocal asked
         asked += 1
-        return predicate(trace, sigma, t)
+        return predicate(self, sigma, t)
 
-    monkeypatch.setattr(verify, "_expansion_test", counting_body)
-    monkeypatch.setattr(verify, "_expansionary", counting_predicate)
+    monkeypatch.setattr(TraceIndex, "_expansion_test", counting_body)
+    monkeypatch.setattr(TraceIndex, "expansionary", counting_predicate)
     reports = run_checks(trace)
     assert all(r.status != "fail" for r in reports)
     assert evaluated and set(evaluated.values()) == {1}
-    assert trace.index.expansionary.keys() == evaluated.keys()
+    assert trace.index._expansions.keys() == evaluated.keys()
     # settlement, requirement_p and expansion_gap ask for the same pairs
     assert asked > 2 * len(evaluated)
 
 
+def _hide_chain_at(registry: PhiRegistry, t_bad: int) -> PhiRegistry:
+    """The registry with its slot values unknown at stage t_bad: every gap
+    test there raises TraceCorruption."""
+    step = registry.step
+    registry.step = lambda e, n, t: None if t == t_bad else step(e, n, t)
+    return registry
+
+
 def _corrupt_at(trace: Trace, t_bad: int) -> Trace:
     """The trace with a registry whose slot values are unknown at stage
-    t_bad, as if checked against a registry its run did not use: every gap
-    test there raises TraceCorruption."""
-    step = trace.registry.step
-    trace.registry.step = lambda e, n, t: None if t == t_bad else step(e, n, t)
+    t_bad, as if checked against a registry its run did not use."""
+    _hide_chain_at(trace.registry, t_bad)
     return trace
 
 
@@ -1159,8 +1165,8 @@ def test_expansion_memo_keeps_no_trace_corruption():
     trace = _corrupt_at(deserialize(data), t_bad)
     for _ in range(2):
         with pytest.raises(TraceCorruption):
-            verify._expansionary(trace, "", t_bad)
-    assert ("", t_bad) not in trace.index.expansionary
+            trace.index.expansionary("", t_bad)
+    assert ("", t_bad) not in trace.index._expansions
 
     def outcome(trace, name):
         try:
@@ -1177,6 +1183,21 @@ def test_expansion_memo_keeps_no_trace_corruption():
     settlement = alone[names.index("settlement")][0]
     assert {"status": "fail", "t": t_bad, "law": "predicate evaluation",
             "error": f"slot 0 chain inconsistent at stage {t_bad}"} in settlement["witnesses"]
+
+
+def test_engine_stops_with_the_gap_test_error_that_settlement_reports():
+    # the engine and the checkers share one gap test: where the registry
+    # hides the chain, a run stops with the error settlement reports there
+    data = serialize(run_engine(EngineState(registry_from_config(DEFAULT_CONFIG), "B"), 120))
+    index = deserialize(data).index
+    t_bad = next(t for t in range(40, 120) if index.value("", "p", t) == 1)
+    state = EngineState(_hide_chain_at(registry_from_config(DEFAULT_CONFIG), t_bad), "B")
+    run_engine(state, t_bad)
+    with pytest.raises(TraceCorruption) as raised:
+        run_stage(state)
+    settlement = check_settlement_facts(_corrupt_at(deserialize(data), t_bad))
+    assert {"status": "fail", "t": t_bad, "law": "predicate evaluation",
+            "error": str(raised.value)} in settlement.witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -1207,8 +1228,8 @@ def test_threat_and_expansion_tests_are_strict_at_the_boundary():
                 6: (True, True)}
     for t, (threatened, expansionary) in expected.items():
         assert (x[t] - x[2] < pow2(-1), x[t] - x[2] < pow2(-2)) == (threatened, expansionary)
-        assert verify._threatened(trace, "", t) is threatened, t
-        assert verify._expansionary(trace, "", t) is expansionary, t
+        assert trace.index.threatened("", t) is threatened, t
+        assert trace.index.expansionary("", t) is expansionary, t
 
 
 @pytest.mark.parametrize("engine", ["A", "B"])
