@@ -106,7 +106,7 @@ class Dyadic:
         then equal the canonical form's own JSON: no other key, m written in
         plain decimal (not ``" 1"``, ``"+1"``, ``"0_1"`` or ``"01"``), m odd
         or k 0, and zero as ``{"m": "0", "k": 0}``.  So one value has one
-        encoding, and a trace re-serialises to its own bytes.
+        encoding, and a dyadic re-serialises to the same JSON object.
         """
         try:
             m, k = int(obj["m"]), obj["k"]

@@ -5,6 +5,11 @@ approximation sequence.  The trace is the single substrate every checker
 consumes, so it is stored as diffable line-oriented JSON: a header object
 followed by one record object per line.  Dyadics are serialised as
 ``{"m": "<int>", "k": <int>}`` string/int pairs so no precision is lost.
+Every line is the compact, key-sorted JSON of ``json.dumps(obj,
+sort_keys=True, separators=(",", ":"))``.  The JSON encoder writes the
+header; a record's keys never change, so its line is one format string
+(:func:`_record_line`) that writes the encoder's bytes for a fraction of
+the encoder's cost.
 
 Initialisations touch infinitely many strategies, so records store them as
 symbolic regions (anchor word plus relation) rather than memberships, and
@@ -196,10 +201,13 @@ class Trace:
 # Serialisation
 
 
-# One encoder writes and one decoder reads every line: json.dumps with
-# non-default arguments would build a new encoder on each call.
+# One encoder writes the header line and one decoder reads every line:
+# json.dumps with non-default arguments would build a new encoder on each
+# call.  _record_line writes the record lines and quotes their strings with
+# the function this encoder quotes strings with.
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _DECODE = json.JSONDecoder().decode
+_QUOTE = json.encoder.encode_basestring_ascii
 
 
 def _header_line(trace: Trace, created_at: str | None) -> str:
@@ -216,34 +224,46 @@ def _header_line(trace: Trace, created_at: str | None) -> str:
 
 
 def _record_line(rec: StageRecord) -> str:
-    """A record's line: an action key only for a field the action uses."""
+    """A record's line: the JSON object ``_ENCODE`` writes for it, with an
+    action key only for a field the action uses.
+
+    The line is one format string with the keys in sorted order.  Every
+    ``str`` leaf is quoted by ``_QUOTE``, as the encoder quotes it, and
+    every ``int`` (the jump's mantissa inside its quotes) is written as
+    ``int.__repr__`` writes it, as the encoder writes it.  So the bytes are
+    the encoder's for every record whose leaves are ``str`` and ``int``:
+    every record the engine or the loader builds.  A ``bool`` leaf, which
+    the encoder would write as ``true``, is written as ``True``, which is
+    no JSON.
+    """
     # unpacked once: a named tuple's field read costs more than a local
     t, settled, act, jump, regions, writes = rec
     kind, sigma, gamma, counter, alpha, k, exponent = act
-    action = {"kind": kind, "sigma": sigma}
-    if gamma is not None:
-        action["gamma"] = gamma
-    if counter is not None:
-        action["counter"] = counter
+    q = _QUOTE
+    head = ""
     if alpha is not None:
-        action["alpha"] = alpha
-    if k is not None:
-        action["k"] = k
+        head += f'"alpha":{q(alpha)},'
+    if counter is not None:
+        head += f'"counter":{counter},'
     if exponent is not None:
-        action["exponent"] = exponent
-    return _ENCODE({
-        "t": t,
-        "settled": settled,
-        "action": action,
-        "jump": jump.to_json(),
-        "init_regions": regions,
-        "param_writes": writes,
-    })
+        head += f'"exponent":{exponent},'
+    if gamma is not None:
+        head += f'"gamma":{q(gamma)},'
+    if k is not None:
+        head += f'"k":{k},'
+    pairs = ",".join([f"[{q(anchor)},{q(rel)}]" for anchor, rel in regions])
+    triples = ",".join([f"[{q(s)},{q(fld)},{v}]" for s, fld, v in writes])
+    return (f'{{"action":{{{head}"kind":{q(kind)},"sigma":{q(sigma)}}},'
+            f'"init_regions":[{pairs}],"jump":{{"k":{jump.k},"m":"{jump.m}"}},'
+            f'"param_writes":[{triples}],"settled":{q(settled)},"t":{t}}}')
 
 
 def serialize(trace: Trace) -> bytes:
     """Lossless line-oriented encoding: header object, then one record per line.
 
+    The header is encoded by ``_ENCODE`` and each record by
+    :func:`_record_line`, which writes the bytes ``_ENCODE`` would write for
+    every trace the engine or the loader builds.
     This canonical form is what :meth:`Trace.digest` covers; a written trace
     file adds the informational ``created_at`` header field
     (:func:`serialize_stamped`).
@@ -297,6 +317,20 @@ def _binary_word(word) -> bool:
     return isinstance(word, str) and not word.replace("0", "").replace("1", "")
 
 
+def _key_fault(obj: dict, act: dict) -> str:
+    """The first key of a record, or else of its action, that the record's
+    line would not be written with: a key that is no field, or a null
+    optional action field."""
+    for key in obj:
+        if key not in StageRecord._fields:
+            return f"unknown record key {key!r}"
+    key = next(key for key, value in act.items() if key not in Action._fields
+               or (value is None and key not in ("kind", "sigma")))
+    if key not in Action._fields:
+        return f"unknown action key {key!r}"
+    return f"action field {key!r} is null"
+
+
 def _read_record(text: str, t_next: int, T: int, fields: tuple[str, ...],
                  line: int) -> StageRecord:
     """The record on one line, checked leaf by leaf from its raw JSON and
@@ -304,18 +338,31 @@ def _read_record(text: str, t_next: int, T: int, fields: tuple[str, ...],
     try:
         obj = _DECODE(text)
         t, settled, act = obj["t"], obj["settled"], obj["action"]
-        kind = act["kind"]
-        sigma, gamma, counter = act.get("sigma", ""), act.get("gamma"), act.get("counter")
+        kind, sigma = act["kind"], act["sigma"]
+        gamma, counter = act.get("gamma"), act.get("counter")
         alpha, k, exponent = act.get("alpha"), act.get("k"), act.get("exponent")
         jump = Dyadic.from_json(obj["jump"])
-        regions = tuple([(anchor, rel) for anchor, rel in obj["init_regions"]])
-        writes = tuple([(s, fld, v) for s, fld, v in obj["param_writes"]])
+        pairs, triples = obj["init_regions"], obj["param_writes"]
+        regions = tuple([(anchor, rel) for anchor, rel in pairs])
+        writes = tuple([(s, fld, v) for s, fld, v in triples])
     except (KeyError, ValueError, TypeError) as exc:
         if text.startswith("\ufeff"):
             # worded as json.loads words it; the decoder alone does not
             exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
         raise TraceParseError(f"bad stage record: {exc}", line=line) from None
 
+    # all six record keys, kind and sigma were read above, and an optional
+    # action field read as None is absent or null, so the count exceeds
+    # 6 + 7 by the unknown keys and the null fields
+    if len(obj) + len(act) + (gamma, counter, alpha, k, exponent).count(None) != 13:
+        raise TraceParseError(_key_fault(obj, act), line=line)
+    if type(pairs) is not list or type(triples) is not list:
+        raise TraceParseError("init_regions or param_writes is not a list", line=line)
+    # a write triple that is no list puts a string where its value goes,
+    # which the integer test below rejects
+    for pair in pairs:
+        if type(pair) is not list:
+            raise TraceParseError(f"region pair {pair!r} is not a list", line=line)
     if not isinstance(kind, str):
         raise TraceParseError(f"action kind {kind!r} is not a string", line=line)
     if type(t) is not int:
@@ -369,10 +416,17 @@ def deserialize(data: bytes) -> Trace:
     file: blank lines are skipped but counted):
 
     1. the line is a JSON object with ``t``, ``settled``, an ``action``
-       object with a ``kind``, a ``jump``, ``init_regions`` pairs and
-       ``param_writes`` triples, and the jump is written in its value's one
-       canonical encoding (``Dyadic.from_json``), so an accepted trace
-       re-serialises to its bytes;
+       object with a ``kind`` and a ``sigma``, a ``jump``, ``init_regions``
+       pairs and ``param_writes`` triples, and the jump is written in its
+       value's one canonical encoding (``Dyadic.from_json``); the object
+       has no other key, the action no key but its optional ``gamma``,
+       ``counter``, ``alpha``, ``k`` and ``exponent``, none of them null,
+       and ``init_regions``, ``param_writes`` and every region pair are
+       JSON lists.  So an accepted record re-serialises to the same JSON
+       value as the decoder reads it: its bytes can differ only in
+       whitespace, key order or string escapes, or where the decoder is
+       lenient (a key repeated on the line counts at its last value, and
+       ``-0`` is 0);
     2. the action kind is a string;
     3. the stage number, every parameter value and the action's counter,
        ``k`` and exponent are JSON integers (not ``true`` or ``1.5``);

@@ -4,11 +4,11 @@ Seeded single-leaf mutants of default A and B traces, the inputs that once
 ended in a traceback (huge restraints, witnesses and jump exponents in a
 trace, negative restraints and witnesses, a huge exponent in a sequence CSV
 or a dyadic literal), jumps in any but the canonical encoding, jumps
-rescaled to another value the loader accepts, and malformed CSV rows and
-literals all run through
-``cli.main`` in one subprocess under a 1.5 GiB address-space limit.  Every run must end in a documented exit code
-(0 pass, 1 fail, 2 usage, 3 incomplete) without a traceback, and a usage
-error is one line.
+rescaled to another value the loader accepts, record edits that the writer
+would write back as another JSON value, and malformed CSV rows and literals
+all run through ``cli.main`` in one subprocess under a 1.5 GiB address-space
+limit.  Every run must end in a documented exit code (0 pass, 1 fail, 2
+usage, 3 incomplete) without a traceback, and a usage error is one line.
 """
 
 import json
@@ -108,6 +108,28 @@ def set_jump_mantissa(m: str):
     return edit
 
 
+def set_key(*path, value):
+    def edit(rec):
+        *parents, last = path
+        for key in parents:
+            rec = rec[key]
+        rec[last] = value
+    return edit
+
+
+# record edits that loaded once but would be written back as another JSON
+# value: a dropped key, or a null or a non-list read as absent or empty
+REWRITTEN_EDITS = {
+    "sigma-absent": lambda rec: rec["action"].pop("sigma"),
+    "gamma-null": set_key("action", "gamma", value=None),
+    "param-writes-string": set_key("param_writes", value=""),
+    "init-regions-string": set_key("init_regions", value=""),
+    "region-object": set_key("init_regions", 0, value={"": 0, "lex_gt": 0}),
+    "record-key": set_key("x", value=0),
+    "action-key": set_key("action", "x", value=0),
+}
+
+
 def default_trace(tmp_path, engine: str) -> bytes:
     out = tmp_path / f"default-{engine}"
     assert main(["run", "--engine", engine, "--stages", "60", "--out", str(out)]) == 0
@@ -132,6 +154,9 @@ def test_hostile_inputs_end_in_an_exit_code_without_traceback(tmp_path, capsys):
     }
     expected = {"restraint": 1, "witness": 1, "jump-k-huge": 2, "jump-k-negative": 2,
                 "restraint-negative": 2, "witness-negative": 2, "jump-zero-k": 2}
+    for name, edit in REWRITTEN_EDITS.items():
+        files[f"rewritten-{name}"] = edit_record(traces["A"], 1, edit)
+        expected[f"rewritten-{name}"] = 2
     for name, m in {"space": " 1", "underscore": "0_1", "plus": "+1",
                     "leading-zero": "01"}.items():
         files[f"jump-m-{name}"] = edit_record(traces["A"], first_jump, set_jump_mantissa(m))
@@ -197,3 +222,6 @@ def test_hostile_inputs_end_in_an_exit_code_without_traceback(tmp_path, capsys):
     assert all(code != 2 for name, (code, _) in results.items() if name.startswith("jump-edit-"))
     usage = [err for code, err in results.values() if code == 2]
     assert all(err.startswith("error: ") and err.count("\n") == 1 for err in usage)
+    # the edited record is the trace's second, on line 3 of the file
+    assert all(results[name][1].startswith("error: line 3: ")
+               for name in results if name.startswith("rewritten-"))

@@ -30,6 +30,7 @@ from injurybench.tracekit import (
     write_sequence_csv,
 )
 from conftest import MINIMAL_CONFIG
+from test_verify import DEEP_CONFIG, RESPLIT_CONFIG
 
 
 @pytest.fixture(scope="module")
@@ -388,6 +389,119 @@ def test_loader_rejects_a_jump_that_its_exponent_does_not_state(trace_a, edit):
     assert "\n" not in str(err.value)
 
 
+# edits that the writer would write back as another JSON value: each
+# dropped a key, or read a null or a non-list as absent or empty
+REWRITTEN_EDITS = {
+    "sigma_absent": (lambda o: True, lambda obj: obj["action"].pop("sigma")),
+    **{f"{key}_null": (lambda o: True, _set(["action", key], None))
+       for key in ("gamma", "counter", "alpha", "k", "exponent")},
+    "param_writes_string": (lambda o: True, _set(["param_writes"], "")),
+    "init_regions_string": (lambda o: True, _set(["init_regions"], "")),
+    "region_object": (lambda o: o["init_regions"],
+                      _set(["init_regions", 0], {"": 0, "lex_gt": 0})),
+    "record_key": (lambda o: True, _set(["x"], 0)),
+    "action_key": (lambda o: True, _set(["action", "x"], 0)),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(REWRITTEN_EDITS))
+def test_loader_rejects_what_the_writer_would_write_as_another_value(trace_a, edit):
+    has_field, mutate = REWRITTEN_EDITS[edit]
+    data, line = _mutate_first(trace_a, has_field, mutate)
+    with pytest.raises(TraceParseError) as err:
+        deserialize(data)
+    assert err.value.line == line
+    assert "\n" not in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# The record writer against the JSON encoder
+
+# every character class the encoder escapes apart from the plain ASCII ones:
+# a quote, a backslash, a control character, a line separator that JSON
+# allows raw but ASCII output escapes, and a character outside the BMP,
+# written as a surrogate pair
+ODD_TEXT = '"\\\x01\u2028\U0001F600'
+
+
+def _encoder_line(rec: StageRecord) -> str:
+    """A record's line as the JSON encoder writes it, the reference for
+    tracekit._record_line: an action key only for a field the action uses."""
+    action = {key: value for key, value in rec.action._asdict().items()
+              if value is not None or key in ("kind", "sigma")}
+    return json.dumps({"t": rec.t, "settled": rec.settled, "action": action,
+                       "jump": rec.jump.to_json(), "init_regions": rec.init_regions,
+                       "param_writes": rec.param_writes},
+                      sort_keys=True, separators=(",", ":"))
+
+
+def _assert_encoder_lines(trace: Trace) -> None:
+    records = serialize(trace).decode("utf-8").rstrip("\n").split("\n")[1:]
+    assert records == [_encoder_line(rec) for rec in trace.stages]
+
+
+_WRITER_FAMILIES = {"default": DEFAULT_CONFIG, "resplit": RESPLIT_CONFIG, "deep": DEEP_CONFIG}
+
+
+@pytest.mark.parametrize("engine", ["A", "B"])
+@pytest.mark.parametrize("family", sorted(_WRITER_FAMILIES))
+def test_record_lines_are_the_json_encoders_lines(family, engine):
+    config = _WRITER_FAMILIES[family]
+    _assert_encoder_lines(run_engine(EngineState(registry_from_config(config), engine), 300))
+
+
+def test_record_line_quotes_every_string_as_the_encoder_does():
+    # odd text in every string leaf, so an unquoted leaf shows
+    def odd(name):
+        return name + ODD_TEXT
+    rec = StageRecord(
+        t=7, settled=odd("settled"),
+        action=Action(odd("kind"), odd("sigma"), odd("gamma"), 10**80, odd("alpha"), 3, 5),
+        jump=Dyadic(1, 5),
+        init_regions=((odd("anchor"), odd("rel")), ("0", "lex_gt")),
+        param_writes=((odd("strategy"), odd("field"), 2**70), ("1", "c", 0)),
+    )
+    bare = rec._replace(action=Action(odd("kind"), odd("sigma")), jump=ZERO,
+                        init_regions=(), param_writes=())
+    for variant in (rec, bare):
+        assert tracekit._record_line(variant) == _encoder_line(variant)
+    # where the encoder would write a bool as true, the writer writes no JSON
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(tracekit._record_line(rec._replace(t=True)))
+
+
+def test_loaded_odd_action_kind_is_written_back_to_its_bytes(trace_a):
+    # the loader accepts any string as a non-jump kind; JSON written with the
+    # encoder's escapes comes back byte for byte
+    data, line = _mutate_first(trace_a, lambda o: o["jump"]["m"] == "0",
+                               _set(["action", "kind"], ODD_TEXT + "é"))
+    trace = deserialize(data)
+    assert trace.stages[line - 2].action.kind == ODD_TEXT + "é"
+    assert serialize(trace) == data
+
+
+def test_serialize_calls_the_json_encoder_for_the_header_alone(monkeypatch):
+    # a work count, not a timing: records never go through the encoder
+    calls = 0
+    original = tracekit._ENCODE
+
+    def counting(obj):
+        nonlocal calls
+        calls += 1
+        return original(obj)
+
+    monkeypatch.setattr(tracekit, "_ENCODE", counting)
+    registry = registry_from_config(DEFAULT_CONFIG)
+    for T in (1, 2, 300):
+        trace = run_engine(EngineState(registry, "B"), T)
+        calls = 0
+        serialize(trace)
+        assert calls == 1
+        calls = 0
+        serialize_stamped(trace, "2026-08-10T12:00:00+00:00")
+        assert calls == 2  # the canonical header and the stamped one
+
+
 # ---------------------------------------------------------------------------
 # The one-pass record reader against a two-step reference loader
 
@@ -395,7 +509,7 @@ def test_loader_rejects_a_jump_that_its_exponent_does_not_state(trace_a, edit):
 def _built_action(obj) -> Action:
     return Action(
         kind=obj["kind"],
-        sigma=obj.get("sigma", ""),
+        sigma=obj["sigma"],
         gamma=obj.get("gamma"),
         counter=obj.get("counter"),
         alpha=obj.get("alpha"),
@@ -413,6 +527,31 @@ def _built_record(obj) -> StageRecord:
         init_regions=tuple((a, r) for a, r in obj["init_regions"]),
         param_writes=tuple((s, f, v) for s, f, v in obj["param_writes"]),
     )
+
+
+_RECORD_KEYS = ("t", "settled", "action", "jump", "init_regions", "param_writes")
+_OPTIONAL_ACTION_KEYS = ("gamma", "counter", "alpha", "k", "exponent")
+
+
+def _walk_keys(obj, line: int) -> None:
+    """Refuse the decoded record that the writer would not write back as the
+    same JSON value: an unknown key, a null optional action field, or a
+    region list, write list or region pair that is no JSON list."""
+    for key in obj:
+        if key not in _RECORD_KEYS:
+            raise TraceParseError(f"unknown record key {key!r}", line=line)
+    for key, value in obj["action"].items():
+        if key in ("kind", "sigma"):
+            continue
+        if key not in _OPTIONAL_ACTION_KEYS:
+            raise TraceParseError(f"unknown action key {key!r}", line=line)
+        if value is None:
+            raise TraceParseError(f"action field {key!r} is null", line=line)
+    if not (isinstance(obj["init_regions"], list) and isinstance(obj["param_writes"], list)):
+        raise TraceParseError("init_regions or param_writes is not a list", line=line)
+    for pair in obj["init_regions"]:
+        if not isinstance(pair, list):
+            raise TraceParseError(f"region pair {pair!r} is not a list", line=line)
 
 
 def _walk_record(rec: StageRecord, fields, line: int) -> None:
@@ -443,7 +582,8 @@ def _walk_record(rec: StageRecord, fields, line: int) -> None:
 
 def _two_step_load(data: bytes) -> Trace:
     """The reference loader: json.loads each record line, build the record
-    through keyword constructors, then walk the built record to check it."""
+    through keyword constructors, then walk the decoded keys and the built
+    record to check them."""
     lines = [ln for ln in data.decode("utf-8").split("\n") if ln.strip()]
     if not lines:
         raise TraceParseError("empty trace file")
@@ -459,9 +599,11 @@ def _two_step_load(data: bytes) -> Trace:
     stages, x = [], [ZERO]
     for i, ln in enumerate(lines[1:], start=2):
         try:
-            rec = _built_record(json.loads(ln))
+            obj = json.loads(ln)
+            rec = _built_record(obj)
         except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
             raise TraceParseError(f"bad stage record: {exc}", line=i) from None
+        _walk_keys(obj, i)
         _walk_record(rec, fields, i)
         if rec.t != len(stages):
             raise TraceParseError(f"stage {rec.t} out of order", line=i)
@@ -537,6 +679,15 @@ def _edit_record(obj, rng):
     return obj
 
 
+def _unlisted(items: list):
+    """The items of a list in a JSON value that is no list but iterates
+    like one: a pair of words as an object keyed by them, any other list as
+    the empty string."""
+    if all(isinstance(item, str) for item in items):
+        return dict.fromkeys(items, 0)
+    return ""
+
+
 def _record_mutant(data: bytes, rng) -> bytes:
     """One to three seeded edits of the record lines of a trace file."""
     head, *records = data.decode("utf-8").rstrip("\n").split("\n")
@@ -563,15 +714,32 @@ def _record_mutant(data: bytes, rng) -> bytes:
                     path = rng.choice(leaves)
                     pool = _STRINGS if isinstance(_at(obj, path), str) else _INTS
                     _at(obj, path[:-1])[path[-1]] = rng.choice(pool)
-            elif isinstance(obj, dict) and isinstance(obj.get("action"), dict):
-                obj["jump"] = rng.choice(_JUMPS)
-                obj["action"]["kind"] = rng.choice(_STRINGS[-5:])
-                # the exponent that states the drawn jump, so that a jump
-                # past T reaches the loader's bound on it
-                obj["action"]["exponent"] = obj["jump"]["k"]
+            elif kind == 8:
+                if isinstance(obj, dict) and isinstance(obj.get("action"), dict):
+                    obj["jump"] = rng.choice(_JUMPS)
+                    obj["action"]["kind"] = rng.choice(_STRINGS[-5:])
+                    # the exponent that states the drawn jump, so that a jump
+                    # past T reaches the loader's bound on it
+                    obj["action"]["exponent"] = obj["jump"]["k"]
+            else:
+                # a container in a form the writer would not write back: an
+                # object with a null value at a key or at one key more, or a
+                # list in another iterable form
+                nodes = [p for p in _nodes(obj) if isinstance(_at(obj, p), (dict, list))]
+                if nodes:
+                    path = rng.choice(nodes)
+                    old = _at(obj, path)
+                    if isinstance(old, dict):
+                        old[rng.choice(_KEYS)] = None
+                    elif path:
+                        _at(obj, path[:-1])[path[-1]] = _unlisted(old)
             records[i] = json.dumps(obj, sort_keys=True, separators=(",", ":"),
                                     ensure_ascii=rng.random() < 0.5)
     return ("\n".join([head, *records]) + "\n").encode("utf-8")
+
+
+def _json_lines(data: bytes) -> list:
+    return [json.loads(line) for line in data.decode("utf-8").split("\n") if line]
 
 
 def _outcome(load, data: bytes):
@@ -582,7 +750,9 @@ def _outcome(load, data: bytes):
 
 
 # the start of every rejection text the record reader can give
-_REJECTIONS = ("bad stage record", "action kind", "is not an integer", "is not a binary word",
+_REJECTIONS = ("bad stage record", "unknown record key", "unknown action key", "is null",
+               "or param_writes is not a list", "region pair", "action kind",
+               "is not an integer", "is not a binary word",
                "unknown region relation", "unknown parameter field", "is negative",
                "out of order", "jump/action mismatch", "negative jump", "is not 2**-exponent",
                "exceeds T")
@@ -605,6 +775,10 @@ def test_record_reader_matches_two_step_loader_on_mutants(engine):
         assert got == _outcome(_two_step_load, mutant), mutant
         if isinstance(got, Trace):
             accepted += 1
+            # written back as the same JSON values, by the encoder's rules
+            written = serialize(got)
+            assert _json_lines(written) == _json_lines(mutant)
+            _assert_encoder_lines(got)
         else:
             seen.update(r for r in _REJECTIONS if r in got[1])
     assert accepted >= 20
