@@ -14,12 +14,15 @@ The gate makes convergence monotone in t and guarantees that a converged
 value never exceeds the stage that observed it.
 
 The gate lives in one place, ``_Slot.visible``, stated on the slot's raw
-semantics; :meth:`PhiRegistry.step` is the slot lookup plus that call.
-Slots that halt in zero steps (formulas and finite graphs) override it with
-the shorter ``v <= t``: their values are natural, so ``v <= t`` already
-implies ``steps = 0 <= t``, even for t = -1.  The naive replay oracle asks
-hundreds of thousands of step queries, and the short form saves a tuple
-and a call on each.
+semantics.  :meth:`PhiRegistry.step` looks the slot up and calls it, for
+one query; :meth:`PhiRegistry.stepper` hands the gate out once, for a loop
+over one slot's inputs n = 0, 1, 2, ...  The naive replay oracle rebuilds a
+chain that way at every use, hundreds of thousands of queries on a long
+run, so each query saves the lookup and a call.  Slots that halt in zero
+steps (formulas and finite graphs) override the gate with the shorter
+``v <= t``: their values are natural, so ``v <= t`` already implies
+``steps = 0 <= t``, even for t = -1, and the short form saves a tuple and
+a call on each query.
 """
 
 from __future__ import annotations
@@ -329,6 +332,11 @@ def _build_slot(entry: dict) -> _Slot:
 # Registry
 
 
+def _never(n: int, t: int) -> None:
+    """The gate of an empty slot."""
+    return None
+
+
 class _ChainState:
     """Incremental state of the increasing-chain prefix for one slot."""
 
@@ -379,6 +387,14 @@ class PhiRegistry:
         """
         slot = self.slots.get(e)
         return None if slot is None else slot.visible(n, t)
+
+    def stepper(self, e: int):
+        """Slot e's gate as a function of (n, t): ``stepper(e)(n, t)`` is
+        ``step(e, n, t)``, with the slot looked up once, for a loop that
+        queries one slot on many inputs.  An empty slot's gate never
+        converges."""
+        slot = self.slots.get(e)
+        return _never if slot is None else slot.visible
 
     def ell(self, e: int, t: int) -> int:
         """Length of the visible strictly-increasing initial chain of slot e.

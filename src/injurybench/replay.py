@@ -18,7 +18,9 @@ To stay independent, this module imports only the primitives
 the flag fields itself (a test pins this boundary).
 
 The oracle stays naive on purpose: it gets faster only when a shared
-primitive does, such as the step query or region membership.  The engine
+primitive does, such as the step query (``naive_ell`` takes a slot's gate
+once from :meth:`~injurybench.phi.PhiRegistry.stepper` and queries it on
+0, 1, 2, ...) or region membership.  The engine
 calls the same primitives, so the cross-check cannot see a fault in them;
 each therefore has a test against its written-out definition instead
 (``test_phi`` for the convergence gate, ``test_tracekit`` for region
@@ -46,12 +48,16 @@ class ReplayResult:
 
 
 def naive_ell(registry: PhiRegistry, e: int, t: int) -> int:
-    """Chain length computed per definition, using only step queries."""
+    """Chain length computed per definition, using only step queries.
+
+    Slot values are natural numbers, so a first ``prev`` of -1 lets every
+    visible value on 0 start the chain."""
+    step = registry.stepper(e)
     l = -1
-    prev = None
+    prev = -1
     for k in range(t + 1):
-        v = registry.step(e, k, t)
-        if v is None or (prev is not None and v <= prev):
+        v = step(k, t)
+        if v is None or v <= prev:
             break
         prev = v
         l = k

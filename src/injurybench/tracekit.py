@@ -331,6 +331,22 @@ def _key_fault(obj: dict, act: dict) -> str:
     return f"action field {key!r} is null"
 
 
+def _repeated_key(text: str) -> str | None:
+    """The first key that one object of a record line repeats, in the order
+    the decoder closes the objects, or None."""
+    repeated = []
+
+    def pairs(items: list) -> dict:
+        obj = dict(items)
+        if len(obj) < len(items):
+            keys = [key for key, _ in items]
+            repeated.append(next(key for i, key in enumerate(keys) if key in keys[:i]))
+        return obj
+
+    json.JSONDecoder(object_pairs_hook=pairs).decode(text)
+    return repeated[0] if repeated else None
+
+
 def _read_record(text: str, t_next: int, T: int, fields: tuple[str, ...],
                  line: int) -> StageRecord:
     """The record on one line, checked leaf by leaf from its raw JSON and
@@ -351,6 +367,15 @@ def _read_record(text: str, t_next: int, T: int, fields: tuple[str, ...],
             exc = json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
         raise TraceParseError(f"bad stage record: {exc}", line=line) from None
 
+    # the decoder keeps a repeated key's last value alone.  Every key on the
+    # line is followed by a literal ":", and a canonical jump has two keys,
+    # so a line with no more colons than its record, action and jump have
+    # keys repeats none.  A line with more (a nested object, a colon inside
+    # a string, a repeated key) has its keys listed
+    if text.count(":") != len(obj) + len(act) + 2:
+        key = _repeated_key(text)
+        if key is not None:
+            raise TraceParseError(f"repeated key {key!r}", line=line)
     # all six record keys, kind and sigma were read above, and an optional
     # action field read as None is absent or null, so the count exceeds
     # 6 + 7 by the unknown keys and the null fields
@@ -422,11 +447,11 @@ def deserialize(data: bytes) -> Trace:
        has no other key, the action no key but its optional ``gamma``,
        ``counter``, ``alpha``, ``k`` and ``exponent``, none of them null,
        and ``init_regions``, ``param_writes`` and every region pair are
-       JSON lists.  So an accepted record re-serialises to the same JSON
-       value as the decoder reads it: its bytes can differ only in
-       whitespace, key order or string escapes, or where the decoder is
-       lenient (a key repeated on the line counts at its last value, and
-       ``-0`` is 0);
+       JSON lists, and no object on the line repeats a key (the decoder
+       would keep only its last value).  So an accepted record
+       re-serialises to the same JSON value as the decoder reads it: its
+       bytes can differ only in whitespace, key order or string escapes,
+       or where the decoder is lenient (``-0`` is 0);
     2. the action kind is a string;
     3. the stage number, every parameter value and the action's counter,
        ``k`` and exponent are JSON integers (not ``true`` or ``1.5``);

@@ -389,9 +389,10 @@ def check_requirement_N(trace: Trace, e: int = 0) -> Report:
         findings.append(("fail", {"error": f"x decreases at stage {decrease}"}))
         return _make_report(f"requirement_n[{e}]", findings)
     l_max = registry.ell(e, trace.T)
+    step = registry.stepper(e)
     if trace.engine == "A":
         for m in range(l_max + 1):
-            v = registry.step(e, m, trace.T)
+            v = step(m, trace.T)
             if gap_cmp(x[trace.T], x[v], m) >= 0:
                 findings.append(("pass", {"e": e, "m": m, "mode": "A"}))
                 break
@@ -401,7 +402,7 @@ def check_requirement_N(trace: Trace, e: int = 0) -> Report:
     else:
         holds = []
         for n in range(l_max + 1):
-            v = registry.step(e, n, trace.T)
+            v = step(n, trace.T)
             holds.append(gap_cmp(x[trace.T], x[v], n) >= 0)
         best = (0, -1)  # (start, end) of the longest run, end inclusive
         start = None
@@ -495,7 +496,8 @@ def check_requirement_P(trace: Trace, e: int = 0) -> Report:
             )
     l_max = registry.ell(e, trace.T)
     x = trace.x
-    phi_vals = [registry.step(e, i, trace.T) for i in range(l_max + 1)]
+    step = registry.stepper(e)
+    phi_vals = [step(i, trace.T) for i in range(l_max + 1)]
     diffs = [x[b] - x[a] for a, b in zip(phi_vals, phi_vals[1:])]
     suffix_max = list(accumulate(reversed(diffs), max))[::-1]
     findings: list[tuple[str, dict]] = []

@@ -1,7 +1,8 @@
 """Module boundaries, read from the import statements of the source.
 
 The replay oracle must stay independent of the engine it cross-checks, so
-it may import only the primitives ``strings``, ``dyadic`` and ``phi``.  The
+it may import only the primitives ``strings``, ``dyadic`` and ``phi``, and
+of a registry it may ask only step queries.  The
 checkers analyse finished traces and must not import the engine either.
 The package has no runtime dependencies: its command line loads nothing
 outside the standard library.  Every name a module imports is used there
@@ -68,6 +69,46 @@ def test_replay_imports_only_primitives():
     imports = package_imports("replay")
     assert imports, "no package import found: the parser missed them"
     assert imports <= {"strings", "dyadic", "phi"}, imports
+
+
+def registry_reads(module: str) -> set[str]:
+    """Attributes that ``module`` reads of a parameter annotated
+    ``PhiRegistry``.  Such a parameter may otherwise only be passed on, as
+    a registry again, to a function of the module; any other use of it
+    is reported as ``"<passed on>"``."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def registry_params(fn) -> list[str]:
+        return [arg.arg for arg in fn.args.args
+                if isinstance(arg.annotation, ast.Name) and arg.annotation.id == "PhiRegistry"]
+
+    names = {name for fn in functions.values() for name in registry_params(fn)}
+    read, allowed = set(), set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in names):
+            read.add(node.attr)
+            allowed.add(id(node.value))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in functions):
+            params = [arg.arg for arg in functions[node.func.id].args.args]
+            passed_on = registry_params(functions[node.func.id])
+            allowed.update(id(arg) for arg, param in zip(node.args, params)
+                           if isinstance(arg, ast.Name) and param in passed_on)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id in names and isinstance(node.ctx, ast.Load)
+                and id(node) not in allowed):
+            read.add("<passed on>")
+    return read
+
+
+def test_replay_asks_a_registry_only_step_queries():
+    # the oracle computes its chain lengths from step queries alone: it
+    # never reads a slot table or a registry's chain state
+    read = registry_reads("replay")
+    assert read, "no registry read found: the parser missed them"
+    assert read <= {"step", "stepper"}, read
 
 
 def test_verify_does_not_import_engine():

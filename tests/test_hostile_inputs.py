@@ -5,9 +5,9 @@ ended in a traceback (huge restraints, witnesses and jump exponents in a
 trace, negative restraints and witnesses, a huge exponent in a sequence CSV
 or a dyadic literal), jumps in any but the canonical encoding, jumps
 rescaled to another value the loader accepts, record edits that the writer
-would write back as another JSON value, and malformed CSV rows and literals
-all run through ``cli.main`` in one subprocess under a 1.5 GiB address-space
-limit.  Every run must end in a documented exit code (0 pass, 1 fail, 2
+would write back as another JSON value (a repeated key among them), and
+malformed CSV rows and literals all run through ``cli.main`` in one
+subprocess under a 1.5 GiB address-space limit.  Every run must end in a documented exit code (0 pass, 1 fail, 2
 usage, 3 incomplete) without a traceback, and a usage error is one line.
 """
 
@@ -130,6 +130,14 @@ REWRITTEN_EDITS = {
 }
 
 
+def repeat_key(data: bytes, t: int, key: str, first) -> str:
+    """The trace file with record t's key written twice, ``first`` first:
+    the JSON decoder keeps the second value alone."""
+    head, *records = data.decode("utf-8").rstrip("\n").split("\n")
+    records[t] = records[t].replace(f'"{key}":', f'"{key}":{json.dumps(first)},"{key}":', 1)
+    return "\n".join([head, *records]) + "\n"
+
+
 def default_trace(tmp_path, engine: str) -> bytes:
     out = tmp_path / f"default-{engine}"
     assert main(["run", "--engine", engine, "--stages", "60", "--out", str(out)]) == 0
@@ -157,6 +165,8 @@ def test_hostile_inputs_end_in_an_exit_code_without_traceback(tmp_path, capsys):
     for name, edit in REWRITTEN_EDITS.items():
         files[f"rewritten-{name}"] = edit_record(traces["A"], 1, edit)
         expected[f"rewritten-{name}"] = 2
+    files["rewritten-repeated-key"] = repeat_key(traces["A"], 1, "settled", "111")
+    expected["rewritten-repeated-key"] = 2
     for name, m in {"space": " 1", "underscore": "0_1", "plus": "+1",
                     "leading-zero": "01"}.items():
         files[f"jump-m-{name}"] = edit_record(traces["A"], first_jump, set_jump_mantissa(m))
@@ -225,3 +235,4 @@ def test_hostile_inputs_end_in_an_exit_code_without_traceback(tmp_path, capsys):
     # the edited record is the trace's second, on line 3 of the file
     assert all(results[name][1].startswith("error: line 3: ")
                for name in results if name.startswith("rewritten-"))
+    assert results["rewritten-repeated-key"][1] == "error: line 3: repeated key 'settled'\n"

@@ -177,6 +177,25 @@ def test_ell_is_the_chain_from_step_in_any_query_order(name):
             assert registry.ell(*q) == expected[q], q
 
 
+@pytest.mark.parametrize("name", sorted(_ELL_CONFIGS))
+def test_stepper_is_step_in_any_query_order(name):
+    # loops over one slot take its gate once; each slot kind's gate, and an
+    # empty slot's, must answer as step does, whatever the query order, and
+    # so must a gate taken before the slot saw any query
+    config = _ELL_CONFIGS[name]
+    indices = [entry["index"] for entry in config["slots"]] + [99]
+    queries = [(e, n, t) for e in indices for n in range(16) for t in range(-1, 41)]
+    expected = {q: _gate_from_raw(config, *q) for q in queries}
+    shuffled = list(queries)
+    random.Random(31).shuffle(shuffled)
+    for order in (queries, queries[::-1], shuffled):
+        registry = registry_from_config(config)
+        gates = {e: registry.stepper(e) for e in indices}
+        for q in order:
+            e, n, t = q
+            assert gates[e](n, t) == registry.step(*q) == expected[q], q
+
+
 def test_ell_keeps_no_chain_entry_past_the_first_invisible_one():
     registry = registry_from_config(DEFAULT_CONFIG)
     for _ in range(50):

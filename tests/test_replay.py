@@ -33,15 +33,19 @@ def test_default_registry_replay(engine_tag):
     _compare(engine_tag, DEFAULT_CONFIG, 120)
 
 
+# this family makes a depth-2 threat get scheduled onto a mid-tree strategy,
+# which then re-delegates upward
+RESPLIT_CONFIG = {"slots": [
+    {"index": 0, "kind": "identity"},
+    {"index": 1, "kind": "identity"},
+    {"index": 2, "kind": "square"},
+]}
+
+
 def test_replay_covers_re_split_delegation():
-    # this family makes a depth-2 threat get scheduled onto a mid-tree
-    # strategy, which then re-delegates upward: the rarest branch of the
-    # substage rules must agree with the oracle read for read
-    config = {"slots": [
-        {"index": 0, "kind": "identity"},
-        {"index": 1, "kind": "identity"},
-        {"index": 2, "kind": "square"},
-    ]}
+    # the rarest branch of the substage rules must agree with the oracle
+    # read for read
+    config = RESPLIT_CONFIG
     state = new_engine_a(registry_from_config(config), record_reads=True)
     trace = run_engine(state, 1000)
     kinds = {rec.action.kind for rec in trace.stages}
@@ -130,11 +134,12 @@ def test_random_registry_replay(seed):
 
 
 def test_naive_ell_matches_registry():
-    reg = registry_from_config(DEFAULT_CONFIG)
-    fresh = registry_from_config(DEFAULT_CONFIG)
-    for e in sorted(reg.configured_indices()) + [11]:
-        for t in (0, 1, 5, 17, 60):
-            assert naive_ell(reg, e, t) == fresh.ell(e, t)
+    for config in (DEFAULT_CONFIG, RESPLIT_CONFIG):
+        reg = registry_from_config(config)
+        fresh = registry_from_config(config)
+        for e in sorted(reg.configured_indices()) + [11]:
+            for t in range(-1, 201):
+                assert naive_ell(reg, e, t) == fresh.ell(e, t), (config, e, t)
 
 
 def test_replay_rejects_unknown_engine():

@@ -414,6 +414,48 @@ def test_loader_rejects_what_the_writer_would_write_as_another_value(trace_a, ed
     assert "\n" not in str(err.value)
 
 
+def _repeat_first(trace, old: str, new: str):
+    """Serialise the trace and write ``new`` in place of the first ``old``
+    on its first record line that holds it; return (bytes, line number)."""
+    lines = serialize(trace).decode().rstrip("\n").split("\n")
+    i = next(i for i, line in enumerate(lines) if i and old in line)
+    lines[i] = lines[i].replace(old, new, 1)
+    return ("\n".join(lines) + "\n").encode(), i + 1
+
+
+# a key written twice in one object: the decoder keeps the last value, so
+# the writer would drop the first.  The record, the action and the jump each
+# repeat a key, the first value hostile or the one the engine wrote
+REPEATED_KEYS = {
+    "settled": ('"settled":', '"settled":"111","settled":'),
+    "kind": ('"kind":', '"kind":"top_out","kind":'),
+    "m": ('"m":"0"', '"m":"0","m":"0"'),
+    "t": ('"t":', '"t":[],"t":'),
+}
+
+
+@pytest.mark.parametrize("key", sorted(REPEATED_KEYS))
+def test_loader_names_a_repeated_key(trace_a, key):
+    data, line = _repeat_first(trace_a, *REPEATED_KEYS[key])
+    with pytest.raises(TraceParseError) as err:
+        deserialize(data)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: repeated key {key!r}"
+
+
+def test_colons_in_the_action_kind_hide_no_repeated_key(trace_a):
+    # a colon inside a string is no key separator: a kind with one, written
+    # plain or escaped, loads, and an escaped one does not stand in for the
+    # colon a repeated key adds
+    for colon in (":", "\\u003a"):
+        data, line = _repeat_first(trace_a, '"kind":"top_out"', f'"kind":"top{colon}out"')
+        assert deserialize(data).stages[line - 2].action.kind == "top:out"
+        hidden, _ = _repeat_first(trace_a, '"kind":"top_out"',
+                                  f'"kind":"top{colon}out","sigma":"1"')
+        with pytest.raises(TraceParseError, match="repeated key 'sigma'"):
+            deserialize(hidden)
+
+
 # ---------------------------------------------------------------------------
 # The record writer against the JSON encoder
 
@@ -554,6 +596,20 @@ def _walk_keys(obj, line: int) -> None:
             raise TraceParseError(f"region pair {pair!r} is not a list", line=line)
 
 
+def _walk_repeats(text: str, line: int) -> None:
+    """Refuse a line on which an object repeats a key: the decoder keeps
+    its last value alone, which the writer would write back alone."""
+    def pairs(items):
+        keys = set()
+        for key, _ in items:
+            if key in keys:
+                raise TraceParseError(f"repeated key {key!r}", line=line)
+            keys.add(key)
+        return dict(items)
+
+    json.loads(text, object_pairs_hook=pairs)
+
+
 def _walk_record(rec: StageRecord, fields, line: int) -> None:
     act = rec.action
     if not isinstance(act.kind, str):
@@ -582,8 +638,8 @@ def _walk_record(rec: StageRecord, fields, line: int) -> None:
 
 def _two_step_load(data: bytes) -> Trace:
     """The reference loader: json.loads each record line, build the record
-    through keyword constructors, then walk the decoded keys and the built
-    record to check them."""
+    through keyword constructors, then walk the line's keys, the decoded
+    keys and the built record to check them."""
     lines = [ln for ln in data.decode("utf-8").split("\n") if ln.strip()]
     if not lines:
         raise TraceParseError("empty trace file")
@@ -603,6 +659,7 @@ def _two_step_load(data: bytes) -> Trace:
             rec = _built_record(obj)
         except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
             raise TraceParseError(f"bad stage record: {exc}", line=i) from None
+        _walk_repeats(ln, i)
         _walk_keys(obj, i)
         _walk_record(rec, fields, i)
         if rec.t != len(stages):
@@ -750,12 +807,89 @@ def _outcome(load, data: bytes):
 
 
 # the start of every rejection text the record reader can give
-_REJECTIONS = ("bad stage record", "unknown record key", "unknown action key", "is null",
-               "or param_writes is not a list", "region pair", "action kind",
+_REJECTIONS = ("bad stage record", "repeated key", "unknown record key", "unknown action key",
+               "is null", "or param_writes is not a list", "region pair", "action kind",
                "is not an integer", "is not a binary word",
                "unknown region relation", "unknown parameter field", "is negative",
                "out of order", "jump/action mismatch", "negative jump", "is not 2**-exponent",
                "exceeds T")
+
+
+def _decoded_edit(*edits):
+    """A line edit that applies ``edits`` to the decoded record."""
+    def edit_line(text):
+        obj = json.loads(text)
+        for edit in edits:
+            edit(obj)
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return edit_line
+
+
+def _add_write(write):
+    return lambda obj: obj["param_writes"].append(write)
+
+
+def _jump_action(kind, jump):
+    return _set(["action", "kind"], kind), _set(["jump"], jump)
+
+
+# one record edit per rejection text, for a trace of T = 30 stages: the
+# seeded mutants reach some texts only two or three times
+_FIXED_EDITS = {
+    "bad stage record": lambda text: text[:-1],
+    "repeated key": lambda text: text.replace('"settled":', '"settled":"1","settled":', 1),
+    "unknown record key": _decoded_edit(_set(["x"], 0)),
+    "unknown action key": _decoded_edit(_set(["action", "x"], 0)),
+    "is null": _decoded_edit(_set(["action", "gamma"], None)),
+    "or param_writes is not a list": _decoded_edit(_set(["param_writes"], "")),
+    "region pair": _decoded_edit(_set(["init_regions"], [{"0": 0, "lex_gt": 0}])),
+    "action kind": _decoded_edit(_set(["action", "kind"], 5)),
+    "is not an integer": _decoded_edit(_set(["t"], True)),
+    "is not a binary word": _decoded_edit(_set(["settled"], "0a")),
+    "unknown region relation": _decoded_edit(_set(["init_regions"], [["0", "lex_ge"]])),
+    "unknown parameter field": _decoded_edit(_add_write(["0", "q", 1])),
+    "is negative": _decoded_edit(_add_write(["0", "c", -1])),
+    "out of order": _decoded_edit(_set(["t"], 7)),
+    "jump/action mismatch": _decoded_edit(*_jump_action("threat_jump", {"m": "0", "k": 0})),
+    "negative jump": _decoded_edit(*_jump_action("top_out", {"m": "-1", "k": 0})),
+    "is not 2**-exponent": _decoded_edit(*_jump_action("threat_jump", {"m": "1", "k": 2}),
+                                         _set(["action", "exponent"], 3)),
+    "exceeds T": _decoded_edit(*_jump_action("threat_jump", {"m": "1", "k": 31}),
+                               _set(["action", "exponent"], 31)),
+}
+
+
+def _fixed_mutant(data: bytes, rejection: str) -> bytes:
+    """The trace file with its fourth record, on line 5, edited to give
+    ``rejection``."""
+    lines = data.decode("utf-8").rstrip("\n").split("\n")
+    lines[4] = _FIXED_EDITS[rejection](lines[4])
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _repeated_key_mutant(data: bytes, rng) -> bytes:
+    """The trace file with one object of one record line holding one of its
+    keys twice, the other value (an engine's leaf or a hostile one) first
+    or last."""
+    head, *records = data.decode("utf-8").rstrip("\n").split("\n")
+    i = rng.randrange(len(records))
+    obj = json.loads(records[i])
+    path = rng.choice([p for p in _nodes(obj) if isinstance(_at(obj, p), dict)])
+    node = _at(obj, path)
+    key = json.dumps(rng.choice(sorted(node)))
+    other = json.dumps(rng.choice(_HOSTILE + _INTS + _STRINGS + _JUMPS))
+    text = json.dumps(node, sort_keys=True, separators=(",", ":"))
+    if rng.random() < 0.5:
+        text = f"{{{key}:{other},{text[1:]}"
+    else:
+        text = f"{text[:-1]},{key}:{other}}}"
+    if path:
+        marker = "@repeated@"
+        _at(obj, path[:-1])[path[-1]] = marker
+        line = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        text = line.replace(json.dumps(marker), text)
+    records[i] = text
+    return ("\n".join([head, *records]) + "\n").encode("utf-8")
 
 
 @pytest.mark.parametrize("engine", ["A", "B"])
@@ -766,11 +900,19 @@ def test_record_reader_matches_two_step_loader_on_mutants(engine):
     trace = run_engine(EngineState(registry_from_config(DEFAULT_CONFIG), engine), 30)
     data = serialize(trace)
     assert deserialize(data) == _two_step_load(data) == trace
-    rng = random.Random(12)
     seen = set()
+    for rejection in _REJECTIONS:
+        mutant = _fixed_mutant(data, rejection)
+        got = _outcome(deserialize, mutant)
+        assert got == _outcome(_two_step_load, mutant), rejection
+        assert got[0] == 5 and rejection in got[1], got
+        seen.add(rejection)
+    rng = random.Random(12)
+    repeat_rng = random.Random(21)
+    mutants = [_record_mutant(data, rng) for _ in range(800)]
+    mutants += [_repeated_key_mutant(data, repeat_rng) for _ in range(100)]
     accepted = 0
-    for _ in range(800):
-        mutant = _record_mutant(data, rng)
+    for mutant in mutants:
         got = _outcome(deserialize, mutant)
         assert got == _outcome(_two_step_load, mutant), mutant
         if isinstance(got, Trace):
