@@ -22,7 +22,8 @@ of each strategy, the stages whose initialisation region covers a
 strategy, every parameter's timeline (``TraceIndex.value``), and the
 attribution of every jump to the threat that caused it (``fibers``), with
 each fibre's running sums, so that what any range of stages paid to one
-threat is one subtraction (``paid``).  The index re-evaluates the
+threat is one subtraction (``paid``), and whether it reaches a power of
+two one integer comparison (``paid_cmp``).  The index re-evaluates the
 substage predicates (``threatened``, ``expansionary``) with the gap test
 the engine also calls (:func:`gap_below`).  A trace owns its index:
 ``Trace.index`` builds it on first use, so every reader of one trace shares
@@ -710,9 +711,22 @@ class TraceIndex:
         """Sum of the jumps attributed to the threat at stage ``origin`` at
         stages in [lo, hi), for lo <= hi; zero when there are none.  Raises
         as :attr:`fibers` does."""
+        hi_sum, lo_sum = self._sums_at(origin, lo, hi)
+        return hi_sum - lo_sum
+
+    def paid_cmp(self, origin: int, lo: int, hi: int, e: int) -> int:
+        """-1, 0 or 1 as :meth:`paid` over the same range is below, equal to
+        or above 2**-e, decided by ``gap_cmp`` on the running sums with no
+        ``Dyadic`` built.  Raises as :attr:`fibers` does."""
+        hi_sum, lo_sum = self._sums_at(origin, lo, hi)
+        return gap_cmp(hi_sum, lo_sum, e)
+
+    def _sums_at(self, origin: int, lo: int, hi: int) -> tuple[Dyadic, Dyadic]:
+        """The running sums of the fibre of ``origin`` over its members
+        before hi and over its members before lo."""
         members = self.fibers.get(origin, ())
         sums = self.fiber_sums.get(origin, (ZERO,))
-        return sums[bisect_left(members, hi)] - sums[bisect_left(members, lo)]
+        return sums[bisect_left(members, hi)], sums[bisect_left(members, lo)]
 
     # -- whole-run facts ---------------------------------------------------
 

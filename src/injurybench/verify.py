@@ -17,8 +17,11 @@ applications, threats by strategy, jump attribution -- comes from the
 trace's own ``tracekit.TraceIndex`` (``trace.index``), so the checkers share
 one index whether ``run_checks`` runs them or a caller runs one alone.
 What an episode paid comes from the running sums of the jumps attributed to
-its threat (``TraceIndex.paid``, ``TraceIndex.fiber_sums``).  The
-substage predicates come from that index as well
+its threat (``TraceIndex.paid``, ``TraceIndex.fiber_sums``).  Bounds are
+decided integer-first: a law comparing a difference or a sum with a power
+of two asks ``gap_cmp`` (``TraceIndex.paid_cmp`` for a sum), so a passing
+item builds no ``Dyadic``, and only a finding the report shows builds its
+exact values and text.  The substage predicates come from that index as well
 (``TraceIndex.threatened``, ``TraceIndex.expansionary``).
 Slot values come from the registry that the trace's embedded configuration
 builds (``trace.registry``), likewise built once per trace.  The loader
@@ -84,7 +87,13 @@ class Report:
         }
 
 
-def _make_report(check: str, findings: list[tuple[str, dict]], assumptions=None) -> Report:
+def _make_report(check: str, findings: list[tuple[str, dict | None]],
+                 assumptions=None) -> Report:
+    """The report of one check from its (status, detail) findings.
+
+    Only the counts keep a pass finding: its detail is never written, so a
+    checker may pass None for it and skip building one.
+    """
     counts = Counter(status for status, _ in findings)
     if counts.get("fail"):
         status = "fail"
@@ -210,15 +219,23 @@ def check_convergence_bound(trace: Trace) -> Report:
     power of two, and x_T below the geometric-series bound of 4."""
     findings: list[tuple[str, dict]] = []
     x = trace.x
-    for rec in trace.stages:
-        if rec.jump.sign() < 0:
-            findings.append(("fail", {"law": "x non-decreasing", "t": rec.t,
-                                      "jump": str(rec.jump)}))
-        elif rec.jump.sign() > 0 and not rec.jump.is_pow2():
-            findings.append(("fail", {"law": "jump is a power of two", "t": rec.t,
-                                      "jump": str(rec.jump)}))
-        if x[rec.t] + rec.jump != x[rec.t + 1]:
-            findings.append(("fail", {"law": "x consistent with jumps", "t": rec.t}))
+    for t, _, _, jump, _, _ in trace.stages:
+        m = jump.m
+        if m < 0:
+            findings.append(("fail", {"law": "x non-decreasing", "t": t,
+                                      "jump": str(jump)}))
+        elif m > 0 and not jump.is_pow2():
+            findings.append(("fail", {"law": "jump is a power of two", "t": t,
+                                      "jump": str(jump)}))
+        # the engine writes only jumps 0 and 2**-k; any other jump is summed
+        if m == 0:
+            consistent = x[t] == x[t + 1]
+        elif m == 1:
+            consistent = gap_cmp(x[t + 1], x[t], jump.k) == 0
+        else:
+            consistent = x[t] + jump == x[t + 1]
+        if not consistent:
+            findings.append(("fail", {"law": "x consistent with jumps", "t": t}))
     if not x[trace.T] < _FOUR:
         findings.append(("fail", {"law": "x_T < 4", "x_T": str(x[trace.T])}))
     return _make_report("convergence", findings)
@@ -228,22 +245,22 @@ def check_convergence_bound(trace: Trace) -> Report:
 # Jump-sum identities
 
 
-def _classify_episode(total: Dyadic, bound: Dyadic, t2, interrupted_at) -> tuple[str, str]:
-    if total > bound:
+def _classify_episode(sign: int, t2, interrupted_at) -> tuple[str, str | None]:
+    """Status and note of an episode whose sum is below, equal to or above
+    its bound as sign is -1, 0 or 1; a pass has no note."""
+    if sign > 0:
         return "fail", "sum exceeds the scheduled amount"
     if t2 is None:
         return "incomplete", "next application beyond horizon; weak bound holds"
-    if interrupted_at is not None:
-        return "pass", f"initialisation at stage {interrupted_at}; weak bound holds"
-    if total == bound:
-        return "pass", "exact"
+    if interrupted_at is not None or sign == 0:
+        return "pass", None
     return "fail", "episode complete but sum falls short"
 
 
-def _scheduled(trace: Trace, t1: int) -> Dyadic:
-    """The amount 2**-w scheduled for the threat handled at stage t1, w the
-    witness of its strategy at t1."""
-    return pow2(-trace.index.value(trace.stages[t1].settled, "w", t1))
+def _scheduled(trace: Trace, t1: int) -> int:
+    """The exponent w of the amount 2**-w scheduled for the threat handled
+    at stage t1: the witness of its strategy at t1."""
+    return trace.index.value(trace.stages[t1].settled, "w", t1)
 
 
 def check_jump_sums(trace: Trace) -> Report:
@@ -268,7 +285,7 @@ def check_jump_sums(trace: Trace) -> Report:
         if kind in THREAT_KINDS:
             sigma, t1 = rec.settled, rec.t
             origin = t1
-            bound = _scheduled(trace, t1)
+            e = _scheduled(trace, t1)
             label = "threat"
         elif kind in EXPANSION_KINDS:
             sigma, t1 = rec.settled, rec.t
@@ -277,21 +294,25 @@ def check_jump_sums(trace: Trace) -> Report:
                 findings.append(("fail", {"episode": "counter", "t1": t1,
                                           "error": f"no prior threat of {rec.action.alpha!r}"}))
                 continue
-            bound = pow2(-index.value(sigma, "r", t1))
+            e = index.value(sigma, "r", t1)
             label = "counter"
         else:
             continue
         t2 = index.next_application(sigma, t1)
         end = t2 if t2 is not None else trace.T
         interrupted_at = index.first_initialisation_in(sigma, t1, end)
-        total = index.paid(origin, t1, end)
-        status, note = _classify_episode(total, bound, t2, interrupted_at)
-        if status != "fail" and kind == THREAT_JUMP and rec.jump != bound:
+        status, note = _classify_episode(index.paid_cmp(origin, t1, end, e), t2,
+                                         interrupted_at)
+        if status != "fail" and kind == THREAT_JUMP and gap_cmp(rec.jump, ZERO, e) != 0:
             status, note = "fail", "threat jump differs from the scheduled amount"
-        findings.append(
-            (status, {"episode": label, "sigma": sigma, "t1": t1, "t2": t2,
-                      "sum": str(total), "bound": str(bound), "note": note})
-        )
+        if status == "pass":
+            findings.append(("pass", None))
+        else:
+            findings.append(
+                (status, {"episode": label, "sigma": sigma, "t1": t1, "t2": t2,
+                          "sum": str(index.paid(origin, t1, end)), "bound": str(pow2(-e)),
+                          "note": note})
+            )
     return _make_report("jump_sums", findings)
 
 
@@ -321,13 +342,12 @@ def check_cutoffs(trace: Trace) -> Report:
         sigma, t1 = rec.settled, rec.t
         if index.first_initialisation_in(sigma, t1, trace.T) is not None:
             continue  # threat invalidated within horizon; not a stable episode
-        bound = _scheduled(trace, t1)
-        total = index.paid(t1, t1, trace.T)
-        if total > bound:
+        sign = index.paid_cmp(t1, t1, trace.T, _scheduled(trace, t1))
+        if sign > 0:
             findings.append(("fail", {"sigma": sigma, "t1": t1,
                                       "error": "fiber sum exceeds scheduled amount"}))
             continue
-        if total < bound:
+        if sign < 0:
             findings.append(("incomplete", {"sigma": sigma, "t1": t1,
                                             "note": "episode not completed in horizon"}))
             continue
@@ -540,15 +560,18 @@ def _stability_start(trace: Trace, path: BinStr, length: int) -> int:
     return t0
 
 
-def _witness_sum(trace: Trace, path: BinStr, e: int, t: int) -> Dyadic:
-    """Exact sum of 2**(-w(tau)[t] + 1) over declared-increasing prefixes;
-    raises _PastBound for a witness outside its bound."""
+def _witnesses(trace: Trace, path: BinStr, e: int, t: int) -> list[int]:
+    """The witnesses w(tau)[t] of the prefixes tau of path[:e] whose length is
+    a declared-increasing slot, shortest first; raises _PastBound at the
+    first witness outside its bound."""
     S = trace.registry.total_increasing_indices()
-    total = Dyadic(0)
-    for length in range(e + 1):
-        if length in S:
-            total = total + pow2(-_bounded(trace.index, path[:length], "w", t) + 1)
-    return total
+    return [_bounded(trace.index, path[:length], "w", t)
+            for length in range(e + 1) if length in S]
+
+
+def _witness_sum(trace: Trace, path: BinStr, e: int, t: int) -> Dyadic:
+    """Exact sum of 2**(-w(tau)[t] + 1) over the :func:`_witnesses`."""
+    return sum((pow2(1 - w) for w in _witnesses(trace, path, e, t)), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +687,7 @@ def check_settlement_facts(trace: Trace) -> Report:
     for origin, sums in fiber_sums.items():
         # every indexed jump is positive, so the running sums strictly
         # increase and the first to reach the schedule decides both laws
-        bound = _scheduled(trace, origin)
+        bound = pow2(-_scheduled(trace, origin))
         i = bisect_left(sums, bound)
         members = index.fibers[origin]
         if i == len(sums):
@@ -723,7 +746,9 @@ def check_expansion_gap_bound(trace: Trace) -> Report:
     computed, r and every witness it sums are compared with their bounds
     (0 <= r <= t1 and nu(tau) <= w <= nu(tau) + t1 + 2, see ``_bounded``):
     a value outside ends the check in one fail finding naming the law, with
-    no arithmetic on it.
+    no arithmetic on it.  A gap of at most 2**(-r + 1) is within the bound
+    whatever the witnesses add, so only a larger gap has the bound built
+    and compared exactly.
     """
     if trace.engine != "B":
         raise ValueError("the witness-sum gap bound applies to engine B traces")
@@ -731,6 +756,7 @@ def check_expansion_gap_bound(trace: Trace) -> Report:
     index = trace.index
     est = index.true_path
     configured = registry.configured_indices()
+    x = trace.x
     findings: list[tuple[str, dict]] = []
     assumptions = [f"true-path estimate stable to length {est.stable_upto}"]
 
@@ -750,15 +776,16 @@ def check_expansion_gap_bound(trace: Trace) -> Report:
         pairs = 0
         for t1, t2 in zip(exp_stages, exp_stages[1:]):
             try:
-                bound = pow2(-_bounded(index, sigma, "r", t1) + 1) + _witness_sum(
-                    trace, est.path, length, t1
-                )
+                r = _bounded(index, sigma, "r", t1)
+                witnesses = _witnesses(trace, est.path, length, t1)
             except _PastBound as exc:
                 return _make_report("expansion_gap", [("fail", exc.detail)], assumptions)
-            if not (trace.x[t2] - trace.x[t1]) <= bound:
-                findings.append(("fail", {"sigma": sigma, "t1": t1, "t2": t2,
-                                          "gap": str(trace.x[t2] - trace.x[t1]),
-                                          "bound": str(bound)}))
+            if gap_cmp(x[t2], x[t1], r - 1) > 0:
+                bound = sum((pow2(1 - w) for w in witnesses), pow2(1 - r))
+                gap = x[t2] - x[t1]
+                if gap > bound:
+                    findings.append(("fail", {"sigma": sigma, "t1": t1, "t2": t2,
+                                              "gap": str(gap), "bound": str(bound)}))
             pairs += 1
         if pairs:
             findings.append(("pass", {"sigma": sigma, "pairs": pairs, "t0": t0}))

@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from injurybench.dyadic import Dyadic, ZERO, gap_cmp, pow2
+from injurybench.dyadic import ONE, Dyadic, ZERO, gap_cmp, pow2
 from injurybench.engine import EngineState, run_engine, run_stage
 from injurybench.phi import DEFAULT_CONFIG, PhiRegistry, registry_from_config
 from injurybench.strings import (
@@ -960,7 +960,14 @@ def summing_jump_sums(trace: Trace) -> dict:
         total = Dyadic(0)
         for t in fiber[bisect_left(fiber, t1):bisect_left(fiber, end)]:
             total = total + index.jumps[t]
-        status, note = verify._classify_episode(total, bound, t2, interrupted_at)
+        if total > bound:
+            status, note = "fail", "sum exceeds the scheduled amount"
+        elif t2 is None:
+            status, note = "incomplete", "next application beyond horizon; weak bound holds"
+        elif interrupted_at is not None or total == bound:
+            status, note = "pass", None
+        else:
+            status, note = "fail", "episode complete but sum falls short"
         if status != "fail" and kind == THREAT_JUMP:
             own = Dyadic(0)
             for t in fiber[bisect_left(fiber, t1):bisect_left(fiber, t1 + 1)]:
@@ -1082,7 +1089,11 @@ def test_every_accepted_jump_value_edit_fails_a_check(engine, count):
 
 @pytest.mark.parametrize("engine", ["A", "B"])
 def test_paid_is_the_direct_sum_over_every_range(minimal, engine):
+    # paid_cmp, the integer test the checkers decide episodes with, against
+    # a Dyadic comparison of the direct sum with every power 2**-e in range
     trace = run_engine(EngineState(minimal, engine), 20)
+    exponents = range(-1, trace.T + 3)
+    signs = {}  # the Dyadic comparisons of one sum with every 2**-e
     for variant in [trace, *jump_value_edits(trace)]:
         index = variant.index
         for origin in range(-1, variant.T + 1):
@@ -1091,6 +1102,10 @@ def test_paid_is_the_direct_sum_over_every_range(minimal, engine):
                 for hi in range(lo, variant.T + 2):
                     direct = sum((index.jumps[t] for t in members if lo <= t < hi), ZERO)
                     assert str(index.paid(origin, lo, hi)) == str(direct)
+                    if direct not in signs:
+                        signs[direct] = [(direct > pow2(-e)) - (direct < pow2(-e))
+                                         for e in exponents]
+                    assert [index.paid_cmp(origin, lo, hi, e) for e in exponents] == signs[direct]
 
 
 # ---------------------------------------------------------------------------
@@ -1243,3 +1258,99 @@ def test_requirement_n_holds_at_the_boundary(engine):
     assert holds == [False, False, True, False, False]
     report = check_requirement_N(trace, 0)
     assert (report.status, report.counts, report.witnesses) == ("pass", {"pass": 1}, [])
+
+
+def dyadics_built(monkeypatch, check, trace):
+    """The report of check(trace) and the number of Dyadic objects built
+    while it ran."""
+    built = 0
+    init = Dyadic.__init__
+
+    def counting_init(self, m, k=0):
+        nonlocal built
+        built += 1
+        init(self, m, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Dyadic, "__init__", counting_init)
+        report = check(trace)
+    return report, built
+
+
+# slot 0 is the identity, so the root's chain reaches x_t itself at every
+# stage t: every stage is expansionary and the gap pairs are (t, t + 1)
+_IDENTITY_CONFIG = {"slots": [{"index": 0, "kind": "identity"}]}
+
+
+def _gap_trace(gap: Dyadic, w: int = 3) -> Trace:
+    """Top-out records whose root has r = 1 and witness w from stage 1, and
+    whose x grows by gap from stage 1 to stage 2 only: the pair (1, 2) has
+    the short bound 2**(1 - r) = 1 and the full bound 1 + 2**(1 - w)."""
+    return _top_out_trace("B", _IDENTITY_CONFIG, [ZERO, ZERO, gap, gap],
+                          [("", "r", 1), ("", "w", w)])
+
+
+@pytest.mark.parametrize("gap, status, exact_path", [
+    (ONE, "pass", False),  # exactly 2**(1 - r)
+    (Dyadic(9, 3), "pass", True),  # between 2**(1 - r) and the bound
+    (Dyadic(5, 2), "pass", True),  # exactly the bound
+    (Dyadic(5, 2) + pow2(-10), "fail", True),
+], ids=["short-bound", "between", "full-bound", "over"])
+def test_expansion_gap_at_its_bounds(monkeypatch, gap, status, exact_path):
+    trace = _gap_trace(gap)
+    report, built = dyadics_built(monkeypatch, check_expansion_gap_bound, trace)
+    assert report.to_json() == per_prefix_expansion_gap(trace, trace.registry)
+    assert report.status == status and report.counts["pass"] == 1
+    assert (built > 0) is exact_path
+    if status == "fail":
+        assert report.witnesses == [{"status": "fail", "sigma": "", "t1": 1, "t2": 2,
+                                     "gap": str(gap), "bound": "5/2^2"}]
+
+
+def test_expansion_gap_reads_every_witness_before_the_short_bound():
+    # the gap 1/2 is under 2**(1 - r), but the witness 4 at stage 1 is past
+    # nu("") + 1 + 2: the bound check still ends the check
+    trace = _gap_trace(Dyadic(1, 1), w=4)
+    report = check_expansion_gap_bound(trace)
+    assert report.to_json() == per_prefix_expansion_gap(trace, trace.registry)
+    assert report.witnesses == [{"status": "fail", "law": "w<=nu(sigma)+t+2", "sigma": "",
+                                 "t": 1, "value": 4, "bound": 3}]
+
+
+@pytest.mark.parametrize("jump", ["unit", "zero", "two"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_convergence_sees_x_off_its_jump_by_the_finest_step(minimal, jump, sign):
+    trace = run_engine(EngineState(minimal, "B"), 60)
+    if jump == "two":
+        t = 30
+        trace = mutate_record(trace, t, jump=Dyadic(2))
+    else:
+        t = next(rec.t for rec in trace.stages
+                 if (rec.jump.m == 1) is (jump == "unit") and rec.t > 10)
+    # a jump of 2 also takes x_T past 4, a finding of its own
+    before = check_convergence_bound(trace).witnesses
+    assert before == ([] if jump != "two" else [{"status": "fail", "law": "x_T < 4",
+                                                   "x_T": str(trace.x[-1])}])
+    # x from stage t + 1 on moves by 2**-(T + 3), so only stage t disagrees
+    off = pow2(-(trace.T + 3)) * Dyadic(sign)
+    x = trace.x[:t + 1] + [v + off for v in trace.x[t + 1:]]
+    after = check_convergence_bound(Trace(engine="B", config=trace.config,
+                                          stages=trace.stages, x=x)).witnesses
+    assert after[0] == {"status": "fail", "law": "x consistent with jumps", "t": t}
+    assert [w["law"] for w in after[1:]] == [w["law"] for w in before]
+
+
+@pytest.mark.parametrize("T", [300, 4000])
+def test_passing_bounds_build_no_dyadic(monkeypatch, T):
+    # a work count, not a timing: passing stages, pairs and episodes are
+    # decided in integers, and only a finding the report shows builds its
+    # sum and bound
+    trace = run_engine(EngineState(registry_from_config(DEFAULT_CONFIG), "B"), T)
+    trace.index.fiber_sums
+    convergence, built = dyadics_built(monkeypatch, check_convergence_bound, trace)
+    assert convergence.status == "pass" and built == 0
+    gap, built = dyadics_built(monkeypatch, check_expansion_gap_bound, trace)
+    assert gap.status == "pass" and gap.counts["pass"] >= 1 and built == 0
+    sums, built = dyadics_built(monkeypatch, check_jump_sums, trace)
+    assert sums.status == "pass" and sums.counts["pass"] > 50
+    assert built <= 2 * len(sums.witnesses)
