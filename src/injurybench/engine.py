@@ -20,8 +20,10 @@ that the "[t+1]" reads the construction performs (a delegation consulting a
 restraint raised earlier in the same stage) see the new value while "[t]"
 reads do not.
 
-The substage read protocol is fixed and shared verbatim with the naive
-replay oracle so that read logs can be compared value for value:
+The substage read protocol is fixed and shared verbatim with the rule
+function of the naive replay oracle (``replay.stage_rules``), the one other
+implementation of the substage rules, so that read logs can be compared
+value for value:
 
   1. the strategy's flag is read once per substage (feeds both predicates);
   2. threat test: flag must be 0; then the chain length; the witness is

@@ -1,13 +1,21 @@
-"""Naive replay oracle for the stage constructions.
+"""Naive replay oracle for the stage constructions, and the substage rules.
 
-This module re-implements the substage rules directly from their prose
-description, with none of the engine's sparse or incremental machinery:
-every parameter read scans the full history of explicit writes and
-initialisation events, and the chain length is recomputed from scratch by
-querying the slot on 0, 1, 2, ... at every use.  It exists so the optimised
-engine can be checked against an implementation whose state handling is too
-simple to share its bugs; the test suite compares the x sequences, the
-settlements, and the complete parameter read logs value for value.
+:func:`stage_rules` is the substage rules of one stage written out from
+their prose description, with none of the engine's sparse or incremental
+machinery: it takes a stage's inputs (the parameter values at stage t, the
+approximation x, the slot queries) and returns the stage's settled word,
+action, jump, initialisation region and parameter writes.  It is the one
+implementation of the rules besides the engine, and it has two callers.
+
+* :func:`replay_run`, the oracle, feeds it a full-scan history: every
+  parameter read scans the explicit writes and initialisation events, and
+  the chain length is recomputed from scratch by querying the slot on 0,
+  1, 2, ... (:func:`naive_ell`).  The oracle exists so the optimised engine
+  can be checked against an implementation whose state handling is too
+  simple to share its bugs; the test suite compares the x sequences, the
+  settlements, and the complete parameter read logs value for value.
+* ``verify.check_settlement_facts`` feeds it a finished trace's own state
+  before each stage and compares the derived record with the recorded one.
 
 The substage read protocol is the one documented in :mod:`injurybench.engine`;
 both implementations follow it so the logs line up positionally.
@@ -15,14 +23,14 @@ both implementations follow it so the logs line up positionally.
 To stay independent, this module imports only the primitives
 :mod:`~injurybench.strings`, :mod:`~injurybench.dyadic` and
 :mod:`~injurybench.phi`, never the engine or the trace model; it even spells
-the flag fields itself (a test pins this boundary).
+the flag fields and the action kinds itself (a test pins this boundary).
 
 The oracle stays naive on purpose: it gets faster only when a shared
 primitive does, such as the step query (``naive_ell`` takes a slot's gate
 once from :meth:`~injurybench.phi.PhiRegistry.stepper` and queries it on
-0, 1, 2, ...) or region membership.  The engine
-calls the same primitives, so the cross-check cannot see a fault in them;
-each therefore has a test against its written-out definition instead
+0, 1, 2, ...), the gap test (``dyadic.gap_cmp``) or region membership.  The
+engine calls the same primitives, so the cross-check cannot see a fault in
+them; each therefore has a test against its written-out definition instead
 (``test_phi`` for the convergence gate, ``test_tracekit`` for region
 membership, ``test_strings`` for the tree order, ``test_dyadic`` for the
 arithmetic).
@@ -32,11 +40,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dyadic import ZERO, Dyadic, pow2
+from .dyadic import ZERO, Dyadic, gap_cmp, pow2
 from .phi import PhiRegistry
 from .strings import REL_LEX, REL_LEX_OR_EXT, BinStr, nu, pair, region_contains, unpair
 
-__all__ = ["ReplayResult", "replay_run", "naive_ell"]
+__all__ = ["ReplayResult", "StageRuleError", "replay_run", "stage_rules", "naive_ell"]
+
+# Stage-terminal action kinds, spelled as the trace model spells them
+TOP_OUT = "top_out"
+THREAT_JUMP = "threat_jump"
+THREAT_SCHEDULE = "threat_schedule"
+EXPANSION_JUMP = "expansion_jump"
+EXPANSION_DELEGATE = "expansion_delegate"
+
+
+class StageRuleError(ValueError):
+    """A stage's inputs admit no substage walk (see :func:`stage_rules`)."""
 
 
 @dataclass
@@ -69,7 +88,6 @@ class _History:
 
     def __init__(self, engine: str):
         self.engine = engine
-        self.flag_field = "s" if engine == "A" else "p"
         # (sigma, field) -> [(effective_time, value)] in append order
         self.writes: dict[tuple[BinStr, str], list[tuple[int, int]]] = {}
         # [(stage, anchor, rel)]; effects land at stage + 1
@@ -102,107 +120,186 @@ class _History:
 
 
 def replay_run(registry: PhiRegistry, engine: str, T: int) -> ReplayResult:
-    """Run T stages of the named construction naively."""
+    """Run T stages of the named construction naively: each stage is
+    :func:`stage_rules` on the full-scan history, with no forced tail."""
     if engine not in ("A", "B"):
         raise ValueError(f"unknown engine {engine!r}")
-    variant_b = engine == "B"
     hist = _History(engine)
-    flag_fld = hist.flag_field
     x: list[Dyadic] = [ZERO]
     settlements: list[BinStr] = []
     reads: list[tuple] = []
 
-    def read_cur(t: int, sigma: BinStr, fld: str) -> int:
-        val = hist.read(sigma, fld, t)
-        reads.append((t, sigma, fld, "cur", val))
-        return val
-
-    def read_next(t: int, sigma: BinStr, fld: str) -> int:
-        val = hist.read(sigma, fld, t + 1)
-        reads.append((t, sigma, fld, "next", val))
-        return val
+    def ell(e: int, t: int) -> int:
+        return naive_ell(registry, e, t)
 
     for t in range(T):
-        sigma = ""
-        jump_exp = None
-        region = None
-        while True:
-            e = len(sigma)
-            if e == t:
-                # top-out: keep the value, initialise everything lex-right
-                region = (sigma, REL_LEX)
-                break
+        def read(sigma: BinStr, fld: str) -> int:
+            return hist.read(sigma, fld, t)
 
-            # negative requirement: threat test
-            flag = read_cur(t, sigma, flag_fld)
-            threatened = False
-            w = None
-            if flag == 0:
-                l = naive_ell(registry, e, t)
-                if l >= 0:
-                    w = read_cur(t, sigma, "w")
-                    if l >= w:
-                        v = registry.step(e, l, t)
-                        threatened = (x[t] - x[v]) < pow2(-w)
-            if variant_b and not threatened and flag != 0:
-                hist.write(sigma, flag_fld, 0, t + 1)
-            if threatened:
-                gamma = None
-                r_next = None
-                for j in range(e - 1, -1, -1):
-                    if sigma[j] == "0":
-                        cand = sigma[:j]
-                        r_cand = read_next(t, cand, "r")
-                        if r_cand >= w:
-                            gamma, r_next = cand, r_cand
-                            break
-                if gamma is None:
-                    jump_exp = w
-                else:
-                    hist.write(gamma, "c", pair(sigma, 1 << (r_next - w)), t + 1)
-                hist.write(sigma, flag_fld, 1, t + 1)
-                if variant_b:
-                    hist.write(sigma, "w", w + 1, t + 1)
-                region = (sigma, REL_LEX if variant_b else REL_LEX_OR_EXT)
-                break
-
-            # positive requirement: expansion test
-            expansionary = False
-            r = None
-            if variant_b or flag == 1:
-                l = naive_ell(registry, e, t)
-                if l >= 0:
-                    r = read_cur(t, sigma, "r")
-                    v = registry.step(e, l, t)
-                    expansionary = (x[t] - x[v]) < pow2(-r)
-            if not expansionary:
-                sigma += "1"
-                continue
-
-            c = read_cur(t, sigma, "c")
-            if c == 0:
-                hist.write(sigma, "r", r + 1, t + 1)
-                sigma += "0"
-                continue
-
-            alpha, second = unpair(c)
-            k = second - 1
-            j = sigma.rfind("0")
-            if j < 0:
-                jump_exp = r
-            else:
-                gamma = sigma[:j]
-                r_next = read_next(t, gamma, "r")
-                hist.write(gamma, "c", pair(alpha, 1 << (r_next - r)), t + 1)
-            hist.write(sigma, "c", 0 if k == 0 else pair(alpha, k), t + 1)
-            if variant_b:
-                region = (sigma + "0", REL_LEX)
-            else:
-                region = (alpha, REL_LEX_OR_EXT)
-            break
-
+        sigma, _, jump_exp, region, writes = stage_rules(
+            t, x, read, reads.append, ell, registry.step, engine, t)
+        for s, fld, val in writes:
+            hist.write(s, fld, val, t + 1)
         x.append(x[t] + (pow2(-jump_exp) if jump_exp is not None else ZERO))
         hist.inits.append((t, region[0], region[1]))
         settlements.append(sigma)
 
     return ReplayResult(engine=engine, x=x, settlements=settlements, reads=reads)
+
+
+def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
+                forced: int):
+    """Stage t of the named construction by the substage rules.
+
+    ``read(sigma, fld)`` is a parameter's value at stage t, before any
+    write of this stage; ``log``, unless None, receives the tuple (t, sigma,
+    fld, "cur"|"next", value) of every read in the order of the engine's
+    read protocol, as the engine's read log holds it.  ``ell(e, t)`` and
+    ``step(e, n, t)`` query the slots, and x needs entries up to x[t].  From
+    depth ``forced`` on the walk appends "1" up to depth t in one step,
+    logging the flag reads of 0 it skips (the forced walk of the engine
+    module docstring); a ``forced`` of t walks every depth.
+
+    Returns (settled, action, jump exponent, region, writes): the action
+    is the tuple (kind, sigma, gamma, counter, alpha, k, exponent) in the
+    field order of the trace model's ``Action``, the jump exponent is None
+    for no jump, the region is (anchor, relation), and the writes are the
+    (sigma, field, value) triples in substage order.  The writes are staged
+    here, so a "next" read sees this stage's earlier writes.
+
+    Raises :class:`StageRuleError` where the inputs admit no walk: a chain
+    value not visible by stage t, a restraint read past t, a counter that
+    decodes to no remaining jump, or a delegation target whose restraint
+    lies below the delegating strategy's.  Bounding the restraint bounds
+    every shift the walk takes: a restraint read "next" is always one this
+    stage wrote, one above a restraint it read at t.
+    """
+    variant_b = engine == "B"
+    flag_fld = "p" if variant_b else "s"
+    staged: dict[tuple[BinStr, str], int] = {}
+
+    def logged(sigma: BinStr, fld: str) -> int:
+        val = read(sigma, fld)
+        log((t, sigma, fld, "cur", val))
+        return val
+
+    cur = read if log is None else logged
+
+    def nxt_restraint(sigma: BinStr) -> int:
+        # the walk appends "0" only after staging the strategy's raised
+        # restraint, so the restraint of a 0-predecessor is always staged
+        val = staged[sigma, "r"]
+        if log is not None:
+            log((t, sigma, "r", "next", val))
+        return val
+
+    def gap_below(e: int, l: int, exponent: int) -> bool:
+        v = step(e, l, t)
+        if v is None or v > t:
+            raise StageRuleError(f"slot {e} chain inconsistent at stage {t}")
+        return gap_cmp(x[t], x[v], exponent) < 0
+
+    sigma = ""
+    while True:
+        e = len(sigma)
+        if forced <= e < t:
+            if log is not None:
+                for k in range(t - e):
+                    log((t, sigma + "1" * k, flag_fld, "cur", 0))
+            sigma += "1" * (t - e)
+            e = t
+        if e == t:
+            # top-out: keep the value, initialise everything lex-right
+            action = (TOP_OUT, sigma, None, None, None, None, None)
+            jump_exp = None
+            region = (sigma, REL_LEX)
+            break
+
+        # negative requirement: threat test; the chain length is asked once
+        # per substage, and only where a predicate needs it
+        flag = cur(sigma, flag_fld)
+        l = None
+        threatened = False
+        if flag == 0:
+            l = ell(e, t)
+            if l >= 0:
+                w = cur(sigma, "w")
+                threatened = l >= w and gap_below(e, l, w)
+        # B: an unthreatened visit lifts the pause flag
+        if variant_b and not threatened and flag != 0:
+            staged[sigma, flag_fld] = 0
+        if threatened:
+            # the longest 0-predecessor whose raised restraint blocks the jump
+            gamma = None
+            for j in range(e - 1, -1, -1):
+                if sigma[j] == "0":
+                    r_next = nxt_restraint(sigma[:j])
+                    if r_next >= w:
+                        gamma = sigma[:j]
+                        break
+            if gamma is None:
+                action = (THREAT_JUMP, sigma, None, None, None, None, w)
+                jump_exp = w
+            else:
+                counter = pair(sigma, 1 << (r_next - w))
+                staged[gamma, "c"] = counter
+                action = (THREAT_SCHEDULE, sigma, gamma, counter, None, None, None)
+                jump_exp = None
+            staged[sigma, flag_fld] = 1
+            # B: every handled threat bumps the witness; its region spares
+            # the threatened strategy's extensions
+            if variant_b:
+                staged[sigma, "w"] = w + 1
+            region = (sigma, REL_LEX if variant_b else REL_LEX_OR_EXT)
+            break
+
+        # positive requirement: expansion test (A: only while the flag is 1)
+        expansionary = False
+        if variant_b or flag == 1:
+            if l is None:
+                l = ell(e, t)
+            if l >= 0:
+                r = cur(sigma, "r")
+                if r > t:
+                    raise StageRuleError(f"restraint of {sigma!r} passes stage {t}")
+                expansionary = gap_below(e, l, r)
+        if not expansionary:
+            sigma += "1"
+            continue
+
+        c = cur(sigma, "c")
+        if c == 0:
+            staged[sigma, "r"] = r + 1
+            sigma += "0"
+            continue
+
+        # execute or delegate one scheduled jump
+        alpha, second = unpair(c)
+        if second == 0:
+            raise StageRuleError(
+                f"counter of {sigma!r} decodes to a zero remaining count at stage {t}")
+        k = second - 1
+        j = sigma.rfind("0")
+        if j < 0:
+            action = (EXPANSION_JUMP, sigma, None, None, alpha, k, r)
+            jump_exp = r
+        else:
+            gamma = sigma[:j]
+            r_next = nxt_restraint(gamma)
+            if r_next < r:
+                raise StageRuleError(
+                    f"restraint of {gamma!r} fell below {sigma!r}'s at stage {t}")
+            counter = pair(alpha, 1 << (r_next - r))
+            staged[gamma, "c"] = counter
+            action = (EXPANSION_DELEGATE, sigma, gamma, counter, alpha, k, None)
+            jump_exp = None
+        staged[sigma, "c"] = 0 if k == 0 else pair(alpha, k)
+        # B: a counter stage initialises right of sigma's 0-branch; A
+        # initialises around the decoded label
+        region = (sigma + "0", REL_LEX) if variant_b else (alpha, REL_LEX_OR_EXT)
+        break
+
+    # the rules write no (sigma, field) twice in a stage, so the staging
+    # map holds the writes in substage order
+    writes = tuple([(s, fld, val) for (s, fld), val in staged.items()])
+    return sigma, action, jump_exp, region, writes

@@ -24,10 +24,12 @@ attribution of every jump to the threat that caused it (``fibers``), with
 each fibre's running sums, so that what any range of stages paid to one
 threat is one subtraction (``paid``), and whether it reaches a power of
 two one integer comparison (``paid_cmp``).  The index re-evaluates the
-substage predicates (``threatened``, ``expansionary``) with the gap test
-the engine also calls (:func:`gap_below`).  A trace owns its index:
-``Trace.index`` builds it on first use, so every reader of one trace shares
-it.
+expansion predicate (``expansionary``) that ``requirement_p`` and
+``expansion_gap`` ask, with the gap test the engine also calls
+(:func:`gap_below`); the settlement check re-derives whole stages with
+``replay.stage_rules`` on the index's parameter values.  A trace owns its
+index: ``Trace.index`` builds it on first use, so every reader of one trace
+shares it.
 """
 
 from __future__ import annotations
@@ -515,8 +517,8 @@ class TraceIndex:
     strategies asked about: materialising them for every prefix of every
     settlement would cost O(T * depth).
 
-    Of the substage predicates, the expansion test, which three checkers
-    ask, is evaluated once per (sigma, t) (:meth:`expansionary`).
+    The expansion predicate, which two checkers ask, is evaluated once per
+    (sigma, t) (:meth:`expansionary`).
     """
 
     def __init__(self, trace: Trace):
@@ -619,21 +621,7 @@ class TraceIndex:
         times, values = self._cp.get((sigma, fld)) or self.changepoints(sigma, fld)
         return values[bisect_right(times, t) - 1]
 
-    # -- substage predicates -----------------------------------------------
-
-    def threatened(self, sigma: BinStr, t: int) -> bool:
-        """The threat predicate of sigma at stage t."""
-        trace = self.trace
-        if self.value(sigma, trace.flag_field, t) != 0:
-            return False
-        e = len(sigma)
-        l = trace.registry.ell(e, t)
-        if l < 0:
-            return False
-        w = self.value(sigma, "w", t)
-        if l < w:
-            return False
-        return gap_below(trace.registry, trace.x, e, l, t, w)
+    # -- the expansion predicate -------------------------------------------
 
     def expansionary(self, sigma: BinStr, t: int) -> bool:
         """The expansion predicate of sigma at stage t, a pure function of

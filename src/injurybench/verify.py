@@ -13,22 +13,25 @@ again -- unobservable at a finite horizon -- it substitutes the last
 initialisation seen in the trace and says so in the report's assumptions.
 
 Every trace fact a checker reads -- parameter values, initialisations,
-applications, threats by strategy, jump attribution -- comes from the
-trace's own ``tracekit.TraceIndex`` (``trace.index``), so the checkers share
-one index whether ``run_checks`` runs them or a caller runs one alone.
-What an episode paid comes from the running sums of the jumps attributed to
-its threat (``TraceIndex.paid``, ``TraceIndex.fiber_sums``).  Bounds are
-decided integer-first: a law comparing a difference or a sum with a power
-of two asks ``gap_cmp`` (``TraceIndex.paid_cmp`` for a sum), so a passing
-item builds no ``Dyadic``, and only a finding the report shows builds its
-exact values and text.  The substage predicates come from that index as well
-(``TraceIndex.threatened``, ``TraceIndex.expansionary``).
-Slot values come from the registry that the trace's embedded configuration
-builds (``trace.registry``), likewise built once per trace.  The loader
-(``tracekit.deserialize``) has already checked that configuration against
-its digest, and every parameter value to be a natural number, as the
-engine writes them.  ``run_checks`` runs the checkers from one table of
-(name, engines, per-slot, checker).
+applications, threats by strategy, jump attribution, the expansion predicate
+(``TraceIndex.expansionary``) -- comes from the trace's own
+``tracekit.TraceIndex`` (``trace.index``), so the checkers share one index
+whether ``run_checks`` runs them or a caller runs one alone.  What an
+episode paid comes from the running sums of the jumps attributed to its
+threat (``TraceIndex.paid``, ``TraceIndex.fiber_sums``).  Bounds are decided
+integer-first: a law comparing a difference or a sum with a power of two
+asks ``gap_cmp`` (``TraceIndex.paid_cmp`` for a sum), so a passing item
+builds no ``Dyadic``, and only a finding the report shows builds its exact
+values and text.  Slot values come from the registry that the trace's
+embedded configuration builds (``trace.registry``), likewise built once per
+trace.  The loader (``tracekit.deserialize``) has already checked that
+configuration against its digest, and every parameter value to be a natural
+number, as the engine writes them.
+
+The settlement check re-derives every stage record with
+``replay.stage_rules``, the one implementation of the substage rules besides
+the engine, so the checkers keep no copy of those rules.  ``run_checks``
+runs the checkers from one table of (name, engines, per-slot, checker).
 """
 
 from __future__ import annotations
@@ -40,13 +43,12 @@ from itertools import accumulate
 
 from .dyadic import ZERO, Dyadic, gap_cmp, pow2
 from .phi import PhiRegistry
+from .replay import StageRuleError, stage_rules
 from .strings import BinStr, lex_less, nu, region_covers_right_of
 from .tracekit import (
     EXPANSION_KINDS,
     THREAT_KINDS,
-    TERMINAL_KINDS,
     THREAT_JUMP,
-    TOP_OUT,
     Trace,
     TraceCorruption,
     TraceIndex,
@@ -67,6 +69,9 @@ __all__ = [
 ]
 
 _FOUR = Dyadic(4)
+# the law of a settlement finding for a record the substage rules disown
+_RULES_LAW = "record follows the substage rules"
+_RECORD_FIELDS = ("settled", "action", "init_regions", "param_writes")
 
 
 @dataclass
@@ -579,90 +584,51 @@ def _witness_sum(trace: Trace, path: BinStr, e: int, t: int) -> Dyadic:
 
 
 def check_settlement_facts(trace: Trace) -> Report:
-    """Consistency of every stage with the substage rules: descent bits
-    justified by the re-evaluated predicates, counters clear along the
-    0-spine, threat episodes closed once complete, one threat per witness
-    value, and (second construction) the pause-flag laws.
+    """Every stage record re-derived by the substage rules, plus the laws
+    the rules imply that are certified here on their own: one threat per
+    witness value, threat episodes closed once complete, and (second
+    construction) the pause-flag laws.
 
-    The descent bits are checked per depth only below ``head``, one past the
-    deepest configured slot index.  From ``head`` on the check is one search
-    for the first "0", reported as the descent-bit finding the per-depth
-    loop would give there.  This is exact: at an unconfigured depth the
-    per-depth rule evaluates no predicate and wants "1", because the empty
-    slot's chain length is -1 and neither predicate can hold there (the
-    forced walk of the engine module docstring)."""
+    Stage t runs ``replay.stage_rules`` on the trace's own state before it:
+    parameter values from ``TraceIndex.value`` at t, x, and the registry's
+    ``ell`` and ``step``.  The walk is forced from one past the deeper of
+    the longest strategy written before t and the deepest configured slot
+    index: no strategy from that depth on has a parameter write or a slot,
+    so every substage there appends "1" (the forced walk of the engine
+    module docstring).  The record's settled word, action, initialisation
+    regions and parameter writes must equal the derived ones, and the first
+    that differs is named in a fail finding with law "record follows the
+    substage rules"; where the stage's inputs admit no walk, the finding
+    carries the rule function's error instead.  A stage is derived from the
+    records before it alone, so an edited record fails at its own stage.
+    """
     index = trace.index
-    configured = trace.registry.configured_indices()
-    head = max(configured, default=-1) + 1
+    registry = trace.registry
+    deepest = max(registry.configured_indices(), default=-1)
     findings: list[tuple[str, dict]] = []
-    c_written = index.written_to("c")
 
     def violation(**detail):
         findings.append(("fail", detail))
 
+    value, x, ell, step = index.value, trace.x, registry.ell, registry.step
+    longest = -1  # the length of the longest strategy written so far
     for rec in trace.stages:
-        t, settled, kind = rec.t, rec.settled, rec.action.kind
-        if kind not in TERMINAL_KINDS:
-            violation(t=t, law="terminal action kind", kind=kind)
-            continue
-        if rec.action.sigma != settled:
-            violation(t=t, law="settles on the acting strategy",
-                      settled=settled, action_sigma=rec.action.sigma)
-        if kind == TOP_OUT and len(settled) != t:
-            violation(t=t, law="top-out at depth t", settled_len=len(settled))
-        if kind != TOP_OUT and len(settled) >= t:
-            violation(t=t, law="early termination below depth t")
-
-        # descent bits: each applied proper prefix must not have been
-        # threatened, and its continuation bit must match its expansion state;
-        # from depth head on every bit must be "1"
+        t = rec.t
         try:
-            for depth in range(min(len(settled), head)):
-                rho = settled[:depth]
-                if depth in configured:
-                    if index.threatened(rho, t):
-                        violation(t=t, law="threatened prefix passed over", rho=rho)
-                        break
-                    if index.expansionary(rho, t):
-                        if index.value(rho, "c", t) != 0:
-                            violation(t=t, law="pending counter passed over", rho=rho)
-                            break
-                        want = "0"
-                    else:
-                        want = "1"
-                else:
-                    want = "1"
-                if settled[depth] != want:
-                    violation(t=t, law="descent bit", rho=rho, expected=want,
-                              got=settled[depth])
-                    break
-            else:
-                depth = settled.find("0", head)
-                if depth >= 0:
-                    violation(t=t, law="descent bit", rho=settled[:depth], expected="1",
-                              got="0")
-            # the settled strategy itself must justify the terminal action
-            if kind != TOP_OUT:
-                thr = index.threatened(settled, t) if len(settled) in configured else False
-                if kind in THREAT_KINDS and not thr:
-                    violation(t=t, law="threat action without threat", sigma=settled)
-                if kind in EXPANSION_KINDS:
-                    if thr:
-                        violation(t=t, law="counter action while threatened",
-                                  sigma=settled)
-                    elif not (len(settled) in configured and index.expansionary(settled, t)):
-                        violation(t=t, law="counter action without expansion",
-                                  sigma=settled)
-                    elif index.value(settled, "c", t) == 0:
-                        violation(t=t, law="counter action with zero counter",
-                                  sigma=settled)
-        except TraceCorruption as exc:
-            violation(t=t, law="predicate evaluation", error=str(exc))
-
-        # every 0-predecessor of an applied strategy has a clean counter
-        for gamma in c_written:
-            if settled.startswith(gamma + "0") and index.value(gamma, "c", t) != 0:
-                violation(t=t, law="counters clear along the 0-spine", gamma=gamma)
+            derived = stage_rules(t, x, lambda sigma, fld: value(sigma, fld, t), None, ell,
+                                  step, trace.engine, max(longest, deepest) + 1)
+        except StageRuleError as exc:
+            violation(t=t, law=_RULES_LAW, error=str(exc))
+        else:
+            settled, action, _, region, writes = derived
+            want = (settled, action, (region,), writes)
+            got = (rec.settled, rec.action, rec.init_regions, rec.param_writes)
+            if want != got:
+                first = next(i for i in range(4) if want[i] != got[i])
+                violation(t=t, law=_RULES_LAW, field=_RECORD_FIELDS[first])
+        for sigma, _, _ in rec.param_writes:
+            if len(sigma) > longest:
+                longest = len(sigma)
 
     # at most one handled threat per (strategy, witness value): a repeat
     # needs an intervening initialisation or bump, which raises the witness
@@ -686,13 +652,14 @@ def check_settlement_facts(trace: Trace) -> Report:
         fiber_sums = {}
     for origin, sums in fiber_sums.items():
         # every indexed jump is positive, so the running sums strictly
-        # increase and the first to reach the schedule decides both laws
-        bound = pow2(-_scheduled(trace, origin))
-        i = bisect_left(sums, bound)
+        # increase and the first to reach the schedule 2**-w decides both
+        # laws, compared in integers
+        w = _scheduled(trace, origin)
+        i = bisect_left(sums, 0, key=lambda s: gap_cmp(s, ZERO, w))
         members = index.fibers[origin]
         if i == len(sums):
             continue
-        if sums[i] > bound:
+        if gap_cmp(sums[i], ZERO, w) > 0:
             violation(law="fiber sum bounded by schedule", origin=origin, t=members[i - 1])
         elif i < len(members):
             violation(law="fiber closed after completion", origin=origin,

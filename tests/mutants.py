@@ -5,6 +5,8 @@ hostile-input gate.
 the traces the loader accepts.  ``jump_value_edits`` rescales the jump of
 one record together with the exponent that states it, keeping the action
 kind, so that only the amounts paid to the threats change.
+``trace_changing_edits`` yields the edits of both kinds that write another
+trace file, as ``changes_trace`` tells them apart.
 """
 
 import json
@@ -90,3 +92,19 @@ def jump_value_edits(trace: Trace) -> list[Trace]:
             if mutant is not None:
                 out.append(mutant)
     return out
+
+
+def changes_trace(trace: Trace, mutant: Trace) -> bool:
+    """Whether the mutant writes another trace file than the trace.  The
+    loader accepts a record only if the writer writes it back as the same
+    JSON value, so records that compare equal serialise to equal lines."""
+    return mutant.stages != trace.stages
+
+
+def trace_changing_edits(trace: Trace, count: int, seed: int):
+    """The :func:`single_record_mutants` that change the trace, then every
+    :func:`jump_value_edits` edit, each of which changes it."""
+    for mutant in single_record_mutants(trace, count, seed):
+        if changes_trace(trace, mutant):
+            yield mutant
+    yield from jump_value_edits(trace)

@@ -20,16 +20,15 @@ from injurybench.phi import DEFAULT_CONFIG, PhiRegistry, registry_from_config
 from injurybench.strings import (
     lex_less,
     nu,
+    pair,
     region_contains,
     region_covers_right_of,
     true_path_estimate,
 )
 from injurybench.tracekit import (
     EXPANSION_KINDS,
-    TERMINAL_KINDS,
     THREAT_JUMP,
     THREAT_KINDS,
-    TOP_OUT,
     Action,
     StageRecord,
     Trace,
@@ -39,6 +38,7 @@ from injurybench.tracekit import (
     serialize,
 )
 from injurybench import verify
+from injurybench.replay import StageRuleError, stage_rules
 from injurybench.verify import (
     check_convergence_bound,
     check_cutoffs,
@@ -51,7 +51,7 @@ from injurybench.verify import (
     run_checks,
 )
 from conftest import MINIMAL_CONFIG, jump_stages
-from mutants import jump_value_edits, single_record_mutants
+from mutants import changes_trace, jump_value_edits, single_record_mutants, trace_changing_edits
 from test_randomized import DOUBLING_PROGRAM, random_config
 from test_replay import SPARSE_DEEP_CONFIGS
 
@@ -400,6 +400,7 @@ def test_mutation_single_threat_per_witness(trace_b):
     # removing the witness bump makes the later threat reuse the value
     report = check_settlement_facts(mutated)
     assert report.status == "fail"
+    assert any(w["law"] == "single threat per witness value" for w in report.witnesses)
 
 
 def test_settlement_rejects_descend_as_terminal_kind(trace_a):
@@ -409,8 +410,8 @@ def test_settlement_rejects_descend_as_terminal_kind(trace_a):
                             action=rec.action._replace(kind="descend"))
     report = check_settlement_facts(mutated)
     assert report.status == "fail"
-    assert {"status": "fail", "t": rec.t, "law": "terminal action kind",
-            "kind": "descend"} in report.witnesses
+    assert {"status": "fail", "t": rec.t, "law": "record follows the substage rules",
+            "field": "action"} in report.witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +723,10 @@ def test_expansion_gap_asks_only_configured_prefixes(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The settlement check against the per-depth loop it replaced
+# The settlement check re-derives every record with the substage rules, so
+# it passes engine traces and fails exactly the edits that change a trace.
+# The tests keep the names and inputs of the per-depth loop that the check
+# once was compared with.
 
 # The re-split family of the replay tests: a depth-2 threat is scheduled onto
 # a mid-tree strategy, which re-delegates upward.
@@ -732,121 +736,21 @@ RESPLIT_CONFIG = {"slots": [
     {"index": 2, "kind": "square"},
 ]}
 
-
-def per_depth_settlement(trace: Trace) -> dict:
-    """Reference for check_settlement_facts: the descent bits of every
-    settled word checked one depth at a time, up to its full length."""
-    index = trace.index
-    configured = trace.registry.configured_indices()
-    findings = []
-    c_written = index.written_to("c")
-
-    def violation(**detail):
-        findings.append(("fail", detail))
-
-    for rec in trace.stages:
-        t, settled, kind = rec.t, rec.settled, rec.action.kind
-        if kind not in TERMINAL_KINDS:
-            violation(t=t, law="terminal action kind", kind=kind)
-            continue
-        if rec.action.sigma != settled:
-            violation(t=t, law="settles on the acting strategy",
-                      settled=settled, action_sigma=rec.action.sigma)
-        if kind == TOP_OUT and len(settled) != t:
-            violation(t=t, law="top-out at depth t", settled_len=len(settled))
-        if kind != TOP_OUT and len(settled) >= t:
-            violation(t=t, law="early termination below depth t")
-        try:
-            for depth in range(len(settled)):
-                rho = settled[:depth]
-                if depth in configured:
-                    if index.threatened(rho, t):
-                        violation(t=t, law="threatened prefix passed over", rho=rho)
-                        break
-                    if index.expansionary(rho, t):
-                        if index.value(rho, "c", t) != 0:
-                            violation(t=t, law="pending counter passed over", rho=rho)
-                            break
-                        want = "0"
-                    else:
-                        want = "1"
-                else:
-                    want = "1"
-                if settled[depth] != want:
-                    violation(t=t, law="descent bit", rho=rho, expected=want,
-                              got=settled[depth])
-                    break
-            if kind != TOP_OUT:
-                thr = index.threatened(settled, t) if len(settled) in configured else False
-                if kind in THREAT_KINDS and not thr:
-                    violation(t=t, law="threat action without threat", sigma=settled)
-                if kind in EXPANSION_KINDS:
-                    if thr:
-                        violation(t=t, law="counter action while threatened",
-                                  sigma=settled)
-                    elif not (len(settled) in configured
-                              and index.expansionary(settled, t)):
-                        violation(t=t, law="counter action without expansion",
-                                  sigma=settled)
-                    elif index.value(settled, "c", t) == 0:
-                        violation(t=t, law="counter action with zero counter",
-                                  sigma=settled)
-        except TraceCorruption as exc:
-            violation(t=t, law="predicate evaluation", error=str(exc))
-        for gamma in c_written:
-            if settled.startswith(gamma + "0") and index.value(gamma, "c", t) != 0:
-                violation(t=t, law="counters clear along the 0-spine", gamma=gamma)
-
-    threat_witnesses = {}
-    for rec in trace.stages:
-        if rec.action.kind in THREAT_KINDS:
-            key = (rec.settled, index.value(rec.settled, "w", rec.t))
-            if key in threat_witnesses:
-                violation(law="single threat per witness value",
-                          sigma=rec.settled, witness=key[1],
-                          stages=[threat_witnesses[key], rec.t])
-            else:
-                threat_witnesses[key] = rec.t
-
-    try:
-        fibers = index.fibers
-    except TraceCorruption as exc:
-        violation(law="jump attribution", error=str(exc))
-        fibers = {}
-    for origin, members in fibers.items():
-        sigma = trace.stages[origin].settled
-        bound = pow2(-index.value(sigma, "w", origin))
-        total = Dyadic(0)
-        done_at = None
-        for t in members:
-            if done_at is not None:
-                violation(law="fiber closed after completion", origin=origin,
-                          late_jump=t)
-                break
-            total = total + index.jumps[t]
-            if total == bound:
-                done_at = t
-            elif total > bound:
-                violation(law="fiber sum bounded by schedule", origin=origin, t=t)
-                break
-
-    if trace.engine == "B":
-        verify._check_pause_facts(trace, index, findings)
-    return verify._make_report("settlement",
-                               findings or [("pass", {"stages": trace.T})]).to_json()
+RULES_LAW = "record follows the substage rules"
 
 
-def assert_settlement_matches_reference(trace: Trace) -> dict:
-    # each side on its own copy, so neither reads the other's memo
-    data = serialize(trace)
-    expected = per_depth_settlement(deserialize(data))
-    got = check_settlement_facts(deserialize(data)).to_json()
-    assert got == expected
-    return got
+def assert_settlement_fails_iff_changed(trace: Trace, mutant: Trace) -> bool:
+    """Whether the mutant changes the trace, asserting that its settlement
+    report fails exactly then."""
+    changed = changes_trace(trace, mutant)
+    assert (check_settlement_facts(mutant).status == "fail") is changed
+    return changed
 
 
 _SETTLEMENT_FAMILIES = {
     "default-A-300": ("A", DEFAULT_CONFIG, 300),
+    # engine A's counter reaches 622 digits by this horizon
+    "default-A-8000": ("A", DEFAULT_CONFIG, 8000),
     "resplit-A-220": ("A", RESPLIT_CONFIG, 220),
     "deep-B-250": ("B", DEEP_CONFIG, 250),
     "sparse-A-200": ("A", SPARSE_DEEP_CONFIGS["identity0-double12"], 200),
@@ -859,19 +763,19 @@ _SETTLEMENT_FAMILIES = {
 @pytest.mark.parametrize("name", sorted(_SETTLEMENT_FAMILIES))
 def test_settlement_matches_per_depth_loop(name):
     engine, config, T = _SETTLEMENT_FAMILIES[name]
-    report = assert_settlement_matches_reference(
-        run_engine(EngineState(registry_from_config(config), engine), T))
-    assert report["status"] == "pass"
+    trace = run_engine(EngineState(registry_from_config(config), engine), T)
+    assert check_settlement_facts(trace).to_json() == {
+        "check": "settlement", "status": "pass", "witnesses": [], "assumptions": [],
+        "counts": {"pass": 1}}
 
 
 @pytest.mark.parametrize("config", [DEFAULT_CONFIG, SPARSE_DEEP_CONFIGS["identity0-double12"]],
                          ids=["default", "sparse"])
 def test_settlement_matches_per_depth_loop_on_trace_mutants(config):
     trace = run_engine(EngineState(registry_from_config(config), "A"), 60)
-    original = assert_settlement_matches_reference(trace)
     changed = 0
     for mutant in single_record_mutants(trace, 100, seed=9):
-        changed += assert_settlement_matches_reference(mutant) != original
+        changed += assert_settlement_fails_iff_changed(trace, mutant)
     assert changed >= 10
 
 
@@ -884,7 +788,6 @@ def test_settlement_matches_per_depth_loop_on_flipped_bits(engine, config):
     trace = run_engine(EngineState(registry_from_config(config), engine), 80)
     head = max(trace.registry.configured_indices()) + 1
     rng = random.Random(21)
-    past_head = 0
     for below in [True, False] * 8:
         while True:
             rec = trace.stages[rng.randrange(20, 80)]
@@ -895,30 +798,42 @@ def test_settlement_matches_per_depth_loop_on_flipped_bits(engine, config):
         word = rec.settled[:depth] + "0" + rec.settled[depth + 1:]
         mutant = mutate_record(trace, rec.t, settled=word,
                                action=rec.action._replace(sigma=word))
-        report = assert_settlement_matches_reference(mutant)
-        assert report["status"] == "fail"
-        past_head += any(w["law"] == "descent bit" and len(w["rho"]) >= head
-                         for w in report["witnesses"])
-    assert past_head >= 1
+        assert assert_settlement_fails_iff_changed(trace, mutant)
+        assert {"status": "fail", "t": rec.t, "law": RULES_LAW,
+                "field": "settled"} in check_settlement_facts(mutant).witnesses
+
+
+def test_settlement_walks_below_a_strategy_written_past_the_configured_depths():
+    # a pause flag written past every configured index fails its own record,
+    # and each later walk through that strategy lifts it, as the engine's
+    # would: the forced walk starts below the deepest written strategy
+    trace = run_engine(EngineState(registry_from_config(DEEP_CONFIG), "B"), 60)
+    deep, s = "10111111", 20
+    assert len(deep) > max(trace.registry.configured_indices())
+    mutant = mutate_record(trace, s,
+                           param_writes=trace.stages[s].param_writes + ((deep, "p", 1),))
+    failed = [w["t"] for w in check_settlement_facts(mutant).witnesses if w["law"] == RULES_LAW]
+    later = [t for t in range(s + 1, trace.T) if trace.stages[t].settled.startswith(deep)]
+    assert later and failed == [s, *later]
 
 
 def test_settlement_asks_only_configured_depths(monkeypatch):
     # a work count, not a timing: past the deepest configured index the
-    # settled word is searched, not tested depth by depth
+    # settled word is forced, not walked depth by depth, so the chain length
+    # is asked at most once per depth below it
     T = 500
     trace = run_engine(EngineState(registry_from_config(DEFAULT_CONFIG), "A"), T)
-    tests = 0
+    asked = 0
+    ell = PhiRegistry.ell
 
-    class CountingSet(frozenset):
-        def __contains__(self, item):
-            nonlocal tests
-            tests += 1
-            return super().__contains__(item)
+    def counting_ell(self, e, t):
+        nonlocal asked
+        asked += 1
+        return ell(self, e, t)
 
-    configured = CountingSet(trace.registry.configured_indices())
-    monkeypatch.setattr(PhiRegistry, "configured_indices", lambda self: configured)
+    monkeypatch.setattr(PhiRegistry, "ell", counting_ell)
     assert check_settlement_facts(trace).status == "pass"
-    assert 0 < tests <= T * (max(configured) + 2)
+    assert 0 < asked <= T * (max(trace.registry.configured_indices()) + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -1029,18 +944,54 @@ def summing_cutoffs(trace: Trace) -> dict:
          "in-horizon initialisations"]).to_json()
 
 
+_CLOSURE_LAWS = ("jump attribution", "fiber sum bounded by schedule",
+                 "fiber closed after completion")
+
+
+def summing_fiber_closure(trace: Trace) -> list[dict]:
+    """Reference for the fibre-closure findings of check_settlement_facts:
+    each fibre's jumps summed one at a time and compared with its schedule."""
+    index = trace.index
+    findings = []
+    try:
+        fibers = index.fibers
+    except TraceCorruption as exc:
+        return [{"status": "fail", "law": "jump attribution", "error": str(exc)}]
+    for origin, members in fibers.items():
+        sigma = trace.stages[origin].settled
+        bound = pow2(-index.value(sigma, "w", origin))
+        total = Dyadic(0)
+        done_at = None
+        for t in members:
+            if done_at is not None:
+                findings.append({"status": "fail", "law": "fiber closed after completion",
+                                 "origin": origin, "late_jump": t})
+                break
+            total = total + index.jumps[t]
+            if total == bound:
+                done_at = t
+            elif total > bound:
+                findings.append({"status": "fail", "law": "fiber sum bounded by schedule",
+                                 "origin": origin, "t": t})
+                break
+    return findings
+
+
 def assert_payment_reports_match_reference(trace: Trace) -> dict[str, dict]:
     """The jump_sums, settlement and (engine A) cutoffs reports, each equal
-    to its reference's; each side reads its own copy of the trace."""
+    to its reference's (for settlement, its fibre-closure findings); each
+    side reads its own copy of the trace."""
     data = serialize(trace)
-    pairs = {"jump_sums": (check_jump_sums, summing_jump_sums),
-             "settlement": (check_settlement_facts, per_depth_settlement)}
+    pairs = {"jump_sums": (check_jump_sums, summing_jump_sums)}
     if trace.engine == "A":
         pairs["cutoffs"] = (check_cutoffs, summing_cutoffs)
     reports = {}
     for name, (check, reference) in pairs.items():
         reports[name] = check(deserialize(data)).to_json()
         assert reports[name] == reference(deserialize(data)), name
+    reports["settlement"] = check_settlement_facts(deserialize(data)).to_json()
+    closure = [w for w in reports["settlement"]["witnesses"] if w.get("law") in _CLOSURE_LAWS]
+    assert closure == summing_fiber_closure(deserialize(data))
     return reports
 
 
@@ -1085,6 +1036,13 @@ def test_every_accepted_jump_value_edit_fails_a_check(engine, count):
     for mutant in edits:
         failed = [r.check for r in run_checks(mutant) if r.status == "fail"]
         assert failed, [rec.t for rec, old in zip(mutant.stages, trace.stages) if rec != old]
+    # settlement re-derives every record, so it alone fails each edit, of a
+    # jump value or of any one leaf, that writes another trace
+    changing = 0
+    for mutant in trace_changing_edits(trace, 300, 7):
+        assert check_settlement_facts(mutant).status == "fail"
+        changing += 1
+    assert changing >= 250 + count
 
 
 @pytest.mark.parametrize("engine", ["A", "B"])
@@ -1152,8 +1110,8 @@ def test_run_checks_evaluates_the_expansion_predicate_once_per_strategy_and_stag
     assert all(r.status != "fail" for r in reports)
     assert evaluated and set(evaluated.values()) == {1}
     assert trace.index._expansions.keys() == evaluated.keys()
-    # settlement, requirement_p and expansion_gap ask for the same pairs
-    assert asked > 2 * len(evaluated)
+    # requirement_p and expansion_gap ask for the same pairs
+    assert asked > len(evaluated)
 
 
 def _hide_chain_at(registry: PhiRegistry, t_bad: int) -> PhiRegistry:
@@ -1196,7 +1154,7 @@ def test_expansion_memo_keeps_no_trace_corruption():
     raised = [name for name, out in zip(names, alone) if isinstance(out, str)]
     assert "requirement_p" in raised and "settlement" not in raised
     settlement = alone[names.index("settlement")][0]
-    assert {"status": "fail", "t": t_bad, "law": "predicate evaluation",
+    assert {"status": "fail", "t": t_bad, "law": RULES_LAW,
             "error": f"slot 0 chain inconsistent at stage {t_bad}"} in settlement["witnesses"]
 
 
@@ -1211,7 +1169,7 @@ def test_engine_stops_with_the_gap_test_error_that_settlement_reports():
     with pytest.raises(TraceCorruption) as raised:
         run_stage(state)
     settlement = check_settlement_facts(_corrupt_at(deserialize(data), t_bad))
-    assert {"status": "fail", "t": t_bad, "law": "predicate evaluation",
+    assert {"status": "fail", "t": t_bad, "law": RULES_LAW,
             "error": str(raised.value)} in settlement.witnesses
 
 
@@ -1241,10 +1199,41 @@ def test_threat_and_expansion_tests_are_strict_at_the_boundary():
                 4: (True, False),  # x_4 - x_2 = 2**-2 exactly
                 5: (True, False),
                 6: (True, True)}
+    registry = trace.registry
+
+    def root_walk(t, pause):
+        # the rules at stage t with the root's pause flag read as given: a
+        # flag of 1 skips the threat test, so the expansion test decides
+        def read(sigma, fld):
+            return pause if fld == "p" else trace.index.value(sigma, fld, t)
+        return stage_rules(t, x, read, None, registry.ell, registry.step, "B", 1)
+
     for t, (threatened, expansionary) in expected.items():
         assert (x[t] - x[2] < pow2(-1), x[t] - x[2] < pow2(-2)) == (threatened, expansionary)
-        assert trace.index.threatened("", t) is threatened, t
+        assert (root_walk(t, 0)[1][0] == THREAT_JUMP) is threatened, t
+        assert root_walk(t, 1)[0].startswith("0") is expansionary, t
         assert trace.index.expansionary("", t) is expansionary, t
+
+
+@pytest.mark.parametrize("values, error", [
+    ({("0", "c"): pair("0", 0)}, "counter of '0' decodes to a zero remaining count at stage 5"),
+    ({("0", "c"): pair("0", 2)}, "restraint of '' fell below '0''s at stage 5"),
+    ({("0", "r"): 6}, "restraint of '0' passes stage 5"),
+], ids=["zero-count", "fallen-restraint", "restraint-past-t"])
+def test_stage_rules_refuses_inputs_that_admit_no_walk(values, error):
+    # B at stage 5 with both pause flags set and x flat: the root and "0"
+    # are expansionary, the root's counter is clear, so the walk raises the
+    # root's restraint to 1, appends "0", and reads the counter of "0"
+    registry = registry_from_config({"slots": [{"index": 0, "kind": "identity"},
+                                               {"index": 1, "kind": "identity"}]})
+    state = {("", "p"): 1, ("0", "p"): 1, ("0", "r"): 3, **values}
+
+    def read(sigma, fld):
+        return state.get((sigma, fld), nu(sigma) if fld == "w" else 0)
+
+    with pytest.raises(StageRuleError) as raised:
+        stage_rules(5, [ZERO] * 6, read, None, registry.ell, registry.step, "B", 5)
+    assert str(raised.value) == error
 
 
 @pytest.mark.parametrize("engine", ["A", "B"])
@@ -1354,3 +1343,5 @@ def test_passing_bounds_build_no_dyadic(monkeypatch, T):
     sums, built = dyadics_built(monkeypatch, check_jump_sums, trace)
     assert sums.status == "pass" and sums.counts["pass"] > 50
     assert built <= 2 * len(sums.witnesses)
+    settlement, built = dyadics_built(monkeypatch, check_settlement_facts, trace)
+    assert settlement.status == "pass" and built == 0
