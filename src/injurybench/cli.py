@@ -3,6 +3,11 @@
 Exit codes are scripting-friendly: 0 all selected checks pass, 1 at least
 one failed, 2 usage or I/O problems, 3 nothing failed but some conclusion
 stayed horizon-conditional ("incomplete").
+
+Only the ``speed`` verbs import :mod:`injurybench.speed`, so the other
+verbs do not pay for loading it (and ``fractions`` and ``decimal`` with
+it).  The modules that ``run`` and ``verify`` execute are imported here,
+at load time, so the first call of either verb compiles none of them.
 """
 
 from __future__ import annotations
@@ -16,17 +21,6 @@ from pathlib import Path
 from .dyadic import Dyadic
 from .engine import EngineState, run_engine
 from .phi import DEFAULT_CONFIG, registry_from_config
-from .speed import (
-    SEARCH_BUDGET,
-    ApproxSequence,
-    IncompleteSearch,
-    ModulusFn,
-    certify_regaining,
-    regain_to_speed,
-    speed_ratio,
-    speed_to_regain,
-    speedup_indices,
-)
 from .strings import true_path_estimate
 from .tracekit import (
     Trace,
@@ -53,7 +47,10 @@ def _load_trace(path: str) -> Trace:
     return deserialize(Path(path).read_bytes())
 
 
-def _load_modulus(args) -> ModulusFn:
+def _load_modulus(args):
+    """The ``speed.ModulusFn`` of ``--affine`` or ``--modulus``."""
+    from .speed import ModulusFn
+
     if args.affine is not None:
         a, b = args.affine
         return ModulusFn.affine(a, b)
@@ -62,7 +59,10 @@ def _load_modulus(args) -> ModulusFn:
     return ModulusFn.from_table([f for (f,) in read_csv_table(args.modulus, "n,f")])
 
 
-def _load_sequence(path: str, limit: str | None) -> ApproxSequence:
+def _load_sequence(path: str, limit: str | None):
+    """The ``speed.ApproxSequence`` of a sequence CSV and an optional limit."""
+    from .speed import ApproxSequence
+
     values = read_sequence_csv(path)
     known = Dyadic.from_text(limit) if limit else None
     return ApproxSequence(values=values, known_limit=known, provenance=path)
@@ -132,6 +132,17 @@ def cmd_truepath(args) -> int:
 
 
 def cmd_speed(args) -> int:
+    from .speed import (
+        SEARCH_BUDGET,
+        IncompleteSearch,
+        ModulusFn,
+        certify_regaining,
+        regain_to_speed,
+        speed_ratio,
+        speed_to_regain,
+        speedup_indices,
+    )
+
     if args.speed_cmd == "indices":
         seq = _load_sequence(args.sequence, args.limit)
         rho = Dyadic.from_text(args.rho)

@@ -38,7 +38,7 @@ arithmetic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .dyadic import ZERO, Dyadic, gap_cmp, pow2
 from .phi import PhiRegistry
@@ -58,12 +58,16 @@ class StageRuleError(ValueError):
     """A stage's inputs admit no substage walk (see :func:`stage_rules`)."""
 
 
-@dataclass
-class ReplayResult:
+class ReplayResult(NamedTuple):
     engine: str
     x: list[Dyadic]
     settlements: list[BinStr]
-    reads: list[tuple] = field(repr=False)
+    reads: list[tuple]
+
+    def __repr__(self) -> str:
+        # the read log is long and is compared whole, so the repr leaves it out
+        return (f"ReplayResult(engine={self.engine!r}, x={self.x!r}, "
+                f"settlements={self.settlements!r})")
 
 
 def naive_ell(registry: PhiRegistry, e: int, t: int) -> int:

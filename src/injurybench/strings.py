@@ -28,8 +28,8 @@ anchor (``lex_gt``) or that plus every proper extension of the anchor
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 __all__ = [
     "BinStr",
@@ -136,8 +136,7 @@ def unpair(code: int) -> tuple[BinStr, int]:
     return nu_inv(m), n
 
 
-@dataclass(frozen=True)
-class TruePathEstimate:
+class TruePathEstimate(NamedTuple):
     """Finite-horizon surrogate for the limsup path of a settlement sequence.
 
     ``path`` is the estimated prefix, never longer than the longest

@@ -37,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
@@ -124,8 +123,8 @@ class Action(NamedTuple):
 
     An immutable named tuple: assigning a field raises AttributeError, and
     ``_replace`` gives a copy with some fields changed.  The loader and the
-    engine build one per stage, and a named tuple builds in a fraction of
-    the time a frozen dataclass takes.
+    engine build one per stage, and building a named tuple is one
+    ``tuple.__new__`` call, with no per-field ``__setattr__``.
     """
 
     kind: str
@@ -160,19 +159,27 @@ class StageRecord(NamedTuple):
         return [self.settled[:i] for i in range(len(self.settled) + 1)]
 
 
-@dataclass
 class Trace:
     """Immutable-by-convention record of a whole run.
 
     ``index`` is built from the stages and x, and ``registry`` from
     ``config``, on first use and kept, so a trace must not be changed once
-    it has been read.
+    it has been read.  Two traces are equal when their engine, config,
+    stages and x are; a trace is unhashable, as its lists are.
     """
 
-    engine: str  # "A" | "B"
-    config: dict  # registry configuration the run used
-    stages: list[StageRecord]
-    x: list[Dyadic]  # length T + 1
+    def __init__(self, engine: str, config: dict, stages: list[StageRecord],
+                 x: list[Dyadic]):
+        self.engine = engine  # "A" | "B"
+        self.config = config  # registry configuration the run used
+        self.stages = stages
+        self.x = x  # length T + 1
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.engine, self.config, self.stages, self.x)
+                == (other.engine, other.config, other.stages, other.x))
 
     @property
     def T(self) -> int:

@@ -38,8 +38,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 from .dyadic import ZERO, Dyadic, gap_cmp, pow2
 from .phi import PhiRegistry
@@ -74,22 +74,16 @@ _RULES_LAW = "record follows the substage rules"
 _RECORD_FIELDS = ("settled", "action", "init_regions", "param_writes")
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     check: str
     status: str  # "pass" | "fail" | "incomplete"
-    witnesses: list[dict] = field(default_factory=list)
-    assumptions: list[str] = field(default_factory=list)
-    counts: dict[str, int] = field(default_factory=dict)
+    witnesses: list[dict]
+    assumptions: list[str]
+    counts: dict[str, int]
 
     def to_json(self) -> dict:
-        return {
-            "check": self.check,
-            "status": self.status,
-            "witnesses": self.witnesses,
-            "assumptions": self.assumptions,
-            "counts": self.counts,
-        }
+        """The report as a JSON object, its keys in field order."""
+        return self._asdict()
 
 
 def _make_report(check: str, findings: list[tuple[str, dict | None]],
@@ -413,22 +407,20 @@ def check_requirement_N(trace: Trace, e: int = 0) -> Report:
     if decrease is not None:
         findings.append(("fail", {"error": f"x decreases at stage {decrease}"}))
         return _make_report(f"requirement_n[{e}]", findings)
-    l_max = registry.ell(e, trace.T)
+    T = trace.T
+    x_T = x[T]
+    l_max = registry.ell(e, T)
     step = registry.stepper(e)
     if trace.engine == "A":
         for m in range(l_max + 1):
-            v = step(m, trace.T)
-            if gap_cmp(x[trace.T], x[v], m) >= 0:
+            if gap_cmp(x_T, x[step(m, T)], m) >= 0:
                 findings.append(("pass", {"e": e, "m": m, "mode": "A"}))
                 break
         else:
             findings.append(("incomplete", {"e": e, "note": "not yet",
                                             "searched_up_to": l_max}))
     else:
-        holds = []
-        for n in range(l_max + 1):
-            v = step(n, trace.T)
-            holds.append(gap_cmp(x[trace.T], x[v], n) >= 0)
+        holds = [gap_cmp(x_T, x[step(n, T)], n) >= 0 for n in range(l_max + 1)]
         best = (0, -1)  # (start, end) of the longest run, end inclusive
         start = None
         for n, ok in enumerate(holds + [False]):

@@ -5,8 +5,10 @@ it may import only the primitives ``strings``, ``dyadic`` and ``phi``, and
 of a registry it may ask only step queries.  The
 checkers analyse finished traces and must not import the engine either.
 The package has no runtime dependencies: its command line loads nothing
-outside the standard library.  Every name a module imports is used there
-or re-exported through its ``__all__``, so a move leaves no stale import.
+outside the standard library, and it loads the speed transforms (and
+``dataclasses``) only for the ``speed`` verbs.  Every name a module imports
+is used there or re-exported through its ``__all__``, so a move leaves no
+stale import.
 """
 
 import ast
@@ -17,6 +19,8 @@ import sys
 from pathlib import Path
 
 import injurybench
+from injurybench.dyadic import Dyadic, pow2
+from injurybench.tracekit import write_sequence_csv
 
 SRC = Path(injurybench.__file__).resolve().parent
 
@@ -117,22 +121,44 @@ def test_verify_does_not_import_engine():
     assert "engine" not in imports and "injurybench" not in imports, imports
 
 
-def _top_level_modules_after(statement: str) -> set[str]:
-    """Top-level names in ``sys.modules`` of a fresh interpreter that has run
-    ``statement``."""
+def _modules_after(statement: str) -> set[str]:
+    """Names in ``sys.modules`` of a fresh interpreter that has run
+    ``statement``, read from the last line of its output (``statement`` may
+    print lines of its own before it)."""
     script = f"{statement}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     env = {**os.environ, "PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC.parent),
            "PYTHONDONTWRITEBYTECODE": "1"}
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             env=env, check=True, timeout=60)
-    return {name.partition(".")[0] for name in json.loads(result.stdout)}
+    return set(json.loads(result.stdout.splitlines()[-1]))
 
 
 def test_cli_imports_only_the_standard_library():
-    added = _top_level_modules_after("import injurybench.cli") - _top_level_modules_after("pass")
-    assert "injurybench" in added
-    outside = sorted(added - set(sys.stdlib_module_names) - {"injurybench"})
+    added = _modules_after("import injurybench.cli") - _modules_after("pass")
+    top_level = {name.partition(".")[0] for name in added}
+    assert "injurybench" in top_level
+    outside = sorted(top_level - set(sys.stdlib_module_names) - {"injurybench"})
     assert not outside, outside
+
+
+# Loaded by no verb but ``speed``: the dataclasses module (with inspect),
+# exact rationals and decimals, and the speed transforms themselves.
+SPEED_ONLY_MODULES = {"dataclasses", "inspect", "fractions", "decimal", "injurybench.speed"}
+
+
+def test_cli_loads_speed_and_dataclasses_only_for_speed_verbs(tmp_path):
+    bare = _modules_after("pass")
+    assert not SPEED_ONLY_MODULES & bare, "the bare interpreter already loads them"
+    loaded = _modules_after("import injurybench.cli") - bare
+    assert {"injurybench.cli", "injurybench.verify", "injurybench.replay"} <= loaded
+    assert not SPEED_ONLY_MODULES & loaded, sorted(SPEED_ONLY_MODULES & loaded)
+
+    seq_csv = tmp_path / "seq.csv"
+    write_sequence_csv([Dyadic(1) - pow2(-n) for n in range(3)], str(seq_csv))
+    argv = ["speed", "indices", "--sequence", str(seq_csv), "--limit", "1/2^0",
+            "--rho", "1/2^1"]
+    loaded = _modules_after(f"from injurybench.cli import main\nassert main({argv!r}) == 0")
+    assert "injurybench.speed" in loaded
 
 
 def test_every_import_is_used_or_exported():

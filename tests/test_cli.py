@@ -1,7 +1,13 @@
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import injurybench
 from injurybench.cli import main
 from injurybench.dyadic import Dyadic, pow2
 from injurybench.speed import SEARCH_BUDGET
@@ -512,3 +518,34 @@ def test_verify_rejects_invalid_config_with_matching_digest(default_a60, tmp_pat
     assert main(["verify", str(bad)]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: slot 0: ") and "\n" not in err
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_benchmark_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_WORKLOADS = _load_benchmark_workloads()
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_WORKLOADS.WORKLOADS))
+def test_benchmark_workloads_reproduce_their_pinned_digests(workload, tmp_path):
+    # the benchmark's worker runs each part once through the CLI and the
+    # oracle; its traces, sequence CSVs, reports, exit codes and read logs
+    # must hash to what perfbench/pins.json holds at horizon offset 0
+    pins = json.loads((PERFBENCH / "pins.json").read_text(encoding="utf-8"))[workload]["0"]
+    spec = {"parts": BENCH_WORKLOADS.parts_for(workload, 0), "trace": False,
+            "probe": False, "batch_s": 0, "out_dir": str(tmp_path)}
+    src = Path(injurybench.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0",
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "worker.py"), json.dumps(spec)],
+                          capture_output=True, text=True, env=env, timeout=300, check=True)
+    res = json.loads(proc.stdout.splitlines()[-1])
+    assert res["failed"] == 0, res["errors"]
+    assert res["digests"] == pins

@@ -23,6 +23,13 @@ def _compare(engine_tag, config, T):
     assert oracle.reads == state.read_log
 
 
+def test_replay_result_repr_leaves_out_the_read_log():
+    result = replay_run(registry_from_config(MINIMAL_CONFIG), "A", 3)
+    assert result.reads
+    assert repr(result) == (f"ReplayResult(engine='A', x={result.x!r}, "
+                            f"settlements={result.settlements!r})")
+
+
 @pytest.mark.parametrize("engine_tag", ["A", "B"])
 def test_minimal_registry_replay(engine_tag):
     _compare(engine_tag, MINIMAL_CONFIG, 80)

@@ -127,6 +127,12 @@ def test_true_path_estimate_window_validation():
         true_path_estimate(["0"], (0, 1), threshold=0)
 
 
+def test_true_path_estimate_fields_keep_their_order():
+    est = true_path_estimate(["01"] * 4, (0, 4), threshold=3)
+    assert est == type(est)("01", 2, (0, 4))
+    assert (est.path, est.stable_upto, est.window) == ("01", 2, (0, 4))
+
+
 def test_true_path_estimate_stability():
     settlements = ["01"] * 6 + ["00"] * 2
     est = true_path_estimate(settlements, (0, 8), threshold=3)

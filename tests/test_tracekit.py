@@ -98,6 +98,27 @@ def test_round_trip_field_by_field(trace_a, trace_b):
         assert clone.digest() == trace.digest()
 
 
+def test_trace_equality_compares_engine_config_stages_and_x(trace_a, trace_b):
+    clone = deserialize(serialize(trace_a))
+    assert clone == trace_a and not clone != trace_a
+
+    def variant(**changes):
+        fields = {"engine": clone.engine, "config": clone.config,
+                  "stages": clone.stages, "x": clone.x}
+        return Trace(**{**fields, **changes})
+
+    assert variant() == trace_a
+    assert variant(x=clone.x[:-1] + [clone.x[-1] + pow2(-60)]) != trace_a
+    assert variant(stages=clone.stages[:-1]) != trace_a
+    assert variant(engine="B") != trace_a
+    assert variant(config=DEFAULT_CONFIG) != trace_a
+    assert trace_a != trace_b
+    assert (trace_a == object()) is False
+    assert (trace_a != object()) is True
+    with pytest.raises(TypeError):
+        hash(trace_a)
+
+
 def test_digest_ignores_timestamp(trace_a):
     stamped, digest = serialize_stamped(trace_a, "2026-08-10T12:00:00+00:00")
     assert stamped != serialize(trace_a)

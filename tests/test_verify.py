@@ -108,6 +108,19 @@ def test_all_diverge_trace_vacuously_passes():
     assert check_cutoffs(trace).counts == {}
 
 
+def test_report_json_keeps_its_key_order(trace_a):
+    forged = mutate_record(trace_a, jump_stages(trace_a)[0], jump=Dyadic(8))
+    reports = run_checks(trace_a) + [check_convergence_bound(forged)]
+    assert any(report.witnesses for report in reports)
+    assert any(report.assumptions for report in reports)
+    for report in reports:
+        payload = report.to_json()
+        assert list(payload) == ["check", "status", "witnesses", "assumptions", "counts"]
+        assert payload == {"check": report.check, "status": report.status,
+                           "witnesses": report.witnesses,
+                           "assumptions": report.assumptions, "counts": report.counts}
+
+
 def test_checks_give_nontrivial_coverage(trace_a):
     assert check_jump_sums(trace_a).counts.get("pass", 0) >= 5
     assert check_cutoffs(trace_a).counts.get("pass", 0) >= 2
