@@ -13,6 +13,7 @@ at load time, so the first call of either verb compiles none of them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from datetime import datetime, timezone
@@ -234,7 +235,10 @@ def cmd_export(args) -> int:
 # Argument plumbing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call of a process: ``main``
+    runs many times in one process, and importing this module builds none."""
     parser = argparse.ArgumentParser(
         prog="injurybench",
         description="Run, verify and analyse the stage constructions.",

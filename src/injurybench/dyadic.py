@@ -22,10 +22,9 @@ is shifted into existence only when it lies within one bit of the
 difference's width, so an exponent e as far out as 2**70 in either
 direction allocates nothing by it.
 
-The naive replay oracle deliberately keeps the plain form,
-``(x[a] - x[b]) < pow2(-e)``: its agreement with the engine on every
-substage then also tests :func:`gap_cmp` against ordinary dyadic
-arithmetic.
+The engine and the naive replay oracle both call :func:`gap_cmp`, so
+their agreement cannot test it; ``test_dyadic`` checks it against the
+plain form ``(x[a] - x[b]) < pow2(-e)`` in ordinary dyadic arithmetic.
 """
 
 from __future__ import annotations

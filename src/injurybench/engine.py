@@ -20,20 +20,25 @@ that the "[t+1]" reads the construction performs (a delegation consulting a
 restraint raised earlier in the same stage) see the new value while "[t]"
 reads do not.
 
-The substage read protocol is fixed and shared verbatim with the rule
+The substage loop of :func:`run_stage` is written in the order of the rule
 function of the naive replay oracle (``replay.stage_rules``), the one other
-implementation of the substage rules, so that read logs can be compared
-value for value:
+implementation of the substage rules, so the two walks read side by side
+and their read logs can be compared value for value.  Each substage:
 
-  1. the strategy's flag is read once per substage (feeds both predicates);
-  2. threat test: flag must be 0; then the chain length; the witness is
-     read only when the chain length is >= 0; then the exact gap test;
-  3. on a threat, candidate restraints are read next-slot from the longest
-     0-predecessor downward until one blocks;
-  4. expansion test (variant A only when the flag is 1): chain length, then
-     the restraint is read when the chain length is >= 0; then the gap test;
-  5. when expansionary, the counter is read; a delegation reads the
+  1. reads the strategy's flag once (it feeds both predicates);
+  2. asks the slot's chain length at most once, where a predicate needs it;
+  3. threat test: flag must be 0 and the chain length >= 0; then the
+     witness is read and the exact gap test decides;
+  4. B: an unthreatened visit lifts the pause flag;
+  5. on a threat, candidate restraints are read next-slot from the longest
+     0-predecessor downward until one blocks, and the stage ends;
+  6. expansion test (variant A only when the flag is 1): when the chain
+     length is >= 0 the restraint is read and the gap test decides;
+  7. when expansionary, the counter is read; a delegation reads the
      target's restraint next-slot.
+
+A next-slot read is always of a restraint this stage staged: the walk
+appends "0" to a strategy only after staging its raised restraint.
 
 Below the deepest configured slot index and the deepest materialised
 strategy the walk is forced: once a stage reaches a depth e greater than
@@ -103,13 +108,12 @@ class EngineState:
         self.records: list[StageRecord] = []
         # reads as (t, sigma, field, "cur"|"next", value); None disables logging
         self.read_log: list[tuple] | None = [] if record_reads else None
+        # this stage's writes; the double-write guard keeps them in substage order
         self._staged: dict[tuple[BinStr, str], int] = {}
-        self._write_order: list[tuple[BinStr, str, int]] = []
         # incremental scan position into init_events for lazily-derived witnesses
         self._w_scan: dict[BinStr, list] = {}
         self._max_param_len = -1
-        self._configured = registry.configured_indices()
-        self._max_index = max(self._configured, default=-1)
+        self._max_index = max(registry.configured_indices(), default=-1)
 
     # -- parameter access --------------------------------------------------
 
@@ -128,23 +132,17 @@ class EngineState:
         scan[1] = cover
         return nu(sigma) if cover is None else nu(sigma) + cover + 2
 
-    def _current(self, sigma: BinStr, fld: str) -> int:
-        if len(sigma) <= self._max_param_len:
-            p = self.params.get(sigma)
-            if p is not None:
-                return getattr(p, fld)
-        if fld == "w":
-            return self._lazy_w(sigma)
-        return 0
-
-    def _read(self, sigma: BinStr, fld: str, nxt: bool = False) -> int:
-        if nxt:
-            key = (sigma, fld)
-            val = self._staged[key] if key in self._staged else self._current(sigma, fld)
+    def _read(self, sigma: BinStr, fld: str) -> int:
+        """The value at stage t, before any write of this stage."""
+        p = self.params.get(sigma) if len(sigma) <= self._max_param_len else None
+        if p is not None:
+            val = getattr(p, fld)
+        elif fld == "w":
+            val = self._lazy_w(sigma)
         else:
-            val = self._current(sigma, fld)
+            val = 0
         if self.read_log is not None:
-            self.read_log.append((self.t, sigma, fld, "next" if nxt else "cur", val))
+            self.read_log.append((self.t, sigma, fld, "cur", val))
         return val
 
     def _stage_write(self, sigma: BinStr, fld: str, val: int) -> None:
@@ -152,33 +150,6 @@ class EngineState:
         if key in self._staged:
             raise TraceCorruption(f"double write {key} in stage {self.t}")
         self._staged[key] = val
-        self._write_order.append((sigma, fld, val))
-
-    # -- predicates ----------------------------------------------------------
-
-    def _threat_info(self, sigma: BinStr, e: int) -> tuple[bool, int, int | None]:
-        """(threatened, flag, witness-or-None) for this substage."""
-        flag = self._read(sigma, self.flag_field)
-        if flag != 0:
-            return False, flag, None
-        l = self.registry.ell(e, self.t) if e in self._configured else -1
-        if l < 0:
-            return False, flag, None
-        w = self._read(sigma, "w")
-        if l < w:
-            return False, flag, w
-        return gap_below(self.registry, self.x, e, l, self.t, w), flag, w
-
-    def _expansion_info(self, sigma: BinStr, e: int, flag: int) -> tuple[bool, int | None]:
-        """(expansionary, restraint-or-None); flag was already read."""
-        # A: expansionary only while the satisfaction flag is 1
-        if self.engine == "A" and flag != 1:
-            return False, None
-        l = self.registry.ell(e, self.t) if e in self._configured else -1
-        if l < 0:
-            return False, None
-        r = self._read(sigma, "r")
-        return gap_below(self.registry, self.x, e, l, self.t, r), r
 
 
 def new_engine_a(registry: PhiRegistry, record_reads: bool = False) -> EngineState:
@@ -192,25 +163,30 @@ def new_engine_b(registry: PhiRegistry, record_reads: bool = False) -> EngineSta
 def run_stage(state: EngineState) -> StageRecord:
     """Execute one full stage and return its record."""
     t = state.t
+    x = state.x
+    registry = state.registry
     flag_field = state.flag_field
     variant_b = state.engine == "B"
-    state._staged.clear()
-    state._write_order.clear()
+    staged = state._staged
+    staged.clear()
+    log = state.read_log
+
+    def nxt_restraint(sigma: BinStr) -> int:
+        val = staged[sigma, "r"]
+        if log is not None:
+            log.append((t, sigma, "r", "next", val))
+        return val
 
     sigma = ""
-    action: Action | None = None
     jump_exp: int | None = None
-    region: tuple[BinStr, str] | None = None
     # from this depth on every substage is forced to append "1"
     forced = max(state._max_param_len, state._max_index) + 1
 
     while True:
         e = len(sigma)
         if forced <= e < t:
-            if state.read_log is not None:
-                state.read_log.extend(
-                    (t, sigma + "1" * k, flag_field, "cur", 0) for k in range(t - e)
-                )
+            if log is not None:
+                log.extend((t, sigma + "1" * k, flag_field, "cur", 0) for k in range(t - e))
             sigma += "1" * (t - e)
             e = t
         if e == t:
@@ -218,22 +194,27 @@ def run_stage(state: EngineState) -> StageRecord:
             region = (sigma, REL_LEX)
             break
 
-        threatened, flag, w = state._threat_info(sigma, e)
-
+        # negative requirement: threat test; the chain length is asked once
+        # per substage, and only where a predicate needs it
+        flag = state._read(sigma, flag_field)
+        l = None
+        threatened = False
+        if flag == 0:
+            l = registry.ell(e, t)
+            if l >= 0:
+                w = state._read(sigma, "w")
+                threatened = l >= w and gap_below(registry, x, e, l, t, w)
         # B: an unthreatened visit lifts the pause flag
         if variant_b and not threatened and flag != 0:
             state._stage_write(sigma, flag_field, 0)
-
         if threatened:
-            # find the longest 0-predecessor whose raised restraint blocks the jump
+            # the longest 0-predecessor whose raised restraint blocks the jump
             gamma = None
-            r_next = None
             for j in range(e - 1, -1, -1):
                 if sigma[j] == "0":
-                    cand = sigma[:j]
-                    r_cand = state._read(cand, "r", nxt=True)
-                    if r_cand >= w:
-                        gamma, r_next = cand, r_cand
+                    r_next = nxt_restraint(sigma[:j])
+                    if r_next >= w:
+                        gamma = sigma[:j]
                         break
             if gamma is None:
                 jump_exp = w
@@ -243,14 +224,21 @@ def run_stage(state: EngineState) -> StageRecord:
                 state._stage_write(gamma, "c", counter)
                 action = Action(THREAT_SCHEDULE, sigma=sigma, gamma=gamma, counter=counter)
             state._stage_write(sigma, flag_field, 1)
-            # B: every handled threat bumps the witness
+            # B: every handled threat bumps the witness; its region spares
+            # the threatened strategy's extensions
             if variant_b:
                 state._stage_write(sigma, "w", w + 1)
-            # B: the region spares the threatened strategy's extensions
             region = (sigma, REL_LEX if variant_b else REL_LEX_OR_EXT)
             break
 
-        expansionary, r = state._expansion_info(sigma, e, flag)
+        # positive requirement: expansion test (A: only while the flag is 1)
+        expansionary = False
+        if variant_b or flag == 1:
+            if l is None:
+                l = registry.ell(e, t)
+            if l >= 0:
+                r = state._read(sigma, "r")
+                expansionary = gap_below(registry, x, e, l, t, r)
         if not expansionary:
             sigma += "1"
             continue
@@ -274,7 +262,7 @@ def run_stage(state: EngineState) -> StageRecord:
             action = Action(EXPANSION_JUMP, sigma=sigma, alpha=alpha, k=k, exponent=r)
         else:
             gamma = sigma[:j]
-            r_next = state._read(gamma, "r", nxt=True)
+            r_next = nxt_restraint(gamma)
             if r_next < r:
                 raise TraceCorruption(
                     f"restraint of {gamma!r} fell below {sigma!r}'s at stage {t}"
@@ -288,19 +276,17 @@ def run_stage(state: EngineState) -> StageRecord:
         state._stage_write(sigma, "c", 0 if k == 0 else pair(alpha, k))
         # B: a counter stage initialises right of sigma's 0-branch; A
         # initialises around the decoded label
-        if variant_b:
-            region = (sigma + "0", REL_LEX)
-        else:
-            region = (alpha, REL_LEX_OR_EXT)
+        region = (sigma + "0", REL_LEX) if variant_b else (alpha, REL_LEX_OR_EXT)
         break
 
     # ---- commit --------------------------------------------------------
 
     jump = pow2(-jump_exp) if jump_exp is not None else ZERO
-    state.x.append(state.x[t] + jump)
+    x.append(x[t] + jump)
 
     anchor, rel = region
-    for (s, fld), val in state._staged.items():
+    writes = tuple([(s, fld, val) for (s, fld), val in staged.items()])
+    for s, fld, val in writes:
         if region_contains(anchor, rel, s):
             raise TraceCorruption(
                 f"stage {t} writes into its own initialisation region at {s!r}"
@@ -323,7 +309,7 @@ def run_stage(state: EngineState) -> StageRecord:
                 p.s = 0
 
     # positional: a named tuple builds in half the time that way
-    record = StageRecord(t, sigma, action, jump, ((anchor, rel),), tuple(state._write_order))
+    record = StageRecord(t, sigma, action, jump, ((anchor, rel),), writes)
     state.records.append(record)
     state.t += 1
     return record

@@ -200,7 +200,7 @@ class SpeedToRegain:
     m: int
 
 
-def _derive_g(f: ModulusFn, search_limit: int) -> ModulusFn:
+def _derive_g(f: ModulusFn) -> ModulusFn:
     """g(n) = 0 below f(0), else max{k : f(k) <= n}.
 
     f is non-decreasing, so {k : f(k) <= n} is an initial segment that grows
@@ -216,10 +216,10 @@ def _derive_g(f: ModulusFn, search_limit: int) -> ModulusFn:
             return 0
         i = bisect_right(seen_n, n)
         k = seen_g[i - 1] if i else 0
-        while k + 1 <= search_limit and f(k + 1) <= n:
+        while k + 1 <= SEARCH_BUDGET and f(k + 1) <= n:
             k += 1
-        if k + 1 > search_limit:
-            raise IncompleteSearch("g evaluation", search_limit)
+        if k + 1 > SEARCH_BUDGET:
+            raise IncompleteSearch("g evaluation", SEARCH_BUDGET)
         seen_n.insert(i, n)
         seen_g.insert(i, k)
         return k
@@ -227,20 +227,18 @@ def _derive_g(f: ModulusFn, search_limit: int) -> ModulusFn:
     return ModulusFn(g_eval, name="g")
 
 
-def speed_to_regain(
-    f: ModulusFn, rho: Dyadic, search_limit: int = SEARCH_BUDGET
-) -> SpeedToRegain:
+def speed_to_regain(f: ModulusFn, rho: Dyadic) -> SpeedToRegain:
     """From a gap modulus and a speedup constant to a regaining modulus.
 
     g(n) is 0 below f(0) and otherwise the largest k with f(k) <= n; k is
     minimal with 1/rho <= 2**k; h(n) = max(0, g(n) - k); and m is the least
     i >= f(0) with g(i) >= k.  Searches are budgeted: a modulus that grows
-    too slowly to decide within the budget raises IncompleteSearch.
+    too slowly to decide within ``SEARCH_BUDGET`` raises IncompleteSearch.
     """
     if not (Dyadic(0) < rho < Dyadic(1)):
         raise ValueError("rho must lie strictly between 0 and 1")
 
-    g = _derive_g(f, search_limit)
+    g = _derive_g(f)
 
     k = 0
     while not pow2(k) * rho >= Dyadic(1):
@@ -250,13 +248,13 @@ def speed_to_regain(
 
     m = None
     i = f(0)
-    while i <= f(0) + search_limit:
+    while i <= f(0) + SEARCH_BUDGET:
         if g(i) >= k:
             m = i
             break
         i += 1
     if m is None:
-        raise IncompleteSearch("search for m", search_limit)
+        raise IncompleteSearch("search for m", SEARCH_BUDGET)
     return SpeedToRegain(g=g, k=k, h=h, m=m)
 
 
@@ -299,7 +297,7 @@ def modulus_to_gapbound(f: ModulusFn, seq: ApproxSequence) -> GapBoundReport:
                 )
         n += 1
 
-    g = _derive_g(f, SEARCH_BUDGET)
+    g = _derive_g(f)
     checked = []
     violations = []
     for i in range(f(0), length - 1):

@@ -8,7 +8,8 @@ The package has no runtime dependencies: its command line loads nothing
 outside the standard library, and it loads the speed transforms (and
 ``dataclasses``) only for the ``speed`` verbs.  Every name a module imports
 is used there or re-exported through its ``__all__``, so a move leaves no
-stale import.
+stale import.  No module guards an invariant with ``assert``, which
+``python -O`` strips: invariants raise real exceptions.
 """
 
 import ast
@@ -166,3 +167,11 @@ def test_every_import_is_used_or_exported():
     assert {"__init__", "engine", "tracekit", "verify"} <= set(modules)
     unused = {module: names for module in modules if (names := unused_imports(module))}
     assert not unused, unused
+
+
+def test_no_module_uses_assert():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert not found, found

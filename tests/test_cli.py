@@ -71,6 +71,20 @@ def test_run_deterministic_across_processes(tmp_path, capsys):
     assert result.stdout.strip() == in_process
 
 
+def test_cli_builds_its_parser_once_on_the_first_call():
+    # importing the CLI builds no parser (set-up time); calls share one
+    src_dir = Path(injurybench.__file__).resolve().parent.parent
+    script = ("import injurybench.cli as cli\n"
+              "built_at_import = cli._build_parser.cache_info().currsize\n"
+              "codes = [cli.main(['run']), cli.main(['run'])]\n"
+              "print(built_at_import, codes, cli._build_parser.cache_info().misses)")
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+        env={**os.environ, "PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_dir)},
+    )
+    assert result.stdout.strip() == "0 [2, 2] 1"
+
+
 def test_run_empty_config_stays_at_zero(tmp_path, capsys):
     config = tmp_path / "empty.json"
     config.write_text('{"slots": []}', encoding="utf-8")

@@ -16,7 +16,7 @@ from injurybench.engine import (
     run_engine,
     run_stage,
 )
-from injurybench.phi import registry_from_config
+from injurybench.phi import DEFAULT_CONFIG, registry_from_config
 from injurybench.strings import nu, pair
 from injurybench.tracekit import (
     EXPANSION_JUMP,
@@ -267,6 +267,25 @@ def test_expansion_boundary_is_strict():
     assert [r.settled for r in st_b.records] == ["", "", "11"]
 
 
+def test_stage_asks_each_chain_length_at_most_once():
+    # a substage asks ell(e, t) once and hands it to both predicates, so a
+    # stage, whose substages are at distinct depths e, asks no (e, t) twice
+    reg = registry_from_config(DEFAULT_CONFIG)
+    ell = reg.ell
+    asked = []
+
+    def counting_ell(e, t):
+        asked.append((e, t))
+        return ell(e, t)
+
+    reg.ell = counting_ell
+    st = new_engine_b(reg)
+    for t in range(4000):
+        asked.clear()
+        run_stage(st)
+        assert len(asked) == len(set(asked)), t
+
+
 def test_double_write_raises_trace_corruption(minimal):
     st = new_engine_a(minimal)
     st._stage_write("", "r", 1)
@@ -278,15 +297,14 @@ def test_write_into_own_region_raises_trace_corruption(minimal):
     # a threatened strategy initialises its proper extensions on engine A;
     # a stray write to one of them must stop the commit
     st = new_engine_a(minimal)
-    threat_info = st._threat_info
+    stage_write = st._stage_write
 
-    def threat_info_with_stray_write(sigma, e):
-        info = threat_info(sigma, e)
-        if info[0]:
-            st._stage_write(sigma + "0", "r", 1)
-        return info
+    def stage_write_with_stray_write(sigma, fld, val):
+        stage_write(sigma, fld, val)
+        if fld == "s" and val == 1:  # the threat's flag write
+            stage_write(sigma + "0", "r", 1)
 
-    st._threat_info = threat_info_with_stray_write
+    st._stage_write = stage_write_with_stray_write
     with pytest.raises(TraceCorruption, match="own initialisation region"):
         run_engine(st, 30)
 

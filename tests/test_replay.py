@@ -113,18 +113,20 @@ def test_sparse_deep_registry_replay(engine_tag, name):
 
 
 def test_forced_tail_is_fast_forwarded(monkeypatch):
-    # the threat test runs once per substage the engine walks; below the
-    # forced depth the walk must skip straight to top-out, so a stage costs
-    # at most max index + 2 threat tests instead of up to t
+    # every substage the engine walks reads the strategy's flag once; below
+    # the forced depth the walk must skip straight to top-out, logging the
+    # flag reads it skips without making them, so a stage costs at most
+    # max index + 2 flag reads instead of up to t
     calls = 0
-    original = EngineState._threat_info
+    original = EngineState._read
 
-    def counting(self, sigma, e):
+    def counting(self, sigma, fld):
         nonlocal calls
-        calls += 1
-        return original(self, sigma, e)
+        if fld == self.flag_field:
+            calls += 1
+        return original(self, sigma, fld)
 
-    monkeypatch.setattr(EngineState, "_threat_info", counting)
+    monkeypatch.setattr(EngineState, "_read", counting)
     registry = registry_from_config(DEFAULT_CONFIG)
     T = 300
     trace = run_engine(new_engine_a(registry), T)

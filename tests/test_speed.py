@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from injurybench.dyadic import Dyadic, pow2
 from injurybench.speed import (
+    SEARCH_BUDGET,
     ApproxSequence,
     IncompleteSearch,
     ModulusFn,
@@ -129,8 +130,8 @@ def test_speed_to_regain_sanity_inequality():
 def test_speed_to_regain_budget():
     stuck = ModulusFn(lambda n: 0, name="flat")
     with pytest.raises(IncompleteSearch) as err:
-        speed_to_regain(stuck, Dyadic(1, 2), search_limit=50)
-    assert err.value.budget == 50
+        speed_to_regain(stuck, Dyadic(1, 2))
+    assert err.value.budget == SEARCH_BUDGET
 
 
 @settings(max_examples=60, deadline=None)
