@@ -34,7 +34,6 @@ import re
 __all__ = [
     "Dyadic",
     "ZERO",
-    "ONE",
     "MAX_EXPONENT",
     "pow2",
     "gap_cmp",
@@ -214,7 +213,6 @@ _set_m = Dyadic.m.__set__
 _set_k = Dyadic.k.__set__
 
 ZERO = Dyadic(0)
-ONE = Dyadic(1)
 
 
 def pow2(k: int) -> Dyadic:

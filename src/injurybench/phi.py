@@ -122,16 +122,6 @@ class _PartialSlot(_Slot):
         return v if v is not None and v <= t else None
 
 
-class _DivergeSlot(_Slot):
-    total_increasing = False
-
-    def raw(self, n: int, budget: int):
-        return None
-
-    def visible(self, n: int, t: int) -> int | None:
-        return None
-
-
 class _ProgramSlot(_Slot):
     """Minimal register machine with unit cost per executed instruction.
 
@@ -324,7 +314,7 @@ def _build_slot(entry: dict) -> _Slot:
     if kind == "partial":
         return _PartialSlot({int(k): v for k, v in entry["graph"].items()})
     if kind == "diverge":
-        return _DivergeSlot()
+        return _PartialSlot({})
     return _ProgramSlot(entry["code"], entry.get("total_increasing"))
 
 

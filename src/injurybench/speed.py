@@ -16,7 +16,7 @@ cross-multiplication, and the reporting helper returns exact
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadic import Dyadic, pow2
@@ -26,13 +26,11 @@ __all__ = [
     "ModulusFn",
     "IncompleteSearch",
     "SpeedToRegain",
-    "GapBoundReport",
     "speedup_indices",
     "speed_ratio",
     "regain_to_speed",
     "speed_to_regain",
     "certify_regaining",
-    "modulus_to_gapbound",
     "SEARCH_BUDGET",
 ]
 
@@ -257,51 +255,3 @@ def speed_to_regain(f: ModulusFn, rho: Dyadic) -> SpeedToRegain:
         raise IncompleteSearch("search for m", SEARCH_BUDGET)
     return SpeedToRegain(g=g, k=k, h=h, m=m)
 
-
-@dataclass
-class GapBoundReport:
-    f0: int
-    checked: list[int]
-    violations: list[int] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def modulus_to_gapbound(f: ModulusFn, seq: ApproxSequence) -> GapBoundReport:
-    """Check the derived gap bound x_{n+1} - x_n < 2**-g(n) for n >= f(0).
-
-    First verifies on the evaluable range that f really is a modulus of
-    convergence for the sequence (|limit - x_j| < 2**-n for j >= f(n));
-    refuses with the first counterexample otherwise.
-
-    Let K be the largest exponent among the terms and the limit.  A non-zero
-    difference |limit - x_j| is at least 2**-K, so for n >= K it lies below
-    2**-n only when it is 0; and the range j >= f(n) only shrinks as n
-    grows.  So the test at n = K decides every larger n, and the check stops
-    there, also for a modulus that never outgrows the sequence.
-    """
-    x = seq.require_limit()
-    length = len(seq.values)
-    last = max([x.k, *(v.k for v in seq.values)])
-    n = 0
-    while n <= last and f(n) < length:
-        for j in range(f(n), length):
-            diff = x - seq.values[j]
-            if diff.sign() < 0:
-                diff = -diff
-            if not diff < pow2(-n):
-                raise ValueError(
-                    f"not a modulus: |limit - x_{j}| >= 2^-{n} (f({n}) = {f(n)})"
-                )
-        n += 1
-
-    g = _derive_g(f)
-    checked = []
-    violations = []
-    for i in range(f(0), length - 1):
-        checked.append(i)
-        if not (seq.values[i + 1] - seq.values[i]) < pow2(-g(i)):
-            violations.append(i)
-    return GapBoundReport(f0=f(0), checked=checked, violations=violations)

@@ -61,7 +61,6 @@ __all__ = [
     "EXPANSION_JUMP",
     "EXPANSION_DELEGATE",
     "JUMP_KINDS",
-    "TERMINAL_KINDS",
     "THREAT_KINDS",
     "EXPANSION_KINDS",
     "FLAG_FIELDS",
@@ -80,8 +79,10 @@ __all__ = [
     "read_csv_table",
 ]
 
-# Stage-terminal actions.  Any other kind (say, the name of an intra-stage
-# move such as "descend") as a terminal action marks a corrupt trace.
+# Stage-terminal actions.  The loader takes any string as a kind; a record
+# with any other kind (say, the name of an intra-stage move such as
+# "descend") fails the settlement check, as the substage rules end a stage
+# only with one of these five.
 TOP_OUT = "top_out"
 THREAT_JUMP = "threat_jump"
 THREAT_SCHEDULE = "threat_schedule"
@@ -91,9 +92,6 @@ EXPANSION_DELEGATE = "expansion_delegate"
 JUMP_KINDS = frozenset({THREAT_JUMP, EXPANSION_JUMP})
 THREAT_KINDS = frozenset({THREAT_JUMP, THREAT_SCHEDULE})
 EXPANSION_KINDS = frozenset({EXPANSION_JUMP, EXPANSION_DELEGATE})
-TERMINAL_KINDS = frozenset(
-    {TOP_OUT, THREAT_JUMP, THREAT_SCHEDULE, EXPANSION_JUMP, EXPANSION_DELEGATE}
-)
 
 # The satisfaction (A) or pause (B) flag's parameter field, by engine.
 FLAG_FIELDS = {"A": "s", "B": "p"}
@@ -186,10 +184,6 @@ class Trace:
         return len(self.stages)
 
     @cached_property
-    def flag_field(self) -> str:
-        return FLAG_FIELDS[self.engine]
-
-    @cached_property
     def index(self) -> TraceIndex:
         """The one :class:`TraceIndex` of this trace, built on first use."""
         return TraceIndex(self)
@@ -198,13 +192,6 @@ class Trace:
     def registry(self) -> PhiRegistry:
         """The one :class:`PhiRegistry` of ``config``, built on first use."""
         return PhiRegistry(self.config)
-
-    def config_digest(self) -> str:
-        return config_digest(self.config)
-
-    def digest(self) -> str:
-        """Deterministic digest of the canonical serialisation."""
-        return hashlib.sha256(serialize(self)).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +211,7 @@ def _header_line(trace: Trace, created_at: str | None) -> str:
     header = {
         "engine": trace.engine,
         "T": trace.T,
-        "phi_config_digest": trace.config_digest(),
+        "phi_config_digest": config_digest(trace.config),
         "version": TRACE_VERSION,
         "phi_config": trace.config,
     }
@@ -274,9 +261,9 @@ def serialize(trace: Trace) -> bytes:
     The header is encoded by ``_ENCODE`` and each record by
     :func:`_record_line`, which writes the bytes ``_ENCODE`` would write for
     every trace the engine or the loader builds.
-    This canonical form is what :meth:`Trace.digest` covers; a written trace
+    A trace's digest is the sha256 of this canonical form; a written trace
     file adds the informational ``created_at`` header field
-    (:func:`serialize_stamped`).
+    (:func:`serialize_stamped`, which returns the file and the digest).
     """
     lines = [_header_line(trace, None)]
     lines += map(_record_line, trace.stages)
@@ -284,8 +271,8 @@ def serialize(trace: Trace) -> bytes:
 
 
 def serialize_stamped(trace: Trace, created_at: str) -> tuple[bytes, str]:
-    """The trace file, whose header also holds ``created_at``, and
-    ``trace.digest()``, encoding the records once: the digest is taken over
+    """The trace file, whose header also holds ``created_at``, and the
+    trace's digest, encoding the records once: the digest is the sha256 of
     :func:`serialize`'s bytes, and the stamped header line is spliced in
     front of their records."""
     data = serialize(trace)
@@ -295,11 +282,11 @@ def serialize_stamped(trace: Trace, created_at: str) -> tuple[bytes, str]:
 
 
 def _check_header(header: dict, line: int = 1) -> None:
-    """Reject an unknown engine or version, a ``T`` that is not a natural
-    number and a ``phi_config`` that does not match its recorded digest: a
-    trace is checked against the registry it names, so a tampered registry
-    must not reach the checkers.  ``line`` is the header's line in the
-    file."""
+    """Reject an unknown engine or version, a ``T`` below 1 (a run has at
+    least one stage) and a ``phi_config`` that does not match its recorded
+    digest: a trace is checked against the registry it names, so a tampered
+    registry must not reach the checkers.  ``line`` is the header's line in
+    the file."""
     if not isinstance(header, dict):
         raise TraceParseError("header is not an object", line=line)
     for key in ("engine", "T", "version", "phi_config", "phi_config_digest"):
@@ -312,8 +299,8 @@ def _check_header(header: dict, line: int = 1) -> None:
     if type(version) is not int or version != TRACE_VERSION:
         raise TraceParseError(f"unsupported trace version {version!r}", line=line)
     T = header["T"]
-    if type(T) is not int or T < 0:
-        raise TraceParseError(f"T={T!r} is not a natural number", line=line)
+    if type(T) is not int or T < 1:
+        raise TraceParseError(f"T={T!r} is not a positive integer", line=line)
     if config_digest(header["phi_config"]) != header["phi_config_digest"]:
         raise TraceParseError("phi_config does not match phi_config_digest", line=line)
 
@@ -646,7 +633,7 @@ class TraceIndex:
     def _expansion_test(self, sigma: BinStr, t: int) -> bool:
         """The expansion predicate evaluated afresh (engine A: flag set)."""
         trace = self.trace
-        if trace.engine == "A" and self.value(sigma, trace.flag_field, t) != 1:
+        if trace.engine == "A" and self.value(sigma, FLAG_FIELDS["A"], t) != 1:
             return False
         e = len(sigma)
         l = trace.registry.ell(e, t)

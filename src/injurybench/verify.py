@@ -36,7 +36,7 @@ runs the checkers from one table of (name, engines, per-slot, checker).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate
 from typing import NamedTuple
@@ -47,6 +47,7 @@ from .replay import StageRuleError, stage_rules
 from .strings import BinStr, lex_less, nu, region_covers_right_of
 from .tracekit import (
     EXPANSION_KINDS,
+    FLAG_FIELDS,
     THREAT_KINDS,
     THREAT_JUMP,
     Trace,
@@ -180,10 +181,11 @@ def check_monotonicity(trace: Trace) -> Report:
         for i, sigma in enumerate(by_len):
             for tau in by_len[i + 1:]:
                 if len(tau) > len(sigma) and tau.startswith(sigma):
-                    bad = _step_function_le(
-                        index.changepoints(sigma, "w"),
-                        index.changepoints(tau, "w"),
-                    )
+                    # both witnesses are step functions: compare where either steps
+                    times = sorted({*index.changepoints(sigma, "w")[0],
+                                    *index.changepoints(tau, "w")[0]})
+                    bad = next((t for t in times if index.value(sigma, "w", t)
+                                > index.value(tau, "w", t)), None)
                     if bad is not None:
                         findings.append(
                             ("fail", {"law": "w prefix-monotone", "sigma": sigma,
@@ -196,17 +198,6 @@ def check_monotonicity(trace: Trace) -> Report:
         "monotone by construction"
     ] if trace.engine == "A" else []
     return _make_report("monotonicity", findings, assumptions)
-
-
-def _step_function_le(a: tuple[list[int], list[int]], b: tuple[list[int], list[int]]):
-    """First time where step function a exceeds b, else None."""
-    times = sorted(set(a[0]) | set(b[0]))
-    for t in times:
-        va = a[1][bisect_right(a[0], t) - 1]
-        vb = b[1][bisect_right(b[0], t) - 1]
-        if va > vb:
-            return t
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +657,7 @@ def check_settlement_facts(trace: Trace) -> Report:
 
 def _check_pause_facts(trace: Trace, index: TraceIndex, findings) -> None:
     """Pause alternation, no consecutive threats, witness bump per threat."""
-    pause = trace.flag_field
+    pause = FLAG_FIELDS["B"]
     for rec in trace.stages:
         if rec.action.kind in THREAT_KINDS:
             w_before = index.value(rec.settled, "w", rec.t)

@@ -50,7 +50,6 @@ def test_c01_determinism_and_replay(registry):
         elapsed[tag] = time.monotonic() - start
         second = run_engine(EngineState(registry, tag), 500)
         assert serialize(first) == serialize(second)
-        assert first.digest() == second.digest()
     assert elapsed["A"] < 10.0 and elapsed["B"] < 10.0, elapsed
 
     for tag, factory in (("A", new_engine_a), ("B", new_engine_b)):

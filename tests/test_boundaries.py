@@ -8,8 +8,11 @@ The package has no runtime dependencies: its command line loads nothing
 outside the standard library, and it loads the speed transforms (and
 ``dataclasses``) only for the ``speed`` verbs.  Every name a module imports
 is used there or re-exported through its ``__all__``, so a move leaves no
-stale import.  No module guards an invariant with ``assert``, which
-``python -O`` strips: invariants raise real exceptions.
+stale import.  Every name a module exports through its ``__all__`` is read
+by the package outside its own definition or by the benchmark harness, so
+the public API holds nothing that only tests call.  No module guards an
+invariant with ``assert``, which ``python -O`` strips: invariants raise real
+exceptions.
 """
 
 import ast
@@ -55,19 +58,59 @@ def unused_imports(module: str) -> list[str]:
     """Names that ``module`` imports but neither reads nor lists in its
     ``__all__``; ``from __future__`` imports are directives, not names."""
     tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
-    imported, exported, read = set(), set(), set()
+    imported, read = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(alias.asname or alias.name for alias in node.names)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            exported.update(ast.literal_eval(node.value))
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
-    return sorted(imported - exported - read)
+    return sorted(imported - set(exports(tree)) - read)
+
+
+def exports(tree: ast.Module) -> list[str]:
+    """The names of a module's ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _defined_names(node: ast.stmt) -> set[str]:
+    """Module-level names that the top-level statement ``node`` defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+
+
+def _reads(node: ast.AST) -> set[str]:
+    """Names that ``node`` reads as a variable or an attribute."""
+    found = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            found.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            found.add(n.attr)
+    return found
+
+
+def harness_names() -> set[str]:
+    """Names the benchmark harness reads, also through the ``"name"`` and
+    ``"Class.method"`` strings by which it wraps package functions."""
+    found = set()
+    for path in sorted((SRC.parent.parent / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= _reads(tree)
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    and all(part.isidentifier() for part in n.value.split("."))):
+                found.update(n.value.split("."))
+    return found
 
 
 def test_replay_imports_only_primitives():
@@ -175,3 +218,27 @@ def test_no_module_uses_assert():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_every_export_has_a_reader_outside_the_tests():
+    # reads in the package (a module's reads of its own name inside that
+    # name's definition aside, and __init__'s re-exports aside) or in the
+    # benchmark harness; methods are out of scope, as names like "digest"
+    # collide with local variables
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"}
+    assert {"dyadic", "speed", "tracekit", "verify"} <= set(trees)
+    harness = harness_names()
+    assert {"run_engine", "new_engine_a", "ell", "lex_less"} <= harness, \
+        "the harness parser missed names"
+    unread = []
+    for module, tree in trees.items():
+        exported = [name for name in exports(tree) if not name.startswith("__")]
+        read = set(harness)
+        for other, other_tree in trees.items():
+            if other != module:
+                read |= _reads(other_tree)
+        for node in tree.body:
+            read |= _reads(node) - _defined_names(node)
+        unread += [f"{module}.{name}" for name in exported if name not in read]
+    assert not unread, unread

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -11,7 +12,13 @@ import injurybench
 from injurybench.cli import main
 from injurybench.dyadic import Dyadic, pow2
 from injurybench.speed import SEARCH_BUDGET
-from injurybench.tracekit import deserialize, read_sequence_csv, serialize_stamped, write_sequence_csv
+from injurybench.tracekit import (
+    deserialize,
+    read_sequence_csv,
+    serialize,
+    serialize_stamped,
+    write_sequence_csv,
+)
 from conftest import fixture_dir, jump_stages
 
 
@@ -491,7 +498,7 @@ def test_run_writes_digest_of_unstamped_trace(tmp_path, capsys):
     data = (out / "trace.jsonl").read_bytes()
     header = json.loads(data.split(b"\n", 1)[0])
     trace = deserialize(data)
-    assert printed == trace.digest()
+    assert printed == hashlib.sha256(serialize(trace)).hexdigest()
     assert data == serialize_stamped(trace, header["created_at"])[0]
 
 

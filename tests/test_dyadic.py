@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import injurybench
-from injurybench.dyadic import MAX_EXPONENT, Dyadic, ZERO, ONE, gap_cmp, pow2
+from injurybench.dyadic import MAX_EXPONENT, Dyadic, ZERO, gap_cmp, pow2
+
+ONE = Dyadic(1)
 
 
 dyadics = st.builds(

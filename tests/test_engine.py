@@ -19,13 +19,14 @@ from injurybench.engine import (
 from injurybench.phi import DEFAULT_CONFIG, registry_from_config
 from injurybench.strings import nu, pair
 from injurybench.tracekit import (
+    EXPANSION_DELEGATE,
     EXPANSION_JUMP,
     THREAT_JUMP,
     THREAT_SCHEDULE,
     TOP_OUT,
-    TERMINAL_KINDS,
     TraceCorruption,
     TraceIndex,
+    serialize,
 )
 from conftest import MINIMAL_CONFIG
 
@@ -207,14 +208,16 @@ def test_engine_b_golden(minimal):
 def test_terminal_kinds_only(minimal, registry):
     for trace in (run_engine(EngineState(minimal, "A"), 30), run_engine(EngineState(minimal, "B"), 30), run_engine(EngineState(registry, "A"), 60)):
         for rec in trace.stages:
-            assert rec.action.kind in TERMINAL_KINDS
+            assert rec.action.kind in (TOP_OUT, THREAT_JUMP, THREAT_SCHEDULE,
+                                       EXPANSION_JUMP, EXPANSION_DELEGATE)
             assert rec.action.sigma == rec.settled
             assert (rec.jump.sign() > 0) == (rec.action.kind in (THREAT_JUMP, EXPANSION_JUMP))
 
 
 def test_determinism_same_registry_instance(minimal):
-    assert run_engine(EngineState(minimal, "A"), 60).digest() == run_engine(EngineState(minimal, "A"), 60).digest()
-    assert run_engine(EngineState(minimal, "B"), 60).digest() == run_engine(EngineState(minimal, "B"), 60).digest()
+    for tag in "AB":
+        assert (serialize(run_engine(EngineState(minimal, tag), 60))
+                == serialize(run_engine(EngineState(minimal, tag), 60)))
 
 
 def test_prefix_stability(registry):
@@ -307,6 +310,27 @@ def test_write_into_own_region_raises_trace_corruption(minimal):
     st._stage_write = stage_write_with_stray_write
     with pytest.raises(TraceCorruption, match="own initialisation region"):
         run_engine(st, 30)
+
+
+@pytest.mark.parametrize("counter, restraint, error", [
+    (pair("0", 0), 0, f"counter {pair('0', 0)} of '0' decodes to a zero remaining count"),
+    (pair("0", 2), 3, "restraint of '' fell below '0''s at stage 6"),
+], ids=["zero-count", "fallen-restraint"])
+def test_stage_refuses_a_counter_that_admits_no_walk(counter, restraint, error):
+    # the engine's side of the stage_rules refusals in test_verify: B after
+    # stages 0-5 of two identity slots has both pause flags set, so stage 6
+    # raises the root's restraint to 2, appends "0" and reads the counter of "0"
+    reg = registry_from_config({"slots": [{"index": 0, "kind": "identity"},
+                                          {"index": 1, "kind": "identity"}]})
+    st = new_engine_b(reg)
+    for _ in range(6):
+        run_stage(st)
+    params = st.params["0"]
+    assert (st.params[""].p, st.params[""].r, params.p, params.c, params.r) == (1, 1, 1, 0, 0)
+    params.c, params.r = counter, restraint
+    with pytest.raises(TraceCorruption) as raised:
+        run_stage(st)
+    assert str(raised.value) == error
 
 
 def test_double_write_guard_survives_optimisation(tmp_path):

@@ -5,8 +5,8 @@ ended in a traceback (huge restraints, witnesses and jump exponents in a
 trace, negative restraints and witnesses, a huge exponent in a sequence CSV
 or a dyadic literal), jumps in any but the canonical encoding, jumps
 rescaled to another value the loader accepts, record edits that the writer
-would write back as another JSON value (a repeated key among them), and
-malformed CSV rows and literals all run through ``cli.main`` in one
+would write back as another JSON value (a repeated key among them), a
+header of no stages, and malformed CSV rows and literals all run through ``cli.main`` in one
 subprocess under a 1.5 GiB address-space limit.  Every run must end in a documented exit code (0 pass, 1 fail, 2
 usage, 3 incomplete) without a traceback, and a usage error is one line.
 """
@@ -130,6 +130,13 @@ REWRITTEN_EDITS = {
 }
 
 
+def no_stages(data: bytes) -> str:
+    """The header of the trace file with ``T`` set to 0, and no record."""
+    header = json.loads(data.split(b"\n", 1)[0])
+    header["T"] = 0
+    return json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def repeat_key(data: bytes, t: int, key: str, first) -> str:
     """The trace file with record t's key written twice, ``first`` first:
     the JSON decoder keeps the second value alone."""
@@ -159,9 +166,12 @@ def test_hostile_inputs_end_in_an_exit_code_without_traceback(tmp_path, capsys):
         "witness-negative": set_negative_write(traces["B"], "w"),
         # one encoding per value: each of these once loaded as another's value
         "jump-zero-k": edit_record(traces["A"], 0, set_jump_exponent(5)),
+        # a run of no stages, which the engine never writes
+        "header-T-zero": no_stages(traces["A"]),
     }
     expected = {"restraint": 1, "witness": 1, "jump-k-huge": 2, "jump-k-negative": 2,
-                "restraint-negative": 2, "witness-negative": 2, "jump-zero-k": 2}
+                "restraint-negative": 2, "witness-negative": 2, "jump-zero-k": 2,
+                "header-T-zero": 2}
     for name, edit in REWRITTEN_EDITS.items():
         files[f"rewritten-{name}"] = edit_record(traces["A"], 1, edit)
         expected[f"rewritten-{name}"] = 2
@@ -236,3 +246,4 @@ def test_hostile_inputs_end_in_an_exit_code_without_traceback(tmp_path, capsys):
     assert all(results[name][1].startswith("error: line 3: ")
                for name in results if name.startswith("rewritten-"))
     assert results["rewritten-repeated-key"][1] == "error: line 3: repeated key 'settled'\n"
+    assert results["header-T-zero"][1] == "error: line 1: T=0 is not a positive integer\n"

@@ -1,5 +1,4 @@
 import random
-import signal
 from fractions import Fraction
 from itertools import accumulate
 
@@ -13,7 +12,6 @@ from injurybench.speed import (
     IncompleteSearch,
     ModulusFn,
     certify_regaining,
-    modulus_to_gapbound,
     regain_to_speed,
     speed_ratio,
     speed_to_regain,
@@ -169,46 +167,6 @@ def test_certify_regaining_examples():
     assert certify_regaining(slow, ident) == []
     halves = ApproxSequence(values=[Dyadic(0), Dyadic(1, 1), Dyadic(3, 2)], known_limit=ONE)
     assert certify_regaining(halves, ident) == []
-
-
-def test_modulus_to_gapbound():
-    seq = geometric_sequence(12)
-    report = modulus_to_gapbound(ModulusFn.affine(1, 1), seq)
-    assert report.ok
-    assert report.checked[0] == 1
-    with pytest.raises(ValueError):
-        modulus_to_gapbound(ModulusFn(lambda n: 0, name="zero"), seq)
-
-
-def test_modulus_to_gapbound_constant_sequence():
-    seq = ApproxSequence(values=[Dyadic(3, 2)] * 6, known_limit=Dyadic(3, 2))
-    report = modulus_to_gapbound(ModulusFn.affine(1, 0), seq)
-    assert report.ok
-
-
-def _time_limit(signum, frame):
-    raise AssertionError("modulus_to_gapbound did not return within 60 s")
-
-
-def test_modulus_to_gapbound_constant_modulus_on_its_limit_returns():
-    # every difference is 0, so the modulus check passes at every n; it
-    # stops at the largest exponent, and the g search then runs out
-    previous = signal.signal(signal.SIGALRM, _time_limit)
-    signal.alarm(60)
-    try:
-        seq = ApproxSequence([ONE] * 3, known_limit=ONE)
-        with pytest.raises(IncompleteSearch, match="g evaluation"):
-            modulus_to_gapbound(ModulusFn.affine(0, 0), seq)
-        seq = ApproxSequence([Dyadic(1, 7)] * 3, known_limit=Dyadic(1, 7))
-        with pytest.raises(IncompleteSearch, match="g evaluation"):
-            modulus_to_gapbound(ModulusFn.affine(0, 1), seq)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    # a difference of 2**-7 still fails the check at n = 7, the last tested
-    seq = ApproxSequence([ONE - pow2(-7), ONE], known_limit=ONE)
-    with pytest.raises(ValueError, match=r"x_0\| >= 2\^-7 "):
-        modulus_to_gapbound(ModulusFn.affine(0, 0), seq)
 
 
 def test_ratio_form_equivalence_randomised():

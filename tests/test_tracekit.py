@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -7,7 +8,7 @@ import pytest
 from injurybench import tracekit
 from injurybench.dyadic import MAX_EXPONENT, ZERO, Dyadic, pow2
 from injurybench.engine import EngineState, run_engine
-from injurybench.phi import DEFAULT_CONFIG, registry_from_config
+from injurybench.phi import DEFAULT_CONFIG, config_digest, registry_from_config
 from injurybench.strings import (
     REL_LEX,
     REL_LEX_OR_EXT,
@@ -95,7 +96,7 @@ def test_round_trip_field_by_field(trace_a, trace_b):
         assert clone.config == trace.config
         assert clone.x == trace.x
         assert clone.stages == trace.stages
-        assert clone.digest() == trace.digest()
+        assert serialize(clone) == serialize(trace)
 
 
 def test_trace_equality_compares_engine_config_stages_and_x(trace_a, trace_b):
@@ -122,7 +123,9 @@ def test_trace_equality_compares_engine_config_stages_and_x(trace_a, trace_b):
 def test_digest_ignores_timestamp(trace_a):
     stamped, digest = serialize_stamped(trace_a, "2026-08-10T12:00:00+00:00")
     assert stamped != serialize(trace_a)
-    assert deserialize(stamped).digest() == trace_a.digest() == digest
+    plain = serialize(trace_a)
+    assert serialize(deserialize(stamped)) == plain
+    assert hashlib.sha256(plain).hexdigest() == digest
 
 
 # a Python-built graph with int keys: 2 < 10 as ints, "10" < "2" as strings
@@ -146,14 +149,14 @@ def test_serialize_stamped_adds_only_created_at(config):
     assert header.pop("created_at") == stamp
     assert header == json.loads(plain_head)
     assert list(header) == sorted(header)
-    assert digest == trace.digest()
+    assert digest == hashlib.sha256(plain).hexdigest()
 
 
 def test_int_keyed_config_digest_survives_round_trip():
     trace = run_engine(EngineState(registry_from_config(INT_KEYED_CONFIG), "A"), 25)
     clone = deserialize(serialize(trace))
     assert clone.config == json.loads(json.dumps(INT_KEYED_CONFIG))
-    assert clone.config_digest() == trace.config_digest()
+    assert config_digest(clone.config) == config_digest(trace.config)
 
 
 def _with_header(trace, edit):
@@ -174,6 +177,16 @@ def test_loader_rejects_bad_header(trace_a, edit):
     with pytest.raises(TraceParseError) as err:
         deserialize(_with_header(trace_a, edit))
     assert err.value.line == 1
+
+
+def test_loader_rejects_a_header_without_stages(trace_a):
+    # the engine runs at least one stage; a trace of none once reached the
+    # checkers, which failed on a window the user never passed
+    head = json.loads(serialize(trace_a).split(b"\n", 1)[0])
+    head["T"] = 0
+    with pytest.raises(TraceParseError) as err:
+        deserialize(json.dumps(head, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+    assert str(err.value) == "line 1: T=0 is not a positive integer"
 
 
 @pytest.mark.parametrize("fld", ["p", ""])

@@ -14,7 +14,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from injurybench.dyadic import ONE, Dyadic, ZERO, gap_cmp, pow2
+from injurybench.dyadic import Dyadic, ZERO, gap_cmp, pow2
 from injurybench.engine import EngineState, run_engine, run_stage
 from injurybench.phi import DEFAULT_CONFIG, PhiRegistry, registry_from_config
 from injurybench.strings import (
@@ -54,6 +54,8 @@ from conftest import MINIMAL_CONFIG, jump_stages
 from mutants import changes_trace, jump_value_edits, single_record_mutants, trace_changing_edits
 from test_randomized import DOUBLING_PROGRAM, random_config
 from test_replay import SPARSE_DEEP_CONFIGS
+
+ONE = Dyadic(1)
 
 
 @pytest.fixture(scope="module")
@@ -295,6 +297,104 @@ def test_mutation_pause_alternation(trace_b):
 
 
 # ---------------------------------------------------------------------------
+# Findings that only an edited trace reaches
+
+
+def test_monotonicity_finds_a_restraint_past_its_stage(trace_a):
+    rec = next(r for r in trace_a.stages if any(f == "r" for _, f, _ in r.param_writes))
+    i = next(i for i, (_, f, _) in enumerate(rec.param_writes) if f == "r")
+    report = check_monotonicity(mutate_write(trace_a, rec.t, i, rec.t + 10))
+    # a write at stage t holds from t + 1
+    assert {"status": "fail", "law": "r<=t", "sigma": rec.param_writes[i][0],
+            "t": rec.t + 1, "value": rec.t + 10} in report.witnesses
+
+
+def test_monotonicity_finds_a_witness_above_an_extension(trace_a):
+    # engine A writes no witness: the root keeps nu("") = 0, and regions set
+    # the witness of "0" to nu("0") + s + 2, so a root witness of 100 from
+    # stage 11 on exceeds it
+    assert set(trace_a.index.written) == {"", "0"}
+    rec = trace_a.stages[10]
+    mutated = mutate_record(trace_a, 10, param_writes=rec.param_writes + (("", "w", 100),))
+    report = check_monotonicity(mutated)
+    assert [w for w in report.witnesses if w["law"] == "w prefix-monotone"] == [
+        {"status": "fail", "law": "w prefix-monotone", "sigma": "", "tau": "0", "t": 11}]
+
+
+def test_convergence_finds_a_negative_jump(trace_a):
+    # the loader refuses a negative jump, so the edit is made in memory
+    t = jump_stages(trace_a)[0]
+    jump = -trace_a.stages[t].jump
+    report = check_convergence_bound(mutate_record(trace_a, t, jump=jump))
+    assert report.witnesses == [
+        {"status": "fail", "law": "x non-decreasing", "t": t, "jump": str(jump)}]
+
+
+def test_jump_sums_finds_a_counter_episode_with_no_prior_threat():
+    # re-split B at T=60 delegates at stage 46 for alpha "00"; a delegation
+    # (no jump, so outside every fibre) for an alpha never threatened has no
+    # episode to belong to
+    trace = run_engine(EngineState(registry_from_config(RESPLIT_CONFIG), "B"), 60)
+    rec = trace.stages[46]
+    assert (rec.action.kind, rec.action.alpha) == ("expansion_delegate", "00")
+    mutated = mutate_record(trace, 46, action=rec.action._replace(alpha="0000000"))
+    report = check_jump_sums(mutated)
+    assert [w for w in report.witnesses if w["status"] == "fail"] == [
+        {"status": "fail", "episode": "counter", "t1": 46,
+         "error": "no prior threat of '0000000'"}]
+
+
+def _cut_off_of_0(trace: Trace) -> tuple[int, int]:
+    """The stage of the last threat of "0" and the last stage of its fibre."""
+    t1 = trace.index.threats["0"][-1]
+    return t1, trace.index.fibers[t1][-1]
+
+
+def test_cutoffs_find_a_positive_counter_not_lex_left(trace_a):
+    # the cut-off stage of "0" clears the root's counter; a positive counter
+    # there is not lex-left of "0", and the stage's region does not reach it
+    t1, t_cut = _cut_off_of_0(trace_a)
+    i = trace_a.stages[t_cut].param_writes.index(("", "c", 0))
+    report = check_cutoffs(mutate_write(trace_a, t_cut, i, 3))
+    assert report.witnesses == [{"status": "fail", "sigma": "0", "t1": t1, "t_cut": t_cut,
+                                 "problems": ["positive counter at '' not lex-left"]}]
+
+
+def test_cutoffs_hold_the_tail_to_its_bound(trace_a):
+    # x_T = x_{t+1} after the cut-off stage t of "0": x_T raised by exactly
+    # 2^-(t+1) keeps the tail bound, and raised by more breaks it
+    t1, t_cut = _cut_off_of_0(trace_a)
+    assert trace_a.x[trace_a.T] == trace_a.x[t_cut + 1]
+
+    def raised(extra: Dyadic) -> Trace:
+        return Trace(engine="A", config=trace_a.config, stages=trace_a.stages,
+                     x=trace_a.x[:-1] + [trace_a.x[-1] + extra])
+
+    assert check_cutoffs(raised(pow2(-(t_cut + 1)))).status == "pass"
+    assert check_cutoffs(raised(pow2(-(t_cut + 1)) + pow2(-80))).witnesses == [
+        {"status": "fail", "sigma": "0", "t1": t1, "t_cut": t_cut,
+         "problems": ["tail bound x_T - x_{t+1} <= 2^-(t+1) violated"]}]
+
+
+def test_requirement_n_is_not_yet_certified_after_one_stage(minimal):
+    # x is still flat after stage 0, so x_T - x_phi(m) = 0 for every m
+    report = check_requirement_N(run_engine(EngineState(minimal, "A"), 1), 0)
+    assert report.status == "incomplete"
+    assert report.witnesses == [
+        {"status": "incomplete", "e": 0, "note": "not yet", "searched_up_to": 1}]
+
+
+def test_requirement_p_on_b_ends_at_a_witness_past_its_bound(trace_b):
+    # the root's witness, set to 10^6 by its stage-7 write until the next
+    # write at stage 9, is read by the sweep at the expansionary stage 9,
+    # where it is at most nu("") + 9 + 2
+    i = trace_b.stages[7].param_writes.index(("", "w", 4))
+    report = check_requirement_P(mutate_write(trace_b, 7, i, 10**6), 0)
+    assert report.witnesses == [{"status": "fail", "law": "w<=nu(sigma)+t+2", "sigma": "",
+                                 "t": 9, "value": 10**6, "bound": 11}]
+
+
+# ---------------------------------------------------------------------------
 # Refusals and selection
 
 
@@ -316,6 +416,18 @@ def test_requirement_refuses_unclassified_program():
     trace = run_engine(EngineState(reg, "A"), 10)
     with pytest.raises(ValueError):
         check_requirement_N(trace, 1)
+
+
+def test_requirement_p_on_b_refuses_a_prefix_slot_without_classification():
+    # the B condition sums the witnesses of the prefixes whose slot is
+    # declared increasing; slot 0 declares nothing, so slot 1 is refused
+    config = {"slots": [{"index": 0, "kind": "program", "code": [["halt"]]},
+                        {"index": 1, "kind": "identity"}]}
+    trace = run_engine(EngineState(registry_from_config(config), "B"), 30)
+    assert trace.index.true_path.stable_upto >= 1
+    assert check_requirement_P(trace, 1).witnesses == [
+        {"status": "incomplete", "e": 1,
+         "note": "slot 0 lacks a declared classification; refusing"}]
 
 
 def test_engine_specific_checks_reject_wrong_engine(trace_a, trace_b):
