@@ -49,14 +49,15 @@ def _load_trace(path: str) -> Trace:
 
 
 def _load_modulus(args):
-    """The ``speed.ModulusFn`` of ``--affine`` or ``--modulus``."""
+    """The ``speed.ModulusFn`` of ``--affine`` or ``--modulus``, exactly one
+    of which must be given."""
     from .speed import ModulusFn
 
+    if (args.affine is None) == (args.modulus is None):
+        raise ValueError("need exactly one of --modulus CSV and --affine A B")
     if args.affine is not None:
         a, b = args.affine
         return ModulusFn.affine(a, b)
-    if not args.modulus:
-        raise ValueError("need either --modulus CSV or --affine A B")
     return ModulusFn.from_table([f for (f,) in read_csv_table(args.modulus, "n,f")])
 
 
@@ -305,7 +306,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.fn(args)
-    except (TraceParseError, FileNotFoundError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (TraceParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -222,13 +222,6 @@ class _ProgramSlot(_Slot):
         return (steps, value) if halted else None
 
 
-_FORMULAS = {
-    "identity": (lambda n: n, True),
-    "double": (lambda n: 2 * n, True),
-    "square": (lambda n: n * n, True),
-}
-
-
 # Operand count of each register-machine opcode (see _ProgramSlot).
 _OPERANDS = {"inc": 2, "dec": 3, "halt": 0}
 
@@ -252,23 +245,50 @@ def _instruction(instr) -> bool:
             and all(_natural(arg) for arg in instr[1:]))
 
 
+_NATURAL = (_natural, "must be a natural number, got {!r}")
+
+# Each slot kind: the keys it takes besides "index" and "kind", each with its
+# test and its error's words (formatted with the value), and the builder of
+# its slot.  An absent key reads as None, which only "total_increasing" takes.
+_KINDS = {
+    "identity": ({}, lambda entry: _FormulaSlot(lambda n: n, True)),
+    "double": ({}, lambda entry: _FormulaSlot(lambda n: 2 * n, True)),
+    "square": ({}, lambda entry: _FormulaSlot(lambda n: n * n, True)),
+    "affine": ({"shift": _NATURAL},
+               lambda entry: _FormulaSlot(lambda n, s=entry["shift"]: n + s, True)),
+    "const": ({"value": _NATURAL},
+              lambda entry: _FormulaSlot(lambda n, v=entry["value"]: v, False)),
+    "partial": ({"graph": (_natural_graph, "must be an object mapping natural numbers "
+                                           "to natural numbers, got {!r}")},
+                lambda entry: _PartialSlot({int(k): v for k, v in entry["graph"].items()})),
+    "diverge": ({}, lambda entry: _PartialSlot({})),
+    "program": ({"code": (lambda code: isinstance(code, list), "must be a list, got {!r}"),
+                 "total_increasing": (lambda declared: declared is None or type(declared) is bool,
+                                      "must be true, false or null")},
+                lambda entry: _ProgramSlot(entry["code"], entry.get("total_increasing"))),
+}
+
+
 def _require(pos: int, entry: dict, key: str, ok, what: str) -> None:
-    if key not in entry:
-        raise ValueError(f"slot {pos} has no {key!r}")
-    if not ok(entry[key]):
-        raise ValueError(f"slot {pos}: {key!r} must be {what}, got {entry[key]!r}")
+    if not ok(entry.get(key)):
+        raise ValueError(f"slot {pos} has no {key!r}" if key not in entry
+                         else f"slot {pos}: {key!r} {what.format(entry[key])}")
 
 
 def validate_config(config) -> None:
     """Reject a registry configuration its slots cannot be built from.
 
-    Raises ValueError with a one-line message.  Every slot value and
-    register-machine operand must be a natural number: slot values index the
-    approximation sequence, and a negative one would silently read from its
-    end.
+    The one key of a configuration is ``slots``, and a slot entry takes
+    ``index``, ``kind`` and the keys ``_KINDS`` lists for its kind, no other.
+    Every slot value and register-machine operand must be a natural number:
+    slot values index the approximation sequence, and a negative one would
+    silently read from its end.  Raises ValueError with a one-line message.
     """
     if not isinstance(config, dict):
         raise ValueError("registry config must be an object")
+    for key in config:
+        if key != "slots":
+            raise ValueError(f"registry config takes no key {key!r}")
     slots = config.get("slots", [])
     if not isinstance(slots, list):
         raise ValueError("registry config 'slots' must be a list")
@@ -276,46 +296,23 @@ def validate_config(config) -> None:
     for pos, entry in enumerate(slots):
         if not isinstance(entry, dict):
             raise ValueError(f"slot {pos} is not an object")
-        _require(pos, entry, "index", _natural, "a natural number")
+        _require(pos, entry, "index", *_NATURAL)
         if entry["index"] in seen:
             raise ValueError(f"duplicate slot index {entry['index']}")
         seen.add(entry["index"])
-        declared = entry.get("total_increasing")
-        if declared is not None and type(declared) is not bool:
-            raise ValueError(f"slot {pos}: 'total_increasing' must be true, false or null")
         kind = entry.get("kind")
-        if kind == "affine":
-            _require(pos, entry, "shift", _natural, "a natural number")
-        elif kind == "const":
-            _require(pos, entry, "value", _natural, "a natural number")
-        elif kind == "partial":
-            _require(pos, entry, "graph", _natural_graph,
-                     "an object mapping natural numbers to natural numbers")
-        elif kind == "program":
-            _require(pos, entry, "code", lambda code: isinstance(code, list), "a list")
-            for i, instr in enumerate(entry["code"]):
-                if not _instruction(instr):
-                    raise ValueError(f"slot {pos}: bad instruction {instr!r} at {i}")
-        elif not (isinstance(kind, str) and (kind in _FORMULAS or kind == "diverge")):
+        if not (isinstance(kind, str) and kind in _KINDS):
             raise ValueError(f"slot {pos}: unknown slot kind {kind!r}")
-
-
-def _build_slot(entry: dict) -> _Slot:
-    kind = entry["kind"]
-    if kind in _FORMULAS:
-        fn, ti = _FORMULAS[kind]
-        return _FormulaSlot(fn, ti)
-    if kind == "affine":
-        shift = entry["shift"]
-        return _FormulaSlot(lambda n, s=shift: n + s, True)
-    if kind == "const":
-        value = entry["value"]
-        return _FormulaSlot(lambda n, v=value: v, False)
-    if kind == "partial":
-        return _PartialSlot({int(k): v for k, v in entry["graph"].items()})
-    if kind == "diverge":
-        return _PartialSlot({})
-    return _ProgramSlot(entry["code"], entry.get("total_increasing"))
+        keys = _KINDS[kind][0]
+        for key in entry:
+            if key not in keys and key not in ("index", "kind"):
+                raise ValueError(f"slot {pos}: kind {kind!r} takes no key {key!r}")
+        for key, (ok, what) in keys.items():
+            _require(pos, entry, key, ok, what)
+        # only a program has code
+        for i, instr in enumerate(entry.get("code", ())):
+            if not _instruction(instr):
+                raise ValueError(f"slot {pos}: bad instruction {instr!r} at {i}")
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +338,11 @@ class _ChainState:
 class PhiRegistry:
     """Slot table with convergence gate and chain-length queries."""
 
-    def __init__(self, config: dict | None = None):
-        self.config = config if config is not None else {"slots": []}
-        validate_config(self.config)
+    def __init__(self, config: dict):
+        validate_config(config)
+        self.config = config
         self.slots: dict[int, _Slot] = {
-            entry["index"]: _build_slot(entry) for entry in self.config.get("slots", [])
+            entry["index"]: _KINDS[entry["kind"]][1](entry) for entry in config.get("slots", [])
         }
         self._chains: dict[int, _ChainState] = {}
         self._configured = frozenset(self.slots)

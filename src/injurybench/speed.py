@@ -238,9 +238,9 @@ def speed_to_regain(f: ModulusFn, rho: Dyadic) -> SpeedToRegain:
 
     g = _derive_g(f)
 
-    k = 0
-    while not pow2(k) * rho >= Dyadic(1):
-        k += 1
+    # rho = m / 2**e with 2**(b-1) <= m < 2**b for b = m.bit_length(), so
+    # 2**k * rho >= 1 first holds at k = e - b + 1 (>= 1, as m < 2**e)
+    k = rho.k - rho.m.bit_length() + 1
 
     h = ModulusFn(lambda n: max(0, g(n) - k), name="h")
 

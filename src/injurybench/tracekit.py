@@ -281,15 +281,23 @@ def serialize_stamped(trace: Trace, created_at: str) -> tuple[bytes, str]:
     return stamped, hashlib.sha256(data).hexdigest()
 
 
+# The header keys every trace file has; a written file adds ``created_at``.
+_HEADER_KEYS = ("engine", "T", "version", "phi_config", "phi_config_digest")
+
+
 def _check_header(header: dict, line: int = 1) -> None:
-    """Reject an unknown engine or version, a ``T`` below 1 (a run has at
-    least one stage) and a ``phi_config`` that does not match its recorded
-    digest: a trace is checked against the registry it names, so a tampered
-    registry must not reach the checkers.  ``line`` is the header's line in
-    the file."""
+    """Reject a key the writer never writes, a missing key, an unknown
+    engine or version, a ``T`` below 1 (a run has at least one stage), a
+    ``created_at`` that is not a string and a ``phi_config`` that does not
+    match its recorded digest: a trace is checked against the registry it
+    names, so a tampered registry must not reach the checkers.  ``line`` is
+    the header's line in the file."""
     if not isinstance(header, dict):
         raise TraceParseError("header is not an object", line=line)
-    for key in ("engine", "T", "version", "phi_config", "phi_config_digest"):
+    for key in header:
+        if key not in _HEADER_KEYS and key != "created_at":
+            raise TraceParseError(f"unknown header key {key!r}", line=line)
+    for key in _HEADER_KEYS:
         if key not in header:
             raise TraceParseError(f"header missing {key!r}", line=line)
     engine = header["engine"]
@@ -301,6 +309,8 @@ def _check_header(header: dict, line: int = 1) -> None:
     T = header["T"]
     if type(T) is not int or T < 1:
         raise TraceParseError(f"T={T!r} is not a positive integer", line=line)
+    if not isinstance(header.get("created_at", ""), str):
+        raise TraceParseError(f"created_at {header['created_at']!r} is not a string", line=line)
     if config_digest(header["phi_config"]) != header["phi_config_digest"]:
         raise TraceParseError("phi_config does not match phi_config_digest", line=line)
 
@@ -329,8 +339,8 @@ def _key_fault(obj: dict, act: dict) -> str:
 
 
 def _repeated_key(text: str) -> str | None:
-    """The first key that one object of a record line repeats, in the order
-    the decoder closes the objects, or None."""
+    """The first key that one object of a line repeats, in the order the
+    decoder closes the objects, or None."""
     repeated = []
 
     def pairs(items: list) -> dict:
@@ -431,11 +441,12 @@ def _read_record(text: str, t_next: int, T: int, fields: tuple[str, ...],
 def deserialize(data: bytes) -> Trace:
     """Parse a trace file, rebuilding the x sequence from the jumps.
 
-    The header is checked first (:func:`_check_header`) and must announce
-    exactly as many records as follow.  Then each record line is read in
-    one pass that checks its raw JSON in this order, each rejection a
-    one-line :class:`TraceParseError` naming the line (its number in the
-    file: blank lines are skipped but counted):
+    The header is checked first: no object on its line repeats a key, it
+    passes :func:`_check_header`, and it must announce exactly as many
+    records as follow.  Then each record line is read in one pass that
+    checks its raw JSON in this order, each rejection a one-line
+    :class:`TraceParseError` naming the line (its number in the file: blank
+    lines are skipped but counted):
 
     1. the line is a JSON object with ``t``, ``settled``, an ``action``
        object with a ``kind`` and a ``sigma``, a ``jump``, ``init_regions``
@@ -477,6 +488,9 @@ def deserialize(data: bytes) -> Trace:
         header = json.loads(head)
     except json.JSONDecodeError as exc:
         raise TraceParseError(f"bad header: {exc}", line=head_line) from None
+    key = _repeated_key(head)
+    if key is not None:
+        raise TraceParseError(f"repeated key {key!r}", line=head_line)
     _check_header(header, head_line)
     T = header["T"]
     if len(lines) - 1 != T:

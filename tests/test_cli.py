@@ -10,7 +10,7 @@ import pytest
 
 import injurybench
 from injurybench.cli import main
-from injurybench.dyadic import Dyadic, pow2
+from injurybench.dyadic import MAX_EXPONENT, Dyadic, pow2
 from injurybench.speed import SEARCH_BUDGET
 from injurybench.tracekit import (
     deserialize,
@@ -274,6 +274,42 @@ def test_speed2regain_incomplete_listing_exits_three(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_speed2regain_at_the_largest_rho_exponent_ends_in_the_m_search():
+    # k = 2**24 comes in closed form; searching for it once took hours.  m
+    # would be the least i with g(i) = i >= k, and the search for it ends
+    # when g(SEARCH_BUDGET) exhausts its own budget
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(injurybench.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "injurybench.cli", "speed", "speed2regain", "--affine", "1", "0",
+         "--rho", f"1/2^{MAX_EXPONENT}", "--n-max", "0"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "incomplete": f"g evaluation: no result within evaluation budget {SEARCH_BUDGET}",
+        "budget": SEARCH_BUDGET,
+    }
+
+
+def test_speed_modulus_table_matches_its_affine_form(tmp_path, capsys):
+    seq_csv = tmp_path / "quarter.csv"
+    write_sequence_csv([Dyadic(1) - pow2(-2 * n) for n in range(12)], str(seq_csv))
+    table = tmp_path / "f.csv"
+    table.write_text("n,f\n" + "".join(f"{n},{n + 1}\n" for n in range(40)), encoding="utf-8")
+    for argv in (["speed2regain", "--rho", "3/2^3", "--n-max", "16"],
+                 ["certify", "--sequence", str(seq_csv), "--limit", "1/2^0"]):
+        assert main(["speed", *argv, "--affine", "1", "1"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["speed", *argv, "--modulus", str(table)]) == 0
+        assert capsys.readouterr().out == expected
+        # both forms at once, even with a table that does not exist, is a usage error
+        assert main(["speed", *argv, "--modulus", str(tmp_path / "none.csv"),
+                     "--affine", "1", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need exactly one of --modulus CSV and --affine A B\n"
+
+
 def test_speed_precondition_surfaces(tmp_path):
     seq_csv = tmp_path / "flat.csv"
     write_sequence_csv([Dyadic(0), Dyadic(0)], str(seq_csv))
@@ -506,6 +542,17 @@ def _partial_graph(value):
     return {"slots": [{"index": 0, "kind": "partial", "graph": {"0": value}}]}
 
 
+# configs with a key that no code reads, and the start of each one's error
+UNREAD_KEYS = {
+    "top_level_key": ({"slot": [{"index": 0, "kind": "identity"}]},
+                      "error: registry config takes no key 'slot'"),
+    "declared_formula": ({"slots": [{"index": 0, "kind": "identity", "total_increasing": False}]},
+                         "error: slot 0: kind 'identity' takes no key 'total_increasing'"),
+    "key_of_another_kind": ({"slots": [{"index": 0, "kind": "affine", "shift": 3, "value": 1}]},
+                            "error: slot 0: kind 'affine' takes no key 'value'"),
+}
+
+
 @pytest.mark.parametrize("config", [
     [1, 2],
     {"slots": [{"kind": "identity"}]},
@@ -513,10 +560,12 @@ def _partial_graph(value):
     {"slots": [{"index": 0, "kind": "program", "total_increasing": True,
                 "code": [["dec", 0, 1, 2], ["inc", "x", 1], ["halt"]]}]},
     {"slots": [{"index": -2, "kind": "identity"}]},
+    *(config for config, _ in UNREAD_KEYS.values()),
 ], ids=["top_level_list", "no_index", "negative_graph_value", "register_operand",
-        "negative_index"])
+        "negative_index", *UNREAD_KEYS])
 def test_run_rejects_invalid_config_with_exit_two(tmp_path, capsys, config):
-    # before validation these exited 1 with a traceback, or ran and verified
+    # before validation these exited 1 with a traceback, or ran and verified;
+    # a key that nothing reads once ran as if it were absent
     path = tmp_path / "phi.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     code = main(["run", "--engine", "A", "--stages", "20",
@@ -527,18 +576,32 @@ def test_run_rejects_invalid_config_with_exit_two(tmp_path, capsys, config):
     assert not (tmp_path / "out").exists()
 
 
-def test_verify_rejects_invalid_config_with_matching_digest(default_a60, tmp_path, capsys):
+def _verify_embedding(trace: bytes, config, tmp_path) -> int:
+    """``verify`` of the trace with its config replaced and re-digested."""
     from injurybench.phi import config_digest
 
-    head, rest = default_a60.decode().split("\n", 1)
+    head, rest = trace.decode().split("\n", 1)
     header = json.loads(head)
-    header["phi_config"] = _partial_graph(-1)
+    header["phi_config"] = config
     header["phi_config_digest"] = config_digest(header["phi_config"])
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps(header) + "\n" + rest, encoding="utf-8")
-    assert main(["verify", str(bad)]) == 2
+    return main(["verify", str(bad)])
+
+
+def test_verify_rejects_invalid_config_with_matching_digest(default_a60, tmp_path, capsys):
+    assert _verify_embedding(default_a60, _partial_graph(-1), tmp_path) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: slot 0: ") and "\n" not in err
+
+
+@pytest.mark.parametrize("config, message", list(UNREAD_KEYS.values()), ids=list(UNREAD_KEYS))
+def test_verify_rejects_config_with_a_key_nothing_reads(default_a60, tmp_path, capsys,
+                                                        config, message):
+    # each of these once reached the checkers, its key ignored
+    assert _verify_embedding(default_a60, config, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"

@@ -6,8 +6,10 @@ trace, negative restraints and witnesses, a huge exponent in a sequence CSV
 or a dyadic literal), jumps in any but the canonical encoding, jumps
 rescaled to another value the loader accepts, record edits that the writer
 would write back as another JSON value (a repeated key among them), a
-header of no stages, and malformed CSV rows and literals all run through ``cli.main`` in one
-subprocess under a 1.5 GiB address-space limit.  Every run must end in a documented exit code (0 pass, 1 fail, 2
+header of no stages, header keys the writer never writes or repeats, a
+``created_at`` that is no string, and malformed CSV rows and literals all
+run through ``cli.main`` in one subprocess under a 1.5 GiB address-space
+limit.  Every run must end in a documented exit code (0 pass, 1 fail, 2
 usage, 3 incomplete) without a traceback, and a usage error is one line.
 """
 
@@ -137,6 +139,23 @@ def no_stages(data: bytes) -> str:
     return json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def edit_header(data: bytes, edit) -> str:
+    head, rest = data.decode("utf-8").split("\n", 1)
+    header = json.loads(head)
+    edit(header)
+    return json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n" + rest
+
+
+# header edits that loaded before the header refused keys the writer never
+# writes, repeated keys and a created_at that is no string, with each error
+HEADER_EDITS = {
+    "header-unknown-key": (lambda header: header.update(bogus=[1, 2]),
+                           "error: line 1: unknown header key 'bogus'\n"),
+    "header-created-at-object": (lambda header: header.update(created_at={"x": 1}),
+                                 "error: line 1: created_at {'x': 1} is not a string\n"),
+}
+
+
 def repeat_key(data: bytes, t: int, key: str, first) -> str:
     """The trace file with record t's key written twice, ``first`` first:
     the JSON decoder keeps the second value alone."""
@@ -177,6 +196,12 @@ def test_hostile_inputs_end_in_an_exit_code_without_traceback(tmp_path, capsys):
         expected[f"rewritten-{name}"] = 2
     files["rewritten-repeated-key"] = repeat_key(traces["A"], 1, "settled", "111")
     expected["rewritten-repeated-key"] = 2
+    for name, (edit, _) in HEADER_EDITS.items():
+        files[name] = edit_header(traces["A"], edit)
+        expected[name] = 2
+    files["header-repeated-key"] = traces["A"].decode("utf-8").replace(
+        '"engine":', '"engine":"B","engine":', 1)
+    expected["header-repeated-key"] = 2
     for name, m in {"space": " 1", "underscore": "0_1", "plus": "+1",
                     "leading-zero": "01"}.items():
         files[f"jump-m-{name}"] = edit_record(traces["A"], first_jump, set_jump_mantissa(m))
@@ -247,3 +272,6 @@ def test_hostile_inputs_end_in_an_exit_code_without_traceback(tmp_path, capsys):
                for name in results if name.startswith("rewritten-"))
     assert results["rewritten-repeated-key"][1] == "error: line 3: repeated key 'settled'\n"
     assert results["header-T-zero"][1] == "error: line 1: T=0 is not a positive integer\n"
+    for name, (_, message) in HEADER_EDITS.items():
+        assert results[name][1] == message
+    assert results["header-repeated-key"][1] == "error: line 1: repeated key 'engine'\n"

@@ -285,6 +285,13 @@ def _slot(**fields):
     (_slot(kind="program", code=[["inc", "x", 1]]), "bad instruction"),
     (_slot(kind="program", code=[["dec", 0, -1, 0]]), "bad instruction"),
     (_slot(kind="program", code=[[]]), "bad instruction"),
+    # keys that no code reads
+    ({"slot": [{"index": 0, "kind": "identity"}]}, "registry config takes no key 'slot'"),
+    ({"slots": [], "version": 1}, "registry config takes no key 'version'"),
+    (_slot(total_increasing=False), "slot 0: kind 'identity' takes no key 'total_increasing'"),
+    (_slot(total_increasing=None), "slot 0: kind 'identity' takes no key 'total_increasing'"),
+    (_slot(kind="affine", shift=3, value=1), "slot 0: kind 'affine' takes no key 'value'"),
+    (_slot(kind="partial", graph={}, code=[]), "slot 0: kind 'partial' takes no key 'code'"),
 ])
 def test_validate_config_rejects(config, message):
     with pytest.raises(ValueError, match=message):
@@ -297,6 +304,15 @@ def test_validate_config_accepts_natural_values():
     validate_config(DEFAULT_CONFIG)
     validate_config({"slots": [{"index": 3, "kind": "partial", "graph": {2: 3, "10": 0}},
                                {"index": 0, "kind": "const", "value": 0}]})
+
+
+@pytest.mark.parametrize("declared", [True, False, None, "absent"])
+def test_program_slot_takes_total_increasing(declared):
+    entry = {"index": 0, "kind": "program", "code": [["halt"]]}
+    if declared != "absent":
+        entry["total_increasing"] = declared
+    registry = registry_from_config({"slots": [entry]})
+    assert registry.classification(0) is (None if declared == "absent" else declared)
 
 
 # ---------------------------------------------------------------------------

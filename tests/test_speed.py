@@ -125,6 +125,17 @@ def test_speed_to_regain_sanity_inequality():
             assert res.g(f(k)) >= k
 
 
+def test_speed_to_regain_k_is_the_least_with_2_to_the_k_times_rho_at_least_one():
+    f = ModulusFn.affine(1, 0)
+    for e in range(1, 9):
+        for m in range(1, 2**e):
+            rho = Dyadic(m, e)
+            k = 0
+            while not pow2(k) * rho >= Dyadic(1):
+                k += 1
+            assert speed_to_regain(f, rho).k == k, rho
+
+
 def test_speed_to_regain_budget():
     stuck = ModulusFn(lambda n: 0, name="flat")
     with pytest.raises(IncompleteSearch) as err:

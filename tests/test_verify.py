@@ -344,6 +344,18 @@ def test_jump_sums_finds_a_counter_episode_with_no_prior_threat():
          "error": "no prior threat of '0000000'"}]
 
 
+def test_jump_attribution_refuses_a_jump_on_a_non_jump_action(trace_a):
+    # the loader refuses a jump on a kind that takes none, so the edit is
+    # made in memory; fibers then raises, and each reader of it reports that
+    t = next(rec.t for rec in trace_a.stages if rec.action.kind == "top_out")
+    mutated = mutate_record(trace_a, t, jump=pow2(-t))
+    error = f"jump at stage {t} with non-jump action top_out"
+    assert check_jump_sums(mutated).witnesses == [{"status": "fail", "error": error}]
+    assert check_cutoffs(mutated).witnesses == [{"status": "fail", "error": error}]
+    assert {"status": "fail", "law": "jump attribution",
+            "error": error} in check_settlement_facts(mutated).witnesses
+
+
 def _cut_off_of_0(trace: Trace) -> tuple[int, int]:
     """The stage of the last threat of "0" and the last stage of its fibre."""
     t1 = trace.index.threats["0"][-1]
