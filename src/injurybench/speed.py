@@ -15,7 +15,6 @@ cross-multiplication, and the reporting helper returns exact
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -119,6 +118,18 @@ class ModulusFn:
 # Detectors
 
 
+def _checked_limit(seq: ApproxSequence, *, strict: bool = False) -> Dyadic:
+    """The sequence's known limit, refused unless it bounds every term, so
+    that no limit - x_n is negative; ``strict`` also refuses a term equal to
+    it.  Each detector and transform checks it once, before any ratio."""
+    x = seq.require_limit()
+    for v in seq.values:
+        if x < v or (strict and x == v):
+            raise ValueError("known limit must dominate every term" if strict
+                             else "known limit lies below a term")
+    return x
+
+
 def speed_ratio(seq: ApproxSequence, n: int) -> Fraction:
     """Exact ratio (x_{n+1} - x_n) / (limit - x_n) for reporting."""
     x = seq.require_limit()
@@ -128,33 +139,18 @@ def speed_ratio(seq: ApproxSequence, n: int) -> Fraction:
 
 
 def speedup_indices(seq: ApproxSequence, rho: Dyadic) -> list[int]:
-    """Indices where one step covers at least a rho-fraction of what remains.
+    """Indices n where one step covers at least a rho-fraction of what
+    remains: x_{n+1} - x_n >= rho * (limit - x_n).
 
-    Requires an increasing sequence below its known limit.  The same set is
-    recomputed through the complement form (remaining-tail shrinks to at
-    most 1-rho) as an internal cross-check; the two characterisations agree
-    identically, so any disagreement is an arithmetic bug and raises.
+    Requires an increasing sequence strictly below its known limit.
     """
     if not (Dyadic(0) < rho < Dyadic(1)):
         raise ValueError("rho must lie strictly between 0 and 1")
     if not seq.is_increasing():
         raise ValueError("speedup detection needs an increasing sequence")
-    x = seq.require_limit()
-    if not all(v < x for v in seq.values):
-        raise ValueError("known limit must dominate every term")
-    rho_c = Dyadic(1) - rho
-    out = []
-    dual = []
-    for n in range(len(seq.values) - 1):
-        step = seq.values[n + 1] - seq.values[n]
-        rest = x - seq.values[n]
-        if step >= rho * rest:
-            out.append(n)
-        if (x - seq.values[n + 1]) <= rho_c * rest:
-            dual.append(n)
-    if out != dual:
-        raise AssertionError("ratio-form and complement-form sets disagree")
-    return out
+    x = _checked_limit(seq, strict=True)
+    v = seq.values
+    return [n for n in range(len(v) - 1) if v[n + 1] - v[n] >= rho * (x - v[n])]
 
 
 def certify_regaining(seq: ApproxSequence, h: ModulusFn) -> list[int]:
@@ -165,7 +161,7 @@ def certify_regaining(seq: ApproxSequence, h: ModulusFn) -> list[int]:
     the indices at which :func:`regain_to_speed` covers more than a quarter
     of what remains.
     """
-    x = seq.require_limit()
+    x = _checked_limit(seq)
     return [
         n for n in range(len(seq.values))
         if (x - seq.values[n]) < pow2(-h(n))
@@ -182,6 +178,8 @@ def regain_to_speed(seq: ApproxSequence) -> ApproxSequence:
     sequence covers more than a quarter of what remains."""
     if not seq.is_non_decreasing():
         raise ValueError("transform needs a non-decreasing sequence")
+    if seq.known_limit is not None:
+        _checked_limit(seq)
     values = [v - pow2(-n) for n, v in enumerate(seq.values)]
     return ApproxSequence(
         values=values,
@@ -202,24 +200,23 @@ def _derive_g(f: ModulusFn) -> ModulusFn:
     """g(n) = 0 below f(0), else max{k : f(k) <= n}.
 
     f is non-decreasing, so {k : f(k) <= n} is an initial segment that grows
-    with n, and g is non-decreasing: the search for g(n) starts at g(n') for
-    the largest n' <= n already evaluated, so listing g(0..N) costs
-    O(N + g(N)) evaluations of f rather than O(N * g(N)).
+    with n, and g is non-decreasing: the search for g(n) resumes at g(n')
+    for the last searched n' when n' <= n, and at 0 otherwise.  The search
+    for m and the CLI listing ask in ascending order, so listing g(0..N)
+    costs O(N + g(N)) evaluations of f rather than O(N * g(N)).
     """
-    seen_n: list[int] = []  # searched arguments, sorted
-    seen_g: list[int] = []  # g at each of them
+    last_n = last_g = 0  # the last searched argument and g at it
 
     def g_eval(n: int) -> int:
+        nonlocal last_n, last_g
         if f(0) > n:
             return 0
-        i = bisect_right(seen_n, n)
-        k = seen_g[i - 1] if i else 0
+        k = last_g if n >= last_n else 0
         while k + 1 <= SEARCH_BUDGET and f(k + 1) <= n:
             k += 1
         if k + 1 > SEARCH_BUDGET:
             raise IncompleteSearch("g evaluation", SEARCH_BUDGET)
-        seen_n.insert(i, n)
-        seen_g.insert(i, k)
+        last_n, last_g = n, k
         return k
 
     return ModulusFn(g_eval, name="g")

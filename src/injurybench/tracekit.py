@@ -42,7 +42,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .dyadic import MAX_EXPONENT, ZERO, Dyadic, gap_cmp
-from .phi import PhiRegistry, config_digest
+from .phi import PhiRegistry, config_digest, validate_config
 # perfbench/tracing.py also counts region membership as tracekit.region_contains
 from .strings import (
     REL_LEX,
@@ -442,11 +442,13 @@ def deserialize(data: bytes) -> Trace:
     """Parse a trace file, rebuilding the x sequence from the jumps.
 
     The header is checked first: no object on its line repeats a key, it
-    passes :func:`_check_header`, and it must announce exactly as many
-    records as follow.  Then each record line is read in one pass that
-    checks its raw JSON in this order, each rejection a one-line
-    :class:`TraceParseError` naming the line (its number in the file: blank
-    lines are skipped but counted):
+    passes :func:`_check_header`, its ``phi_config`` passes
+    ``phi.validate_config`` (rejected with that function's message and no
+    line number, so every verb refuses a registry its checks could not
+    build), and it must announce exactly as many records as follow.  Then
+    each record line is read in one pass that checks its raw JSON in this
+    order, each rejection a one-line :class:`TraceParseError` naming the
+    line (its number in the file: blank lines are skipped but counted):
 
     1. the line is a JSON object with ``t``, ``settled``, an ``action``
        object with a ``kind`` and a ``sigma``, a ``jump``, ``init_regions``
@@ -492,6 +494,10 @@ def deserialize(data: bytes) -> Trace:
     if key is not None:
         raise TraceParseError(f"repeated key {key!r}", line=head_line)
     _check_header(header, head_line)
+    try:
+        validate_config(header["phi_config"])
+    except ValueError as exc:
+        raise TraceParseError(str(exc)) from None
     T = header["T"]
     if len(lines) - 1 != T:
         raise TraceParseError(f"header says T={T} but {len(lines) - 1} records present")

@@ -767,7 +767,7 @@ def run_checks(trace: Trace, checks: list[str] | None = None) -> list[Report]:
     """Run the selected checkers (default: all that apply to the engine).
 
     A check selected by name runs even where it does not apply, so that its
-    checker's ValueError says why.
+    checker's ValueError says why.  An unknown or repeated name is refused.
     """
     if checks is None:
         selected = [c for c in _CHECKS if trace.engine in c[1]]
@@ -776,6 +776,9 @@ def run_checks(trace: Trace, checks: list[str] | None = None) -> list[Report]:
         unknown = [name for name in checks if name not in table]
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(map(repr, unknown))}")
+        repeated = list(dict.fromkeys(name for name in checks if checks.count(name) > 1))
+        if repeated:
+            raise ValueError(f"repeated checks: {', '.join(map(repr, repeated))}")
         selected = [table[name] for name in checks]
     reports: list[Report] = []
     for _, _, per_slot, checker in selected:

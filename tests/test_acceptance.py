@@ -34,6 +34,7 @@ from injurybench.verify import (
     check_settlement_facts,
 )
 from conftest import jump_stages, random_synthetic_sequence
+from test_speed import complement_speedup_indices
 
 ONE = Dyadic(1)
 
@@ -172,7 +173,7 @@ def test_c08_transforms():
         seq = random_synthetic_sequence(rng, 16, increasing=True)
         k = rng.randrange(1, 7)
         rho = Dyadic(rng.randrange(1, 2**k), k)
-        speedup_indices(seq, rho)  # internal set-equality assertion
+        assert speedup_indices(seq, rho) == complement_speedup_indices(seq, rho)
 
     report(8, "transforms exact: ratio 7/12 at n=1; ratio > 1/4 at every "
               f"regaining index over 20 synthetic sequences ({checked} indices); "

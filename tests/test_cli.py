@@ -170,6 +170,14 @@ def test_verify_unknown_check_names_the_empty_name(run_dir, capsys):
     assert "unknown checks: ''" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_repeated_check_name(run_dir, capsys):
+    # it once ran the check twice and wrote each report twice
+    args = ["verify", str(run_dir / "trace.jsonl"), "--checks",
+            "requirement_n,monotonicity,requirement_n"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: repeated checks: 'requirement_n'\n"
+
+
 def test_verify_incomplete_only_exits_three(tmp_path, capsys):
     # the default registry at a short horizon leaves some requirement
     # checks horizon-conditional without any failure

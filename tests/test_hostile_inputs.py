@@ -7,10 +7,13 @@ or a dyadic literal), jumps in any but the canonical encoding, jumps
 rescaled to another value the loader accepts, record edits that the writer
 would write back as another JSON value (a repeated key among them), a
 header of no stages, header keys the writer never writes or repeats, a
-``created_at`` that is no string, and malformed CSV rows and literals all
-run through ``cli.main`` in one subprocess under a 1.5 GiB address-space
-limit.  Every run must end in a documented exit code (0 pass, 1 fail, 2
-usage, 3 incomplete) without a traceback, and a usage error is one line.
+``created_at`` that is no string, an embedded registry config with a key
+nothing reads (under every verb that loads a trace), a repeated check name,
+a known limit below a sequence's terms, and malformed CSV rows and literals
+all run through ``cli.main`` in one subprocess under a 1.5 GiB
+address-space limit.  Every run must end in a documented exit code (0 pass,
+1 fail, 2 usage, 3 incomplete) without a traceback, and a usage error is
+one line.
 """
 
 import json
@@ -22,6 +25,7 @@ from pathlib import Path
 
 import injurybench
 from injurybench.cli import main
+from injurybench.phi import config_digest
 from injurybench.tracekit import deserialize, serialize
 from mutants import jump_value_edits, leaf_paths
 
@@ -156,6 +160,12 @@ HEADER_EDITS = {
 }
 
 
+def embed_config(header):
+    """A registry config with a key that nothing reads, re-digested."""
+    header["phi_config"] = {"slot": [{"index": 0, "kind": "identity"}]}
+    header["phi_config_digest"] = config_digest(header["phi_config"])
+
+
 def repeat_key(data: bytes, t: int, key: str, first) -> str:
     """The trace file with record t's key written twice, ``first`` first:
     the JSON decoder keeps the second value alone."""
@@ -202,6 +212,8 @@ def test_hostile_inputs_end_in_an_exit_code_without_traceback(tmp_path, capsys):
     files["header-repeated-key"] = traces["A"].decode("utf-8").replace(
         '"engine":', '"engine":"B","engine":', 1)
     expected["header-repeated-key"] = 2
+    files["config-unread-key"] = edit_header(traces["A"], embed_config)
+    expected["config-unread-key"] = 2
     for name, m in {"space": " 1", "underscore": "0_1", "plus": "+1",
                     "leading-zero": "01"}.items():
         files[f"jump-m-{name}"] = edit_record(traces["A"], first_jump, set_jump_mantissa(m))
@@ -231,8 +243,36 @@ def test_hostile_inputs_end_in_an_exit_code_without_traceback(tmp_path, capsys):
 
     good_csv = tmp_path / "good.csv"
     good_csv.write_text("t,mantissa,exponent\n0,0,0\n1,1,1\n2,3,2\n", encoding="utf-8")
+    ones_csv = tmp_path / "ones.csv"
+    ones_csv.write_text("t,mantissa,exponent\n0,1,0\n1,1,0\n2,1,0\n", encoding="utf-8")
     runs = {name: ["verify", str(tmp_path / name), "--report", str(tmp_path / "r.json")]
             for name in files if not name.startswith("csv-")}
+    # the loader refuses the embedded config before any verb reads it
+    unread = str(tmp_path / "config-unread-key")
+    runs["config-unread-key-monotonicity"] = runs["config-unread-key"] + [
+        "--checks", "monotonicity"]
+    runs["config-unread-key-truepath"] = ["truepath", unread]
+    runs["config-unread-key-export"] = ["export", unread, "--format", "csv",
+                                        "--out", str(tmp_path / "export.csv")]
+    runs["checks-repeated"] = ["verify", str(tmp_path / "default-A" / "trace.jsonl"),
+                               "--checks", "requirement_n,requirement_n"]
+    # limit - x_n < 0: each verb that reads a limit refuses it
+    runs["limit-below-certify"] = ["speed", "certify", "--sequence", str(ones_csv),
+                                   "--limit", "0/2^0", "--affine", "1", "0"]
+    runs["limit-below-regain2speed"] = ["speed", "regain2speed", "--sequence", str(ones_csv),
+                                        "--limit", "0/2^0", "--out", str(tmp_path / "out.csv")]
+    runs["limit-below-indices"] = ["speed", "indices", "--sequence", str(good_csv),
+                                   "--limit", "0/2^0", "--rho", "1/2^1"]
+    refusals = {
+        "config-unread-key": "error: registry config takes no key 'slot'\n",
+        "checks-repeated": "error: repeated checks: 'requirement_n'\n",
+        "limit-below-certify": "error: known limit lies below a term\n",
+        "limit-below-regain2speed": "error: known limit lies below a term\n",
+        "limit-below-indices": "error: known limit must dominate every term\n",
+    }
+    for name in ("monotonicity", "truepath", "export"):
+        refusals[f"config-unread-key-{name}"] = refusals["config-unread-key"]
+    expected.update(dict.fromkeys(refusals, 2))
     for name in csv_rows:
         path = str(tmp_path / f"csv-{name}")
         if name.startswith("modulus"):
@@ -275,3 +315,4 @@ def test_hostile_inputs_end_in_an_exit_code_without_traceback(tmp_path, capsys):
     for name, (_, message) in HEADER_EDITS.items():
         assert results[name][1] == message
     assert results["header-repeated-key"][1] == "error: line 1: repeated key 'engine'\n"
+    assert {name: results[name][1] for name in refusals} == refusals

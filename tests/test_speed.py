@@ -31,6 +31,16 @@ def quarter_powers(length):
     )
 
 
+def complement_speedup_indices(seq, rho):
+    """The reference form of ``speedup_indices``: indices where the remaining
+    tail shrinks to at most 1 - rho of itself,
+    limit - x_{n+1} <= (1 - rho) * (limit - x_n).  It equals the ratio form
+    by an identity of exact arithmetic."""
+    x = seq.require_limit()
+    v = seq.values
+    return [n for n in range(len(v) - 1) if x - v[n + 1] <= (ONE - rho) * (x - v[n])]
+
+
 def test_speedup_indices_geometric():
     seq = geometric_sequence(20)
     assert seq.is_increasing()
@@ -48,6 +58,26 @@ def test_speedup_indices_preconditions():
     flat = ApproxSequence(values=[ONE - pow2(-1)] * 3, known_limit=ONE)
     with pytest.raises(ValueError):
         speedup_indices(flat, Dyadic(1, 1))
+    # the ratio needs limit - x_n > 0 at every term, the last one included
+    reaching = ApproxSequence(values=seq.values, known_limit=seq.values[-1])
+    with pytest.raises(ValueError, match="known limit must dominate every term"):
+        speedup_indices(reaching, Dyadic(1, 1))
+
+
+def test_every_verb_refuses_a_limit_below_a_term():
+    # three terms of 1 under the limit 0: limit - x_n is negative
+    ones = ApproxSequence(values=[ONE] * 3, known_limit=Dyadic(0))
+    with pytest.raises(ValueError, match="known limit lies below a term"):
+        certify_regaining(ones, ModulusFn.affine(1, 0))
+    with pytest.raises(ValueError, match="known limit lies below a term"):
+        regain_to_speed(ones)
+    rising = ApproxSequence(values=[Dyadic(0), ONE], known_limit=Dyadic(1, 1))
+    with pytest.raises(ValueError, match="known limit must dominate every term"):
+        speedup_indices(rising, Dyadic(1, 1))
+    # a limit equal to a term bounds it: certified, and shifted below it
+    at_limit = ApproxSequence(values=[ONE] * 3, known_limit=ONE)
+    assert certify_regaining(at_limit, ModulusFn.affine(1, 0)) == [0, 1, 2]
+    assert speed_ratio(regain_to_speed(at_limit), 0) == Fraction(1, 2)
 
 
 def test_regain_to_speed_worked_example():
@@ -147,8 +177,8 @@ def test_speed_to_regain_budget():
 @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=30),
        st.lists(st.integers(min_value=0, max_value=150), max_size=40))
 def test_g_search_resumes_to_the_same_values(steps, queries):
-    # g(n) resumes its search at g(n') for the largest n' <= n already
-    # evaluated; evaluated in any order it equals the search from k = 0
+    # g(n) resumes its search at g(n') for the last searched n' <= n;
+    # evaluated in any order it equals the search from k = 0
     table = list(accumulate(steps))
 
     def raw(k):
@@ -164,6 +194,27 @@ def test_g_search_resumes_to_the_same_values(steps, queries):
 
     g = speed_to_regain(ModulusFn(raw), Dyadic(1, 1)).g
     assert [g(n) for n in queries] == [searched(n) for n in queries]
+
+
+class CountingModulus(ModulusFn):
+    asked = 0
+
+    def __call__(self, n):
+        self.asked += 1
+        return super().__call__(n)
+
+
+def test_g_search_resumes_only_from_a_smaller_argument():
+    f = CountingModulus(lambda k: k)
+    g = speed_to_regain(f, Dyadic(1, 1)).g
+    assert g(9) == 9
+    # g(3) after g(9) searches from 0 again, not from g(9)
+    assert g(3) == 3
+    # ascending from there, each search resumes at the last: listing 10..19
+    # asks f about 3 times per n, where searching from 0 asks it n + 2 times
+    before = f.asked
+    assert [g(n) for n in range(10, 20)] == list(range(10, 20))
+    assert f.asked - before <= 40
 
 
 def test_certify_regaining_examples():
@@ -182,14 +233,23 @@ def test_certify_regaining_examples():
 
 def test_ratio_form_equivalence_randomised():
     rng = random.Random(99)
+    hits = 0
     for _ in range(50):
         seq = random_synthetic_sequence(rng, 16, increasing=True)
         k = rng.randrange(1, 7)
         rho = Dyadic(rng.randrange(1, 2**k), k)
         assert Dyadic(0) < rho < Dyadic(1)
-        # speedup_indices cross-checks the complement characterisation
-        # internally and raises on any disagreement
-        speedup_indices(seq, rho)
+        found = speedup_indices(seq, rho)
+        assert found == complement_speedup_indices(seq, rho)
+        hits += bool(found)
+    assert hits > 0
+
+
+def test_modulus_refuses_a_decreasing_closed_form():
+    down = ModulusFn(lambda n: 10 - n, name="down")
+    assert down(0) == 10
+    with pytest.raises(ValueError, match="down: not non-decreasing at 1"):
+        down(1)
 
 
 def test_modulus_table_bounds():

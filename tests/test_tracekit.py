@@ -189,6 +189,19 @@ def test_loader_rejects_a_header_without_stages(trace_a):
     assert str(err.value) == "line 1: T=0 is not a positive integer"
 
 
+def test_loader_validates_the_embedded_config(trace_a):
+    # a config no registry can be built from once loaded, and only the
+    # checks that build the registry refused it
+    head, rest = serialize(trace_a).split(b"\n", 1)
+    header = json.loads(head)
+    header["phi_config"] = {"slot": [{"index": 0, "kind": "identity"}]}
+    header["phi_config_digest"] = config_digest(header["phi_config"])
+    with pytest.raises(TraceParseError) as err:
+        deserialize(json.dumps(header).encode() + b"\n" + rest)
+    assert str(err.value) == "registry config takes no key 'slot'"
+    assert err.value.line is None
+
+
 @pytest.mark.parametrize("fld", ["p", ""])
 def test_loader_rejects_unknown_parameter_fields(trace_a, fld):
     # "p" is engine B's pause flag, not a field of engine A
