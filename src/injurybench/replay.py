@@ -7,13 +7,14 @@ approximation x, the slot queries) and returns the stage's settled word,
 action, jump, initialisation region and parameter writes.  It is the one
 implementation of the rules besides the engine, and it has two callers.
 
-* :func:`replay_run`, the oracle, feeds it a full-scan history: every
-  parameter read scans the explicit writes and initialisation events, and
-  the chain length is recomputed from scratch by querying the slot on 0,
-  1, 2, ... (:func:`naive_ell`).  The oracle exists so the optimised engine
-  can be checked against an implementation whose state handling is too
-  simple to share its bugs; the test suite compares the x sequences, the
-  settlements, and the complete parameter read logs value for value.
+* :func:`replay_run`, the oracle, feeds it a flat history: every
+  parameter read scans the explicit writes and initialisation events from
+  the latest back (:class:`_History`), and the chain length is recomputed
+  from scratch by querying the slot on 0, 1, 2, ... (:func:`naive_ell`).
+  The oracle exists so the optimised engine can be checked against an
+  implementation whose state handling is too simple to share its bugs; the
+  test suite compares the x sequences, the settlements, and the complete
+  parameter read logs value for value.
 * ``verify.check_settlement_facts`` feeds it a finished trace's own state
   before each stage and compares the derived record with the recorded one.
 
@@ -25,15 +26,19 @@ To stay independent, this module imports only the primitives
 :mod:`~injurybench.phi`, never the engine or the trace model; it even spells
 the flag fields and the action kinds itself (a test pins this boundary).
 
-The oracle stays naive on purpose: it gets faster only when a shared
-primitive does, such as the step query (``naive_ell`` takes a slot's gate
-once from :meth:`~injurybench.phi.PhiRegistry.stepper` and queries it on
-0, 1, 2, ...), the gap test (``dyadic.gap_cmp``) or region membership.  The
-engine calls the same primitives, so the cross-check cannot see a fault in
-them; each therefore has a test against its written-out definition instead
-(``test_phi`` for the convergence gate, ``test_tracekit`` for region
-membership, ``test_strings`` for the tree order, ``test_dyadic`` for the
-arithmetic).
+The oracle stays naive on purpose.  Its history keeps no index, cache or
+engine structure, only two lists in stage order, and a read stops scanning
+only where the precedence rule of :meth:`_History.read` says that no
+earlier event can change its value.  Beyond that it gets faster only when
+a shared primitive does, such as the step query (``naive_ell`` takes a
+slot's gate once from :meth:`~injurybench.phi.PhiRegistry.stepper` and
+queries it on 0, 1, 2, ...), the gap test (``dyadic.gap_cmp``) or region
+membership.  The engine calls the same primitives, so the cross-check
+cannot see a fault in them; each therefore has a test against its
+written-out definition instead (``test_phi`` for the convergence gate,
+``test_tracekit`` for region membership, ``test_strings`` for the tree
+order, ``test_dyadic`` for the arithmetic).  The reads' full-scan form is
+kept the same way, as ``test_replay.full_scan_read``.
 """
 
 from __future__ import annotations
@@ -88,7 +93,19 @@ def naive_ell(registry: PhiRegistry, e: int, t: int) -> int:
 
 
 class _History:
-    """Full-scan parameter storage: explicit writes plus region events."""
+    """Parameter storage as two flat lists: explicit writes and region events.
+
+    Both lists grow in stage order.  A read of (sigma, fld) at ``time`` takes
+    the latest write at or before ``time``, and the latest region at or
+    before ``time`` that contains sigma and resets the field; the region wins
+    when it comes at or after the write, ties included.  A region resets c
+    and w, and the flag only on engine A; r and B's pause flag keep their
+    writes.  So the read scans the regions backward and stops at the first
+    one older than the write: no earlier region can win.  Unwritten c and A
+    flags read 0 with no scan, since the region's reset value is their
+    default 0 too.  An unwritten w still scans, since its reset value
+    nu(sigma) + stage + 2 depends on the stage of the region.
+    """
 
     def __init__(self, engine: str):
         self.engine = engine
@@ -107,17 +124,15 @@ class _History:
             if wt <= time:
                 write_time, write_val = wt, wv
                 break
-        init_time = None
-        init_applies = fld in ("c", "w") or (fld == "s" and self.engine == "A")
-        if init_applies:
+        resets = fld in ("c", "w") or (fld == "s" and self.engine == "A")
+        if resets and (write_time is not None or fld == "w"):
             for stage, anchor, rel in reversed(self.inits):
                 if stage + 1 > time:
                     continue
-                if region_contains(anchor, rel, sigma):
-                    init_time = stage + 1
+                if write_time is not None and stage + 1 < write_time:
                     break
-        if init_time is not None and (write_time is None or init_time >= write_time):
-            return nu(sigma) + init_time + 1 if fld == "w" else 0
+                if region_contains(anchor, rel, sigma):
+                    return nu(sigma) + stage + 2 if fld == "w" else 0
         if write_time is not None:
             return write_val
         return nu(sigma) if fld == "w" else 0
@@ -125,7 +140,7 @@ class _History:
 
 def replay_run(registry: PhiRegistry, engine: str, T: int) -> ReplayResult:
     """Run T stages of the named construction naively: each stage is
-    :func:`stage_rules` on the full-scan history, with no forced tail."""
+    :func:`stage_rules` on the flat history, with no forced tail."""
     if engine not in ("A", "B"):
         raise ValueError(f"unknown engine {engine!r}")
     hist = _History(engine)

@@ -55,8 +55,8 @@ def test_c01_determinism_and_replay(registry):
 
     for tag, factory in (("A", new_engine_a), ("B", new_engine_b)):
         state = factory(registry_from_config(DEFAULT_CONFIG), record_reads=True)
-        trace = run_engine(state, 400)
-        oracle = replay_run(registry_from_config(DEFAULT_CONFIG), tag, 400)
+        trace = run_engine(state, 2000)
+        oracle = replay_run(registry_from_config(DEFAULT_CONFIG), tag, 2000)
         assert oracle.x == trace.x
         assert oracle.settlements == [rec.settled for rec in trace.stages]
         assert oracle.reads == state.read_log
@@ -64,7 +64,7 @@ def test_c01_determinism_and_replay(registry):
 
     report(1, f"bit-identical T=500 runs (A {elapsed['A']:.2f}s, "
               f"B {elapsed['B']:.2f}s < 10s); naive replay reproduces x and "
-              f"every parameter read at T=400 for both engines")
+              f"every parameter read at T=2000 for both engines")
 
 
 @pytest.mark.parametrize("engine", ["A", "B"])

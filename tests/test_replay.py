@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from injurybench.engine import EngineState, new_engine_a, new_engine_b, run_engine
 from injurybench.phi import DEFAULT_CONFIG, registry_from_config
-from injurybench.replay import naive_ell, replay_run
+from injurybench.replay import _History, naive_ell, replay_run
+from injurybench.strings import REL_LEX, REL_LEX_OR_EXT, nu, region_contains
 from conftest import MINIMAL_CONFIG
 from test_randomized import DOUBLING_PROGRAM, random_config
 
@@ -109,7 +110,7 @@ SPARSE_DEEP_CONFIGS = {
 @pytest.mark.parametrize("name", sorted(SPARSE_DEEP_CONFIGS))
 @pytest.mark.parametrize("engine_tag", ["A", "B"])
 def test_sparse_deep_registry_replay(engine_tag, name):
-    _compare(engine_tag, SPARSE_DEEP_CONFIGS[name], 300)
+    _compare(engine_tag, SPARSE_DEEP_CONFIGS[name], 600)
 
 
 def test_forced_tail_is_fast_forwarded(monkeypatch):
@@ -154,3 +155,93 @@ def test_naive_ell_matches_registry():
 def test_replay_rejects_unknown_engine():
     with pytest.raises(ValueError):
         replay_run(registry_from_config(DEFAULT_CONFIG), "C", 5)
+
+
+# ---------------------------------------------------------------------------
+# The history's read against the full scan it replaced
+
+
+def full_scan_read(hist, sigma, fld, time):
+    """Reference for _History.read: the latest write at or before ``time``
+    and the latest region at or before ``time`` that contains sigma, each
+    found by a scan of every event; the region wins ties."""
+    write_time = None
+    write_val = None
+    for wt, wv in reversed(hist.writes.get((sigma, fld), ())):
+        if wt <= time:
+            write_time, write_val = wt, wv
+            break
+    init_time = None
+    init_applies = fld in ("c", "w") or (fld == "s" and hist.engine == "A")
+    if init_applies:
+        for stage, anchor, rel in reversed(hist.inits):
+            if stage + 1 > time:
+                continue
+            if region_contains(anchor, rel, sigma):
+                init_time = stage + 1
+                break
+    if init_time is not None and (write_time is None or init_time >= write_time):
+        return nu(sigma) + init_time + 1 if fld == "w" else 0
+    if write_time is not None:
+        return write_val
+    return nu(sigma) if fld == "w" else 0
+
+
+WORDS = [""] + [format(i, f"0{n}b") for n in range(1, 6) for i in range(2 ** n)]
+FIELDS = ("c", "w", "r", "s", "p")
+
+
+def random_history(rng, engine, stages):
+    """A history no engine made: any word of length up to 5 and any field
+    written at any stage, several writes and regions per stage or none, in
+    stage order as replay_run appends them.  Few words and dense stages
+    make a write and a containing region at the same time common."""
+    hist = _History(engine)
+    words = rng.sample(WORDS, rng.randint(1, 12))
+    for t in range(stages):
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            hist.write(rng.choice(words), rng.choice(FIELDS), rng.randint(0, 9), t + 1)
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            hist.inits.append((t, rng.choice(words), rng.choice((REL_LEX, REL_LEX_OR_EXT))))
+    return hist, words
+
+
+@pytest.mark.parametrize("engine_tag", ["A", "B"])
+def test_history_read_matches_the_full_scan_on_random_histories(engine_tag):
+    rng = random.Random(20261020)
+    ties = later = 0
+    for _ in range(400):
+        stages = rng.randint(0, 14)
+        hist, words = random_history(rng, engine_tag, stages)
+        for time in range(stages + 3):
+            for sigma in words:
+                for fld in FIELDS:
+                    want = full_scan_read(hist, sigma, fld, time)
+                    got = hist.read(sigma, fld, time)
+                    assert got == want, (hist.writes, hist.inits, sigma, fld, time)
+                    written = [wt for wt, _ in hist.writes.get((sigma, fld), ())]
+                    seen = [wt for wt in written if wt <= time]
+                    ties += bool(seen) and any(
+                        stage + 1 == seen[-1] and region_contains(anchor, rel, sigma)
+                        for stage, anchor, rel in hist.inits)
+                    later += len(seen) < len(written) and any(
+                        stage + 1 > time for stage, _, _ in hist.inits)
+    # the histories reach the cases the stop rule has to get right: a
+    # containing region at the time of the latest write, and writes and
+    # regions later than the read
+    assert ties > 1000 and later > 1000, (ties, later)
+
+
+def test_oracle_reads_skip_the_regions_that_cannot_change_them(monkeypatch):
+    # a full scan makes 443,920 region tests here; stopping at the latest
+    # write, and not scanning for unwritten counters and flags, about 41,600
+    calls = 0
+
+    def counting(anchor, rel, sigma):
+        nonlocal calls
+        calls += 1
+        return region_contains(anchor, rel, sigma)
+
+    monkeypatch.setattr("injurybench.replay.region_contains", counting)
+    replay_run(registry_from_config(DEFAULT_CONFIG), "A", 120)
+    assert 0 < calls <= 60_000, calls
