@@ -15,14 +15,19 @@ value never exceeds the stage that observed it.
 
 The gate lives in one place, ``_Slot.visible``, stated on the slot's raw
 semantics.  :meth:`PhiRegistry.step` looks the slot up and calls it, for
-one query; :meth:`PhiRegistry.stepper` hands the gate out once, for a loop
-over one slot's inputs n = 0, 1, 2, ...  The naive replay oracle rebuilds a
-chain that way at every use, hundreds of thousands of queries on a long
-run, so each query saves the lookup and a call.  Slots that halt in zero
-steps (formulas and finite graphs) override the gate with the shorter
-``v <= t``: their values are natural, so ``v <= t`` already implies
-``steps = 0 <= t``, even for t = -1, and the short form saves a tuple and
-a call on each query.
+one query; :meth:`PhiRegistry.visible_values` is the one loop over a slot's
+inputs: the values visible at stage t on n = 0, 1, 2, ..., up to the
+first input not visible or through input t.  Its generic form calls the
+gate once per input, lazily, so a caller that stops early (the naive
+replay oracle stops at the first non-increase) makes no more calls than
+it takes values.  The increasing formula kinds (identity, double, affine,
+square) answer from their value list with one bisection instead: their
+values are strictly increasing naturals, so fn(n) >= n, and the inputs
+visible at t are exactly the prefix of values at most t, which already
+ends by input t.  Slots that halt in zero steps (formulas and finite
+graphs) override the gate with the shorter ``v <= t``: their values are
+natural, so ``v <= t`` already implies ``steps = 0 <= t``, even for
+t = -1, and the short form saves a tuple and a call on each query.
 """
 
 from __future__ import annotations
@@ -83,26 +88,52 @@ class _Slot:
         steps, value = res
         return value if steps <= t and value <= t else None
 
+    def visible_values(self, t: int):
+        """The values ``visible(n, t)`` for n = 0, 1, 2, ..., lazily, up to
+        the first None or through n = t."""
+        visible = self.visible
+        for n in range(t + 1):
+            v = visible(n, t)
+            if v is None:
+                return
+            yield v
+
 
 class _FormulaSlot(_Slot):
-    """Closed-form total function; the raw computation halts instantly."""
+    """Closed-form total function; the raw computation halts instantly.
+
+    The values fn(0), fn(1), ... are kept in one list, grown to the largest
+    input asked.  A slot declared total and increasing (identity, double,
+    affine, square) answers ``visible_values`` with one bisection of that
+    list (module docstring); a constant slot keeps the generic loop.
+    """
 
     def __init__(self, fn, total_increasing: bool):
         self._fn = fn
-        self._memo: dict[int, int] = {}
+        self._vals: list[int] = []
         self.total_increasing = total_increasing
 
     def raw(self, n: int, budget: int):
-        v = self._memo.get(n)
-        if v is None:
-            v = self._memo[n] = self._fn(n)
-        return (0, v)
+        vals = self._vals
+        while len(vals) <= n:
+            vals.append(self._fn(len(vals)))
+        return (0, vals[n])
 
     def visible(self, n: int, t: int) -> int | None:
-        v = self._memo.get(n)
-        if v is None:
-            v = self._memo[n] = self._fn(n)
+        vals = self._vals
+        while len(vals) <= n:
+            vals.append(self._fn(len(vals)))
+        v = vals[n]
         return v if v <= t else None
+
+    def visible_values(self, t: int):
+        if not self.total_increasing:
+            return super().visible_values(t)
+        # grow through input t or to the first value past t, whichever is first
+        vals, fn = self._vals, self._fn
+        while len(vals) <= t and (not vals or vals[-1] <= t):
+            vals.append(fn(len(vals)))
+        return vals[:bisect_right(vals, t)]
 
 
 class _PartialSlot(_Slot):
@@ -319,11 +350,6 @@ def validate_config(config) -> None:
 # Registry
 
 
-def _never(n: int, t: int) -> None:
-    """The gate of an empty slot."""
-    return None
-
-
 class _ChainState:
     """Incremental state of the increasing-chain prefix for one slot."""
 
@@ -375,13 +401,13 @@ class PhiRegistry:
         slot = self.slots.get(e)
         return None if slot is None else slot.visible(n, t)
 
-    def stepper(self, e: int):
-        """Slot e's gate as a function of (n, t): ``stepper(e)(n, t)`` is
-        ``step(e, n, t)``, with the slot looked up once, for a loop that
-        queries one slot on many inputs.  An empty slot's gate never
-        converges."""
+    def visible_values(self, e: int, t: int):
+        """The values ``step(e, n, t)`` for n = 0, 1, 2, ..., up to the first
+        None or through n = t, as an iterable; nothing for an empty slot.
+        A lazy loop over the gate, or one bisection for an increasing
+        formula slot (module docstring)."""
         slot = self.slots.get(e)
-        return _never if slot is None else slot.visible
+        return () if slot is None else slot.visible_values(t)
 
     def ell(self, e: int, t: int) -> int:
         """Length of the visible strictly-increasing initial chain of slot e.

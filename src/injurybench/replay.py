@@ -10,7 +10,7 @@ implementation of the rules besides the engine, and it has two callers.
 * :func:`replay_run`, the oracle, feeds it a flat history: every
   parameter read scans the explicit writes and initialisation events from
   the latest back (:class:`_History`), and the chain length is recomputed
-  from scratch by querying the slot on 0, 1, 2, ... (:func:`naive_ell`).
+  from scratch from the slot's values on 0, 1, 2, ... (:func:`naive_ell`).
   The oracle exists so the optimised engine can be checked against an
   implementation whose state handling is too simple to share its bugs; the
   test suite compares the x sequences, the settlements, and the complete
@@ -30,15 +30,24 @@ The oracle stays naive on purpose.  Its history keeps no index, cache or
 engine structure, only two lists in stage order, and a read stops scanning
 only where the precedence rule of :meth:`_History.read` says that no
 earlier event can change its value.  Beyond that it gets faster only when
-a shared primitive does, such as the step query (``naive_ell`` takes a
-slot's gate once from :meth:`~injurybench.phi.PhiRegistry.stepper` and
-queries it on 0, 1, 2, ...), the gap test (``dyadic.gap_cmp``) or region
-membership.  The engine calls the same primitives, so the cross-check
-cannot see a fault in them; each therefore has a test against its
-written-out definition instead (``test_phi`` for the convergence gate,
-``test_tracekit`` for region membership, ``test_strings`` for the tree
-order, ``test_dyadic`` for the arithmetic).  The reads' full-scan form is
-kept the same way, as ``test_replay.full_scan_read``.
+a shared primitive does, such as the step query, the gap test
+(``dyadic.gap_cmp``) or region membership.  ``naive_ell`` rebuilds every
+chain from the ranged step query
+:meth:`~injurybench.phi.PhiRegistry.visible_values` on each call and
+carries nothing between calls: it counts the leading strictly increasing
+values, per definition.  The ranged query answers as a loop of ``step``
+calls would; an increasing formula slot gives the answer by one bisection
+of its value list, which is exact because its values are strictly
+increasing naturals, so the visible inputs are the prefix of values at
+most t.  The engine takes its chain lengths elsewhere (``PhiRegistry.ell``
+keeps chain state over the slots' raw semantics), so the cross-check
+compares the two.  It calls the other primitives as the oracle does, so
+the cross-check cannot see a fault in them; each therefore has a test
+against its written-out definition instead (``test_phi`` for the
+convergence gate and the ranged query, ``test_tracekit`` for region
+membership, ``test_strings`` for the tree order, ``test_dyadic`` for the
+arithmetic).  The reads' full-scan form is kept the same way, as
+``test_replay.full_scan_read``.
 """
 
 from __future__ import annotations
@@ -76,19 +85,19 @@ class ReplayResult(NamedTuple):
 
 
 def naive_ell(registry: PhiRegistry, e: int, t: int) -> int:
-    """Chain length computed per definition, using only step queries.
+    """Chain length computed per definition, from the values visible at t
+    on inputs 0, 1, 2, ... (``PhiRegistry.visible_values``): the number of
+    leading strictly increasing values, less one.
 
     Slot values are natural numbers, so a first ``prev`` of -1 lets every
     visible value on 0 start the chain."""
-    step = registry.stepper(e)
     l = -1
     prev = -1
-    for k in range(t + 1):
-        v = step(k, t)
-        if v is None or v <= prev:
+    for v in registry.visible_values(e, t):
+        if v <= prev:
             break
         prev = v
-        l = k
+        l += 1
     return l
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 from .dyadic import ZERO, Dyadic, gap_cmp, pow2
@@ -401,17 +401,17 @@ def check_requirement_N(trace: Trace, e: int = 0) -> Report:
     T = trace.T
     x_T = x[T]
     l_max = registry.ell(e, T)
-    step = registry.stepper(e)
+    chain = islice(registry.visible_values(e, T), l_max + 1)
     if trace.engine == "A":
-        for m in range(l_max + 1):
-            if gap_cmp(x_T, x[step(m, T)], m) >= 0:
+        for m, v in enumerate(chain):
+            if gap_cmp(x_T, x[v], m) >= 0:
                 findings.append(("pass", {"e": e, "m": m, "mode": "A"}))
                 break
         else:
             findings.append(("incomplete", {"e": e, "note": "not yet",
                                             "searched_up_to": l_max}))
     else:
-        holds = [gap_cmp(x_T, x[step(n, T)], n) >= 0 for n in range(l_max + 1)]
+        holds = [gap_cmp(x_T, x[v], n) >= 0 for n, v in enumerate(chain)]
         best = (0, -1)  # (start, end) of the longest run, end inclusive
         start = None
         for n, ok in enumerate(holds + [False]):
@@ -504,8 +504,7 @@ def check_requirement_P(trace: Trace, e: int = 0) -> Report:
             )
     l_max = registry.ell(e, trace.T)
     x = trace.x
-    step = registry.stepper(e)
-    phi_vals = [step(i, trace.T) for i in range(l_max + 1)]
+    phi_vals = list(islice(registry.visible_values(e, trace.T), l_max + 1))
     diffs = [x[b] - x[a] for a, b in zip(phi_vals, phi_vals[1:])]
     suffix_max = list(accumulate(reversed(diffs), max))[::-1]
     findings: list[tuple[str, dict]] = []

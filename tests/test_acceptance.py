@@ -53,10 +53,11 @@ def test_c01_determinism_and_replay(registry):
         assert serialize(first) == serialize(second)
     assert elapsed["A"] < 10.0 and elapsed["B"] < 10.0, elapsed
 
-    for tag, factory in (("A", new_engine_a), ("B", new_engine_b)):
+    # B's oracle runs to pipeline-b's horizon
+    for tag, factory, T in (("A", new_engine_a, 2000), ("B", new_engine_b, 4000)):
         state = factory(registry_from_config(DEFAULT_CONFIG), record_reads=True)
-        trace = run_engine(state, 2000)
-        oracle = replay_run(registry_from_config(DEFAULT_CONFIG), tag, 2000)
+        trace = run_engine(state, T)
+        oracle = replay_run(registry_from_config(DEFAULT_CONFIG), tag, T)
         assert oracle.x == trace.x
         assert oracle.settlements == [rec.settled for rec in trace.stages]
         assert oracle.reads == state.read_log
@@ -64,7 +65,7 @@ def test_c01_determinism_and_replay(registry):
 
     report(1, f"bit-identical T=500 runs (A {elapsed['A']:.2f}s, "
               f"B {elapsed['B']:.2f}s < 10s); naive replay reproduces x and "
-              f"every parameter read at T=2000 for both engines")
+              f"every parameter read at T=2000 (A) and T=4000 (B)")
 
 
 @pytest.mark.parametrize("engine", ["A", "B"])

@@ -156,7 +156,7 @@ def test_replay_asks_a_registry_only_step_queries():
     # never reads a slot table or a registry's chain state
     read = registry_reads("replay")
     assert read, "no registry read found: the parser missed them"
-    assert read <= {"step", "stepper"}, read
+    assert read <= {"step", "visible_values"}, read
 
 
 def test_verify_does_not_import_engine():

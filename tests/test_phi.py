@@ -177,23 +177,41 @@ def test_ell_is_the_chain_from_step_in_any_query_order(name):
             assert registry.ell(*q) == expected[q], q
 
 
+def _values_from_step(config, e, t):
+    """The ranged query written out from ``step`` on a fresh registry."""
+    registry = registry_from_config(config)
+    values = []
+    for n in range(t + 1):
+        v = registry.step(e, n, t)
+        if v is None:
+            break
+        values.append(v)
+    return values
+
+
 @pytest.mark.parametrize("name", sorted(_ELL_CONFIGS))
-def test_stepper_is_step_in_any_query_order(name):
-    # loops over one slot take its gate once; each slot kind's gate, and an
-    # empty slot's, must answer as step does, whatever the query order, and
-    # so must a gate taken before the slot saw any query
+def test_visible_values_is_step_up_to_the_first_none_in_any_query_order(name):
+    # every loop over one slot's inputs is visible_values; each slot kind's
+    # answer, and an empty slot's, must be the step answers on 0, 1, 2, ...
+    # up to the first None (through input t), whatever the query order and
+    # whatever the value memo already holds: a ranged query first, and one
+    # after a step query far past t
     config = _ELL_CONFIGS[name]
     indices = [entry["index"] for entry in config["slots"]] + [99]
-    queries = [(e, n, t) for e in indices for n in range(16) for t in range(-1, 41)]
-    expected = {q: _gate_from_raw(config, *q) for q in queries}
+    queries = [(e, t) for e in indices for t in range(-1, 41)]
+    expected = {q: _values_from_step(config, *q) for q in queries}
+    assert any(len(v) > 1 for v in expected.values())
     shuffled = list(queries)
     random.Random(31).shuffle(shuffled)
     for order in (queries, queries[::-1], shuffled):
         registry = registry_from_config(config)
-        gates = {e: registry.stepper(e) for e in indices}
         for q in order:
-            e, n, t = q
-            assert gates[e](n, t) == registry.step(*q) == expected[q], q
+            assert list(registry.visible_values(*q)) == expected[q], q
+    registry = registry_from_config(config)
+    for e in indices:
+        registry.step(e, 60, 60)
+        for t in (-1, 0, 3, 12):
+            assert list(registry.visible_values(e, t)) == expected[e, t], (e, t)
 
 
 def test_ell_keeps_no_chain_entry_past_the_first_invisible_one():

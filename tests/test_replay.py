@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from injurybench.engine import EngineState, new_engine_a, new_engine_b, run_engine
-from injurybench.phi import DEFAULT_CONFIG, registry_from_config
+from injurybench.phi import DEFAULT_CONFIG, _Slot, registry_from_config
 from injurybench.replay import _History, naive_ell, replay_run
 from injurybench.strings import REL_LEX, REL_LEX_OR_EXT, nu, region_contains
 from conftest import MINIMAL_CONFIG
@@ -150,6 +150,23 @@ def test_naive_ell_matches_registry():
         for e in sorted(reg.configured_indices()) + [11]:
             for t in range(-1, 201):
                 assert naive_ell(reg, e, t) == fresh.ell(e, t), (config, e, t)
+
+
+def test_replay_chain_lengths_make_few_gate_calls(monkeypatch):
+    # naive_ell rebuilds each chain on every call; an increasing formula
+    # slot must answer that by bisection, not by one gate call per input,
+    # or default B at T=1000 makes about half a million gate calls
+    calls = 0
+    for cls in (_Slot, *_Slot.__subclasses__()):
+        if "visible" in vars(cls):
+            def counting(self, n, t, _original=cls.visible):
+                nonlocal calls
+                calls += 1
+                return _original(self, n, t)
+
+            monkeypatch.setattr(cls, "visible", counting)
+    replay_run(registry_from_config(DEFAULT_CONFIG), "B", 1000)
+    assert 0 < calls <= 10_000, calls
 
 
 def test_replay_rejects_unknown_engine():
