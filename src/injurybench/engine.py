@@ -15,10 +15,14 @@ Parameter storage is sparse: a strategy materialises only when it receives
 an explicit write.  Everything else is derived on demand from the defaults
 (counter 0, restraint 0, flag 0, witness nu(sigma)) and the latest
 initialisation region covering it, which is what makes stages that descend
-thousands of levels cheap.  Within a stage, writes go to a staging map so
-that the "[t+1]" reads the construction performs (a delegation consulting a
-restraint raised earlier in the same stage) see the new value while "[t]"
-reads do not.
+thousands of levels cheap.  A region is kept as its start word
+(``strings.region_start``), the least word of the region in native order.
+The materialised strategies are kept sorted, so the blocks a stage
+initialises are the one slice from its start word on, and a derived witness
+compares its word with each start word.  Within a stage, writes go to a
+staging map so that the "[t+1]" reads the construction performs (a
+delegation consulting a restraint raised earlier in the same stage) see the
+new value while "[t]" reads do not.
 
 The substage loop of :func:`run_stage` is written in the order of the rule
 function of the naive replay oracle (``replay.stage_rules``), the one other
@@ -55,9 +59,11 @@ log them.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+
 from .dyadic import ZERO, Dyadic, pow2
 from .phi import PhiRegistry
-from .strings import REL_LEX, REL_LEX_OR_EXT, BinStr, nu, pair, region_contains, unpair
+from .strings import REL_LEX, REL_LEX_OR_EXT, BinStr, nu, pair, region_start, unpair
 from .tracekit import (
     EXPANSION_DELEGATE,
     EXPANSION_JUMP,
@@ -104,7 +110,10 @@ class EngineState:
         self.t = 0
         self.x: list[Dyadic] = [ZERO]
         self.params: dict[BinStr, _Params] = {}
-        self.init_events: list[tuple[int, BinStr, str]] = []
+        # the keys of params in native order
+        self._keys: list[BinStr] = []
+        # (stage, start word of the stage's region)
+        self.init_events: list[tuple[int, BinStr]] = []
         self.records: list[StageRecord] = []
         # reads as (t, sigma, field, "cur"|"next", value); None disables logging
         self.read_log: list[tuple] | None = [] if record_reads else None
@@ -123,12 +132,10 @@ class EngineState:
             scan = self._w_scan[sigma] = [0, None]
         idx, cover = scan
         events = self.init_events
-        while idx < len(events):
-            stage, anchor, rel = events[idx]
-            if region_contains(anchor, rel, sigma):
+        for stage, start in events[idx:]:
+            if sigma >= start:
                 cover = stage
-            idx += 1
-        scan[0] = idx
+        scan[0] = len(events)
         scan[1] = cover
         return nu(sigma) if cover is None else nu(sigma) + cover + 2
 
@@ -150,6 +157,32 @@ class EngineState:
         if key in self._staged:
             raise TraceCorruption(f"double write {key} in stage {self.t}")
         self._staged[key] = val
+
+    def _block(self, sigma: BinStr) -> _Params:
+        """sigma's parameter block, materialised from its derived values
+        on first use."""
+        p = self.params.get(sigma)
+        if p is None:
+            p = self.params[sigma] = _Params(self._lazy_w(sigma))
+            self._w_scan.pop(sigma, None)
+            insort(self._keys, sigma)
+            if len(sigma) > self._max_param_len:
+                self._max_param_len = len(sigma)
+        return p
+
+    def _initialise(self, t: int, start: BinStr) -> None:
+        """Stage t's initialisation of the region from ``start`` on: the
+        materialised blocks in it are the sorted keys from ``start`` on."""
+        self.init_events.append((t, start))
+        params = self.params
+        # A: initialisation also clears the satisfaction flag
+        clears_flag = self.engine == "A"
+        for s in self._keys[bisect_left(self._keys, start):]:
+            p = params[s]
+            p.c = 0
+            p.w = nu(s) + t + 2
+            if clears_flag:
+                p.s = 0
 
 
 def new_engine_a(registry: PhiRegistry, record_reads: bool = False) -> EngineState:
@@ -284,32 +317,18 @@ def run_stage(state: EngineState) -> StageRecord:
     jump = pow2(-jump_exp) if jump_exp is not None else ZERO
     x.append(x[t] + jump)
 
-    anchor, rel = region
+    start = region_start(*region)
     writes = tuple([(s, fld, val) for (s, fld), val in staged.items()])
     for s, fld, val in writes:
-        if region_contains(anchor, rel, s):
+        if s >= start:
             raise TraceCorruption(
                 f"stage {t} writes into its own initialisation region at {s!r}"
             )
-        p = state.params.get(s)
-        if p is None:
-            p = state.params[s] = _Params(state._lazy_w(s))
-            state._w_scan.pop(s, None)
-            if len(s) > state._max_param_len:
-                state._max_param_len = len(s)
-        setattr(p, fld, val)
-
-    state.init_events.append((t, anchor, rel))
-    for s, p in state.params.items():
-        if region_contains(anchor, rel, s):
-            p.c = 0
-            p.w = nu(s) + t + 2
-            # A: initialisation also clears the satisfaction flag
-            if not variant_b:
-                p.s = 0
+        setattr(state._block(s), fld, val)
+    state._initialise(t, start)
 
     # positional: a named tuple builds in half the time that way
-    record = StageRecord(t, sigma, action, jump, ((anchor, rel),), writes)
+    record = StageRecord(t, sigma, action, jump, (region,), writes)
     state.records.append(record)
     state.t += 1
     return record

@@ -31,8 +31,9 @@ engine structure, only two lists in stage order, and a read stops scanning
 only where the precedence rule of :meth:`_History.read` says that no
 earlier event can change its value.  Beyond that it gets faster only when
 a shared primitive does, such as the step query, the gap test
-(``dyadic.gap_cmp``) or region membership.  ``naive_ell`` rebuilds every
-chain from the ranged step query
+(``dyadic.gap_cmp``) or region membership, one comparison with the
+region's start word (``strings.region_start``).  ``naive_ell`` rebuilds
+every chain from the ranged step query
 :meth:`~injurybench.phi.PhiRegistry.visible_values` on each call and
 carries nothing between calls: it counts the leading strictly increasing
 values, per definition.  The ranged query answers as a loop of ``step``
@@ -45,9 +46,9 @@ compares the two.  It calls the other primitives as the oracle does, so
 the cross-check cannot see a fault in them; each therefore has a test
 against its written-out definition instead (``test_phi`` for the
 convergence gate and the ranged query, ``test_tracekit`` for region
-membership, ``test_strings`` for the tree order, ``test_dyadic`` for the
-arithmetic).  The reads' full-scan form is kept the same way, as
-``test_replay.full_scan_read``.
+membership and start words, ``test_strings`` for the tree order,
+``test_dyadic`` for the arithmetic).  The reads' full-scan form is kept
+the same way, as ``test_replay.full_scan_read``.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from typing import NamedTuple
 
 from .dyadic import ZERO, Dyadic, gap_cmp, pow2
 from .phi import PhiRegistry
-from .strings import REL_LEX, REL_LEX_OR_EXT, BinStr, nu, pair, region_contains, unpair
+from .strings import REL_LEX, REL_LEX_OR_EXT, BinStr, nu, pair, region_start, unpair
 
 __all__ = ["ReplayResult", "StageRuleError", "replay_run", "stage_rules", "naive_ell"]
 
@@ -110,18 +111,20 @@ class _History:
     when it comes at or after the write, ties included.  A region resets c
     and w, and the flag only on engine A; r and B's pause flag keep their
     writes.  So the read scans the regions backward and stops at the first
-    one older than the write: no earlier region can win.  Unwritten c and A
-    flags read 0 with no scan, since the region's reset value is their
-    default 0 too.  An unwritten w still scans, since its reset value
-    nu(sigma) + stage + 2 depends on the stage of the region.
+    one older than the write: no earlier region can win.  A region is kept
+    as its start word (``strings.region_start``), so it contains sigma iff
+    the start word is at most sigma.  Unwritten c and A flags read 0 with
+    no scan, since the region's reset value is their default 0 too.  An
+    unwritten w still scans, since its reset value nu(sigma) + stage + 2
+    depends on the stage of the region.
     """
 
     def __init__(self, engine: str):
         self.engine = engine
         # (sigma, field) -> [(effective_time, value)] in append order
         self.writes: dict[tuple[BinStr, str], list[tuple[int, int]]] = {}
-        # [(stage, anchor, rel)]; effects land at stage + 1
-        self.inits: list[tuple[int, BinStr, str]] = []
+        # [(stage, start word of the region)]; effects land at stage + 1
+        self.inits: list[tuple[int, BinStr]] = []
 
     def write(self, sigma: BinStr, fld: str, value: int, time: int) -> None:
         self.writes.setdefault((sigma, fld), []).append((time, value))
@@ -135,12 +138,12 @@ class _History:
                 break
         resets = fld in ("c", "w") or (fld == "s" and self.engine == "A")
         if resets and (write_time is not None or fld == "w"):
-            for stage, anchor, rel in reversed(self.inits):
+            for stage, start in reversed(self.inits):
                 if stage + 1 > time:
                     continue
                 if write_time is not None and stage + 1 < write_time:
                     break
-                if region_contains(anchor, rel, sigma):
+                if start <= sigma:
                     return nu(sigma) + stage + 2 if fld == "w" else 0
         if write_time is not None:
             return write_val
@@ -169,7 +172,7 @@ def replay_run(registry: PhiRegistry, engine: str, T: int) -> ReplayResult:
         for s, fld, val in writes:
             hist.write(s, fld, val, t + 1)
         x.append(x[t] + (pow2(-jump_exp) if jump_exp is not None else ZERO))
-        hist.inits.append((t, region[0], region[1]))
+        hist.inits.append((t, region_start(*region)))
         settlements.append(sigma)
 
     return ReplayResult(engine=engine, x=x, settlements=settlements, reads=reads)

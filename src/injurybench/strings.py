@@ -16,13 +16,18 @@ them):
 * ``sigma <_L tau``  iff  ``sigma < tau and not tau.startswith(sigma)``;
 * ``sigma <_L tau`` or sigma is a proper prefix of tau  iff  ``sigma < tau``.
 
-The order and the initialisation regions built on it are therefore one or
-two C-level comparisons, not a loop over characters.
+The order is therefore one or two C-level comparisons, not a loop over
+characters.
 
 An initialisation region is the symbolic set of strategies a stage resets:
 an anchor word plus a relation, either everything strictly lex-right of the
 anchor (``lex_gt``) or that plus every proper extension of the anchor
-(``lex_gt_or_ext``).
+(``lex_gt_or_ext``).  On binary words every region is a suffix of native
+order: the words at or after its start word (:func:`region_start`), the
+least word of the region, with ``"2"`` standing for a word past every
+extension of the anchor.  So membership is the one comparison
+``sigma >= start``, and a sorted list of words meets a region in the slice
+from ``bisect_left(words, start)`` on.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ __all__ = [
     "lex_less",
     "region_contains",
     "region_covers_right_of",
+    "region_start",
     "nu",
     "nu_inv",
     "cantor_pair",
@@ -64,32 +70,35 @@ REL_LEX = "lex_gt"
 REL_LEX_OR_EXT = "lex_gt_or_ext"
 
 
+def region_start(anchor: BinStr, rel: str) -> BinStr:
+    """The least word of a region in native order; the region is every
+    binary word at or after it (module docstring).
+
+    ``lex_gt_or_ext`` holds anchor's proper extensions and everything
+    lex-right, native ``anchor < tau``, so it starts at ``anchor + "0"``.
+    ``lex_gt`` leaves the extensions out, and ``anchor + "2"`` sorts after
+    every extension of the anchor and before every word lex-right of it.
+    """
+    return anchor + "0" if rel == REL_LEX_OR_EXT else anchor + "2"
+
+
 def region_contains(anchor: BinStr, rel: str, sigma: BinStr) -> bool:
     """Membership of sigma in a symbolic initialisation region.
 
-    ``lex_gt_or_ext`` holds every tau with anchor <_L tau or anchor a proper
-    prefix of tau, which on binary words is native ``anchor < tau``;
-    ``lex_gt`` holds anchor <_L tau, that minus the prefix case (module
-    docstring).  So membership is the one expression::
-
-        anchor < sigma and (rel == REL_LEX_OR_EXT or not sigma.startswith(anchor))
-
-    written inline rather than through :func:`lex_less`, because the naive
-    replay oracle asks it hundreds of thousands of times.
+    The loops that ask it per event keep the region's start word instead
+    and compare sigma with it directly.
     """
-    return anchor < sigma and (rel == REL_LEX_OR_EXT or not sigma.startswith(anchor))
+    return sigma >= region_start(anchor, rel)
 
 
 def region_covers_right_of(anchor: BinStr, rel: str, sigma: BinStr) -> bool:
     """True iff the region contains every tau with sigma <_L tau or sigma a
     proper prefix of tau (the set a completed threat must wipe).
 
-    For ``lex_gt_or_ext`` that is anchor <_L sigma or anchor a prefix of
-    sigma, native ``anchor <= sigma`` on binary words.
+    That set is the native-order suffix from ``sigma + "0"``, so the region
+    covers it iff the region starts at or before that word.
     """
-    if rel == REL_LEX_OR_EXT:
-        return anchor <= sigma
-    return lex_less(anchor, sigma)
+    return region_start(anchor, rel) <= sigma + "0"
 
 
 def nu(sigma: BinStr) -> int:

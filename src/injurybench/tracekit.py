@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from .dyadic import MAX_EXPONENT, ZERO, Dyadic, gap_cmp
 from .phi import PhiRegistry, config_digest, validate_config
-# perfbench/tracing.py also counts region membership as tracekit.region_contains
+# perfbench/tracing.py counts the index's region tests as tracekit.region_contains
 from .strings import (
     REL_LEX,
     REL_LEX_OR_EXT,
@@ -540,7 +540,8 @@ class TraceIndex:
         self.settlements: list[BinStr] = []
         self.threats: dict[BinStr, list[int]] = {}  # handled threats by strategy
         self.jumps: dict[int, Dyadic] = {}  # positive jumps by stage
-        self.init_events: list[tuple[int, BinStr, str]] = []
+        # each distinct region, as (anchor, rel), with its stages ascending
+        self.regions: dict[tuple[BinStr, str], list[int]] = {}
         self.writes: dict[tuple[BinStr, str], list[tuple[int, int]]] = {}
         for t, settled, action, jump, regions, writes in trace.stages:
             self.settlements.append(settled)
@@ -548,8 +549,8 @@ class TraceIndex:
                 self.threats.setdefault(settled, []).append(t)
             if jump.sign() > 0:
                 self.jumps[t] = jump
-            for anchor, rel in regions:
-                self.init_events.append((t, anchor, rel))
+            for region in regions:
+                self.regions.setdefault(region, []).append(t)
             for s, f, v in writes:
                 self.writes.setdefault((s, f), []).append((t, v))
         # strategies with an explicit write, in order of their first write
@@ -567,13 +568,12 @@ class TraceIndex:
 
     def initialisations(self, sigma: BinStr) -> list[int]:
         """Stages whose initialisation region contains sigma, ascending and
-        without repeats."""
+        without repeats.  Each distinct region is tested once."""
         inits = self._inits.get(sigma)
         if inits is None:
-            inits = self._inits[sigma] = []
-            for t, anchor, rel in self.init_events:
-                if (not inits or inits[-1] != t) and region_contains(anchor, rel, sigma):
-                    inits.append(t)
+            inits = self._inits[sigma] = sorted(set().union(*[
+                stages for (anchor, rel), stages in self.regions.items()
+                if region_contains(anchor, rel, sigma)]))
         return inits
 
     def first_initialisation_in(self, sigma: BinStr, lo: int, hi: int) -> int | None:

@@ -6,6 +6,8 @@ engine existed; they exercise the threat jump, the delegation with an
 encoded split counter, the counter drain, and the initialisation regions.
 """
 
+import random
+
 import pytest
 
 from injurybench.dyadic import Dyadic, ZERO, pow2
@@ -17,7 +19,7 @@ from injurybench.engine import (
     run_stage,
 )
 from injurybench.phi import DEFAULT_CONFIG, registry_from_config
-from injurybench.strings import nu, pair
+from injurybench.strings import REL_LEX, REL_LEX_OR_EXT, nu, pair, region_contains, region_start
 from injurybench.tracekit import (
     EXPANSION_DELEGATE,
     EXPANSION_JUMP,
@@ -310,6 +312,37 @@ def test_write_into_own_region_raises_trace_corruption(minimal):
     st._stage_write = stage_write_with_stray_write
     with pytest.raises(TraceCorruption, match="own initialisation region"):
         run_engine(st, 30)
+
+
+@pytest.mark.parametrize("engine", ["A", "B"])
+def test_initialisation_resets_exactly_the_blocks_a_full_scan_selects(minimal, engine):
+    # the commit resets the sorted keys from the region's start word on; a
+    # scan of every block with region_contains must select the same blocks.
+    # The first case has a block whose key is the start word itself.
+    rng = random.Random(29)
+    words = [""] + [format(i, f"0{n}b") for n in range(1, 6) for i in range(1 << n)]
+    cases = [("0", REL_LEX_OR_EXT, ["1", "00", "0", "", "01", "000"])]
+    cases += [(rng.choice(words), rng.choice((REL_LEX, REL_LEX_OR_EXT)),
+               rng.sample(words, rng.randint(0, 16))) for _ in range(300)]
+    edge = 0
+    for anchor, rel, keys in cases:
+        st = EngineState(minimal, engine)
+        for sigma in keys:
+            block = st._block(sigma)
+            block.c, block.r, block.w, block.s, block.p = 7, 8, 9, 1, 1
+        start = region_start(anchor, rel)
+        edge += start in keys
+        st._initialise(5, start)
+        for sigma in keys:
+            block = st.params[sigma]
+            got = (block.c, block.r, block.w, block.s, block.p)
+            if region_contains(anchor, rel, sigma):
+                # A: initialisation also clears the satisfaction flag
+                assert got == (0, 8, nu(sigma) + 7, int(engine == "B"), 1), (anchor, rel, sigma)
+            else:
+                assert got == (7, 8, 9, 1, 1), (anchor, rel, sigma)
+        assert st.init_events == [(5, start)]
+    assert edge >= 5, edge
 
 
 @pytest.mark.parametrize("counter, restraint, error", [

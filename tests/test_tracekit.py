@@ -15,6 +15,7 @@ from injurybench.strings import (
     nu,
     region_contains,
     region_covers_right_of,
+    region_start,
 )
 from injurybench.tracekit import (
     FLAG_FIELDS,
@@ -82,6 +83,31 @@ def test_region_functions_match_definitions_exhaustively():
             assert region_covers_right_of(anchor, REL_LEX, sigma) == left, case
             assert region_covers_right_of(anchor, REL_LEX_OR_EXT, sigma) == (
                 left or proper_ext or anchor == sigma), case
+            # a region is the native-order suffix from its start word, and
+            # it covers the set right of sigma iff it starts by sigma + "0"
+            for rel, member, covers in (
+                    (REL_LEX, left, left),
+                    (REL_LEX_OR_EXT, left or proper_ext, left or proper_ext or anchor == sigma)):
+                start = region_start(anchor, rel)
+                assert (sigma >= start) == member, (case, rel)
+                assert (start <= sigma + "0") == covers, (case, rel)
+
+
+def test_initialisations_are_the_stages_of_every_containing_region(trace_a):
+    # the index tests each distinct region once and merges the stage lists;
+    # the stages must be those with a region containing sigma, each once,
+    # also where a stage has several regions or repeats one
+    rng = random.Random(29)
+    words = [""] + [format(i, f"0{n}b") for n in range(1, 5) for i in range(1 << n)]
+    relations = (REL_LEX, REL_LEX_OR_EXT)
+    stages = [rec._replace(init_regions=tuple(
+        (rng.choice(words[:7]), rng.choice(relations)) for _ in range(rng.randint(0, 3))))
+        for rec in trace_a.stages]
+    index = TraceIndex(Trace(engine="A", config=trace_a.config, stages=stages, x=trace_a.x))
+    for sigma in words:
+        assert index.initialisations(sigma) == [
+            rec.t for rec in stages
+            if any(region_contains(anchor, rel, sigma) for anchor, rel in rec.init_regions)]
 
 
 def test_round_trip_tiny(trace_a):

@@ -27,6 +27,7 @@ from injurybench.strings import (
 )
 from injurybench.tracekit import (
     EXPANSION_KINDS,
+    FLAG_FIELDS,
     THREAT_JUMP,
     THREAT_KINDS,
     Action,
@@ -34,6 +35,7 @@ from injurybench.tracekit import (
     Trace,
     TraceCorruption,
     TraceIndex,
+    TraceParseError,
     deserialize,
     serialize,
 )
@@ -938,6 +940,55 @@ def test_settlement_matches_per_depth_loop_on_flipped_bits(engine, config):
         assert assert_settlement_fails_iff_changed(trace, mutant)
         assert {"status": "fail", "t": rec.t, "law": RULES_LAW,
                 "field": "settled"} in check_settlement_facts(mutant).witnesses
+
+
+def state_forgery(engine: str, T: int, rng: random.Random) -> tuple[int, bytes]:
+    """The engine run to a random stage s, one piece of its state changed,
+    and the run continued to T: one materialised c, r or w moved by -1, +1
+    or +2, or its flag flipped, or else x[s] raised by 2^-(s+j).  Returns s
+    and the trace file, whose header is the run's unchanged one."""
+    st = EngineState(registry_from_config(DEFAULT_CONFIG), engine)
+    s = rng.randrange(1, T)
+    for _ in range(s):
+        run_stage(st)
+    blocks = sorted(st.params)
+    if blocks and rng.random() < 0.8:
+        block = st.params[rng.choice(blocks)]
+        fld = rng.choice(("c", "r", "w", FLAG_FIELDS[engine]))
+        value = getattr(block, fld)
+        setattr(block, fld, 1 - value if fld == FLAG_FIELDS[engine]
+                else value + rng.choice((-1, 1, 2)))
+    else:
+        st.x[s] = st.x[s] + pow2(-(s + rng.randrange(4)))
+    return s, serialize(run_engine(st, T))
+
+
+@pytest.mark.parametrize("engine, T", [("A", 120), ("B", 200)])
+def test_a_trace_that_passes_settlement_is_the_run(engine, T):
+    # a run whose state was tampered with writes either the engine's own
+    # trace or one that fails settlement, whose first rules finding is the
+    # first record that differs; a forgery the engine raises on or the
+    # loader refuses is no trace and is only counted
+    run = serialize(run_engine(EngineState(registry_from_config(DEFAULT_CONFIG), engine), T))
+    stages = deserialize(run).stages
+    rng = random.Random(29)
+    outcomes = Counter()
+    for _ in range(40):
+        try:
+            s, data = state_forgery(engine, T, rng)
+            forged = deserialize(data)
+        except (TraceCorruption, TraceParseError, ValueError):
+            outcomes["refused"] += 1
+            continue
+        if data == run:
+            outcomes["equal"] += 1
+            continue
+        report = check_settlement_facts(forged)
+        first = next(t for t in range(T) if forged.stages[t] != stages[t])
+        rules = [w["t"] for w in report.witnesses if w["law"] == RULES_LAW]
+        assert report.status == "fail" and rules[:1] == [first], (s, first, rules[:3])
+        outcomes["failed"] += 1
+    assert outcomes["equal"] >= 5 and outcomes["failed"] >= 5, outcomes
 
 
 def test_settlement_walks_below_a_strategy_written_past_the_configured_depths():
