@@ -1,25 +1,26 @@
-"""Naive replay oracle for the stage constructions, and the substage rules.
+"""The substage rules of the stage constructions, and a naive replay oracle.
 
 :func:`stage_rules` is the substage rules of one stage written out from
 their prose description, with none of the engine's sparse or incremental
 machinery: it takes a stage's inputs (the parameter values at stage t, the
 approximation x, the slot queries) and returns the stage's settled word,
 action, jump, initialisation region and parameter writes.  It is the one
-implementation of the rules besides the engine, and it has two callers.
+implementation of the rules, and it has three callers, which differ only
+in the state they feed it.
 
+* ``engine.run_stage`` feeds it the engine's sparse parameter store and
+  the registry's chain state (``PhiRegistry.ell``), with the forced tail
+  of the engine module docstring, and commits what it returns.
 * :func:`replay_run`, the oracle, feeds it a flat history: every
   parameter read scans the explicit writes and initialisation events from
   the latest back (:class:`_History`), and the chain length is recomputed
   from scratch from the slot's values on 0, 1, 2, ... (:func:`naive_ell`).
-  The oracle exists so the optimised engine can be checked against an
-  implementation whose state handling is too simple to share its bugs; the
-  test suite compares the x sequences, the settlements, and the complete
-  parameter read logs value for value.
+  The oracle exists so the engine's state handling and chain lengths can
+  be checked against an implementation too simple to share their bugs;
+  the test suite compares the x sequences, the settlements, and the
+  complete parameter read logs value for value.
 * ``verify.check_settlement_facts`` feeds it a finished trace's own state
   before each stage and compares the derived record with the recorded one.
-
-The substage read protocol is the one documented in :mod:`injurybench.engine`;
-both implementations follow it so the logs line up positionally.
 
 To stay independent, this module imports only the primitives
 :mod:`~injurybench.strings`, :mod:`~injurybench.dyadic` and
@@ -42,13 +43,14 @@ of its value list, which is exact because its values are strictly
 increasing naturals, so the visible inputs are the prefix of values at
 most t.  The engine takes its chain lengths elsewhere (``PhiRegistry.ell``
 keeps chain state over the slots' raw semantics), so the cross-check
-compares the two.  It calls the other primitives as the oracle does, so
-the cross-check cannot see a fault in them; each therefore has a test
-against its written-out definition instead (``test_phi`` for the
-convergence gate and the ranged query, ``test_tracekit`` for region
-membership and start words, ``test_strings`` for the tree order,
-``test_dyadic`` for the arithmetic).  The reads' full-scan form is kept
-the same way, as ``test_replay.full_scan_read``.
+compares the two.  The substage rules and the other primitives are the
+same code on both sides of the cross-check, so it cannot see a fault in
+them; the rules are pinned by hand-simulated stages (``test_engine``) and
+the benchmark pins, and each primitive has a test against its written-out
+definition (``test_phi`` for the convergence gate and the ranged query,
+``test_tracekit`` for region membership and start words, ``test_strings``
+for the tree order, ``test_dyadic`` for the arithmetic).  The reads'
+full-scan form is kept the same way, as ``test_replay.full_scan_read``.
 """
 
 from __future__ import annotations
@@ -178,18 +180,67 @@ def replay_run(registry: PhiRegistry, engine: str, T: int) -> ReplayResult:
     return ReplayResult(engine=engine, x=x, settlements=settlements, reads=reads)
 
 
+def _gap_below(step, x: list[Dyadic], e: int, l: int, t: int, exponent: int) -> bool:
+    """The exact test x_t - x_{phi_e(l)} < 2**-exponent, with l the chain
+    length of slot e at stage t."""
+    v = step(e, l, t)
+    if v is None or v > t:
+        raise StageRuleError(f"slot {e} chain inconsistent at stage {t}")
+    return gap_cmp(x[t], x[v], exponent) < 0
+
+
+def _stage(staged: dict, t: int, sigma: BinStr, fld: str, val: int) -> None:
+    """Stage a write of stage t.  The rules write no (sigma, field) twice in
+    a stage, so the staging map holds the writes in substage order."""
+    key = (sigma, fld)
+    if key in staged:
+        raise StageRuleError(f"double write {key} in stage {t}")
+    staged[key] = val
+
+
+def _next_restraint(staged: dict, log, t: int, sigma: BinStr) -> int:
+    """sigma's restraint at stage t + 1.  The walk appends "0" only after
+    staging the strategy's raised restraint, so the restraint of a
+    0-predecessor is always staged."""
+    val = staged[sigma, "r"]
+    if log is not None:
+        log((t, sigma, "r", "next", val))
+    return val
+
+
 def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
                 forced: int):
     """Stage t of the named construction by the substage rules.
 
     ``read(sigma, fld)`` is a parameter's value at stage t, before any
     write of this stage; ``log``, unless None, receives the tuple (t, sigma,
-    fld, "cur"|"next", value) of every read in the order of the engine's
-    read protocol, as the engine's read log holds it.  ``ell(e, t)`` and
-    ``step(e, n, t)`` query the slots, and x needs entries up to x[t].  From
-    depth ``forced`` on the walk appends "1" up to depth t in one step,
-    logging the flag reads of 0 it skips (the forced walk of the engine
-    module docstring); a ``forced`` of t walks every depth.
+    fld, "cur"|"next", value) of every read in the order of the read
+    protocol below.  ``ell(e, t)`` and ``step(e, n, t)`` query the slots,
+    and x needs entries up to x[t].  From depth ``forced`` on the walk
+    appends "1" up to depth t in one step, logging the flag reads of 0 it
+    skips (the forced walk of the engine module docstring); a ``forced`` of
+    t walks every depth.
+
+    The read protocol: each substage at depth e < t
+
+      1. reads the strategy's flag once (it feeds both predicates);
+      2. asks the slot's chain length at most once, where a predicate needs it;
+      3. threat test: flag must be 0 and the chain length >= 0; then the
+         witness is read and the exact gap test decides;
+      4. B: an unthreatened visit lifts the pause flag;
+      5. on a threat, candidate restraints are read next-slot from the longest
+         0-predecessor downward until one blocks, and the stage ends;
+      6. expansion test (variant A only when the flag is 1): when the chain
+         length is >= 0 the restraint is read and the gap test decides;
+      7. when expansionary, the counter is read; a delegation reads the
+         target's restraint next-slot.
+
+    A next-slot read is always of a restraint this stage staged.  Apart
+    from the flag field (satisfaction flag ``s`` for A, pause flag ``p``
+    for B) the two variants differ in six places.  Five are here, each a
+    branch on the engine tag at its one use site with a comment naming the
+    delta; the sixth is in the state the caller keeps, where an
+    initialisation clears engine A's flag but not B's.
 
     Returns (settled, action, jump exponent, region, writes): the action
     is the tuple (kind, sigma, gamma, counter, alpha, k, exponent) in the
@@ -203,32 +254,19 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
     decodes to no remaining jump, or a delegation target whose restraint
     lies below the delegating strategy's.  Bounding the restraint bounds
     every shift the walk takes: a restraint read "next" is always one this
-    stage wrote, one above a restraint it read at t.
+    stage wrote, one above a restraint it read at t.  A second write of one
+    (sigma, field) in a stage raises it too.
     """
     variant_b = engine == "B"
     flag_fld = "p" if variant_b else "s"
     staged: dict[tuple[BinStr, str], int] = {}
-
-    def logged(sigma: BinStr, fld: str) -> int:
-        val = read(sigma, fld)
-        log((t, sigma, fld, "cur", val))
-        return val
-
-    cur = read if log is None else logged
-
-    def nxt_restraint(sigma: BinStr) -> int:
-        # the walk appends "0" only after staging the strategy's raised
-        # restraint, so the restraint of a 0-predecessor is always staged
-        val = staged[sigma, "r"]
-        if log is not None:
-            log((t, sigma, "r", "next", val))
-        return val
-
-    def gap_below(e: int, l: int, exponent: int) -> bool:
-        v = step(e, l, t)
-        if v is None or v > t:
-            raise StageRuleError(f"slot {e} chain inconsistent at stage {t}")
-        return gap_cmp(x[t], x[v], exponent) < 0
+    if log is None:
+        cur = read
+    else:
+        def cur(sigma: BinStr, fld: str) -> int:
+            val = read(sigma, fld)
+            log((t, sigma, fld, "cur", val))
+            return val
 
     sigma = ""
     while True:
@@ -255,16 +293,16 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
             l = ell(e, t)
             if l >= 0:
                 w = cur(sigma, "w")
-                threatened = l >= w and gap_below(e, l, w)
+                threatened = l >= w and _gap_below(step, x, e, l, t, w)
         # B: an unthreatened visit lifts the pause flag
         if variant_b and not threatened and flag != 0:
-            staged[sigma, flag_fld] = 0
+            _stage(staged, t, sigma, flag_fld, 0)
         if threatened:
             # the longest 0-predecessor whose raised restraint blocks the jump
             gamma = None
             for j in range(e - 1, -1, -1):
                 if sigma[j] == "0":
-                    r_next = nxt_restraint(sigma[:j])
+                    r_next = _next_restraint(staged, log, t, sigma[:j])
                     if r_next >= w:
                         gamma = sigma[:j]
                         break
@@ -273,14 +311,14 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
                 jump_exp = w
             else:
                 counter = pair(sigma, 1 << (r_next - w))
-                staged[gamma, "c"] = counter
+                _stage(staged, t, gamma, "c", counter)
                 action = (THREAT_SCHEDULE, sigma, gamma, counter, None, None, None)
                 jump_exp = None
-            staged[sigma, flag_fld] = 1
+            _stage(staged, t, sigma, flag_fld, 1)
             # B: every handled threat bumps the witness; its region spares
             # the threatened strategy's extensions
             if variant_b:
-                staged[sigma, "w"] = w + 1
+                _stage(staged, t, sigma, "w", w + 1)
             region = (sigma, REL_LEX if variant_b else REL_LEX_OR_EXT)
             break
 
@@ -293,14 +331,14 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
                 r = cur(sigma, "r")
                 if r > t:
                     raise StageRuleError(f"restraint of {sigma!r} passes stage {t}")
-                expansionary = gap_below(e, l, r)
+                expansionary = _gap_below(step, x, e, l, t, r)
         if not expansionary:
             sigma += "1"
             continue
 
         c = cur(sigma, "c")
         if c == 0:
-            staged[sigma, "r"] = r + 1
+            _stage(staged, t, sigma, "r", r + 1)
             sigma += "0"
             continue
 
@@ -316,21 +354,19 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
             jump_exp = r
         else:
             gamma = sigma[:j]
-            r_next = nxt_restraint(gamma)
+            r_next = _next_restraint(staged, log, t, gamma)
             if r_next < r:
                 raise StageRuleError(
                     f"restraint of {gamma!r} fell below {sigma!r}'s at stage {t}")
             counter = pair(alpha, 1 << (r_next - r))
-            staged[gamma, "c"] = counter
+            _stage(staged, t, gamma, "c", counter)
             action = (EXPANSION_DELEGATE, sigma, gamma, counter, alpha, k, None)
             jump_exp = None
-        staged[sigma, "c"] = 0 if k == 0 else pair(alpha, k)
+        _stage(staged, t, sigma, "c", 0 if k == 0 else pair(alpha, k))
         # B: a counter stage initialises right of sigma's 0-branch; A
         # initialises around the decoded label
         region = (sigma + "0", REL_LEX) if variant_b else (alpha, REL_LEX_OR_EXT)
         break
 
-    # the rules write no (sigma, field) twice in a stage, so the staging
-    # map holds the writes in substage order
     writes = tuple([(s, fld, val) for (s, fld), val in staged.items()])
     return sigma, action, jump_exp, region, writes

@@ -25,8 +25,7 @@ each fibre's running sums, so that what any range of stages paid to one
 threat is one subtraction (``paid``), and whether it reaches a power of
 two one integer comparison (``paid_cmp``).  The index re-evaluates the
 expansion predicate (``expansionary``) that ``requirement_p`` and
-``expansion_gap`` ask, with the gap test the engine also calls
-(:func:`gap_below`); the settlement check re-derives whole stages with
+``expansion_gap`` ask; the settlement check re-derives whole stages with
 ``replay.stage_rules`` on the index's parameter values.  A trace owns its
 index: ``Trace.index`` builds it on first use, so every reader of one trace
 shares it.
@@ -73,7 +72,6 @@ __all__ = [
     "serialize_stamped",
     "deserialize",
     "TraceIndex",
-    "gap_below",
     "write_sequence_csv",
     "read_sequence_csv",
     "read_csv_table",
@@ -659,7 +657,12 @@ class TraceIndex:
         l = trace.registry.ell(e, t)
         if l < 0:
             return False
-        return gap_below(trace.registry, trace.x, e, l, t, self.value(sigma, "r", t))
+        # the exact gap test x_t - x_{phi_e(l)} < 2**-r; a chain value not
+        # visible by stage t (a registry the run did not use) is corrupt
+        v = trace.registry.step(e, l, t)
+        if v is None or v > t:
+            raise TraceCorruption(f"slot {e} chain inconsistent at stage {t}")
+        return gap_cmp(trace.x[t], trace.x[v], self.value(sigma, "r", t)) < 0
 
     def expansionary_stages(self, sigma: BinStr, t0: int) -> list[int]:
         """Applications of sigma from stage t0 on at which it is expansionary."""
@@ -741,18 +744,6 @@ class TraceIndex:
         """First stage t with x[t + 1] < x[t], or None if x never decreases."""
         x = self.trace.x
         return next((t for t in range(self.trace.T) if x[t + 1] < x[t]), None)
-
-
-def gap_below(registry: PhiRegistry, x: list[Dyadic], e: int, l: int, t: int,
-              exponent: int) -> bool:
-    """The exact test x_t - x_{phi_e(l)} < 2**-exponent, with l the chain
-    length of slot e at stage t that the caller has already read; a chain
-    value not visible by stage t (a registry the run did not use) raises
-    TraceCorruption."""
-    v = registry.step(e, l, t)
-    if v is None or v > t:
-        raise TraceCorruption(f"slot {e} chain inconsistent at stage {t}")
-    return gap_cmp(x[t], x[v], exponent) < 0
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,8 @@ configuration against its digest, and every parameter value to be a natural
 number, as the engine writes them.
 
 The settlement check re-derives every stage record with
-``replay.stage_rules``, the one implementation of the substage rules besides
-the engine, so the checkers keep no copy of those rules.  ``run_checks``
+``replay.stage_rules``, the one implementation of the substage rules, which
+the engine runs too, so the checkers keep no copy of those rules.  ``run_checks``
 runs the checkers from one table of (name, engines, per-slot, checker).
 """
 

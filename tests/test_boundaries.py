@@ -119,6 +119,32 @@ def test_replay_imports_only_primitives():
     assert imports <= {"strings", "dyadic", "phi"}, imports
 
 
+def imported_names(module: str) -> set[tuple[str, str]]:
+    """(package module, name) for each name that ``module`` imports from a
+    module of the package by a relative import."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    return {(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for alias in node.names}
+
+
+def test_the_substage_rules_have_one_implementation():
+    # the engine runs its stages through replay.stage_rules, and no module
+    # but replay encodes or decodes a counter, so a second copy of the
+    # rules, which would need pair and unpair, cannot come back unnoticed
+    assert ("replay", "stage_rules") in imported_names("engine")
+    codec = {"pair", "unpair"}
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "strings":  # the definitions
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and codec & {a.name for a in node.names}
+                    or isinstance(node, ast.Attribute) and node.attr in codec):
+                users.add(path.stem)
+    assert users == {"replay"}, users
+
+
 def registry_reads(module: str) -> set[str]:
     """Attributes that ``module`` reads of a parameter annotated
     ``PhiRegistry``.  Such a parameter may otherwise only be passed on, as

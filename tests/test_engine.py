@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from injurybench import replay
 from injurybench.dyadic import Dyadic, ZERO, pow2
 from injurybench.engine import (
     EngineState,
@@ -19,6 +20,7 @@ from injurybench.engine import (
     run_stage,
 )
 from injurybench.phi import DEFAULT_CONFIG, registry_from_config
+from injurybench.replay import stage_rules
 from injurybench.strings import REL_LEX, REL_LEX_OR_EXT, nu, pair, region_contains, region_start
 from injurybench.tracekit import (
     EXPANSION_DELEGATE,
@@ -26,10 +28,14 @@ from injurybench.tracekit import (
     THREAT_JUMP,
     THREAT_SCHEDULE,
     TOP_OUT,
+    Action,
+    StageRecord,
+    Trace,
     TraceCorruption,
     TraceIndex,
     serialize,
 )
+from injurybench.verify import check_settlement_facts
 from conftest import MINIMAL_CONFIG
 
 
@@ -291,27 +297,47 @@ def test_stage_asks_each_chain_length_at_most_once():
         assert len(asked) == len(set(asked)), t
 
 
-def test_double_write_raises_trace_corruption(minimal):
-    st = new_engine_a(minimal)
-    st._stage_write("", "r", 1)
-    with pytest.raises(TraceCorruption, match="double write"):
-        st._stage_write("", "r", 2)
+def test_delegation_targets_the_longest_0_predecessor():
+    # the one delegation of the pinned corpora from a word with two zeros:
+    # stage 1089 schedules 2**1032 jumps on "00" for a threat of "000", and
+    # stage 1090 executes none of them but delegates one to "0", the
+    # longest 0-predecessor of "00", not its shortest ""
+    trace = run_engine(new_engine_a(registry_from_config(DEFAULT_CONFIG)), 1091)
+    assert trace.stages[1089].action[:3] == (THREAT_SCHEDULE, "000", "00")
+    rec = trace.stages[1090]
+    assert rec.action == Action(EXPANSION_DELEGATE, sigma="00", gamma="0",
+                                counter=pair("000", 1 << 9), alpha="000", k=(1 << 1032) - 1)
+    assert rec.init_regions == (("000", REL_LEX_OR_EXT),)
 
 
-def test_write_into_own_region_raises_trace_corruption(minimal):
+def test_double_write_raises_trace_corruption(minimal, monkeypatch):
+    # the rules write no parameter twice in a stage; a copy of them that
+    # did, made here by staging every write twice, must stop the stage
+    stage = replay._stage
+
+    def stage_twice(staged, t, sigma, fld, val):
+        stage(staged, t, sigma, fld, val)
+        stage(staged, t, sigma, fld, val)
+
+    monkeypatch.setattr(replay, "_stage", stage_twice)
+    with pytest.raises(TraceCorruption) as raised:
+        run_engine(new_engine_a(minimal), 30)
+    # stage 1 handles a threat to the root, and its flag is the first write
+    assert str(raised.value) == "double write ('', 's') in stage 1"
+
+
+def test_write_into_own_region_raises_trace_corruption(minimal, monkeypatch):
     # a threatened strategy initialises its proper extensions on engine A;
     # a stray write to one of them must stop the commit
-    st = new_engine_a(minimal)
-    stage_write = st._stage_write
+    def rules_with_stray_write(*args):
+        sigma, action, jump_exp, region, writes = stage_rules(*args)
+        if action[0] == THREAT_JUMP:
+            writes += ((sigma + "0", "r", 1),)
+        return sigma, action, jump_exp, region, writes
 
-    def stage_write_with_stray_write(sigma, fld, val):
-        stage_write(sigma, fld, val)
-        if fld == "s" and val == 1:  # the threat's flag write
-            stage_write(sigma + "0", "r", 1)
-
-    st._stage_write = stage_write_with_stray_write
+    monkeypatch.setattr("injurybench.engine.stage_rules", rules_with_stray_write)
     with pytest.raises(TraceCorruption, match="own initialisation region"):
-        run_engine(st, 30)
+        run_engine(new_engine_a(minimal), 30)
 
 
 @pytest.mark.parametrize("engine", ["A", "B"])
@@ -346,16 +372,15 @@ def test_initialisation_resets_exactly_the_blocks_a_full_scan_selects(minimal, e
 
 
 @pytest.mark.parametrize("counter, restraint, error", [
-    (pair("0", 0), 0, f"counter {pair('0', 0)} of '0' decodes to a zero remaining count"),
+    (pair("0", 0), 0, "counter of '0' decodes to a zero remaining count at stage 6"),
     (pair("0", 2), 3, "restraint of '' fell below '0''s at stage 6"),
 ], ids=["zero-count", "fallen-restraint"])
 def test_stage_refuses_a_counter_that_admits_no_walk(counter, restraint, error):
     # the engine's side of the stage_rules refusals in test_verify: B after
     # stages 0-5 of two identity slots has both pause flags set, so stage 6
     # raises the root's restraint to 2, appends "0" and reads the counter of "0"
-    reg = registry_from_config({"slots": [{"index": 0, "kind": "identity"},
-                                          {"index": 1, "kind": "identity"}]})
-    st = new_engine_b(reg)
+    config = {"slots": [{"index": 0, "kind": "identity"}, {"index": 1, "kind": "identity"}]}
+    st = new_engine_b(registry_from_config(config))
     for _ in range(6):
         run_stage(st)
     params = st.params["0"]
@@ -364,6 +389,17 @@ def test_stage_refuses_a_counter_that_admits_no_walk(counter, restraint, error):
     with pytest.raises(TraceCorruption) as raised:
         run_stage(st)
     assert str(raised.value) == error
+
+    # settlement reports the same text on a trace whose stage 5 writes the
+    # same values, with any record at stage 6
+    stages = st.records[:6]
+    stages[5] = stages[5]._replace(
+        param_writes=stages[5].param_writes + (("0", "c", counter), ("0", "r", restraint)))
+    stages.append(StageRecord(6, "", Action(TOP_OUT), ZERO, (("", REL_LEX),), ()))
+    trace = Trace(engine="B", config=config, stages=stages, x=st.x[:7] + [st.x[6]])
+    errors = [found["error"] for found in check_settlement_facts(trace).witnesses
+              if found.get("t") == 6 and "error" in found]
+    assert errors == [error]
 
 
 def test_double_write_guard_survives_optimisation(tmp_path):
@@ -376,13 +412,17 @@ def test_double_write_guard_survives_optimisation(tmp_path):
 
     src_dir = Path(injurybench.__file__).resolve().parent.parent
     code = (
-        "from injurybench.engine import new_engine_a\n"
+        "from injurybench import replay\n"
+        "from injurybench.engine import new_engine_a, run_engine\n"
         "from injurybench.phi import DEFAULT_CONFIG, registry_from_config\n"
         "from injurybench.tracekit import TraceCorruption\n"
-        "st = new_engine_a(registry_from_config(DEFAULT_CONFIG))\n"
-        "st._stage_write('', 'r', 1)\n"
+        "stage = replay._stage\n"
+        "def stage_twice(staged, t, sigma, fld, val):\n"
+        "    stage(staged, t, sigma, fld, val)\n"
+        "    stage(staged, t, sigma, fld, val)\n"
+        "replay._stage = stage_twice\n"
         "try:\n"
-        "    st._stage_write('', 'r', 2)\n"
+        "    run_engine(new_engine_a(registry_from_config(DEFAULT_CONFIG)), 30)\n"
         "except TraceCorruption as exc:\n"
         "    print(__debug__, exc)\n"
     )
@@ -391,4 +431,4 @@ def test_double_write_guard_survives_optimisation(tmp_path):
         check=True, cwd=tmp_path,
         env={**os.environ, "PATH": "/usr/bin:/bin", "PYTHONPATH": str(src_dir)},
     )
-    assert result.stdout.strip() == "False double write ('', 'r') in stage 0"
+    assert result.stdout.strip() == "False double write ('', 's') in stage 1"

@@ -10,6 +10,7 @@ from injurybench.phi import DEFAULT_CONFIG, _Slot, registry_from_config
 from injurybench import replay
 from injurybench.replay import _History, naive_ell, replay_run
 from injurybench.strings import REL_LEX, REL_LEX_OR_EXT, nu, region_contains, region_start
+from injurybench.tracekit import FLAG_FIELDS
 from conftest import MINIMAL_CONFIG
 from test_randomized import DOUBLING_PROGRAM, random_config
 
@@ -124,7 +125,7 @@ def test_forced_tail_is_fast_forwarded(monkeypatch):
 
     def counting(self, sigma, fld):
         nonlocal calls
-        if fld == self.flag_field:
+        if fld == FLAG_FIELDS[self.engine]:
             calls += 1
         return original(self, sigma, fld)
 
