@@ -41,6 +41,11 @@ has no pause to lift, and the expansion test fails (A needs flag 1, B needs
 a chain), so the substage reads only the flag and appends "1".  The read log
 receives those flag reads of 0 in order, exactly as a walk of every depth
 would log them.
+
+With ``record_reads`` the state keeps the read log and the log's
+``replay.WordTable``, which builds each word the walks step onto once per
+run, so the log holds one string per distinct word.  Without it the state
+keeps neither, and the walk builds its words as it goes.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from bisect import bisect_left, insort
 
 from .dyadic import ZERO, Dyadic, pow2
 from .phi import PhiRegistry
-from .replay import StageRuleError, stage_rules
+from .replay import StageRuleError, WordTable, stage_rules
 from .strings import BinStr, nu, region_start
 from .tracekit import Action, StageRecord, Trace, TraceCorruption
 
@@ -89,8 +94,10 @@ class EngineState:
         # (stage, start word of the stage's region)
         self.init_events: list[tuple[int, BinStr]] = []
         self.records: list[StageRecord] = []
-        # reads as (t, sigma, field, "cur"|"next", value); None disables logging
+        # reads as (t, sigma, field, "cur"|"next", value), each sigma one
+        # string of the word table; None disables logging and the table
         self.read_log: list[tuple] | None = [] if record_reads else None
+        self.words = WordTable() if record_reads else None
         # incremental scan position into init_events for lazily-derived witnesses
         self._w_scan: dict[BinStr, list] = {}
         self._max_param_len = -1
@@ -164,7 +171,7 @@ def run_stage(state: EngineState) -> StageRecord:
     try:
         sigma, action, jump_exp, region, writes = stage_rules(
             t, x, state._read, None if log is None else log.append,
-            registry.ell, registry.step, state.engine, forced)
+            registry.ell, registry.step, state.engine, forced, state.words)
     except StageRuleError as exc:
         raise TraceCorruption(str(exc)) from exc
 

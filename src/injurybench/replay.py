@@ -51,6 +51,12 @@ definition (``test_phi`` for the convergence gate and the ranged query,
 ``test_tracekit`` for region membership and start words, ``test_strings``
 for the tree order, ``test_dyadic`` for the arithmetic).  The reads'
 full-scan form is kept the same way, as ``test_replay.full_scan_read``.
+The oracle's logged walk takes its words from a :class:`WordTable` of its
+own run, as the engine's takes them from the engine state's, so a word
+read a thousand times is one string in each log.  The table lets equal
+words share one string and does nothing else: it holds no parameter value
+and no chain state, the two sides share no table, and the oracle's walk
+still visits every depth.
 """
 
 from __future__ import annotations
@@ -61,7 +67,8 @@ from .dyadic import ZERO, Dyadic, gap_cmp, pow2
 from .phi import PhiRegistry
 from .strings import REL_LEX, REL_LEX_OR_EXT, BinStr, nu, pair, region_start, unpair
 
-__all__ = ["ReplayResult", "StageRuleError", "replay_run", "stage_rules", "naive_ell"]
+__all__ = ["ReplayResult", "StageRuleError", "WordTable", "replay_run", "stage_rules",
+           "naive_ell"]
 
 # Stage-terminal action kinds, spelled as the trace model spells them
 TOP_OUT = "top_out"
@@ -73,6 +80,36 @@ EXPANSION_DELEGATE = "expansion_delegate"
 
 class StageRuleError(ValueError):
     """A stage's inputs admit no substage walk (see :func:`stage_rules`)."""
+
+
+class _Children(dict):
+    """Word -> its child by one bit, built and stored on first lookup."""
+
+    __slots__ = ("bit",)
+
+    def __init__(self, bit: str):
+        super().__init__()
+        self.bit = bit
+
+    def __missing__(self, sigma: BinStr) -> BinStr:
+        child = self[sigma] = sigma + self.bit
+        return child
+
+
+class WordTable:
+    """The words a run's logged walks have built, each built once.
+
+    ``zero[sigma]`` and ``one[sigma]`` are sigma's children by that bit.  A
+    lookup hashes only the parent, and a string keeps its hash once
+    computed, so finding a child seen before neither rebuilds it nor
+    hashes it anew, and every read logged of a word holds the one string.
+    """
+
+    __slots__ = ("zero", "one")
+
+    def __init__(self):
+        self.zero = _Children("0")
+        self.one = _Children("1")
 
 
 class ReplayResult(NamedTuple):
@@ -161,6 +198,7 @@ def replay_run(registry: PhiRegistry, engine: str, T: int) -> ReplayResult:
     x: list[Dyadic] = [ZERO]
     settlements: list[BinStr] = []
     reads: list[tuple] = []
+    words = WordTable()
 
     def ell(e: int, t: int) -> int:
         return naive_ell(registry, e, t)
@@ -170,7 +208,7 @@ def replay_run(registry: PhiRegistry, engine: str, T: int) -> ReplayResult:
             return hist.read(sigma, fld, t)
 
         sigma, _, jump_exp, region, writes = stage_rules(
-            t, x, read, reads.append, ell, registry.step, engine, t)
+            t, x, read, reads.append, ell, registry.step, engine, t, words)
         for s, fld, val in writes:
             hist.write(s, fld, val, t + 1)
         x.append(x[t] + (pow2(-jump_exp) if jump_exp is not None else ZERO))
@@ -209,7 +247,7 @@ def _next_restraint(staged: dict, log, t: int, sigma: BinStr) -> int:
 
 
 def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
-                forced: int):
+                forced: int, words: WordTable | None = None):
     """Stage t of the named construction by the substage rules.
 
     ``read(sigma, fld)`` is a parameter's value at stage t, before any
@@ -220,6 +258,19 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
     appends "1" up to depth t in one step, logging the flag reads of 0 it
     skips (the forced walk of the engine module docstring); a ``forced`` of
     t walks every depth.
+
+    ``words``, a :class:`WordTable`, is required with a log and unused
+    without one.  A logged walk takes every word it steps onto from it,
+    the forced tail's included, and the 0-predecessors it reads are words
+    it stepped off by "0", so the log holds one string per distinct word,
+    not one per read.  Without a log the walk concatenates, and the forced
+    tail is one concatenation.
+    The owner of the log owns the table, the engine state or the oracle's
+    run, and keeps it for the whole run, so equal words of different
+    stages are one string too, and the engine and the oracle keep one
+    each.  It is a table of the run and not ``sys.intern``: interning
+    hashes every new word, and on CPython 3.12 interned strings are never
+    freed.
 
     The read protocol: each substage at depth e < t
 
@@ -260,9 +311,13 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
     variant_b = engine == "B"
     flag_fld = "p" if variant_b else "s"
     staged: dict[tuple[BinStr, str], int] = {}
+    # the words the walk left by "0", in walk order: sigma's 0-predecessors
+    preds: list[BinStr] = []
     if log is None:
         cur = read
     else:
+        zeros, ones = words.zero, words.one
+
         def cur(sigma: BinStr, fld: str) -> int:
             val = read(sigma, fld)
             log((t, sigma, fld, "cur", val))
@@ -272,10 +327,12 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
     while True:
         e = len(sigma)
         if forced <= e < t:
-            if log is not None:
-                for k in range(t - e):
-                    log((t, sigma + "1" * k, flag_fld, "cur", 0))
-            sigma += "1" * (t - e)
+            if log is None:
+                sigma += "1" * (t - e)
+            else:
+                for _ in range(t - e):
+                    log((t, sigma, flag_fld, "cur", 0))
+                    sigma = ones[sigma]
             e = t
         if e == t:
             # top-out: keep the value, initialise everything lex-right
@@ -300,12 +357,11 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
         if threatened:
             # the longest 0-predecessor whose raised restraint blocks the jump
             gamma = None
-            for j in range(e - 1, -1, -1):
-                if sigma[j] == "0":
-                    r_next = _next_restraint(staged, log, t, sigma[:j])
-                    if r_next >= w:
-                        gamma = sigma[:j]
-                        break
+            for pred in reversed(preds):
+                r_next = _next_restraint(staged, log, t, pred)
+                if r_next >= w:
+                    gamma = pred
+                    break
             if gamma is None:
                 action = (THREAT_JUMP, sigma, None, None, None, None, w)
                 jump_exp = w
@@ -333,13 +389,20 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
                     raise StageRuleError(f"restraint of {sigma!r} passes stage {t}")
                 expansionary = _gap_below(step, x, e, l, t, r)
         if not expansionary:
-            sigma += "1"
+            if log is None:
+                sigma += "1"
+            else:
+                sigma = ones[sigma]
             continue
 
         c = cur(sigma, "c")
         if c == 0:
             _stage(staged, t, sigma, "r", r + 1)
-            sigma += "0"
+            preds.append(sigma)
+            if log is None:
+                sigma += "0"
+            else:
+                sigma = zeros[sigma]
             continue
 
         # execute or delegate one scheduled jump
@@ -348,12 +411,11 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
             raise StageRuleError(
                 f"counter of {sigma!r} decodes to a zero remaining count at stage {t}")
         k = second - 1
-        j = sigma.rfind("0")
-        if j < 0:
+        if not preds:
             action = (EXPANSION_JUMP, sigma, None, None, alpha, k, r)
             jump_exp = r
         else:
-            gamma = sigma[:j]
+            gamma = preds[-1]
             r_next = _next_restraint(staged, log, t, gamma)
             if r_next < r:
                 raise StageRuleError(

@@ -70,6 +70,43 @@ def test_replay_covers_re_split_delegation():
         assert report.status in ("pass", "incomplete"), report.to_json()
 
 
+# The deep-b benchmark family: no slot 0, so the estimated true path stays
+# stable to depth ~T.
+DEEP_CONFIG = {"slots": [
+    {"index": 1, "kind": "identity"},
+    {"index": 5, "kind": "const", "value": 6},
+    {"index": 6, "kind": "diverge"},
+]}
+
+
+@pytest.mark.parametrize("engine_tag, config, T", [
+    ("A", DEFAULT_CONFIG, 300),
+    ("A", RESPLIT_CONFIG, 220),
+    ("B", DEEP_CONFIG, 250),
+], ids=["default-A", "resplit-A", "deep-B"])
+def test_read_logs_hold_one_string_per_word(engine_tag, config, T):
+    # each side of the cross-check builds a walked word once per run, so
+    # its log holds one string object per distinct word, however many
+    # reads name it; counting objects, not bytes, gives one answer on
+    # every Python
+    state = (new_engine_a if engine_tag == "A" else new_engine_b)(
+        registry_from_config(config), record_reads=True)
+    run_engine(state, T)
+    oracle = replay_run(registry_from_config(config), engine_tag, T)
+    for log in (state.read_log, oracle.reads):
+        words = [read[1] for read in log]
+        assert len(words) > 2 * len(set(words))
+        assert len({id(word) for word in words}) == len(set(words))
+    assert oracle.reads == state.read_log
+
+    # without a read log the engine keeps no word table
+    unlogged = (new_engine_a if engine_tag == "A" else new_engine_b)(
+        registry_from_config(config))
+    run_engine(unlogged, T)
+    assert unlogged.words is None
+    assert not any(isinstance(value, replay.WordTable) for value in vars(unlogged).values())
+
+
 # The family test_randomized.random_config draws from random.Random(193):
 # by T=250 engine A schedules a counter of more than a hundred digits, a
 # branch the default family reaches only past the naive oracle's horizons.
@@ -119,7 +156,8 @@ def test_forced_tail_is_fast_forwarded(monkeypatch):
     # every substage the engine walks reads the strategy's flag once; below
     # the forced depth the walk must skip straight to top-out, logging the
     # flag reads it skips without making them, so a stage costs at most
-    # max index + 2 flag reads instead of up to t
+    # max index + 2 flag reads instead of up to t, and its log is the
+    # oracle's, whose walk visits every depth
     calls = 0
     original = EngineState._read
 
@@ -132,9 +170,11 @@ def test_forced_tail_is_fast_forwarded(monkeypatch):
     monkeypatch.setattr(EngineState, "_read", counting)
     registry = registry_from_config(DEFAULT_CONFIG)
     T = 300
-    trace = run_engine(new_engine_a(registry), T)
+    state = new_engine_a(registry, record_reads=True)
+    trace = run_engine(state, T)
     assert sum(rec.action.kind == "top_out" for rec in trace.stages) > T // 2
     assert calls <= T * (max(registry.configured_indices()) + 2)
+    assert state.read_log == replay_run(registry_from_config(DEFAULT_CONFIG), "A", T).reads
 
 
 @settings(max_examples=25, deadline=None)

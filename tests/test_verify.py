@@ -55,7 +55,7 @@ from injurybench.verify import (
 from conftest import MINIMAL_CONFIG, jump_stages
 from mutants import changes_trace, jump_value_edits, single_record_mutants, trace_changing_edits
 from test_randomized import DOUBLING_PROGRAM, random_config
-from test_replay import SPARSE_DEEP_CONFIGS
+from test_replay import DEEP_CONFIG, SPARSE_DEEP_CONFIGS
 
 ONE = Dyadic(1)
 
@@ -703,14 +703,6 @@ def test_requirement_p_sweep_matches_rescan_on_raised_restraint_within_bound(min
 # ---------------------------------------------------------------------------
 # The expansion-gap walk against the per-prefix loop it replaced
 
-# The deep-b benchmark family: no slot 0, so the estimated true path stays
-# stable to depth ~T.
-DEEP_CONFIG = {"slots": [
-    {"index": 1, "kind": "identity"},
-    {"index": 5, "kind": "const", "value": 6},
-    {"index": 6, "kind": "diverge"},
-]}
-
 # An undeclared program at index 9 under two identity slots: prefixes of
 # length 1 and 4 are checked, every prefix from length 9 on is refused.
 UNDECLARED_BELOW_CONFIG = {"slots": [
@@ -928,11 +920,16 @@ def test_settlement_matches_per_depth_loop_on_flipped_bits(engine, config):
     head = max(trace.registry.configured_indices()) + 1
     rng = random.Random(21)
     for below in [True, False] * 8:
-        while True:
+        # a bounded search, so a run whose settled words lack such a "1"
+        # fails here instead of drawing for ever
+        for _ in range(10_000):
             rec = trace.stages[rng.randrange(20, 80)]
             ones = [d for d, bit in enumerate(rec.settled) if bit == "1" and (d < head) == below]
             if ones:
                 break
+        else:
+            pytest.fail(f"no settled word of stages 20-79 has a 1 "
+                        f"{'below' if below else 'at or past'} depth {head}")
         depth = rng.choice(ones)
         word = rec.settled[:depth] + "0" + rec.settled[depth + 1:]
         mutant = mutate_record(trace, rec.t, settled=word,
