@@ -16,18 +16,21 @@ value never exceeds the stage that observed it.
 The gate lives in one place, ``_Slot.visible``, stated on the slot's raw
 semantics.  :meth:`PhiRegistry.step` looks the slot up and calls it, for
 one query; :meth:`PhiRegistry.visible_values` is the one loop over a slot's
-inputs: the values visible at stage t on n = 0, 1, 2, ..., up to the
-first input not visible or through input t.  Its generic form calls the
-gate once per input, lazily, so a caller that stops early (the naive
-replay oracle stops at the first non-increase) makes no more calls than
-it takes values.  The increasing formula kinds (identity, double, affine,
-square) answer from their value list with one bisection instead: their
-values are strictly increasing naturals, so fn(n) >= n, and the inputs
-visible at t are exactly the prefix of values at most t, which already
-ends by input t.  Slots that halt in zero steps (formulas and finite
-graphs) override the gate with the shorter ``v <= t``: their values are
-natural, so ``v <= t`` already implies ``steps = 0 <= t``, even for
-t = -1, and the short form saves a tuple and a call on each query.
+inputs, the ranged chain query: the values visible at stage t on
+n = 0, 1, 2, ..., as a list, up to the first input whose value is not
+visible or not above the value before it, and through input t at most.
+Its length less one is the chain length that :meth:`PhiRegistry.ell`
+keeps incrementally.  Its generic form calls the gate once per input and
+compares each value with the one before; slot values are naturals, so a
+first ``prev`` of -1 lets the value on 0 start the chain.  The increasing
+formula kinds (identity, double, affine, square) answer from their value
+list with one bisection instead: their values are strictly increasing
+naturals, so no value falls, fn(n) >= n, and the inputs visible at t are
+exactly the prefix of values at most t, which already ends by input t.
+Slots that halt in zero steps (formulas and finite graphs) override the
+gate with the shorter ``v <= t``: their values are natural, so ``v <= t``
+already implies ``steps = 0 <= t``, even for t = -1, and the short form
+saves a tuple and a call on each query.
 """
 
 from __future__ import annotations
@@ -88,15 +91,20 @@ class _Slot:
         steps, value = res
         return value if steps <= t and value <= t else None
 
-    def visible_values(self, t: int):
-        """The values ``visible(n, t)`` for n = 0, 1, 2, ..., lazily, up to
-        the first None or through n = t."""
+    def visible_values(self, t: int) -> list[int]:
+        """The values ``visible(n, t)`` for n = 0, 1, 2, ..., up to the first
+        None or the first value not above the one before, through n = t at
+        most: the visible strictly increasing chain."""
         visible = self.visible
+        values: list[int] = []
+        prev = -1
         for n in range(t + 1):
             v = visible(n, t)
-            if v is None:
-                return
-            yield v
+            if v is None or v <= prev:
+                break
+            values.append(v)
+            prev = v
+        return values
 
 
 class _FormulaSlot(_Slot):
@@ -126,7 +134,7 @@ class _FormulaSlot(_Slot):
         v = vals[n]
         return v if v <= t else None
 
-    def visible_values(self, t: int):
+    def visible_values(self, t: int) -> list[int]:
         if not self.total_increasing:
             return super().visible_values(t)
         # grow through input t or to the first value past t, whichever is first
@@ -401,13 +409,15 @@ class PhiRegistry:
         slot = self.slots.get(e)
         return None if slot is None else slot.visible(n, t)
 
-    def visible_values(self, e: int, t: int):
-        """The values ``step(e, n, t)`` for n = 0, 1, 2, ..., up to the first
-        None or through n = t, as an iterable; nothing for an empty slot.
-        A lazy loop over the gate, or one bisection for an increasing
-        formula slot (module docstring)."""
+    def visible_values(self, e: int, t: int) -> list[int]:
+        """The visible strictly increasing chain of slot e at stage t: the
+        values ``step(e, n, t)`` for n = 0, 1, 2, ..., as a list, up to the
+        first None or the first value not above the one before, through
+        n = t at most; empty for an empty slot.  Its length is
+        ``ell(e, t) + 1``.  A loop over the gate, or one bisection for an
+        increasing formula slot (module docstring)."""
         slot = self.slots.get(e)
-        return () if slot is None else slot.visible_values(t)
+        return [] if slot is None else slot.visible_values(t)
 
     def ell(self, e: int, t: int) -> int:
         """Length of the visible strictly-increasing initial chain of slot e.

@@ -14,7 +14,8 @@ in the state they feed it.
 * :func:`replay_run`, the oracle, feeds it a flat history: every
   parameter read scans the explicit writes and initialisation events from
   the latest back (:class:`_History`), and the chain length is recomputed
-  from scratch from the slot's values on 0, 1, 2, ... (:func:`naive_ell`).
+  from scratch as the length of the slot's visible increasing chain on
+  inputs 0, 1, 2, ... (:func:`naive_ell`).
   The oracle exists so the engine's state handling and chain lengths can
   be checked against an implementation too simple to share their bugs;
   the test suite compares the x sequences, the settlements, and the
@@ -33,19 +34,20 @@ only where the precedence rule of :meth:`_History.read` says that no
 earlier event can change its value.  Beyond that it gets faster only when
 a shared primitive does, such as the step query, the gap test
 (``dyadic.gap_cmp``) or region membership, one comparison with the
-region's start word (``strings.region_start``).  ``naive_ell`` rebuilds
-every chain from the ranged step query
-:meth:`~injurybench.phi.PhiRegistry.visible_values` on each call and
-carries nothing between calls: it counts the leading strictly increasing
-values, per definition.  The ranged query answers as a loop of ``step``
-calls would; an increasing formula slot gives the answer by one bisection
-of its value list, which is exact because its values are strictly
-increasing naturals, so the visible inputs are the prefix of values at
-most t.  The engine takes its chain lengths elsewhere (``PhiRegistry.ell``
-keeps chain state over the slots' raw semantics), so the cross-check
-compares the two.  The substage rules and the other primitives are the
-same code on both sides of the cross-check, so it cannot see a fault in
-them; the rules are pinned by hand-simulated stages (``test_engine``) and
+region's start word (``strings.region_start``), or the chain query.
+``naive_ell`` asks the ranged chain query
+:meth:`~injurybench.phi.PhiRegistry.visible_values` afresh on each call
+and carries nothing between calls: the chain length is the number of
+values it returns, less one, per definition.  The chain query answers as
+a loop of ``step`` calls would, stopping at the first value not visible
+or not above the one before; an increasing formula slot gives the answer
+by one bisection of its value list, which is exact because its values
+are strictly increasing naturals, so the chain is the prefix of values
+at most t.  The engine takes its chain lengths elsewhere
+(``PhiRegistry.ell`` keeps chain state over the slots' raw semantics), so
+the cross-check compares the two.  The substage rules and the other
+primitives are the same code on both sides of the cross-check, so it
+cannot see a fault in them; the rules are pinned by hand-simulated stages (``test_engine``) and
 the benchmark pins, and each primitive has a test against its written-out
 definition (``test_phi`` for the convergence gate and the ranged query,
 ``test_tracekit`` for region membership and start words, ``test_strings``
@@ -125,20 +127,10 @@ class ReplayResult(NamedTuple):
 
 
 def naive_ell(registry: PhiRegistry, e: int, t: int) -> int:
-    """Chain length computed per definition, from the values visible at t
-    on inputs 0, 1, 2, ... (``PhiRegistry.visible_values``): the number of
-    leading strictly increasing values, less one.
-
-    Slot values are natural numbers, so a first ``prev`` of -1 lets every
-    visible value on 0 start the chain."""
-    l = -1
-    prev = -1
-    for v in registry.visible_values(e, t):
-        if v <= prev:
-            break
-        prev = v
-        l += 1
-    return l
+    """Chain length computed per definition: the number of values in the
+    visible strictly increasing chain at t on inputs 0, 1, 2, ...
+    (``PhiRegistry.visible_values``), less one."""
+    return len(registry.visible_values(e, t)) - 1
 
 
 class _History:

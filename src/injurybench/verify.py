@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import NamedTuple
 
 from .dyadic import ZERO, Dyadic, gap_cmp, pow2
@@ -400,8 +400,8 @@ def check_requirement_N(trace: Trace, e: int = 0) -> Report:
         return _make_report(f"requirement_n[{e}]", findings)
     T = trace.T
     x_T = x[T]
-    l_max = registry.ell(e, T)
-    chain = islice(registry.visible_values(e, T), l_max + 1)
+    chain = registry.visible_values(e, T)
+    l_max = len(chain) - 1
     if trace.engine == "A":
         for m, v in enumerate(chain):
             if gap_cmp(x_T, x[v], m) >= 0:
@@ -502,9 +502,9 @@ def check_requirement_P(trace: Trace, e: int = 0) -> Report:
                            "bound": t})],
                 assumptions,
             )
-    l_max = registry.ell(e, trace.T)
     x = trace.x
-    phi_vals = list(islice(registry.visible_values(e, trace.T), l_max + 1))
+    phi_vals = registry.visible_values(e, trace.T)
+    l_max = len(phi_vals) - 1
     diffs = [x[b] - x[a] for a, b in zip(phi_vals, phi_vals[1:])]
     suffix_max = list(accumulate(reversed(diffs), max))[::-1]
     findings: list[tuple[str, dict]] = []

@@ -178,12 +178,14 @@ def test_ell_is_the_chain_from_step_in_any_query_order(name):
 
 
 def _values_from_step(config, e, t):
-    """The ranged query written out from ``step`` on a fresh registry."""
+    """The ranged chain query written out from ``step`` on a fresh registry:
+    the values on 0, 1, 2, ... through t, up to the first None or the first
+    value not above the one before."""
     registry = registry_from_config(config)
     values = []
     for n in range(t + 1):
         v = registry.step(e, n, t)
-        if v is None:
+        if v is None or (values and v <= values[-1]):
             break
         values.append(v)
     return values
@@ -193,9 +195,10 @@ def _values_from_step(config, e, t):
 def test_visible_values_is_step_up_to_the_first_none_in_any_query_order(name):
     # every loop over one slot's inputs is visible_values; each slot kind's
     # answer, and an empty slot's, must be the step answers on 0, 1, 2, ...
-    # up to the first None (through input t), whatever the query order and
-    # whatever the value memo already holds: a ranged query first, and one
-    # after a step query far past t
+    # up to the first None or the first value not above the one before
+    # (through input t), whatever the query order and whatever the value
+    # memo already holds: a ranged query first, and one after a step query
+    # far past t
     config = _ELL_CONFIGS[name]
     indices = [entry["index"] for entry in config["slots"]] + [99]
     queries = [(e, t) for e in indices for t in range(-1, 41)]

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from injurybench.engine import EngineState, new_engine_a, new_engine_b, run_engine
-from injurybench.phi import DEFAULT_CONFIG, _Slot, registry_from_config
+from injurybench.phi import DEFAULT_CONFIG, _FormulaSlot, _Slot, registry_from_config
 from injurybench import replay
 from injurybench.replay import _History, naive_ell, replay_run
 from injurybench.strings import REL_LEX, REL_LEX_OR_EXT, nu, region_contains, region_start
 from injurybench.tracekit import FLAG_FIELDS
 from conftest import MINIMAL_CONFIG
+from test_phi import _ELL_CONFIGS
 from test_randomized import DOUBLING_PROGRAM, random_config
 
 
@@ -186,12 +187,12 @@ def test_random_registry_replay(seed):
 
 
 def test_naive_ell_matches_registry():
-    for config in (DEFAULT_CONFIG, RESPLIT_CONFIG):
+    for name, config in [("resplit", RESPLIT_CONFIG), *sorted(_ELL_CONFIGS.items())]:
         reg = registry_from_config(config)
         fresh = registry_from_config(config)
-        for e in sorted(reg.configured_indices()) + [11]:
+        for e in sorted(reg.configured_indices()) + [11, 99]:
             for t in range(-1, 201):
-                assert naive_ell(reg, e, t) == fresh.ell(e, t), (config, e, t)
+                assert naive_ell(reg, e, t) == fresh.ell(e, t), (name, e, t)
 
 
 def test_replay_chain_lengths_make_few_gate_calls(monkeypatch):
@@ -209,6 +210,36 @@ def test_replay_chain_lengths_make_few_gate_calls(monkeypatch):
             monkeypatch.setattr(cls, "visible", counting)
     replay_run(registry_from_config(DEFAULT_CONFIG), "B", 1000)
     assert 0 < calls <= 10_000, calls
+
+
+def test_naive_ell_does_not_walk_an_increasing_formula_slots_values(monkeypatch):
+    # the chain query of an increasing formula slot is one bisection of its
+    # value list, and naive_ell takes its length: neither calls the gate nor
+    # goes through the values, or the oracle's chain lengths cost O(t) each
+    # again (counted, so the test does not depend on the clock)
+    counts = {"visible": 0, "iterated": 0}
+
+    class CountedValues(list):
+        def __iter__(self):
+            for v in super().__iter__():
+                counts["iterated"] += 1
+                yield v
+
+    original = _FormulaSlot.visible_values
+
+    def counted(self, t):
+        return CountedValues(original(self, t))
+
+    def gate(self, n, t, _original=_FormulaSlot.visible):
+        counts["visible"] += 1
+        return _original(self, n, t)
+
+    monkeypatch.setattr(_FormulaSlot, "visible_values", counted)
+    monkeypatch.setattr(_FormulaSlot, "visible", gate)
+    registry = registry_from_config({"slots": [{"index": 0, "kind": "identity"}]})
+    T = 100_000
+    assert [naive_ell(registry, 0, t) for t in (-1, 0, T, T)] == [-1, 0, T, T]
+    assert counts == {"visible": 0, "iterated": 0}, counts
 
 
 def test_replay_rejects_unknown_engine():

@@ -32,7 +32,7 @@ from injurybench.tracekit import (
     write_sequence_csv,
 )
 from conftest import MINIMAL_CONFIG
-from test_verify import DEEP_CONFIG, RESPLIT_CONFIG
+from test_replay import DEEP_CONFIG, RESPLIT_CONFIG
 
 
 @pytest.fixture(scope="module")

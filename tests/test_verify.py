@@ -55,7 +55,7 @@ from injurybench.verify import (
 from conftest import MINIMAL_CONFIG, jump_stages
 from mutants import changes_trace, jump_value_edits, single_record_mutants, trace_changing_edits
 from test_randomized import DOUBLING_PROGRAM, random_config
-from test_replay import DEEP_CONFIG, SPARSE_DEEP_CONFIGS
+from test_replay import DEEP_CONFIG, RESPLIT_CONFIG, SPARSE_DEEP_CONFIGS
 
 ONE = Dyadic(1)
 
@@ -858,14 +858,6 @@ def test_expansion_gap_asks_only_configured_prefixes(monkeypatch):
 # it passes engine traces and fails exactly the edits that change a trace.
 # The tests keep the names and inputs of the per-depth loop that the check
 # once was compared with.
-
-# The re-split family of the replay tests: a depth-2 threat is scheduled onto
-# a mid-tree strategy, which re-delegates upward.
-RESPLIT_CONFIG = {"slots": [
-    {"index": 0, "kind": "identity"},
-    {"index": 1, "kind": "identity"},
-    {"index": 2, "kind": "square"},
-]}
 
 RULES_LAW = "record follows the substage rules"
 
