@@ -23,6 +23,9 @@ in the state they feed it.
 * ``verify.check_settlement_facts`` feeds it a finished trace's own state
   before each stage and compares the derived record with the recorded one.
 
+The rules' gap test and chain-consistency guard, :func:`gap_below`, has one
+caller outside them: ``tracekit.TraceIndex.expansionary_stages``.
+
 To stay independent, this module imports only the primitives
 :mod:`~injurybench.strings`, :mod:`~injurybench.dyadic` and
 :mod:`~injurybench.phi`, never the engine or the trace model; it even spells
@@ -32,33 +35,27 @@ The oracle stays naive on purpose.  Its history keeps no index, cache or
 engine structure, only two lists in stage order, and a read stops scanning
 only where the precedence rule of :meth:`_History.read` says that no
 earlier event can change its value.  Beyond that it gets faster only when
-a shared primitive does, such as the step query, the gap test
-(``dyadic.gap_cmp``) or region membership, one comparison with the
-region's start word (``strings.region_start``), or the chain query.
-``naive_ell`` asks the ranged chain query
-:meth:`~injurybench.phi.PhiRegistry.visible_values` afresh on each call
-and carries nothing between calls: the chain length is the number of
-values it returns, less one, per definition.  The chain query answers as
-a loop of ``step`` calls would, stopping at the first value not visible
-or not above the one before; an increasing formula slot gives the answer
-by one bisection of its value list, which is exact because its values
-are strictly increasing naturals, so the chain is the prefix of values
-at most t.  The engine takes its chain lengths elsewhere
-(``PhiRegistry.ell`` keeps chain state over the slots' raw semantics), so
-the cross-check compares the two.  The substage rules and the other
-primitives are the same code on both sides of the cross-check, so it
-cannot see a fault in them; the rules are pinned by hand-simulated stages (``test_engine``) and
-the benchmark pins, and each primitive has a test against its written-out
-definition (``test_phi`` for the convergence gate and the ranged query,
-``test_tracekit`` for region membership and start words, ``test_strings``
-for the tree order, ``test_dyadic`` for the arithmetic).  The reads'
-full-scan form is kept the same way, as ``test_replay.full_scan_read``.
+a shared primitive does: the step query, the gap test (``dyadic.gap_cmp``),
+region membership (one comparison with the region's start word,
+``strings.region_start``) or the ranged chain query
+:meth:`~injurybench.phi.PhiRegistry.visible_values`, which ``naive_ell``
+asks afresh on each call.  That query answers as a loop of ``step`` calls
+would; an increasing formula slot answers by one bisection of its value
+list, exact because its values are strictly increasing naturals.  The
+engine takes its chain lengths from ``PhiRegistry.ell``, which keeps chain
+state over the slots' raw semantics, so the cross-check compares the two.
+The rules and the other primitives are the same code on both sides, so it
+cannot see a fault in them: the rules are pinned by hand-simulated stages
+(``test_engine``) and the benchmark pins, and each primitive by a test
+against its written-out definition (``test_phi`` for the convergence gate
+and the ranged query, ``test_tracekit`` for region membership and start
+words, ``test_strings`` for the tree order, ``test_dyadic`` for the
+arithmetic); the reads' full-scan form is ``test_replay.full_scan_read``.
 The oracle's logged walk takes its words from a :class:`WordTable` of its
-own run, as the engine's takes them from the engine state's, so a word
-read a thousand times is one string in each log.  The table lets equal
-words share one string and does nothing else: it holds no parameter value
-and no chain state, the two sides share no table, and the oracle's walk
-still visits every depth.
+own run, as the engine's from the engine state's, so a word read a
+thousand times is one string in each log; a table holds words and nothing
+else, the two sides share none, and the oracle's walk still visits every
+depth.
 """
 
 from __future__ import annotations
@@ -69,8 +66,8 @@ from .dyadic import ZERO, Dyadic, gap_cmp, pow2
 from .phi import PhiRegistry
 from .strings import REL_LEX, REL_LEX_OR_EXT, BinStr, nu, pair, region_start, unpair
 
-__all__ = ["ReplayResult", "StageRuleError", "WordTable", "replay_run", "stage_rules",
-           "naive_ell"]
+__all__ = ["ReplayResult", "StageRuleError", "WordTable", "gap_below", "replay_run",
+           "stage_rules", "naive_ell"]
 
 # Stage-terminal action kinds, spelled as the trace model spells them
 TOP_OUT = "top_out"
@@ -210,9 +207,9 @@ def replay_run(registry: PhiRegistry, engine: str, T: int) -> ReplayResult:
     return ReplayResult(engine=engine, x=x, settlements=settlements, reads=reads)
 
 
-def _gap_below(step, x: list[Dyadic], e: int, l: int, t: int, exponent: int) -> bool:
+def gap_below(step, x: list[Dyadic], e: int, l: int, t: int, exponent: int) -> bool:
     """The exact test x_t - x_{phi_e(l)} < 2**-exponent, with l the chain
-    length of slot e at stage t."""
+    length of slot e at stage t; a chain value not visible by t raises."""
     v = step(e, l, t)
     if v is None or v > t:
         raise StageRuleError(f"slot {e} chain inconsistent at stage {t}")
@@ -342,7 +339,7 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
             l = ell(e, t)
             if l >= 0:
                 w = cur(sigma, "w")
-                threatened = l >= w and _gap_below(step, x, e, l, t, w)
+                threatened = l >= w and gap_below(step, x, e, l, t, w)
         # B: an unthreatened visit lifts the pause flag
         if variant_b and not threatened and flag != 0:
             _stage(staged, t, sigma, flag_fld, 0)
@@ -379,7 +376,7 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
                 r = cur(sigma, "r")
                 if r > t:
                     raise StageRuleError(f"restraint of {sigma!r} passes stage {t}")
-                expansionary = _gap_below(step, x, e, l, t, r)
+                expansionary = gap_below(step, x, e, l, t, r)
         if not expansionary:
             if log is None:
                 sigma += "1"

@@ -23,9 +23,10 @@ strategy, every parameter's timeline (``TraceIndex.value``), and the
 attribution of every jump to the threat that caused it (``fibers``), with
 each fibre's running sums, so that what any range of stages paid to one
 threat is one subtraction (``paid``), and whether it reaches a power of
-two one integer comparison (``paid_cmp``).  The index re-evaluates the
-expansion predicate (``expansionary``) that ``requirement_p`` and
-``expansion_gap`` ask; the settlement check re-derives whole stages with
+two one integer comparison (``paid_cmp``).  The index lists a strategy's
+expansionary stages (``expansionary_stages``) for ``requirement_p`` and
+``expansion_gap`` by the rules' gap test (``replay.gap_below``); the
+settlement check re-derives whole stages with
 ``replay.stage_rules`` on the index's parameter values.  A trace owns its
 index: ``Trace.index`` builds it on first use, so every reader of one trace
 shares it.
@@ -42,6 +43,7 @@ from typing import NamedTuple
 
 from .dyadic import MAX_EXPONENT, ZERO, Dyadic, gap_cmp
 from .phi import PhiRegistry, config_digest, validate_config
+from .replay import StageRuleError, gap_below
 # perfbench/tracing.py counts the index's region tests as tracekit.region_contains
 from .strings import (
     REL_LEX,
@@ -524,13 +526,10 @@ class TraceIndex:
     The pass collects the settled strategies, the handled threats grouped by
     strategy, the positive jumps, the initialisation regions and the
     explicit parameter writes.  The per-strategy facts -- the stages that
-    apply a strategy, the stages whose initialisation region covers it, and
-    its parameter timelines -- are derived on first use and only for the
-    strategies asked about: materialising them for every prefix of every
-    settlement would cost O(T * depth).
-
-    The expansion predicate, which two checkers ask, is evaluated once per
-    (sigma, t) (:meth:`expansionary`).
+    apply a strategy, the stages whose initialisation region covers it, its
+    parameter timelines and its expansionary stages (by ``replay.gap_below``)
+    -- are derived on first use and only for the strategies asked about:
+    materialising them for every prefix would cost O(T * depth).
     """
 
     def __init__(self, trace: Trace):
@@ -556,7 +555,7 @@ class TraceIndex:
         self._inits: dict[BinStr, list[int]] = {}
         self._apps: dict[BinStr, list[int]] = {}
         self._cp: dict[tuple[BinStr, str], tuple[list[int], list[int]]] = {}
-        self._expansions: dict[tuple[BinStr, int], bool] = {}
+        self._expansions: dict[tuple[BinStr, int], list[int]] = {}
 
     def written_to(self, fld: str) -> list[BinStr]:
         """Sorted strategies with an explicit write to one field."""
@@ -635,21 +634,30 @@ class TraceIndex:
 
     # -- the expansion predicate -------------------------------------------
 
-    def expansionary(self, sigma: BinStr, t: int) -> bool:
-        """The expansion predicate of sigma at stage t, a pure function of
-        the trace, evaluated once per (sigma, t) and kept.
+    def expansionary_stages(self, sigma: BinStr, t0: int) -> list[int]:
+        """Applications of sigma from stage t0 on at which it is expansionary,
+        kept per (sigma, t0) and shared, so never to be modified; both
+        checkers ask with ``verify._stability_start``'s t0, so each (sigma,
+        t) is evaluated once.  A TraceCorruption is not kept but raised
+        again at the next query, whatever checks ran before.
 
-        Only results are kept, never exceptions: a TraceCorruption raised
-        while evaluating a pair is raised again at the next query, so a
-        check's findings do not depend on which checks ran before it.
-        """
-        found = self._expansions.get((sigma, t))
+        A threat stop of sigma is tested too, though the rule walk ends
+        before its expansion test there.  On engine A no threat passes the
+        gate (it needs the flag at 0); on default B at T=4000 the index
+        calls all 2,015 threat or top-out stops on configured lengths
+        expansionary, and the walk's reading would change ``requirement_p[1]``
+        of the deep family at T=249 and T=251 (121 and 122 realised n become
+        120 and 121).  PAPER.md's excerpt ends before the paper defines an
+        expansionary stage, so the pinned benchmark reports fix this reading."""
+        found = self._expansions.get((sigma, t0))
         if found is None:
-            found = self._expansions[sigma, t] = self._expansion_test(sigma, t)
+            apps = self.applications(sigma)
+            found = self._expansions[sigma, t0] = [
+                t for t in apps[bisect_left(apps, t0):] if self._expansion_test(sigma, t)]
         return found
 
     def _expansion_test(self, sigma: BinStr, t: int) -> bool:
-        """The expansion predicate evaluated afresh (engine A: flag set)."""
+        """The rules' expansion gate (A: flag set), then their gap test."""
         trace = self.trace
         if trace.engine == "A" and self.value(sigma, FLAG_FIELDS["A"], t) != 1:
             return False
@@ -657,17 +665,10 @@ class TraceIndex:
         l = trace.registry.ell(e, t)
         if l < 0:
             return False
-        # the exact gap test x_t - x_{phi_e(l)} < 2**-r; a chain value not
-        # visible by stage t (a registry the run did not use) is corrupt
-        v = trace.registry.step(e, l, t)
-        if v is None or v > t:
-            raise TraceCorruption(f"slot {e} chain inconsistent at stage {t}")
-        return gap_cmp(trace.x[t], trace.x[v], self.value(sigma, "r", t)) < 0
-
-    def expansionary_stages(self, sigma: BinStr, t0: int) -> list[int]:
-        """Applications of sigma from stage t0 on at which it is expansionary."""
-        apps = self.applications(sigma)
-        return [t for t in apps[bisect_left(apps, t0):] if self.expansionary(sigma, t)]
+        try:
+            return gap_below(trace.registry.step, trace.x, e, l, t, self.value(sigma, "r", t))
+        except StageRuleError as exc:
+            raise TraceCorruption(str(exc)) from exc
 
     # -- jump attribution --------------------------------------------------
 

@@ -13,8 +13,8 @@ again -- unobservable at a finite horizon -- it substitutes the last
 initialisation seen in the trace and says so in the report's assumptions.
 
 Every trace fact a checker reads -- parameter values, initialisations,
-applications, threats by strategy, jump attribution, the expansion predicate
-(``TraceIndex.expansionary``) -- comes from the trace's own
+applications, threats by strategy, jump attribution, the expansionary
+stages (``TraceIndex.expansionary_stages``) -- comes from the trace's own
 ``tracekit.TraceIndex`` (``trace.index``), so the checkers share one index
 whether ``run_checks`` runs them or a caller runs one alone.  What an
 episode paid comes from the running sums of the jumps attributed to its
@@ -457,7 +457,12 @@ def check_requirement_P(trace: Trace, e: int = 0) -> Report:
     stage t is at most t.  A restraint past that bound at an expansionary
     stage is one fail finding, and the sweep, whose length grows with r, is
     not run.  On engine B a witness the sweep reads outside its bound (see
-    ``_bounded``) also ends the check in one fail finding.
+    ``_bounded``) also ends the check in one fail finding.  A threat stop of
+    sigma counts as expansionary where the gap test holds (never on engine
+    A, whose threats need the flag at 0).  PAPER.md's excerpt ends before
+    the paper defines an expansionary stage, and on B the walk's reading
+    changes ``requirement_p[1]`` of the deep family at T=249 and T=251 (121
+    and 122 realised n become 120 and 121), so the pinned reports fix it.
     """
     registry = trace.registry
     _require_declared_increasing(registry, e)
@@ -496,12 +501,8 @@ def check_requirement_P(trace: Trace, e: int = 0) -> Report:
     for t in exp_stages:
         r_here = index.value(sigma, "r", t)
         if r_here > t:
-            return _make_report(
-                f"requirement_p[{e}]",
-                [("fail", {"law": "r<=t", "e": e, "t": t, "value": r_here,
-                           "bound": t})],
-                assumptions,
-            )
+            detail = {"law": "r<=t", "e": e, "t": t, "value": r_here, "bound": t}
+            return _make_report(f"requirement_p[{e}]", [("fail", detail)], assumptions)
     x = trace.x
     phi_vals = registry.visible_values(e, trace.T)
     l_max = len(phi_vals) - 1

@@ -40,7 +40,7 @@ from injurybench.tracekit import (
     serialize,
 )
 from injurybench import verify
-from injurybench.replay import StageRuleError, stage_rules
+from injurybench.replay import StageRuleError, gap_below, stage_rules
 from injurybench.verify import (
     check_convergence_bound,
     check_cutoffs,
@@ -832,18 +832,18 @@ def test_expansion_gap_asks_only_configured_prefixes(monkeypatch):
     configured = registry.configured_indices()
     asked = Counter()
     initialised = []
-    expansionary = TraceIndex.expansionary
+    expansionary_stages = TraceIndex.expansionary_stages
     initialisations = TraceIndex.initialisations
 
-    def counting_expansionary(self, sigma, t):
+    def counting_expansionary_stages(self, sigma, t0):
         asked[len(sigma)] += 1
-        return expansionary(self, sigma, t)
+        return expansionary_stages(self, sigma, t0)
 
     def counting_initialisations(self, sigma):
         initialised.append(sigma)
         return initialisations(self, sigma)
 
-    monkeypatch.setattr(TraceIndex, "expansionary", counting_expansionary)
+    monkeypatch.setattr(TraceIndex, "expansionary_stages", counting_expansionary_stages)
     monkeypatch.setattr(TraceIndex, "initialisations", counting_initialisations)
     report = check_expansion_gap_bound(trace)
     assert report.counts["pass"] >= 2
@@ -851,6 +851,45 @@ def test_expansion_gap_asks_only_configured_prefixes(monkeypatch):
     assert asked and set(asked) <= configured
     assert len(set(initialised)) <= len(configured)
     assert all(len(sigma) in configured for sigma in initialised)
+
+
+# The rules and the index each write the gate of the expansion test (A's
+# flag, a chain length of at least 0) and share the gap test; the rule walk
+# recorded in a trace pins the two gates together.
+@pytest.mark.parametrize("config, engine, T", [
+    (DEFAULT_CONFIG, "A", 500),
+    (DEFAULT_CONFIG, "B", 1000),
+    (DEEP_CONFIG, "B", 250),
+    (RESPLIT_CONFIG, "A", 220),
+], ids=["default-A-500", "default-B-1000", "deep-B-250", "resplit-A-220"])
+def test_expansion_gates_of_the_rules_and_the_index_agree(config, engine, T):
+    # every configured length lies above the forced tail, so the walk left
+    # each strategy it passed by its expansion test: by "0" or an expansion
+    # action where it held, by "1" where it did not.  A threat stop never
+    # reaches that test; on A it is never expansionary (a threat needs the
+    # flag at 0), on B it is exactly where the gap test holds
+    trace = run_engine(EngineState(registry_from_config(config), engine), T)
+    index, registry = trace.index, trace.registry
+    lengths = sorted(registry.configured_indices())
+    listed = {}
+    reached = threat_stops = 0
+    for t, settled, action, _, _, _ in trace.stages:
+        for e in lengths:
+            if e > len(settled):
+                break
+            sigma = settled[:e]
+            if sigma not in listed:
+                listed[sigma] = set(index.expansionary_stages(sigma, 0))
+            expansionary = t in listed[sigma]
+            if e < len(settled) or action.kind in EXPANSION_KINDS:
+                reached += 1
+                assert expansionary is (e == len(settled) or settled[e] == "0"), (t, sigma)
+            elif action.kind in THREAT_KINDS:
+                threat_stops += 1
+                holds = engine == "B" and gap_below(
+                    registry.step, trace.x, e, registry.ell(e, t), t, index.value(sigma, "r", t))
+                assert expansionary is holds, (t, sigma)
+    assert reached and threat_stops
 
 
 # ---------------------------------------------------------------------------
@@ -1270,25 +1309,27 @@ def test_run_checks_evaluates_the_expansion_predicate_once_per_strategy_and_stag
     trace = run_engine(EngineState(registry_from_config(DEFAULT_CONFIG), "B"), 500)
     evaluated = Counter()
     asked = 0
-    body, predicate = TraceIndex._expansion_test, TraceIndex.expansionary
+    body, stages = TraceIndex._expansion_test, TraceIndex.expansionary_stages
 
     def counting_body(self, sigma, t):
         evaluated[sigma, t] += 1
         return body(self, sigma, t)
 
-    def counting_predicate(self, sigma, t):
+    def counting_stages(self, sigma, t0):
         nonlocal asked
         asked += 1
-        return predicate(self, sigma, t)
+        return stages(self, sigma, t0)
 
     monkeypatch.setattr(TraceIndex, "_expansion_test", counting_body)
-    monkeypatch.setattr(TraceIndex, "expansionary", counting_predicate)
+    monkeypatch.setattr(TraceIndex, "expansionary_stages", counting_stages)
     reports = run_checks(trace)
     assert all(r.status != "fail" for r in reports)
     assert evaluated and set(evaluated.values()) == {1}
-    assert trace.index._expansions.keys() == evaluated.keys()
-    # requirement_p and expansion_gap ask for the same pairs
-    assert asked > len(evaluated)
+    index = trace.index
+    assert evaluated.keys() == {(sigma, t) for sigma, t0 in index._expansions
+                                for t in index.applications(sigma) if t >= t0}
+    # requirement_p and expansion_gap ask for the same strategies and t0
+    assert asked > len(index._expansions)
 
 
 def _hide_chain_at(registry: PhiRegistry, t_bad: int) -> PhiRegistry:
@@ -1314,9 +1355,10 @@ def test_expansion_memo_keeps_no_trace_corruption():
     t_bad = next(t for t in range(40, 120) if index.value("", "p", t) == 1)
     trace = _corrupt_at(deserialize(data), t_bad)
     for _ in range(2):
-        with pytest.raises(TraceCorruption):
-            trace.index.expansionary("", t_bad)
-    assert ("", t_bad) not in trace.index._expansions
+        with pytest.raises(TraceCorruption) as raised:
+            trace.index.expansionary_stages("", 0)
+        assert str(raised.value) == f"slot 0 chain inconsistent at stage {t_bad}"
+    assert not trace.index._expansions
 
     def outcome(trace, name):
         try:
@@ -1366,12 +1408,16 @@ def _top_out_trace(engine: str, config: dict, x: list[Dyadic], writes=()) -> Tra
     return Trace(engine=engine, config=config, stages=stages, x=x)
 
 
+# from stage 1 the root's witness is 1 and its restraint 2: a threat needs
+# x_t - x_2 < 1/2 and an expansion x_t - x_2 < 1/4
+_BOUNDARY_X = [ZERO, ZERO, ZERO, pow2(-1), pow2(-2), pow2(-1) - pow2(-10),
+               pow2(-2) - pow2(-10), ZERO]
+_BOUNDARY_WRITES = [("", "w", 1), ("", "r", 2)]
+
+
 def test_threat_and_expansion_tests_are_strict_at_the_boundary():
-    # from stage 1 the root's witness is 1 and its restraint 2: a threat
-    # needs x_t - x_2 < 1/2 and an expansion x_t - x_2 < 1/4
-    x = [ZERO, ZERO, ZERO, pow2(-1), pow2(-2), pow2(-1) - pow2(-10),
-         pow2(-2) - pow2(-10), ZERO]
-    trace = _top_out_trace("B", _BOUNDARY_CONFIG, x, [("", "w", 1), ("", "r", 2)])
+    x = _BOUNDARY_X
+    trace = _top_out_trace("B", _BOUNDARY_CONFIG, x, _BOUNDARY_WRITES)
     expected = {3: (False, False),  # x_3 - x_2 = 2**-1 exactly
                 4: (True, False),  # x_4 - x_2 = 2**-2 exactly
                 5: (True, False),
@@ -1389,7 +1435,21 @@ def test_threat_and_expansion_tests_are_strict_at_the_boundary():
         assert (x[t] - x[2] < pow2(-1), x[t] - x[2] < pow2(-2)) == (threatened, expansionary)
         assert (root_walk(t, 0)[1][0] == THREAT_JUMP) is threatened, t
         assert root_walk(t, 1)[0].startswith("0") is expansionary, t
-        assert trace.index.expansionary("", t) is expansionary, t
+        assert (t in trace.index.expansionary_stages("", 0)) is expansionary, t
+
+
+def test_index_lists_no_engine_a_expansion_while_the_flag_is_clear():
+    # the boundary trace on engine A, with the root's flag written at stage
+    # 0: the gap test passes at stages 0, 1, 2 and 6, and the index lists
+    # those of them where the flag reads 1, that is from stage 1 on
+    def listed(engine, writes):
+        trace = _top_out_trace(engine, _BOUNDARY_CONFIG, _BOUNDARY_X, writes)
+        return trace.index.expansionary_stages("", 0)
+
+    assert listed("B", _BOUNDARY_WRITES) == [0, 1, 2, 6]
+    assert listed("A", _BOUNDARY_WRITES + [("", "s", 1)]) == [1, 2, 6]
+    assert listed("A", _BOUNDARY_WRITES + [("", "s", 0)]) == []
+    assert listed("A", _BOUNDARY_WRITES) == []
 
 
 @pytest.mark.parametrize("values, error", [
