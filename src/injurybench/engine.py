@@ -9,17 +9,20 @@ initialises a symbolic region of strategies and commits its parameter
 writes.  An ``EngineState`` is keyed by its engine tag, "A" or "B".  Apart
 from the flag field (satisfaction flag ``s`` for A, pause flag ``p`` for B)
 the two variants differ in six places: five in the substage rules, and one
-here, where an initialisation clears engine A's flag.
+here, where an initialisation also resets engine A's flag.
 
-Parameter storage is sparse: a strategy materialises only when it receives
-an explicit write.  Everything else is derived on demand from the defaults
-(counter 0, restraint 0, flag 0, witness nu(sigma)) and the latest
-initialisation region covering it, which is what makes stages that descend
-thousands of levels cheap.  A region is kept as its start word
-(``strings.region_start``), the least word of the region in native order.
-The materialised strategies are kept sorted, so the blocks a stage
-initialises are the one slice from its start word on, and a derived witness
-compares its word with each start word.
+The store keeps explicit values only, so stages that descend thousands of
+levels stay cheap: a strategy's dict of them appears at its first write and
+is never removed.  Any other value is derived: 0 for a counter, restraint
+or flag, and for a witness nu(sigma) + s + 2 from the latest initialisation
+at a stage s whose region covers sigma, else nu(sigma).  An initialisation
+forgets what it resets (counter, witness and A's flag) in the written
+strategies of its region, which then read the derived value; no reset value
+is stored.  A region is kept as its start word (``strings.region_start``),
+the least word of the region in native order.  The written strategies are
+kept sorted, so those a stage initialises are the one slice from its start
+word on, and a derived witness compares its word with each start word once,
+keeping the witness beside its scan position.
 
 :func:`run_stage` runs a stage in three steps: it computes the depth from
 which the walk is forced, hands the stage to ``replay.stage_rules``, the one
@@ -30,17 +33,16 @@ the construction performs (a delegation consulting a restraint raised
 earlier in the same stage) see the new value while "[t]" reads do not, and
 nothing is stored until the commit.
 
-Below the deepest configured slot index and the deepest materialised
-strategy the walk is forced: once a stage reaches a depth e greater than
-both, it appends "1" up to depth t in one step and tops out.  This is
-exact.  Every strategy of length e or more lacks a materialised parameter
-block (blocks appear only at commit, so the bound holds for the whole
-stage), so its flag reads the default 0; and slot e is empty, so its chain
-length is -1.  The threat test then fails with no further read, a B strategy
-has no pause to lift, and the expansion test fails (A needs flag 1, B needs
-a chain), so the substage reads only the flag and appends "1".  The read log
-receives those flag reads of 0 in order, exactly as a walk of every depth
-would log them.
+Below the deepest configured slot index and the deepest written strategy
+the walk is forced: once a stage reaches a depth e greater than both, it
+appends "1" up to depth t in one step and tops out.  This is exact.  No
+strategy of length e or more has an explicit value (they appear only at
+commit, so the bound holds for the whole stage), so its flag reads the
+derived 0; and slot e is empty, so its chain length is -1.  The threat test
+then fails with no further read, a B strategy has no pause to lift, and the
+expansion test fails (A needs flag 1, B needs a chain), so the substage
+reads only the flag and appends "1".  The read log receives those flag
+reads of 0 in order, exactly as a walk of every depth would log them.
 
 With ``record_reads`` the state keeps the read log and the log's
 ``replay.WordTable``, which builds each word the walks step onto once per
@@ -67,17 +69,6 @@ __all__ = [
 ]
 
 
-class _Params:
-    """Materialised parameter block of one strategy (current values), one
-    slot per parameter field name."""
-
-    __slots__ = ("c", "r", "w", "s", "p")
-
-    def __init__(self, w: int):
-        self.c = self.r = self.s = self.p = 0
-        self.w = w
-
-
 class EngineState:
     """Mutable construction state; advance it one stage at a time."""
 
@@ -88,9 +79,13 @@ class EngineState:
         self.engine = engine
         self.t = 0
         self.x: list[Dyadic] = [ZERO]
-        self.params: dict[BinStr, _Params] = {}
+        # sigma -> its explicit values by field name, from its first write
+        # on; a field an initialisation forgot is absent, and reads derived
+        self.params: dict[BinStr, dict[str, int]] = {}
         # the keys of params in native order
         self._keys: list[BinStr] = []
+        # the fields an initialisation forgets; A's satisfaction flag too
+        self._forgets = ("c", "w", "s") if engine == "A" else ("c", "w")
         # (stage, start word of the stage's region)
         self.init_events: list[tuple[int, BinStr]] = []
         self.records: list[StageRecord] = []
@@ -98,7 +93,7 @@ class EngineState:
         # string of the word table; None disables logging and the table
         self.read_log: list[tuple] | None = [] if record_reads else None
         self.words = WordTable() if record_reads else None
-        # incremental scan position into init_events for lazily-derived witnesses
+        # sigma -> [position in init_events scanned to, derived witness there]
         self._w_scan: dict[BinStr, list] = {}
         self._max_param_len = -1
         self._max_index = max(registry.configured_indices(), default=-1)
@@ -106,32 +101,36 @@ class EngineState:
     # -- parameter access --------------------------------------------------
 
     def _lazy_w(self, sigma: BinStr) -> int:
+        """sigma's derived witness: nu(sigma) + s + 2 for the latest
+        initialisation at stage s that covers it, else nu(sigma)."""
+        events = self.init_events
         scan = self._w_scan.get(sigma)
         if scan is None:
-            scan = self._w_scan[sigma] = [0, None]
-        idx, cover = scan
-        events = self.init_events
-        for stage, start in events[idx:]:
+            scan = self._w_scan[sigma] = [0, nu(sigma)]
+        elif scan[0] == len(events):
+            return scan[1]
+        cover = None
+        for stage, start in events[scan[0]:]:
             if sigma >= start:
                 cover = stage
+        if cover is not None:
+            scan[1] = nu(sigma) + cover + 2
         scan[0] = len(events)
-        scan[1] = cover
-        return nu(sigma) if cover is None else nu(sigma) + cover + 2
+        return scan[1]
 
     def _read(self, sigma: BinStr, fld: str) -> int:
-        """The value at stage t, before any write of this stage."""
+        """The value at stage t, before any write of this stage: the
+        explicit value, else the derived one."""
         p = self.params.get(sigma) if len(sigma) <= self._max_param_len else None
-        if p is not None:
-            return getattr(p, fld)
+        if p is not None and fld in p:
+            return p[fld]
         return self._lazy_w(sigma) if fld == "w" else 0
 
-    def _block(self, sigma: BinStr) -> _Params:
-        """sigma's parameter block, materialised from its derived values
-        on first use."""
+    def _block(self, sigma: BinStr) -> dict[str, int]:
+        """sigma's explicit values, created empty on its first write."""
         p = self.params.get(sigma)
         if p is None:
-            p = self.params[sigma] = _Params(self._lazy_w(sigma))
-            self._w_scan.pop(sigma, None)
+            p = self.params[sigma] = {}
             insort(self._keys, sigma)
             if len(sigma) > self._max_param_len:
                 self._max_param_len = len(sigma)
@@ -139,17 +138,15 @@ class EngineState:
 
     def _initialise(self, t: int, start: BinStr) -> None:
         """Stage t's initialisation of the region from ``start`` on: the
-        materialised blocks in it are the sorted keys from ``start`` on."""
+        written strategies in it are the sorted keys from ``start`` on, and
+        each forgets the fields it resets."""
         self.init_events.append((t, start))
         params = self.params
-        # A: initialisation also clears the satisfaction flag
-        clears_flag = self.engine == "A"
+        forgets = self._forgets
         for s in self._keys[bisect_left(self._keys, start):]:
             p = params[s]
-            p.c = 0
-            p.w = nu(s) + t + 2
-            if clears_flag:
-                p.s = 0
+            for fld in forgets:
+                p.pop(fld, None)
 
 
 def new_engine_a(registry: PhiRegistry, record_reads: bool = False) -> EngineState:
@@ -184,7 +181,7 @@ def run_stage(state: EngineState) -> StageRecord:
             raise TraceCorruption(
                 f"stage {t} writes into its own initialisation region at {s!r}"
             )
-        setattr(state._block(s), fld, val)
+        state._block(s)[fld] = val
     state._initialise(t, start)
 
     # positional: a named tuple builds in half the time that way

@@ -6,7 +6,9 @@ the traces the loader accepts.  ``jump_value_edits`` rescales the jump of
 one record together with the exponent that states it, keeping the action
 kind, so that only the amounts paid to the threats change.
 ``trace_changing_edits`` yields the edits of both kinds that write another
-trace file, as ``changes_trace`` tells them apart.
+trace file, as ``changes_trace`` tells them apart.  ``set_path`` makes an
+edit of a JSON value that sets one leaf, and ``edit_header`` applies an edit
+to the header line of a trace file.
 """
 
 import json
@@ -37,6 +39,25 @@ def leaf_paths(obj, path=()):
             yield from leaf_paths(value, path + (i,))
     else:
         yield path
+
+
+def set_path(*path, value):
+    """An edit of a JSON value that sets the leaf at a key path to value."""
+    def edit(obj):
+        *parents, last = path
+        for key in parents:
+            obj = obj[key]
+        obj[last] = value
+    return edit
+
+
+def edit_header(data: bytes, edit) -> bytes:
+    """The trace file with ``edit`` applied to its decoded header, which is
+    written back as the writer writes a header."""
+    head, rest = data.split(b"\n", 1)
+    header = json.loads(head)
+    edit(header)
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + rest
 
 
 def _lines(trace: Trace) -> tuple[str, list[str]]:

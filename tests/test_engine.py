@@ -37,6 +37,7 @@ from injurybench.tracekit import (
 )
 from injurybench.verify import check_settlement_facts
 from conftest import MINIMAL_CONFIG
+from test_replay import FIELDS, full_scan_read, random_history, stage_writes
 
 
 @pytest.fixture()
@@ -342,9 +343,11 @@ def test_write_into_own_region_raises_trace_corruption(minimal, monkeypatch):
 
 @pytest.mark.parametrize("engine", ["A", "B"])
 def test_initialisation_resets_exactly_the_blocks_a_full_scan_selects(minimal, engine):
-    # the commit resets the sorted keys from the region's start word on; a
-    # scan of every block with region_contains must select the same blocks.
-    # The first case has a block whose key is the start word itself.
+    # the commit makes the sorted keys from the region's start word on
+    # forget what an initialisation resets; a scan of every written strategy
+    # with region_contains must select the same ones.  A forgotten field
+    # reads its derived value, a kept one its stored value.  The first case
+    # has a written strategy whose key is the start word itself.
     rng = random.Random(29)
     words = [""] + [format(i, f"0{n}b") for n in range(1, 6) for i in range(1 << n)]
     cases = [("0", REL_LEX_OR_EXT, ["1", "00", "0", "", "01", "000"])]
@@ -354,21 +357,51 @@ def test_initialisation_resets_exactly_the_blocks_a_full_scan_selects(minimal, e
     for anchor, rel, keys in cases:
         st = EngineState(minimal, engine)
         for sigma in keys:
-            block = st._block(sigma)
-            block.c, block.r, block.w, block.s, block.p = 7, 8, 9, 1, 1
+            st._block(sigma).update(c=7, r=8, w=9, s=1, p=1)
         start = region_start(anchor, rel)
         edge += start in keys
         st._initialise(5, start)
         for sigma in keys:
-            block = st.params[sigma]
-            got = (block.c, block.r, block.w, block.s, block.p)
+            got = tuple(st._read(sigma, fld) for fld in ("c", "r", "w", "s", "p"))
             if region_contains(anchor, rel, sigma):
                 # A: initialisation also clears the satisfaction flag
                 assert got == (0, 8, nu(sigma) + 7, int(engine == "B"), 1), (anchor, rel, sigma)
+                assert sorted(st.params[sigma]) == ["p", "r"] + ["s"] * (engine == "B")
             else:
                 assert got == (7, 8, 9, 1, 1), (anchor, rel, sigma)
+                assert len(st.params[sigma]) == 5, (anchor, rel, sigma)
         assert st.init_events == [(5, start)]
     assert edge >= 5, edge
+
+
+@pytest.mark.parametrize("engine", ["A", "B"])
+def test_store_reads_match_the_full_scan_on_random_histories(minimal, engine):
+    # README's settlement guarantee rests on the engine's store agreeing with
+    # TraceIndex.value (test_tracekit holds the index's side).  Driven as
+    # run_stage commits, each stage's writes and then its one region with
+    # no write inside it, the store must read at every stage what a scan of
+    # every event reads.  A witness written and then forgotten by a region
+    # must read its derived value.
+    rng = random.Random(34)
+    derived = 0
+    for _ in range(300):
+        stages = rng.randint(0, 14)
+        hist, words, regions = random_history(rng, engine, stages, committed=True)
+        writes = stage_writes(hist, stages)
+        st = EngineState(minimal, engine)
+        for time in range(stages + 1):
+            if time:
+                for sigma, fld, value in writes[time - 1]:
+                    st._block(sigma)[fld] = value
+                stage, anchor, rel = regions[time - 1]
+                st._initialise(stage, region_start(anchor, rel))
+            for sigma in words:
+                for fld in FIELDS:
+                    want = full_scan_read(hist, regions, sigma, fld, time)
+                    assert st._read(sigma, fld) == want, (regions, sigma, fld, time)
+                derived += "w" not in st.params.get(sigma, {}) and any(
+                    wt <= time for wt, _ in hist.writes.get((sigma, "w"), ()))
+    assert derived > 300, derived
 
 
 @pytest.mark.parametrize("counter, restraint, error", [
@@ -383,9 +416,9 @@ def test_stage_refuses_a_counter_that_admits_no_walk(counter, restraint, error):
     st = new_engine_b(registry_from_config(config))
     for _ in range(6):
         run_stage(st)
-    params = st.params["0"]
-    assert (st.params[""].p, st.params[""].r, params.p, params.c, params.r) == (1, 1, 1, 0, 0)
-    params.c, params.r = counter, restraint
+    assert tuple(st._read(sigma, fld) for sigma, fld in (
+        ("", "p"), ("", "r"), ("0", "p"), ("0", "c"), ("0", "r"))) == (1, 1, 1, 0, 0)
+    st.params["0"].update(c=counter, r=restraint)
     with pytest.raises(TraceCorruption) as raised:
         run_stage(st)
     assert str(raised.value) == error

@@ -27,7 +27,7 @@ import injurybench
 from injurybench.cli import main
 from injurybench.phi import config_digest
 from injurybench.tracekit import deserialize, serialize
-from mutants import jump_value_edits, leaf_paths
+from mutants import edit_header, jump_value_edits, leaf_paths, set_path
 
 LIMIT = 1536 << 20
 LEAF_VALUES = [-1, 2**70, "", [], {}, None, True, 1.5, "01" * 2048]
@@ -114,25 +114,16 @@ def set_jump_mantissa(m: str):
     return edit
 
 
-def set_key(*path, value):
-    def edit(rec):
-        *parents, last = path
-        for key in parents:
-            rec = rec[key]
-        rec[last] = value
-    return edit
-
-
 # record edits that loaded once but would be written back as another JSON
 # value: a dropped key, or a null or a non-list read as absent or empty
 REWRITTEN_EDITS = {
     "sigma-absent": lambda rec: rec["action"].pop("sigma"),
-    "gamma-null": set_key("action", "gamma", value=None),
-    "param-writes-string": set_key("param_writes", value=""),
-    "init-regions-string": set_key("init_regions", value=""),
-    "region-object": set_key("init_regions", 0, value={"": 0, "lex_gt": 0}),
-    "record-key": set_key("x", value=0),
-    "action-key": set_key("action", "x", value=0),
+    "gamma-null": set_path("action", "gamma", value=None),
+    "param-writes-string": set_path("param_writes", value=""),
+    "init-regions-string": set_path("init_regions", value=""),
+    "region-object": set_path("init_regions", 0, value={"": 0, "lex_gt": 0}),
+    "record-key": set_path("x", value=0),
+    "action-key": set_path("action", "x", value=0),
 }
 
 
@@ -141,13 +132,6 @@ def no_stages(data: bytes) -> str:
     header = json.loads(data.split(b"\n", 1)[0])
     header["T"] = 0
     return json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def edit_header(data: bytes, edit) -> str:
-    head, rest = data.decode("utf-8").split("\n", 1)
-    header = json.loads(head)
-    edit(header)
-    return json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n" + rest
 
 
 # header edits that loaded before the header refused keys the writer never
@@ -207,12 +191,12 @@ def test_hostile_inputs_end_in_an_exit_code_without_traceback(tmp_path, capsys):
     files["rewritten-repeated-key"] = repeat_key(traces["A"], 1, "settled", "111")
     expected["rewritten-repeated-key"] = 2
     for name, (edit, _) in HEADER_EDITS.items():
-        files[name] = edit_header(traces["A"], edit)
+        files[name] = edit_header(traces["A"], edit).decode("utf-8")
         expected[name] = 2
     files["header-repeated-key"] = traces["A"].decode("utf-8").replace(
         '"engine":', '"engine":"B","engine":', 1)
     expected["header-repeated-key"] = 2
-    files["config-unread-key"] = edit_header(traces["A"], embed_config)
+    files["config-unread-key"] = edit_header(traces["A"], embed_config).decode("utf-8")
     expected["config-unread-key"] = 2
     for name, m in {"space": " 1", "underscore": "0_1", "plus": "+1",
                     "leading-zero": "01"}.items():

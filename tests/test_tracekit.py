@@ -21,6 +21,7 @@ from injurybench.tracekit import (
     FLAG_FIELDS,
     JUMP_KINDS,
     Action,
+    TOP_OUT,
     StageRecord,
     Trace,
     TraceIndex,
@@ -32,7 +33,9 @@ from injurybench.tracekit import (
     write_sequence_csv,
 )
 from conftest import MINIMAL_CONFIG
-from test_replay import DEEP_CONFIG, RESPLIT_CONFIG
+from mutants import edit_header, set_path
+from test_replay import (DEEP_CONFIG, FIELDS, RESPLIT_CONFIG, full_scan_read, random_history,
+                         stage_writes)
 
 
 @pytest.fixture(scope="module")
@@ -185,13 +188,6 @@ def test_int_keyed_config_digest_survives_round_trip():
     assert config_digest(clone.config) == config_digest(trace.config)
 
 
-def _with_header(trace, edit):
-    head, body = serialize(trace).split(b"\n", 1)
-    header = json.loads(head)
-    edit(header)
-    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + body
-
-
 @pytest.mark.parametrize("edit", [
     lambda h: h.pop("phi_config_digest"),
     lambda h: h.update(phi_config_digest="0" * 64),
@@ -201,7 +197,7 @@ def _with_header(trace, edit):
 ], ids=["no_digest", "wrong_digest", "engine_list", "version_true", "version_float"])
 def test_loader_rejects_bad_header(trace_a, edit):
     with pytest.raises(TraceParseError) as err:
-        deserialize(_with_header(trace_a, edit))
+        deserialize(edit_header(serialize(trace_a), edit))
     assert err.value.line == 1
 
 
@@ -379,24 +375,16 @@ def _mutate_first(trace, has_field, mutate):
     raise AssertionError("no record carries the field")
 
 
-def _set(path, value):
-    def mutate(obj):
-        *head, last = path
-        for key in head:
-            obj = obj[key]
-        obj[last] = value
-    return mutate
-
-
 STRICT_WORD_MUTANTS = {
-    "settled": (lambda o: True, _set(["settled"], "0a")),
-    "action_sigma": (lambda o: True, _set(["action", "sigma"], 1)),
-    "action_kind": (lambda o: True, _set(["action", "kind"], [])),
-    "action_gamma": (lambda o: "gamma" in o["action"], _set(["action", "gamma"], "2")),
-    "action_alpha": (lambda o: "alpha" in o["action"], _set(["action", "alpha"], "0 ")),
-    "region_anchor": (lambda o: o["init_regions"], _set(["init_regions", 0, 0], "01x")),
-    "write_strategy": (lambda o: o["param_writes"], _set(["param_writes", 0, 0], "λ")),
-    "region_relation": (lambda o: o["init_regions"], _set(["init_regions", 0, 1], "lex_ge")),
+    "settled": (lambda o: True, set_path("settled", value="0a")),
+    "action_sigma": (lambda o: True, set_path("action", "sigma", value=1)),
+    "action_kind": (lambda o: True, set_path("action", "kind", value=[])),
+    "action_gamma": (lambda o: "gamma" in o["action"], set_path("action", "gamma", value="2")),
+    "action_alpha": (lambda o: "alpha" in o["action"], set_path("action", "alpha", value="0 ")),
+    "region_anchor": (lambda o: o["init_regions"], set_path("init_regions", 0, 0, value="01x")),
+    "write_strategy": (lambda o: o["param_writes"], set_path("param_writes", 0, 0, value="λ")),
+    "region_relation": (lambda o: o["init_regions"],
+                        set_path("init_regions", 0, 1, value="lex_ge")),
 }
 
 
@@ -411,13 +399,15 @@ def test_loader_rejects_non_binary_words_and_unknown_relations(trace_a, field):
 
 # a boolean, float or string where the loader needs a JSON integer
 INTEGER_MUTANTS = {
-    "stage_number": (lambda o: o["t"] == 1, _set(["t"], True)),
-    "write_value_float": (lambda o: o["param_writes"], _set(["param_writes", 0, 2], 1.5)),
-    "write_value_true": (lambda o: o["param_writes"], _set(["param_writes", 0, 2], True)),
-    "action_counter": (lambda o: "counter" in o["action"], _set(["action", "counter"], 53.0)),
-    "action_k": (lambda o: "k" in o["action"], _set(["action", "k"], True)),
-    "action_exponent": (lambda o: "exponent" in o["action"], _set(["action", "exponent"], "7")),
-    "jump_k": (lambda o: o["jump"]["k"] > 0, _set(["jump", "k"], 1.0)),
+    "stage_number": (lambda o: o["t"] == 1, set_path("t", value=True)),
+    "write_value_float": (lambda o: o["param_writes"], set_path("param_writes", 0, 2, value=1.5)),
+    "write_value_true": (lambda o: o["param_writes"], set_path("param_writes", 0, 2, value=True)),
+    "action_counter": (lambda o: "counter" in o["action"],
+                       set_path("action", "counter", value=53.0)),
+    "action_k": (lambda o: "k" in o["action"], set_path("action", "k", value=True)),
+    "action_exponent": (lambda o: "exponent" in o["action"],
+                        set_path("action", "exponent", value="7")),
+    "jump_k": (lambda o: o["jump"]["k"] > 0, set_path("jump", "k", value=1.0)),
 }
 
 
@@ -446,7 +436,7 @@ def _shift_exponent(shift: int):
 # a jump action whose exponent and jump disagree: the record states two jumps
 EXPONENT_MISMATCHES = {
     "jump_three_halves": _scale_jump(Dyadic(3, 1)),
-    "jump_five": _set(["jump"], {"m": "5", "k": 0}),
+    "jump_five": set_path("jump", value={"m": "5", "k": 0}),
     "exponent_plus_one": _shift_exponent(1),
     "exponent_minus_one": _shift_exponent(-1),
     "exponent_absent": lambda obj: obj["action"].pop("exponent"),
@@ -466,14 +456,14 @@ def test_loader_rejects_a_jump_that_its_exponent_does_not_state(trace_a, edit):
 # dropped a key, or read a null or a non-list as absent or empty
 REWRITTEN_EDITS = {
     "sigma_absent": (lambda o: True, lambda obj: obj["action"].pop("sigma")),
-    **{f"{key}_null": (lambda o: True, _set(["action", key], None))
+    **{f"{key}_null": (lambda o: True, set_path("action", key, value=None))
        for key in ("gamma", "counter", "alpha", "k", "exponent")},
-    "param_writes_string": (lambda o: True, _set(["param_writes"], "")),
-    "init_regions_string": (lambda o: True, _set(["init_regions"], "")),
+    "param_writes_string": (lambda o: True, set_path("param_writes", value="")),
+    "init_regions_string": (lambda o: True, set_path("init_regions", value="")),
     "region_object": (lambda o: o["init_regions"],
-                      _set(["init_regions", 0], {"": 0, "lex_gt": 0})),
-    "record_key": (lambda o: True, _set(["x"], 0)),
-    "action_key": (lambda o: True, _set(["action", "x"], 0)),
+                      set_path("init_regions", 0, value={"": 0, "lex_gt": 0})),
+    "record_key": (lambda o: True, set_path("x", value=0)),
+    "action_key": (lambda o: True, set_path("action", "x", value=0)),
 }
 
 
@@ -589,7 +579,7 @@ def test_loaded_odd_action_kind_is_written_back_to_its_bytes(trace_a):
     # the loader accepts any string as a non-jump kind; JSON written with the
     # encoder's escapes comes back byte for byte
     data, line = _mutate_first(trace_a, lambda o: o["jump"]["m"] == "0",
-                               _set(["action", "kind"], ODD_TEXT + "é"))
+                               set_path("action", "kind", value=ODD_TEXT + "é"))
     trace = deserialize(data)
     assert trace.stages[line - 2].action.kind == ODD_TEXT + "é"
     assert serialize(trace) == data
@@ -903,7 +893,7 @@ def _add_write(write):
 
 
 def _jump_action(kind, jump):
-    return _set(["action", "kind"], kind), _set(["jump"], jump)
+    return set_path("action", "kind", value=kind), set_path("jump", value=jump)
 
 
 # one record edit per rejection text, for a trace of T = 30 stages: the
@@ -911,24 +901,24 @@ def _jump_action(kind, jump):
 _FIXED_EDITS = {
     "bad stage record": lambda text: text[:-1],
     "repeated key": lambda text: text.replace('"settled":', '"settled":"1","settled":', 1),
-    "unknown record key": _decoded_edit(_set(["x"], 0)),
-    "unknown action key": _decoded_edit(_set(["action", "x"], 0)),
-    "is null": _decoded_edit(_set(["action", "gamma"], None)),
-    "or param_writes is not a list": _decoded_edit(_set(["param_writes"], "")),
-    "region pair": _decoded_edit(_set(["init_regions"], [{"0": 0, "lex_gt": 0}])),
-    "action kind": _decoded_edit(_set(["action", "kind"], 5)),
-    "is not an integer": _decoded_edit(_set(["t"], True)),
-    "is not a binary word": _decoded_edit(_set(["settled"], "0a")),
-    "unknown region relation": _decoded_edit(_set(["init_regions"], [["0", "lex_ge"]])),
+    "unknown record key": _decoded_edit(set_path("x", value=0)),
+    "unknown action key": _decoded_edit(set_path("action", "x", value=0)),
+    "is null": _decoded_edit(set_path("action", "gamma", value=None)),
+    "or param_writes is not a list": _decoded_edit(set_path("param_writes", value="")),
+    "region pair": _decoded_edit(set_path("init_regions", value=[{"0": 0, "lex_gt": 0}])),
+    "action kind": _decoded_edit(set_path("action", "kind", value=5)),
+    "is not an integer": _decoded_edit(set_path("t", value=True)),
+    "is not a binary word": _decoded_edit(set_path("settled", value="0a")),
+    "unknown region relation": _decoded_edit(set_path("init_regions", value=[["0", "lex_ge"]])),
     "unknown parameter field": _decoded_edit(_add_write(["0", "q", 1])),
     "is negative": _decoded_edit(_add_write(["0", "c", -1])),
-    "out of order": _decoded_edit(_set(["t"], 7)),
+    "out of order": _decoded_edit(set_path("t", value=7)),
     "jump/action mismatch": _decoded_edit(*_jump_action("threat_jump", {"m": "0", "k": 0})),
     "negative jump": _decoded_edit(*_jump_action("top_out", {"m": "-1", "k": 0})),
     "is not 2**-exponent": _decoded_edit(*_jump_action("threat_jump", {"m": "1", "k": 2}),
-                                         _set(["action", "exponent"], 3)),
+                                         set_path("action", "exponent", value=3)),
     "exceeds T": _decoded_edit(*_jump_action("threat_jump", {"m": "1", "k": 31}),
-                               _set(["action", "exponent"], 31)),
+                               set_path("action", "exponent", value=31)),
 }
 
 
@@ -1015,7 +1005,7 @@ ZERO_JUMP_NEAR_MISSES = {
 @pytest.mark.parametrize("name", sorted(ZERO_JUMP_NEAR_MISSES))
 def test_zero_jump_near_misses_are_refused_as_by_two_step_loader(trace_a, name):
     data, line = _mutate_first(trace_a, lambda o: o["jump"] == {"m": "0", "k": 0},
-                               _set(["jump"], ZERO_JUMP_NEAR_MISSES[name]))
+                               set_path("jump", value=ZERO_JUMP_NEAR_MISSES[name]))
     got = _outcome(deserialize, data)
     assert got == _outcome(_two_step_load, data)
     assert got[0] == line and "bad stage record" in got[1]
@@ -1029,7 +1019,7 @@ NEAR_BINARY_WORDS = ["", " 0", "0\n", "0 1", "\u0660", "\uff10", "O", "l", "2",
 def test_binary_word_test_matches_strip(trace_a, word):
     assert tracekit._binary_word(word) == (not word.strip("01"))
     # and the loader, reading it as a settled word, agrees with the reference
-    data, _ = _mutate_first(trace_a, lambda o: True, _set(["settled"], word))
+    data, _ = _mutate_first(trace_a, lambda o: True, set_path("settled", value=word))
     got = _outcome(deserialize, data)
     assert got == _outcome(_two_step_load, data)
     assert isinstance(got, Trace) == (not word.strip("01"))
@@ -1046,3 +1036,38 @@ def test_records_are_immutable_values(trace_a):
     assert built == rec and hash(built) == hash(rec)
     assert built.action == rec.action and hash(built.action) == hash(rec.action)
     assert built._replace(t=9) != rec
+
+
+def history_trace(engine: str, stages: int, hist, regions) -> Trace:
+    """An in-memory trace whose records hold a history's writes and regions."""
+    writes = stage_writes(hist, stages)
+    records = [StageRecord(t, "", Action(TOP_OUT), ZERO,
+                           tuple((anchor, rel) for s, anchor, rel in regions if s == t),
+                           tuple(writes[t]))
+               for t in range(stages)]
+    return Trace(engine=engine, config=MINIMAL_CONFIG, stages=records, x=[ZERO] * (stages + 1))
+
+
+@pytest.mark.parametrize("engine", ["A", "B"])
+def test_index_values_match_the_full_scan_on_random_histories(engine):
+    # README's settlement guarantee rests on the engine's store agreeing with
+    # TraceIndex.value, the values settlement reads back from the records;
+    # test_engine holds the store's side.  A region and a write of the same
+    # stage on the same reset field are a tie, which the region wins.
+    rng = random.Random(34)
+    ties = 0
+    for _ in range(300):
+        stages = rng.randint(1, 14)
+        hist, words, regions = random_history(rng, engine, stages)
+        index = history_trace(engine, stages, hist, regions).index
+        for time in range(stages + 3):
+            for sigma in words:
+                for fld in FIELDS:
+                    want = full_scan_read(hist, regions, sigma, fld, time)
+                    assert index.value(sigma, fld, time) == want, (regions, sigma, fld, time)
+                    seen = [wt for wt, _ in hist.writes.get((sigma, fld), ()) if wt <= time]
+                    resets = fld in ("c", "w") or (fld == "s" and engine == "A")
+                    ties += resets and bool(seen) and any(
+                        stage + 1 == seen[-1] and region_contains(anchor, rel, sigma)
+                        for stage, anchor, rel in regions)
+    assert ties > 1000, ties

@@ -972,20 +972,21 @@ def test_settlement_matches_per_depth_loop_on_flipped_bits(engine, config):
 
 def state_forgery(engine: str, T: int, rng: random.Random) -> tuple[int, bytes]:
     """The engine run to a random stage s, one piece of its state changed,
-    and the run continued to T: one materialised c, r or w moved by -1, +1
-    or +2, or its flag flipped, or else x[s] raised by 2^-(s+j).  Returns s
-    and the trace file, whose header is the run's unchanged one."""
+    and the run continued to T: one written strategy's c, r or w moved by
+    -1, +1 or +2, or its flag flipped, stored as an explicit value, or else
+    x[s] raised by 2^-(s+j).  Returns s and the trace file, whose header is
+    the run's unchanged one."""
     st = EngineState(registry_from_config(DEFAULT_CONFIG), engine)
     s = rng.randrange(1, T)
     for _ in range(s):
         run_stage(st)
-    blocks = sorted(st.params)
-    if blocks and rng.random() < 0.8:
-        block = st.params[rng.choice(blocks)]
+    written = sorted(st.params)
+    if written and rng.random() < 0.8:
+        sigma = rng.choice(written)
         fld = rng.choice(("c", "r", "w", FLAG_FIELDS[engine]))
-        value = getattr(block, fld)
-        setattr(block, fld, 1 - value if fld == FLAG_FIELDS[engine]
-                else value + rng.choice((-1, 1, 2)))
+        value = st._read(sigma, fld)
+        st.params[sigma][fld] = (1 - value if fld == FLAG_FIELDS[engine]
+                                 else value + rng.choice((-1, 1, 2)))
     else:
         st.x[s] = st.x[s] + pow2(-(s + rng.randrange(4)))
     return s, serialize(run_engine(st, T))
