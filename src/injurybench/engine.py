@@ -16,22 +16,24 @@ levels stay cheap: a strategy's dict of them appears at its first write and
 is never removed.  Any other value is derived: 0 for a counter, restraint
 or flag, and for a witness nu(sigma) + s + 2 from the latest initialisation
 at a stage s whose region covers sigma, else nu(sigma).  An initialisation
-forgets what it resets (counter, witness and A's flag) in the written
-strategies of its region, which then read the derived value; no reset value
-is stored.  A region is kept as its start word (``strings.region_start``),
-the least word of the region in native order.  The written strategies are
-kept sorted, so those a stage initialises are the one slice from its start
-word on, and a derived witness compares its word with each start word once,
-keeping the witness beside its scan position.
+forgets what it resets (``tracekit.RESET_FIELDS``: counter, witness and
+A's flag) in the written strategies of its region, which then read the
+derived value; no reset value is stored.  A region is kept as its start
+word (``strings.region_start``), the least word of the region in native
+order.  The written strategies are kept sorted, so those a stage
+initialises are the one slice from its start word on, and a derived
+witness compares its word with each start word once, keeping the witness
+beside its scan position.
 
 :func:`run_stage` runs a stage in three steps: it computes the depth from
 which the walk is forced, hands the stage to ``replay.stage_rules``, the one
 implementation of the substage rules and of their read protocol, with this
-state's reader, read log and chain lengths, and commits the writes and the
-region it returns.  The rules stage a stage's writes, so the "[t+1]" reads
-the construction performs (a delegation consulting a restraint raised
-earlier in the same stage) see the new value while "[t]" reads do not, and
-nothing is stored until the commit.
+state's reader, read log and chain lengths, and stores the writes and the
+region it returns in one :meth:`EngineState.commit`.  The jump is the
+action's exponent as a power of two.  The rules stage a stage's writes, so
+the "[t+1]" reads the construction performs (a delegation consulting a
+restraint raised earlier in the same stage) see the new value while "[t]"
+reads do not, and nothing is stored until the commit.
 
 Below the deepest configured slot index and the deepest written strategy
 the walk is forced: once a stage reaches a depth e greater than both, it
@@ -44,10 +46,10 @@ expansion test fails (A needs flag 1, B needs a chain), so the substage
 reads only the flag and appends "1".  The read log receives those flag
 reads of 0 in order, exactly as a walk of every depth would log them.
 
-With ``record_reads`` the state keeps the read log and the log's
-``replay.WordTable``, which builds each word the walks step onto once per
-run, so the log holds one string per distinct word.  Without it the state
-keeps neither, and the walk builds its words as it goes.
+With ``record_reads`` the state keeps a ``replay.ReadLog``, whose word
+tables build each word the walks step onto once per run, so the log holds
+one string per distinct word.  Without it the state keeps no log, and the
+walk builds its words as it goes.
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ from bisect import bisect_left, insort
 
 from .dyadic import ZERO, Dyadic, pow2
 from .phi import PhiRegistry
-from .replay import StageRuleError, WordTable, stage_rules
+from .replay import ReadLog, StageRuleError, stage_rules
 from .strings import BinStr, nu, region_start
-from .tracekit import Action, StageRecord, Trace, TraceCorruption
+from .tracekit import RESET_FIELDS, Action, StageRecord, Trace, TraceCorruption
 
 __all__ = [
     "EngineState",
@@ -84,15 +86,14 @@ class EngineState:
         self.params: dict[BinStr, dict[str, int]] = {}
         # the keys of params in native order
         self._keys: list[BinStr] = []
-        # the fields an initialisation forgets; A's satisfaction flag too
-        self._forgets = ("c", "w", "s") if engine == "A" else ("c", "w")
+        # the fields an initialisation forgets
+        self._forgets = RESET_FIELDS[engine]
         # (stage, start word of the stage's region)
         self.init_events: list[tuple[int, BinStr]] = []
         self.records: list[StageRecord] = []
         # reads as (t, sigma, field, "cur"|"next", value), each sigma one
-        # string of the word table; None disables logging and the table
-        self.read_log: list[tuple] | None = [] if record_reads else None
-        self.words = WordTable() if record_reads else None
+        # string of the log's word tables; None disables logging
+        self.read_log = ReadLog() if record_reads else None
         # sigma -> [position in init_events scanned to, derived witness there]
         self._w_scan: dict[BinStr, list] = {}
         self._max_param_len = -1
@@ -107,8 +108,6 @@ class EngineState:
         scan = self._w_scan.get(sigma)
         if scan is None:
             scan = self._w_scan[sigma] = [0, nu(sigma)]
-        elif scan[0] == len(events):
-            return scan[1]
         cover = None
         for stage, start in events[scan[0]:]:
             if sigma >= start:
@@ -126,22 +125,27 @@ class EngineState:
             return p[fld]
         return self._lazy_w(sigma) if fld == "w" else 0
 
-    def _block(self, sigma: BinStr) -> dict[str, int]:
-        """sigma's explicit values, created empty on its first write."""
-        p = self.params.get(sigma)
-        if p is None:
-            p = self.params[sigma] = {}
-            insort(self._keys, sigma)
-            if len(sigma) > self._max_param_len:
-                self._max_param_len = len(sigma)
-        return p
-
-    def _initialise(self, t: int, start: BinStr) -> None:
-        """Stage t's initialisation of the region from ``start`` on: the
-        written strategies in it are the sorted keys from ``start`` on, and
-        each forgets the fields it resets."""
-        self.init_events.append((t, start))
+    def commit(self, t: int, writes, start: BinStr) -> None:
+        """Store stage t's result: its (sigma, field, value) writes, then
+        the initialisation of the region from ``start`` on.  A strategy's
+        dict of explicit values is created at its first write.  The written
+        strategies in the region are the sorted keys from ``start`` on, and
+        each forgets the fields an initialisation resets.  The rules never
+        write into their own stage's region, so such a write raises."""
         params = self.params
+        for s, fld, val in writes:
+            if s >= start:
+                raise TraceCorruption(
+                    f"stage {t} writes into its own initialisation region at {s!r}"
+                )
+            p = params.get(s)
+            if p is None:
+                p = params[s] = {}
+                insort(self._keys, s)
+                if len(s) > self._max_param_len:
+                    self._max_param_len = len(s)
+            p[fld] = val
+        self.init_events.append((t, start))
         forgets = self._forgets
         for s in self._keys[bisect_left(self._keys, start):]:
             p = params[s]
@@ -162,27 +166,18 @@ def run_stage(state: EngineState) -> StageRecord:
     t = state.t
     x = state.x
     registry = state.registry
-    log = state.read_log
     # from this depth on every substage is forced to append "1"
     forced = max(state._max_param_len, state._max_index) + 1
     try:
-        sigma, action, jump_exp, region, writes = stage_rules(
-            t, x, state._read, None if log is None else log.append,
-            registry.ell, registry.step, state.engine, forced, state.words)
+        sigma, action, region, writes = stage_rules(
+            t, x, state._read, state.read_log, registry.ell, registry.step,
+            state.engine, forced)
     except StageRuleError as exc:
         raise TraceCorruption(str(exc)) from exc
 
-    jump = pow2(-jump_exp) if jump_exp is not None else ZERO
+    jump = pow2(-action[6]) if action[6] is not None else ZERO
     x.append(x[t] + jump)
-
-    start = region_start(*region)
-    for s, fld, val in writes:
-        if s >= start:
-            raise TraceCorruption(
-                f"stage {t} writes into its own initialisation region at {s!r}"
-            )
-        state._block(s)[fld] = val
-    state._initialise(t, start)
+    state.commit(t, writes, region_start(*region))
 
     # positional: a named tuple builds in half the time that way
     record = StageRecord(t, sigma, Action(*action), jump, (region,), writes)

@@ -3,8 +3,9 @@
 :func:`stage_rules` is the substage rules of one stage written out from
 their prose description, with none of the engine's sparse or incremental
 machinery: it takes a stage's inputs (the parameter values at stage t, the
-approximation x, the slot queries) and returns the stage's settled word,
-action, jump, initialisation region and parameter writes.  It is the one
+approximation x, the slot queries) and a read log, and returns the fields
+of the stage's record: settled word, action (whose exponent gives the
+jump), initialisation region and parameter writes.  It is the one
 implementation of the rules, and it has three callers, which differ only
 in the state they feed it.
 
@@ -51,11 +52,11 @@ against its written-out definition (``test_phi`` for the convergence gate
 and the ranged query, ``test_tracekit`` for region membership and start
 words, ``test_strings`` for the tree order, ``test_dyadic`` for the
 arithmetic); the reads' full-scan form is ``test_replay.full_scan_read``.
-The oracle's logged walk takes its words from a :class:`WordTable` of its
-own run, as the engine's from the engine state's, so a word read a
-thousand times is one string in each log; a table holds words and nothing
-else, the two sides share none, and the oracle's walk still visits every
-depth.
+A read log is a :class:`ReadLog`, a list of reads that carries the
+tables of the words its walks built, so a word read a thousand times is
+one string in each log.  The oracle keeps one log for its run and the
+engine state one for its own; the two share no word and no table, and
+the oracle's walk still visits every depth.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from .dyadic import ZERO, Dyadic, gap_cmp, pow2
 from .phi import PhiRegistry
 from .strings import REL_LEX, REL_LEX_OR_EXT, BinStr, nu, pair, region_start, unpair
 
-__all__ = ["ReplayResult", "StageRuleError", "WordTable", "gap_below", "replay_run",
+__all__ = ["ReadLog", "ReplayResult", "StageRuleError", "gap_below", "replay_run",
            "stage_rules", "naive_ell"]
 
 # Stage-terminal action kinds, spelled as the trace model spells them
@@ -95,18 +96,22 @@ class _Children(dict):
         return child
 
 
-class WordTable:
-    """The words a run's logged walks have built, each built once.
+class ReadLog(list):
+    """A run's read log: the reads of the walks that logged into it, in
+    order, and the words those walks built, each built once.
 
     ``zero[sigma]`` and ``one[sigma]`` are sigma's children by that bit.  A
     lookup hashes only the parent, and a string keeps its hash once
     computed, so finding a child seen before neither rebuilds it nor
     hashes it anew, and every read logged of a word holds the one string.
+    Equality and repr are the list's, so a log compares and prints as its
+    reads alone.
     """
 
     __slots__ = ("zero", "one")
 
     def __init__(self):
+        super().__init__()
         self.zero = _Children("0")
         self.one = _Children("1")
 
@@ -115,7 +120,7 @@ class ReplayResult(NamedTuple):
     engine: str
     x: list[Dyadic]
     settlements: list[BinStr]
-    reads: list[tuple]
+    reads: ReadLog
 
     def __repr__(self) -> str:
         # the read log is long and is compared whole, so the repr leaves it out
@@ -186,8 +191,7 @@ def replay_run(registry: PhiRegistry, engine: str, T: int) -> ReplayResult:
     hist = _History(engine)
     x: list[Dyadic] = [ZERO]
     settlements: list[BinStr] = []
-    reads: list[tuple] = []
-    words = WordTable()
+    reads = ReadLog()
 
     def ell(e: int, t: int) -> int:
         return naive_ell(registry, e, t)
@@ -196,11 +200,11 @@ def replay_run(registry: PhiRegistry, engine: str, T: int) -> ReplayResult:
         def read(sigma: BinStr, fld: str) -> int:
             return hist.read(sigma, fld, t)
 
-        sigma, _, jump_exp, region, writes = stage_rules(
-            t, x, read, reads.append, ell, registry.step, engine, t, words)
+        sigma, action, region, writes = stage_rules(
+            t, x, read, reads, ell, registry.step, engine, t)
         for s, fld, val in writes:
             hist.write(s, fld, val, t + 1)
-        x.append(x[t] + (pow2(-jump_exp) if jump_exp is not None else ZERO))
+        x.append(x[t] + (pow2(-action[6]) if action[6] is not None else ZERO))
         hist.inits.append((t, region_start(*region)))
         settlements.append(sigma)
 
@@ -235,31 +239,29 @@ def _next_restraint(staged: dict, log, t: int, sigma: BinStr) -> int:
     return val
 
 
-def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
-                forced: int, words: WordTable | None = None):
+def stage_rules(t: int, x: list[Dyadic], read, reads: ReadLog | None, ell, step,
+                engine: str, forced: int):
     """Stage t of the named construction by the substage rules.
 
     ``read(sigma, fld)`` is a parameter's value at stage t, before any
-    write of this stage; ``log``, unless None, receives the tuple (t, sigma,
-    fld, "cur"|"next", value) of every read in the order of the read
-    protocol below.  ``ell(e, t)`` and ``step(e, n, t)`` query the slots,
-    and x needs entries up to x[t].  From depth ``forced`` on the walk
-    appends "1" up to depth t in one step, logging the flag reads of 0 it
-    skips (the forced walk of the engine module docstring); a ``forced`` of
-    t walks every depth.
+    write of this stage; ``reads``, a :class:`ReadLog` or None, receives
+    the tuple (t, sigma, fld, "cur"|"next", value) of every read in the
+    order of the read protocol below.  ``ell(e, t)`` and ``step(e, n, t)``
+    query the slots, and x needs entries up to x[t].  From depth ``forced``
+    on the walk appends "1" up to depth t in one step, logging the flag
+    reads of 0 it skips (the forced walk of the engine module docstring); a
+    ``forced`` of t walks every depth.
 
-    ``words``, a :class:`WordTable`, is required with a log and unused
-    without one.  A logged walk takes every word it steps onto from it,
-    the forced tail's included, and the 0-predecessors it reads are words
-    it stepped off by "0", so the log holds one string per distinct word,
-    not one per read.  Without a log the walk concatenates, and the forced
-    tail is one concatenation.
-    The owner of the log owns the table, the engine state or the oracle's
-    run, and keeps it for the whole run, so equal words of different
-    stages are one string too, and the engine and the oracle keep one
-    each.  It is a table of the run and not ``sys.intern``: interning
-    hashes every new word, and on CPython 3.12 interned strings are never
-    freed.
+    A logged walk takes every word it steps onto from the log's children
+    tables, the forced tail's included, and the 0-predecessors it reads are
+    words it stepped off by "0", so the log holds one string per distinct
+    word, not one per read.  Without a log the walk concatenates, and the
+    forced tail is one concatenation.  The log's owner, the engine state or
+    the oracle's run, keeps one log for the whole run, so equal words of
+    different stages are one string too, and the engine and the oracle
+    share none.  The tables belong to the log and not to ``sys.intern``:
+    interning hashes every new word, and on CPython 3.12 interned strings
+    are never freed.
 
     The read protocol: each substage at depth e < t
 
@@ -282,12 +284,13 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
     delta; the sixth is in the state the caller keeps, where an
     initialisation clears engine A's flag but not B's.
 
-    Returns (settled, action, jump exponent, region, writes): the action
-    is the tuple (kind, sigma, gamma, counter, alpha, k, exponent) in the
-    field order of the trace model's ``Action``, the jump exponent is None
-    for no jump, the region is (anchor, relation), and the writes are the
-    (sigma, field, value) triples in substage order.  The writes are staged
-    here, so a "next" read sees this stage's earlier writes.
+    Returns (settled, action, region, writes), a stage record's fields
+    less the jump: the action is the tuple (kind, sigma, gamma, counter,
+    alpha, k, exponent) in the field order of the trace model's ``Action``,
+    whose exponent, None for no jump, makes the jump 2**-exponent; the
+    region is (anchor, relation), and the writes are the (sigma, field,
+    value) triples in substage order.  The writes are staged here, so a
+    "next" read sees this stage's earlier writes.
 
     Raises :class:`StageRuleError` where the inputs admit no walk: a chain
     value not visible by stage t, a restraint read past t, a counter that
@@ -302,10 +305,11 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
     staged: dict[tuple[BinStr, str], int] = {}
     # the words the walk left by "0", in walk order: sigma's 0-predecessors
     preds: list[BinStr] = []
+    log = None if reads is None else reads.append
     if log is None:
         cur = read
     else:
-        zeros, ones = words.zero, words.one
+        zeros, ones = reads.zero, reads.one
 
         def cur(sigma: BinStr, fld: str) -> int:
             val = read(sigma, fld)
@@ -326,7 +330,6 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
         if e == t:
             # top-out: keep the value, initialise everything lex-right
             action = (TOP_OUT, sigma, None, None, None, None, None)
-            jump_exp = None
             region = (sigma, REL_LEX)
             break
 
@@ -353,12 +356,10 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
                     break
             if gamma is None:
                 action = (THREAT_JUMP, sigma, None, None, None, None, w)
-                jump_exp = w
             else:
                 counter = pair(sigma, 1 << (r_next - w))
                 _stage(staged, t, gamma, "c", counter)
                 action = (THREAT_SCHEDULE, sigma, gamma, counter, None, None, None)
-                jump_exp = None
             _stage(staged, t, sigma, flag_fld, 1)
             # B: every handled threat bumps the witness; its region spares
             # the threatened strategy's extensions
@@ -402,7 +403,6 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
         k = second - 1
         if not preds:
             action = (EXPANSION_JUMP, sigma, None, None, alpha, k, r)
-            jump_exp = r
         else:
             gamma = preds[-1]
             r_next = _next_restraint(staged, log, t, gamma)
@@ -412,7 +412,6 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
             counter = pair(alpha, 1 << (r_next - r))
             _stage(staged, t, gamma, "c", counter)
             action = (EXPANSION_DELEGATE, sigma, gamma, counter, alpha, k, None)
-            jump_exp = None
         _stage(staged, t, sigma, "c", 0 if k == 0 else pair(alpha, k))
         # B: a counter stage initialises right of sigma's 0-branch; A
         # initialises around the decoded label
@@ -420,4 +419,4 @@ def stage_rules(t: int, x: list[Dyadic], read, log, ell, step, engine: str,
         break
 
     writes = tuple([(s, fld, val) for (s, fld), val in staged.items()])
-    return sigma, action, jump_exp, region, writes
+    return sigma, action, region, writes

@@ -65,6 +65,7 @@ __all__ = [
     "THREAT_KINDS",
     "EXPANSION_KINDS",
     "FLAG_FIELDS",
+    "RESET_FIELDS",
     "Action",
     "StageRecord",
     "Trace",
@@ -95,6 +96,9 @@ EXPANSION_KINDS = frozenset({EXPANSION_JUMP, EXPANSION_DELEGATE})
 
 # The satisfaction (A) or pause (B) flag's parameter field, by engine.
 FLAG_FIELDS = {"A": "s", "B": "p"}
+# The fields an initialisation resets, by engine: counter and witness, and
+# on A the satisfaction flag; restraints and B's pause flag keep their writes.
+RESET_FIELDS = {"A": ("c", "w", FLAG_FIELDS["A"]), "B": ("c", "w")}
 TRACE_VERSION = 1
 
 
@@ -601,9 +605,9 @@ class TraceIndex:
 
         A value comes from the explicit writes (the last write of a stage
         wins) and from the initialisation regions covering sigma.  A region
-        resets counters and witnesses in both constructions and the
-        satisfaction flag only in the first; restraints and pause flags are
-        never touched by regions.  A write and a region effect from the same
+        resets the fields ``RESET_FIELDS`` names: counters and witnesses in
+        both constructions and the satisfaction flag only in the first;
+        restraints and pause flags are never touched by regions.  A write and a region effect from the same
         stage cannot collide for engine-produced traces, but if a
         hand-mutated trace makes them collide the region effect wins
         (matching engine commit order).
@@ -616,7 +620,7 @@ class TraceIndex:
             inits = self.initialisations(sigma)
             effects = dict(self.writes.get(key, ()))
             default = nu(sigma) if fld == "w" else 0
-            if fld in ("c", "w") or (self.trace.engine == "A" and fld == FLAG_FIELDS["A"]):
+            if fld in RESET_FIELDS[self.trace.engine]:
                 for t in inits:
                     effects[t] = default + t + 2 if fld == "w" else 0
             times, values = [0], [default]

@@ -603,7 +603,7 @@ def check_settlement_facts(trace: Trace) -> Report:
         except StageRuleError as exc:
             violation(t=t, law=_RULES_LAW, error=str(exc))
         else:
-            settled, action, _, region, writes = derived
+            settled, action, region, writes = derived
             want = (settled, action, (region,), writes)
             got = (rec.settled, rec.action, rec.init_regions, rec.param_writes)
             if want != got:

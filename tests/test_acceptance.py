@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from injurybench.dyadic import Dyadic, pow2
-from injurybench.engine import EngineState, new_engine_a, new_engine_b, run_engine
+from injurybench.engine import EngineState, new_engine_a, new_engine_b, run_engine, run_stage
 from injurybench.phi import DEFAULT_CONFIG, registry_from_config
 from injurybench.replay import replay_run
 from injurybench.speed import (
@@ -53,15 +53,22 @@ def test_c01_determinism_and_replay(registry):
         assert serialize(first) == serialize(second)
     assert elapsed["A"] < 10.0 and elapsed["B"] < 10.0, elapsed
 
-    # B's oracle runs to pipeline-b's horizon
+    # B's oracle runs to pipeline-b's horizon.  The engine's log is compared
+    # stage by stage with the next slice of the oracle's and then cleared,
+    # so only the oracle's log is held whole
     for tag, factory, T in (("A", new_engine_a, 2000), ("B", new_engine_b, 4000)):
-        state = factory(registry_from_config(DEFAULT_CONFIG), record_reads=True)
-        trace = run_engine(state, T)
         oracle = replay_run(registry_from_config(DEFAULT_CONFIG), tag, T)
-        assert oracle.x == trace.x
-        assert oracle.settlements == [rec.settled for rec in trace.stages]
-        assert oracle.reads == state.read_log
-        assert len(state.read_log) > 0
+        state = factory(registry_from_config(DEFAULT_CONFIG), record_reads=True)
+        log = state.read_log
+        done = 0
+        while state.t < T:
+            run_stage(state)
+            assert log == oracle.reads[done:done + len(log)], state.t - 1
+            done += len(log)
+            log.clear()
+        assert done == len(oracle.reads) > 0
+        assert oracle.x == state.x
+        assert oracle.settlements == [rec.settled for rec in state.records]
 
     report(1, f"bit-identical T=500 runs (A {elapsed['A']:.2f}s, "
               f"B {elapsed['B']:.2f}s < 10s); naive replay reproduces x and "

@@ -331,10 +331,10 @@ def test_write_into_own_region_raises_trace_corruption(minimal, monkeypatch):
     # a threatened strategy initialises its proper extensions on engine A;
     # a stray write to one of them must stop the commit
     def rules_with_stray_write(*args):
-        sigma, action, jump_exp, region, writes = stage_rules(*args)
+        sigma, action, region, writes = stage_rules(*args)
         if action[0] == THREAT_JUMP:
             writes += ((sigma + "0", "r", 1),)
-        return sigma, action, jump_exp, region, writes
+        return sigma, action, region, writes
 
     monkeypatch.setattr("injurybench.engine.stage_rules", rules_with_stray_write)
     with pytest.raises(TraceCorruption, match="own initialisation region"):
@@ -347,7 +347,9 @@ def test_initialisation_resets_exactly_the_blocks_a_full_scan_selects(minimal, e
     # forget what an initialisation resets; a scan of every written strategy
     # with region_contains must select the same ones.  A forgotten field
     # reads its derived value, a kept one its stored value.  The first case
-    # has a written strategy whose key is the start word itself.
+    # has a written strategy whose key is the start word itself.  The setup
+    # writes are committed under the root's top-out region, which starts at
+    # "2" and covers no word.
     rng = random.Random(29)
     words = [""] + [format(i, f"0{n}b") for n in range(1, 6) for i in range(1 << n)]
     cases = [("0", REL_LEX_OR_EXT, ["1", "00", "0", "", "01", "000"])]
@@ -356,11 +358,11 @@ def test_initialisation_resets_exactly_the_blocks_a_full_scan_selects(minimal, e
     edge = 0
     for anchor, rel, keys in cases:
         st = EngineState(minimal, engine)
-        for sigma in keys:
-            st._block(sigma).update(c=7, r=8, w=9, s=1, p=1)
+        st.commit(4, [(sigma, fld, value) for sigma in keys for fld, value in (
+            ("c", 7), ("r", 8), ("w", 9), ("s", 1), ("p", 1))], region_start("", REL_LEX))
         start = region_start(anchor, rel)
         edge += start in keys
-        st._initialise(5, start)
+        st.commit(5, (), start)
         for sigma in keys:
             got = tuple(st._read(sigma, fld) for fld in ("c", "r", "w", "s", "p"))
             if region_contains(anchor, rel, sigma):
@@ -370,7 +372,7 @@ def test_initialisation_resets_exactly_the_blocks_a_full_scan_selects(minimal, e
             else:
                 assert got == (7, 8, 9, 1, 1), (anchor, rel, sigma)
                 assert len(st.params[sigma]) == 5, (anchor, rel, sigma)
-        assert st.init_events == [(5, start)]
+        assert st.init_events == [(4, "2"), (5, start)]
     assert edge >= 5, edge
 
 
@@ -391,10 +393,8 @@ def test_store_reads_match_the_full_scan_on_random_histories(minimal, engine):
         st = EngineState(minimal, engine)
         for time in range(stages + 1):
             if time:
-                for sigma, fld, value in writes[time - 1]:
-                    st._block(sigma)[fld] = value
                 stage, anchor, rel = regions[time - 1]
-                st._initialise(stage, region_start(anchor, rel))
+                st.commit(stage, writes[time - 1], region_start(anchor, rel))
             for sigma in words:
                 for fld in FIELDS:
                     want = full_scan_read(hist, regions, sigma, fld, time)

@@ -100,12 +100,12 @@ def test_read_logs_hold_one_string_per_word(engine_tag, config, T):
         assert len({id(word) for word in words}) == len(set(words))
     assert oracle.reads == state.read_log
 
-    # without a read log the engine keeps no word table
+    # without a read log the engine keeps no log and so no word table
     unlogged = (new_engine_a if engine_tag == "A" else new_engine_b)(
         registry_from_config(config))
     run_engine(unlogged, T)
-    assert unlogged.words is None
-    assert not any(isinstance(value, replay.WordTable) for value in vars(unlogged).values())
+    assert unlogged.read_log is None
+    assert not any(isinstance(value, replay.ReadLog) for value in vars(unlogged).values())
 
 
 # The family test_randomized.random_config draws from random.Random(193):
