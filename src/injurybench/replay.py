@@ -249,7 +249,7 @@ def stage_rules(t: int, x: list[Dyadic], read, reads: ReadLog | None, ell, step,
     order of the read protocol below.  ``ell(e, t)`` and ``step(e, n, t)``
     query the slots, and x needs entries up to x[t].  From depth ``forced``
     on the walk appends "1" up to depth t in one step, logging the flag
-    reads of 0 it skips (the forced walk of the engine module docstring); a
+    reads of 0 it skips (``tracekit.ParamStore.forced_depth``); a
     ``forced`` of t walks every depth.
 
     A logged walk takes every word it steps onto from the log's children

@@ -26,17 +26,17 @@ threat is one subtraction (``paid``), and whether it reaches a power of
 two one integer comparison (``paid_cmp``).  The index lists a strategy's
 expansionary stages (``expansionary_stages``) for ``requirement_p`` and
 ``expansion_gap`` by the rules' gap test (``replay.gap_below``); the
-settlement check re-derives whole stages with
-``replay.stage_rules`` on the index's parameter values.  A trace owns its
-index: ``Trace.index`` builds it on first use, so every reader of one trace
-shares it.
+settlement check re-derives whole stages with ``replay.stage_rules`` on a
+:class:`ParamStore`, the engine's store, rebuilt from the records.  A trace
+owns its index: ``Trace.index`` builds it on first use, so every reader of
+one trace shares it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
@@ -66,6 +66,7 @@ __all__ = [
     "EXPANSION_KINDS",
     "FLAG_FIELDS",
     "RESET_FIELDS",
+    "ParamStore",
     "Action",
     "StageRecord",
     "Trace",
@@ -100,6 +101,96 @@ FLAG_FIELDS = {"A": "s", "B": "p"}
 # on A the satisfaction flag; restraints and B's pause flag keep their writes.
 RESET_FIELDS = {"A": ("c", "w", FLAG_FIELDS["A"]), "B": ("c", "w")}
 TRACE_VERSION = 1
+
+
+class ParamStore:
+    """A run's parameter values at its present stage, advanced a stage at a
+    time by :meth:`commit`: the engine's state, and what the settlement
+    check rebuilds from a trace's records to feed ``replay.stage_rules``.
+
+    It keeps explicit values only, so stages that descend thousands of
+    levels stay cheap: a strategy's dict of them appears at its first write
+    and is never removed.  Any other value is derived: 0, or for a witness
+    nu(sigma) + s + 2 from the latest initialisation at a stage s covering
+    sigma, else nu(sigma).  An initialisation makes the written strategies
+    of its region forget what it resets (``RESET_FIELDS``).  They are kept
+    sorted, so those are one slice, and a derived witness compares its word
+    with each initialisation's start word once, kept beside its scan position.
+    """
+
+    def __init__(self, engine: str, registry: PhiRegistry):
+        # sigma -> its explicit values by field name, from its first write
+        # on; a field an initialisation forgot is absent, and reads derived
+        self.params: dict[BinStr, dict[str, int]] = {}
+        # the keys of params in native order
+        self._keys: list[BinStr] = []
+        # the fields an initialisation forgets
+        self._forgets = RESET_FIELDS[engine]
+        # (stage, start word of the stage's initialisation)
+        self.init_events: list[tuple[int, BinStr]] = []
+        # sigma -> [position in init_events scanned to, derived witness there]
+        self._w_scan: dict[BinStr, list] = {}
+        self._max_param_len = -1
+        self._deepest = max(registry.configured_indices(), default=-1)
+
+    def forced_depth(self) -> int:
+        """The depth from which every substage of this stage's walk appends
+        "1": one past the deeper of the longest written strategy and the
+        deepest configured slot index.  A strategy that deep has no explicit
+        value and no slot, so its flag reads 0 and its chain length -1: the
+        threat and expansion tests fail with no further read, and a B
+        strategy has no pause to lift."""
+        return max(self._max_param_len, self._deepest) + 1
+
+    def _lazy_w(self, sigma: BinStr) -> int:
+        """sigma's derived witness: nu(sigma) + s + 2 for the latest
+        initialisation at stage s that covers it, else nu(sigma)."""
+        events = self.init_events
+        scan = self._w_scan.get(sigma)
+        if scan is None:
+            scan = self._w_scan[sigma] = [0, nu(sigma)]
+        cover = None
+        for stage, start in events[scan[0]:]:
+            if sigma >= start:
+                cover = stage
+        if cover is not None:
+            scan[1] = nu(sigma) + cover + 2
+        scan[0] = len(events)
+        return scan[1]
+
+    def _read(self, sigma: BinStr, fld: str) -> int:
+        """The value at the present stage, before any write of it: the
+        explicit value, else the derived one."""
+        p = self.params.get(sigma) if len(sigma) <= self._max_param_len else None
+        if p is not None and fld in p:
+            return p[fld]
+        return self._lazy_w(sigma) if fld == "w" else 0
+
+    def commit(self, t: int, writes, starts) -> None:
+        """Store stage t's result: its (sigma, field, value) writes, then
+        the initialisation of its regions, given by their start words
+        (``strings.region_start``): together every word from the least on,
+        and none initialise nothing.  The written strategies there forget
+        what an initialisation resets, also a field the stage wrote: the
+        region wins, as in :meth:`TraceIndex.changepoints`."""
+        params = self.params
+        for s, fld, val in writes:
+            p = params.get(s)
+            if p is None:
+                p = params[s] = {}
+                insort(self._keys, s)
+                if len(s) > self._max_param_len:
+                    self._max_param_len = len(s)
+            p[fld] = val
+        if not starts:
+            return
+        start = min(starts)
+        self.init_events.append((t, start))
+        forgets = self._forgets
+        for s in self._keys[bisect_left(self._keys, start):]:
+            p = params[s]
+            for fld in forgets:
+                p.pop(fld, None)
 
 
 class TraceCorruption(Exception):
@@ -609,8 +700,8 @@ class TraceIndex:
         both constructions and the satisfaction flag only in the first;
         restraints and pause flags are never touched by regions.  A write and a region effect from the same
         stage cannot collide for engine-produced traces, but if a
-        hand-mutated trace makes them collide the region effect wins
-        (matching engine commit order).
+        hand-mutated trace makes them collide the region effect wins, as
+        :meth:`ParamStore.commit` stores them.
         """
         key = (sigma, fld)
         cached = self._cp.get(key)

@@ -16,7 +16,8 @@ Every trace fact a checker reads -- parameter values, initialisations,
 applications, threats by strategy, jump attribution, the expansionary
 stages (``TraceIndex.expansionary_stages``) -- comes from the trace's own
 ``tracekit.TraceIndex`` (``trace.index``), so the checkers share one index
-whether ``run_checks`` runs them or a caller runs one alone.  What an
+whether ``run_checks`` runs them or a caller runs one alone; only
+``settlement``'s rule walk reads its values from a store (below).  What an
 episode paid comes from the running sums of the jumps attributed to its
 threat (``TraceIndex.paid``, ``TraceIndex.fiber_sums``).  Bounds are decided
 integer-first: a law comparing a difference or a sum with a power of two
@@ -29,8 +30,9 @@ configuration against its digest, and every parameter value to be a natural
 number, as the engine writes them.
 
 The settlement check re-derives every stage record with
-``replay.stage_rules``, the one implementation of the substage rules, which
-the engine runs too, so the checkers keep no copy of those rules.  ``run_checks``
+``replay.stage_rules``, the one implementation of the substage rules, on a
+``tracekit.ParamStore``, the engine's store rebuilt from the records, so
+the checkers keep no copy of those rules or of that store.  ``run_checks``
 runs the checkers from one table of (name, engines, per-slot, checker).
 """
 
@@ -44,12 +46,13 @@ from typing import NamedTuple
 from .dyadic import ZERO, Dyadic, gap_cmp, pow2
 from .phi import PhiRegistry
 from .replay import StageRuleError, stage_rules
-from .strings import BinStr, lex_less, nu, region_covers_right_of
+from .strings import BinStr, lex_less, nu, region_covers_right_of, region_start
 from .tracekit import (
     EXPANSION_KINDS,
     FLAG_FIELDS,
     THREAT_KINDS,
     THREAT_JUMP,
+    ParamStore,
     Trace,
     TraceCorruption,
     TraceIndex,
@@ -572,34 +575,31 @@ def check_settlement_facts(trace: Trace) -> Report:
     witness value, threat episodes closed once complete, and (second
     construction) the pause-flag laws.
 
-    Stage t runs ``replay.stage_rules`` on the trace's own state before it:
-    parameter values from ``TraceIndex.value`` at t, x, and the registry's
-    ``ell`` and ``step``.  The walk is forced from one past the deeper of
-    the longest strategy written before t and the deepest configured slot
-    index: no strategy from that depth on has a parameter write or a slot,
-    so every substage there appends "1" (the forced walk of the engine
-    module docstring).  The record's settled word, action, initialisation
-    regions and parameter writes must equal the derived ones, and the first
-    that differs is named in a fail finding with law "record follows the
-    substage rules"; where the stage's inputs admit no walk, the finding
-    carries the rule function's error instead.  A stage is derived from the
-    records before it alone, so an edited record fails at its own stage.
+    Stage t runs ``replay.stage_rules`` on the engine's parameter store, a
+    ``tracekit.ParamStore`` that has committed the records before t, with
+    its forced depth, x, and the registry's ``ell`` and ``step``; then the
+    store commits record t.  The record's settled word, action,
+    initialisation regions and parameter writes must equal the derived
+    ones, and the first that differs is named in a fail finding with law
+    "record follows the substage rules"; where the stage's inputs admit no
+    walk, the finding carries the rule function's error instead.  So an
+    edited record fails at its own stage, and by induction a trace passes
+    the walk exactly when every record is what ``engine.run_stage`` writes.
     """
     index = trace.index
     registry = trace.registry
-    deepest = max(registry.configured_indices(), default=-1)
+    store = ParamStore(trace.engine, registry)
     findings: list[tuple[str, dict]] = []
 
     def violation(**detail):
         findings.append(("fail", detail))
 
-    value, x, ell, step = index.value, trace.x, registry.ell, registry.step
-    longest = -1  # the length of the longest strategy written so far
+    x, ell, step = trace.x, registry.ell, registry.step
     for rec in trace.stages:
         t = rec.t
         try:
-            derived = stage_rules(t, x, lambda sigma, fld: value(sigma, fld, t), None, ell,
-                                  step, trace.engine, max(longest, deepest) + 1)
+            derived = stage_rules(t, x, store._read, None, ell, step, trace.engine,
+                                  store.forced_depth())
         except StageRuleError as exc:
             violation(t=t, law=_RULES_LAW, error=str(exc))
         else:
@@ -609,9 +609,7 @@ def check_settlement_facts(trace: Trace) -> Report:
             if want != got:
                 first = next(i for i in range(4) if want[i] != got[i])
                 violation(t=t, law=_RULES_LAW, field=_RECORD_FIELDS[first])
-        for sigma, _, _ in rec.param_writes:
-            if len(sigma) > longest:
-                longest = len(sigma)
+        store.commit(t, rec.param_writes, [region_start(*r) for r in rec.init_regions])
 
     # at most one handled threat per (strategy, witness value): a repeat
     # needs an intervening initialisation or bump, which raises the witness

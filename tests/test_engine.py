@@ -25,10 +25,12 @@ from injurybench.strings import REL_LEX, REL_LEX_OR_EXT, nu, pair, region_contai
 from injurybench.tracekit import (
     EXPANSION_DELEGATE,
     EXPANSION_JUMP,
+    RESET_FIELDS,
     THREAT_JUMP,
     THREAT_SCHEDULE,
     TOP_OUT,
     Action,
+    ParamStore,
     StageRecord,
     Trace,
     TraceCorruption,
@@ -359,10 +361,10 @@ def test_initialisation_resets_exactly_the_blocks_a_full_scan_selects(minimal, e
     for anchor, rel, keys in cases:
         st = EngineState(minimal, engine)
         st.commit(4, [(sigma, fld, value) for sigma in keys for fld, value in (
-            ("c", 7), ("r", 8), ("w", 9), ("s", 1), ("p", 1))], region_start("", REL_LEX))
+            ("c", 7), ("r", 8), ("w", 9), ("s", 1), ("p", 1))], [region_start("", REL_LEX)])
         start = region_start(anchor, rel)
         edge += start in keys
-        st.commit(5, (), start)
+        st.commit(5, (), [start])
         for sigma in keys:
             got = tuple(st._read(sigma, fld) for fld in ("c", "r", "w", "s", "p"))
             if region_contains(anchor, rel, sigma):
@@ -378,30 +380,38 @@ def test_initialisation_resets_exactly_the_blocks_a_full_scan_selects(minimal, e
 
 @pytest.mark.parametrize("engine", ["A", "B"])
 def test_store_reads_match_the_full_scan_on_random_histories(minimal, engine):
-    # README's settlement guarantee rests on the engine's store agreeing with
-    # TraceIndex.value (test_tracekit holds the index's side).  Driven as
-    # run_stage commits, each stage's writes and then its one region with
-    # no write inside it, the store must read at every stage what a scan of
-    # every event reads.  A witness written and then forgotten by a region
-    # must read its derived value.
+    # the engine and settlement's rule walk read one ParamStore, so it must
+    # take every history the loader accepts: no region, one or two per
+    # stage, and writes inside them (test_tracekit holds the index's side).
+    # Committed stage by stage, the store must read at every stage what a
+    # scan of every event reads.  A witness written and then forgotten by
+    # a region must read its derived value, and a write and a region of
+    # the same stage on a field the region resets are a tie, which the
+    # region wins.
     rng = random.Random(34)
-    derived = 0
+    derived = ties = several = 0
     for _ in range(300):
         stages = rng.randint(0, 14)
-        hist, words, regions = random_history(rng, engine, stages, committed=True)
+        hist, words, regions = random_history(rng, engine, stages)
         writes = stage_writes(hist, stages)
-        st = EngineState(minimal, engine)
+        st = ParamStore(engine, minimal)
         for time in range(stages + 1):
             if time:
-                stage, anchor, rel = regions[time - 1]
-                st.commit(stage, writes[time - 1], region_start(anchor, rel))
+                own = [region_start(anchor, rel) for stage, anchor, rel in regions
+                       if stage == time - 1]
+                several += len(own) > 1
+                st.commit(time - 1, writes[time - 1], own)
             for sigma in words:
                 for fld in FIELDS:
                     want = full_scan_read(hist, regions, sigma, fld, time)
                     assert st._read(sigma, fld) == want, (regions, sigma, fld, time)
+                    seen = [wt for wt, _ in hist.writes.get((sigma, fld), ()) if wt <= time]
+                    ties += fld in RESET_FIELDS[engine] and bool(seen) and any(
+                        stage + 1 == seen[-1] and region_contains(anchor, rel, sigma)
+                        for stage, anchor, rel in regions)
                 derived += "w" not in st.params.get(sigma, {}) and any(
                     wt <= time for wt, _ in hist.writes.get((sigma, "w"), ()))
-    assert derived > 300, derived
+    assert derived > 300 and ties > 1000 and several > 300, (derived, ties, several)
 
 
 @pytest.mark.parametrize("counter, restraint, error", [

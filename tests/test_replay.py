@@ -283,27 +283,24 @@ WORDS = [""] + [format(i, f"0{n}b") for n in range(1, 6) for i in range(2 ** n)]
 FIELDS = ("c", "w", "r", "s", "p")
 
 
-def random_history(rng, engine, stages, committed=False):
+def random_history(rng, engine, stages):
     """A history no engine made: any word of length up to 5 and any field
     written at any stage, several writes and regions per stage or none, in
     stage order as replay_run appends them.  Few words and dense stages
-    make a write and a containing region at the same time common.  With
-    ``committed`` each stage has one region and no write inside it, as
-    ``engine.run_stage`` commits a stage.  Returns the history, its words
-    and its regions as (stage, anchor, rel)."""
+    make a write and a containing region at the same time common.  Returns
+    the history, its words and its regions as (stage, anchor, rel)."""
     hist = _History(engine)
     words = rng.sample(WORDS, rng.randint(1, 12))
     regions = []
     for t in range(stages):
         writes = [(rng.choice(words), rng.choice(FIELDS), rng.randint(0, 9))
                   for _ in range(rng.choice((0, 0, 1, 2, 3)))]
-        for _ in range(1 if committed else rng.choice((0, 1, 1, 2))):
+        for _ in range(rng.choice((0, 1, 1, 2))):
             anchor, rel = rng.choice(words), rng.choice((REL_LEX, REL_LEX_OR_EXT))
             regions.append((t, anchor, rel))
             hist.inits.append((t, region_start(anchor, rel)))
         for sigma, fld, value in writes:
-            if not (committed and region_contains(anchor, rel, sigma)):
-                hist.write(sigma, fld, value, t + 1)
+            hist.write(sigma, fld, value, t + 1)
     return hist, words, regions
 
 

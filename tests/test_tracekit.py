@@ -1050,10 +1050,11 @@ def history_trace(engine: str, stages: int, hist, regions) -> Trace:
 
 @pytest.mark.parametrize("engine", ["A", "B"])
 def test_index_values_match_the_full_scan_on_random_histories(engine):
-    # README's settlement guarantee rests on the engine's store agreeing with
-    # TraceIndex.value, the values settlement reads back from the records;
-    # test_engine holds the store's side.  A region and a write of the same
-    # stage on the same reset field are a tie, which the region wins.
+    # the checks read parameter values at any stage from TraceIndex.value,
+    # and settlement's rule walk reads the present ones from a ParamStore;
+    # both must equal a scan of every event on the same histories
+    # (test_engine holds the store's side).  A region and a write of the
+    # same stage on the same reset field are a tie, which the region wins.
     rng = random.Random(34)
     ties = 0
     for _ in range(300):

@@ -1020,6 +1020,49 @@ def test_a_trace_that_passes_settlement_is_the_run(engine, T):
     assert outcomes["equal"] >= 5 and outcomes["failed"] >= 5, outcomes
 
 
+@pytest.mark.parametrize("engine, T, counts", [
+    ("A", 120, {"alone": 44, "guard": 11, "rules": 2, "unchanged": 3}),
+    ("B", 200, {"alone": 51, "guard": 3, "unchanged": 6}),
+], ids=["A", "B"])
+def test_a_record_edit_followed_by_the_rules_fails_settlement_at_the_edit(
+        engine, T, counts, monkeypatch):
+    # the second family of forgeries: one loader-accepted edit of record s,
+    # and every later stage derived by the rules from the edited history.
+    # run_stage takes the edited record in place of the rules' result at s,
+    # so its guard checks it and its commit stores it.  settlement's first
+    # rules finding must be s; "alone" counts the forgeries where it is the
+    # only one.  An edit that the guard or a later stage's rules refuse is
+    # only counted
+    registry = registry_from_config(DEFAULT_CONFIG)
+    trace = run_engine(EngineState(registry, engine), T)
+    edit = None
+
+    def rules(t, *args):
+        if t == edit.t:
+            return edit.settled, edit.action, edit.init_regions[0], edit.param_writes
+        return stage_rules(t, *args)
+
+    monkeypatch.setattr("injurybench.engine.stage_rules", rules)
+    outcomes = Counter()
+    for mutant in single_record_mutants(trace, 60, seed=36):
+        if not changes_trace(trace, mutant):
+            outcomes["unchanged"] += 1
+            continue
+        s = next(t for t in range(T) if mutant.stages[t] != trace.stages[t])
+        edit = mutant.stages[s]
+        try:
+            forged = run_engine(EngineState(registry, engine), T)
+        except TraceCorruption as exc:
+            outcomes["guard" if "own initialisation region" in str(exc) else "rules"] += 1
+            continue
+        assert forged.stages[:s + 1] == mutant.stages[:s + 1] and forged.x[s + 1] == mutant.x[s + 1]
+        forged = deserialize(serialize(forged))
+        found = [w["t"] for w in check_settlement_facts(forged).witnesses if w["law"] == RULES_LAW]
+        assert found[:1] == [s], (s, found[:3])
+        outcomes["alone" if found == [s] else "followed"] += 1
+    assert outcomes == counts, outcomes
+
+
 def test_settlement_walks_below_a_strategy_written_past_the_configured_depths():
     # a pause flag written past every configured index fails its own record,
     # and each later walk through that strategy lifts it, as the engine's
